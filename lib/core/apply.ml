@@ -979,15 +979,28 @@ let verify t =
   in
   (* windows legitimately rewritten after load: every trampoline site of
      every applied update (a later update may redirect a replacement,
-     §5.4, putting its jump at the replacement's entry) *)
+     §5.4, putting its jump at the replacement's entry). Sorted starts,
+     consulted only where a byte differs, keep the audit linear in the
+     module bytes however deep the stack. *)
   let exempt =
-    List.concat_map
-      (fun a ->
-        List.map (fun r -> (r.r_old_addr, r.r_old_addr + jump_size))
-          a.replacements)
-      t.stack
+    Array.of_list
+      (List.concat_map
+         (fun a -> List.map (fun r -> r.r_old_addr) a.replacements)
+         t.stack)
   in
-  let exempted off = List.exists (fun (lo, hi) -> off >= lo && off < hi) exempt in
+  Array.sort Int.compare exempt;
+  (* every window is [jump_size] wide, so [off] is exempt iff the last
+     window starting at or before it reaches it *)
+  let exempted off =
+    let rec count_le lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if exempt.(mid) <= off then count_le (mid + 1) hi else count_le lo mid
+    in
+    let n = count_le 0 (Array.length exempt) in
+    n > 0 && off < exempt.(n - 1) + jump_size
+  in
   let check_module (a : applied) =
     List.fold_left
       (fun acc (addr, bytes) ->
@@ -1001,19 +1014,19 @@ let verify t =
             in
             if not is_text then Ok ()
             else begin
-              let current =
-                Machine.read_bytes t.m addr (Bytes.length bytes)
+              let n = Bytes.length bytes in
+              let current = Machine.read_bytes t.m addr n in
+              let rec first_damage i =
+                if i >= n then None
+                else if
+                  Bytes.get current i <> Bytes.get bytes i
+                  && not (exempted (addr + i))
+                then Some (addr + i)
+                else first_damage (i + 1)
               in
-              let damaged = ref None in
-              Bytes.iteri
-                (fun i c ->
-                  if
-                    !damaged = None
-                    && (not (exempted (addr + i)))
-                    && Bytes.get current i <> c
-                  then damaged := Some (addr + i))
-                bytes;
-              match !damaged with
+              match
+                if Bytes.equal current bytes then None else first_damage 0
+              with
               | None -> Ok ()
               | Some at ->
                 Error

@@ -62,9 +62,31 @@ type transition = {
   tr_dispatch : (int, int) Hashtbl.t;  (* function entry -> target *)
 }
 
+(* one predecoded instruction; [len = 0] marks an empty slot *)
+type decoded = {
+  insn : Isa.insn;
+  len : int;
+}
+
+let empty_slot = { insn = Isa.Hlt; len = 0 }
+let page_bits = 12
+let page_size = 1 lsl page_bits
+
+(* the longest KVX-32 encoding: a write can change the decode of any pc
+   up to [max_insn_len - 1] bytes before it *)
+let max_insn_len = 6
+
+(* stands for a page the interpreter has never fetched from *)
+let no_page : decoded array = [||]
+
 type t = {
   mem : Bytes.t;
   mem_size : int;
+  (* predecoded instruction cache: per 4 KiB page, one slot per byte
+     offset, allocated on the first fetch from the page. [observe]
+     empties every slot a write may have changed, so a hit always equals
+     decoding the current bytes *)
+  icache : decoded array array;
   img : Klink.Image.t;
   mutable syms : Klink.Image.syminfo list;
   (* name -> kallsyms entries bearing it, in [syms] order; maintained
@@ -156,6 +178,7 @@ let create ?(mem_size = 0x0200_0000) (img : Klink.Image.t) =
     {
       mem;
       mem_size;
+      icache = Array.make ((mem_size + page_size - 1) / page_size) no_page;
       img;
       syms = img.kallsyms;
       sym_index =
@@ -308,9 +331,26 @@ let check t addr size =
   if addr < 0x1000 || addr + size > t.mem_size then
     raise (Vm_fault (Memory_violation addr))
 
+(* empty the cached decodes of every pc whose instruction may overlap
+   [addr, addr + len): those starting in the range, and those starting up
+   to [max_insn_len - 1] bytes before it (straddling the write or a page
+   boundary). Pages never fetched from cost one load each. *)
+let invalidate t addr len =
+  let lo = max 0 (addr - (max_insn_len - 1)) and hi = addr + len in
+  for page = lo lsr page_bits to (hi - 1) lsr page_bits do
+    let slots = t.icache.(page) in
+    if slots != no_page then begin
+      let base = page lsl page_bits in
+      let a = max lo base and b = min hi (base + page_size) in
+      Array.fill slots (a - base) (b - a) empty_slot
+    end
+  done
+
 (* every mutation of [t.mem] announces (addr, len) here *before* the
-   bytes change, so a transaction journal can capture the old contents *)
+   bytes change, so the instruction cache drops stale decodes and a
+   transaction journal can capture the old contents *)
 let observe t addr len =
+  invalidate t addr len;
   match t.write_observer with None -> () | Some f -> f addr len
 
 let read_u8 t a =
@@ -502,22 +542,53 @@ let do_int t th code =
       `Jumped)
   | _ -> raise (Vm_fault (Illegal_instruction th.pc))
 
+let decode_at t pc =
+  match Isa.decode (fun a -> check t a 1; Bytes.get_uint8 t.mem a) pc with
+  | insn, len -> { insn; len }
+  | exception Isa.Decode_error _ -> raise (Vm_fault (Illegal_instruction pc))
+
+(* the instruction at [pc]: from the cache, or decoded and cached. A
+   decode failure is never cached, so it faults on every attempt. *)
+let fetch t pc =
+  let page = pc lsr page_bits in
+  (* outside memory decoding faults, leaving nothing to cache *)
+  if pc < 0 || page >= Array.length t.icache then decode_at t pc
+  else begin
+    let slots =
+      match t.icache.(page) with
+      | s when s != no_page -> s
+      | _ ->
+        let s = Array.make page_size empty_slot in
+        t.icache.(page) <- s;
+        s
+    in
+    let off = pc land (page_size - 1) in
+    let d = slots.(off) in
+    if d.len > 0 then d
+    else begin
+      let d = decode_at t pc in
+      slots.(off) <- d;
+      d
+    end
+  end
+
+(* [step]'s helpers take the thread and next pc as arguments rather than
+   closing over them, so a step builds no closures *)
+let jump_rel th next disp = th.pc <- next + disp
+
+let alu th next f a b =
+  set_reg th a (f (reg th a) (reg th b));
+  th.pc <- next;
+  `Ok
+
+let shift_amount v = Int32.to_int v land 31
+
 (* Execute one instruction. Returns [`Ok | `Yield | `Stop]. *)
 let step t th =
   dispatch_redirect t th;
   let pc = th.pc in
-  let insn, len =
-    try Isa.decode (fun a -> check t a 1; Bytes.get_uint8 t.mem a) pc
-    with Isa.Decode_error _ -> raise (Vm_fault (Illegal_instruction pc))
-  in
+  let { insn; len } = fetch t pc in
   let next = pc + len in
-  let jump_rel disp = th.pc <- next + disp in
-  let alu f a b =
-    set_reg th a (f (reg th a) (reg th b));
-    th.pc <- next;
-    `Ok
-  in
-  let shift_amount v = Int32.to_int v land 31 in
   match insn with
   | Isa.Hlt ->
     th.state <- Exited 0l;
@@ -549,22 +620,24 @@ let step t th =
     store t w (Int32.to_int a) (reg th rs);
     th.pc <- next;
     `Ok
-  | Isa.Add (a, b) -> alu Int32.add a b
-  | Isa.Sub (a, b) -> alu Int32.sub a b
-  | Isa.Mul (a, b) -> alu Int32.mul a b
+  | Isa.Add (a, b) -> alu th next Int32.add a b
+  | Isa.Sub (a, b) -> alu th next Int32.sub a b
+  | Isa.Mul (a, b) -> alu th next Int32.mul a b
   | Isa.Div (a, b) ->
     if Int32.equal (reg th b) 0l then raise (Vm_fault (Divide_by_zero pc));
-    alu Int32.div a b
+    alu th next Int32.div a b
   | Isa.Mod (a, b) ->
     if Int32.equal (reg th b) 0l then raise (Vm_fault (Divide_by_zero pc));
-    alu Int32.rem a b
-  | Isa.And (a, b) -> alu Int32.logand a b
-  | Isa.Or (a, b) -> alu Int32.logor a b
-  | Isa.Xor (a, b) -> alu Int32.logxor a b
-  | Isa.Shl (a, b) -> alu (fun x y -> Int32.shift_left x (shift_amount y)) a b
+    alu th next Int32.rem a b
+  | Isa.And (a, b) -> alu th next Int32.logand a b
+  | Isa.Or (a, b) -> alu th next Int32.logor a b
+  | Isa.Xor (a, b) -> alu th next Int32.logxor a b
+  | Isa.Shl (a, b) ->
+    alu th next (fun x y -> Int32.shift_left x (shift_amount y)) a b
   | Isa.Shr (a, b) ->
-    alu (fun x y -> Int32.shift_right_logical x (shift_amount y)) a b
-  | Isa.Sar (a, b) -> alu (fun x y -> Int32.shift_right x (shift_amount y)) a b
+    alu th next (fun x y -> Int32.shift_right_logical x (shift_amount y)) a b
+  | Isa.Sar (a, b) ->
+    alu th next (fun x y -> Int32.shift_right x (shift_amount y)) a b
   | Isa.Addi (a, v) ->
     set_reg th a (Int32.add (reg th a) v);
     th.pc <- next;
@@ -590,20 +663,21 @@ let step t th =
     th.pc <- next;
     `Ok
   | Isa.Jmp d ->
-    jump_rel (Int32.to_int d);
+    jump_rel th next (Int32.to_int d);
     `Ok
   | Isa.Jmp_s d ->
-    jump_rel d;
+    jump_rel th next d;
     `Ok
   | Isa.Jcc (c, d) ->
-    if cond_holds th c then jump_rel (Int32.to_int d) else th.pc <- next;
+    if cond_holds th c then jump_rel th next (Int32.to_int d)
+    else th.pc <- next;
     `Ok
   | Isa.Jcc_s (c, d) ->
-    if cond_holds th c then jump_rel d else th.pc <- next;
+    if cond_holds th c then jump_rel th next d else th.pc <- next;
     `Ok
   | Isa.Call d ->
     push_on th t (Int32.of_int next);
-    jump_rel (Int32.to_int d);
+    jump_rel th next (Int32.to_int d);
     `Ok
   | Isa.Call_r r ->
     push_on th t (Int32.of_int next);

@@ -211,7 +211,9 @@ exception Out_of_memory of string
 
 (** [set_write_observer t f] installs [f addr len], called before every
     mutation of machine memory — host-side writes, interpreter stores,
-    and stack pushes alike — so a journal can capture the old bytes. *)
+    and stack pushes alike — so a journal can capture the old bytes.
+    The machine's predecoded-instruction cache drops the decodes the
+    write may change before [f] runs. *)
 val set_write_observer : t -> (int -> int -> unit) option -> unit
 
 (** Allocation injector: consulted by {!alloc_module}; returning [true]

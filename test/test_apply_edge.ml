@@ -175,6 +175,73 @@ let test_trampoline_chain_depth3 () =
     [ "u3"; "u2"; "u1" ];
   Alcotest.(check int32) "fully unwound" 300l (call m img "peek" [ 3l ])
 
+let test_verify_deep_stack () =
+  (* 32 stacked updates of one function: each redirects the previous
+     replacement (§5.4), so its jump lands inside that update's module
+     text, in a window verify must exempt at any depth *)
+  let depth = 32 in
+  let tree, img, m = boot base_src in
+  let src = Option.get (Tree.find tree "k/t.c") in
+  let version n =
+    if n = 0 then tree
+    else
+      Tree.add tree "k/t.c"
+        (replace "acc = acc + ticket_base;"
+           (Printf.sprintf "acc = acc + ticket_base + %d;" n)
+           src)
+  in
+  let mgr = Apply.init m in
+  for n = 1 to depth do
+    let id = Printf.sprintf "u%d" n in
+    match Apply.apply mgr (mk_update ~id (version (n - 1)) (version n)) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: %a" id Apply.pp_error e
+  done;
+  Alcotest.(check int32) "top of the stack runs" 396l
+    (call m img "peek" [ 3l ]);
+  let expect_clean what =
+    match Apply.verify mgr with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: %a" what Apply.pp_error e
+  in
+  expect_clean "verify at depth 32";
+  let peek id =
+    let a =
+      List.find (fun (a : Apply.applied) -> a.update.update_id = id)
+        (Apply.applied mgr)
+    in
+    List.find (fun (r : Apply.replacement) -> r.r_fn = "peek") a.replacements
+  in
+  let r10 = peek "u10" and r11 = peek "u11" in
+  Alcotest.(check int) "u11 redirects u10's replacement" r10.r_new_addr
+    r11.r_old_addr;
+  (* two damaged body bytes past the exempt window: the first is named *)
+  let poke at v =
+    let saved = Machine.read_bytes m at 1 in
+    Machine.write_u8 m at v;
+    saved
+  in
+  let first = r10.r_new_addr + 7 and second = r10.r_new_addr + 9 in
+  let s1 = poke first (Machine.read_u8 m first lxor 0xff) in
+  let s2 = poke second (Machine.read_u8 m second lxor 0xff) in
+  (match Apply.verify mgr with
+   | Error (Apply.Integrity msg) ->
+     Alcotest.(check string) "names the update and the first address"
+       (Printf.sprintf "update u10: replacement code at %#x was modified"
+          first)
+       msg
+   | Ok () -> Alcotest.fail "verify missed damaged replacement code"
+   | Error e -> Alcotest.failf "unexpected: %a" Apply.pp_error e);
+  Machine.write_bytes m first s1;
+  Machine.write_bytes m second s2;
+  expect_clean "verify after repair";
+  (* a rewritten byte inside u11's trampoline window is exempt: only the
+     topmost redirect of peek owns its jump *)
+  let w = poke (r11.r_old_addr + 4) 0x5a in
+  expect_clean "rewritten exempt window";
+  Machine.write_bytes m (r11.r_old_addr + 4) w;
+  expect_clean "verify after restoring the window"
+
 let test_hook_fault_aborts () =
   (* a custom hook that faults must abort the apply with Hook_fault *)
   let tree, _img, m = boot base_src in
@@ -211,6 +278,7 @@ let suite =
         t "static local state preserved" test_static_local_state_preserved;
         t "verify clean and damaged" test_verify_clean_and_damaged;
         t "trampoline chain depth 3" test_trampoline_chain_depth3;
+        t "verify on a 32-deep stack" test_verify_deep_stack;
         t "hook fault aborts" test_hook_fault_aborts;
         t "verify empty manager" test_verify_empty_manager;
       ] );

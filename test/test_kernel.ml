@@ -457,6 +457,258 @@ solo:
    | _ -> Alcotest.fail "thread should have exited");
   ignore (Machine.backtrace m fresh : string list)
 
+(* --- instruction cache coherence: every case runs the code first, so its
+   decodes are cached, then changes the bytes and checks that execution
+   follows the new ones --- *)
+
+let encode insns = Bytes.concat Bytes.empty (List.map Isa.encode_to_bytes insns)
+
+let call_at m at args =
+  match Machine.call_function m ~addr:at ~args with
+  | Ok v -> v
+  | Error f -> Alcotest.failf "call at %#x faulted: %a" at Machine.pp_fault f
+
+let test_icache_host_write () =
+  let img, m = boot_asm ".text\n.global f\nf:\n  mov r0, 1\n  ret\n" in
+  let f = addr img "f" in
+  check Alcotest.int32 "cold" 1l (call m img "f" []);
+  check Alcotest.int32 "warm" 1l (call m img "f" []);
+  Machine.write_bytes m f (Isa.encode_to_bytes (Isa.Mov_ri (Isa.R0, 2l)));
+  check Alcotest.int32 "instruction rewritten" 2l (call m img "f" []);
+  (* writes that start inside the cached instruction, not at its pc *)
+  Machine.write_i32 m (f + 2) 3l;
+  check Alcotest.int32 "immediate rewritten" 3l (call m img "f" []);
+  Machine.write_u8 m (f + 5) 0x7f;
+  check Alcotest.int32 "last byte rewritten" 0x7f000003l (call m img "f" [])
+
+let test_icache_guest_store () =
+  let _, m = boot_asm ".text\n.global f\nf:\n  ret\n" in
+  (* code (a, v): if a <> 0, store v at a; then return the site's imm *)
+  let prologue =
+    Isa.
+      [ Load (W32, R1, SP, 4); Cmpi (R1, 0l); Jcc_s (Eq, 10);
+        Load (W32, R2, SP, 8); Store (W32, R1, 0, R2) ]
+  in
+  let site = Bytes.length (encode prologue) in
+  let code = encode (prologue @ Isa.[ Mov_ri (R0, 1l); Ret ]) in
+  let at = Machine.alloc_module m ~size:(Bytes.length code) ~align:16 in
+  Machine.write_bytes m at code;
+  check Alcotest.int32 "cold" 1l (call_at m at [ 0l; 0l ]);
+  check Alcotest.int32 "warm" 1l (call_at m at [ 0l; 0l ]);
+  (* the guest rewrites the immediate of an instruction it runs next *)
+  let imm = Int32.of_int (at + site + 2) in
+  check Alcotest.int32 "follows its own store" 7l (call_at m at [ imm; 7l ]);
+  check Alcotest.int32 "stays rewritten" 7l (call_at m at [ 0l; 0l ])
+
+let test_icache_page_straddle () =
+  let _, m = boot_asm ".text\n.global f\nf:\n  ret\n" in
+  let page = Machine.alloc_module m ~size:8192 ~align:4096 in
+  (* a 6-byte mov whose last three bytes lie on the next page *)
+  let entry = page + 4096 - 3 in
+  Machine.write_bytes m entry (encode Isa.[ Mov_ri (R0, 0x01020304l); Ret ]);
+  check Alcotest.int32 "cold" 0x01020304l (call_at m entry []);
+  check Alcotest.int32 "warm" 0x01020304l (call_at m entry []);
+  Machine.write_u8 m (entry + 5) 0x7f;
+  check Alcotest.int32 "write on the next page" 0x7f020304l
+    (call_at m entry [])
+
+let test_icache_txn_rollback () =
+  let img, m = boot_asm ".text\n.global f\nf:\n  mov r0, 1\n  ret\n" in
+  check Alcotest.int32 "before" 1l (call m img "f" []);
+  let txn = Ksplice.Txn.begin_ m in
+  Machine.write_bytes m (addr img "f")
+    (Isa.encode_to_bytes (Isa.Mov_ri (Isa.R0, 2l)));
+  check Alcotest.int32 "inside the transaction" 2l (call m img "f" []);
+  Ksplice.Txn.rollback txn;
+  check Alcotest.int32 "rolled back" 1l (call m img "f" [])
+
+let test_icache_illegal_opcode () =
+  let img, m =
+    boot_asm ".text\n.global f\nf:\n  mov r0, 1\n  mov r0, 2\n  ret\n"
+  in
+  let f = addr img "f" in
+  check Alcotest.int32 "warm" 2l (call m img "f" []);
+  Machine.write_u8 m (f + 6) 0xEE;
+  let expect_fault attempt =
+    match Machine.call_function m ~addr:f ~args:[] with
+    | Error (Machine.Illegal_instruction pc) when pc = f + 6 -> ()
+    | Ok v -> Alcotest.failf "%s: returned %ld" attempt v
+    | Error fl -> Alcotest.failf "%s: %a" attempt Machine.pp_fault fl
+  in
+  expect_fault "first attempt";
+  (* a decode failure is not cached: it faults again *)
+  expect_fault "second attempt";
+  Machine.write_bytes m (f + 6) (Isa.encode_to_bytes (Isa.Mov_ri (Isa.R0, 3l)));
+  check Alcotest.int32 "repaired" 3l (call m img "f" [])
+
+(* property: patching code the interpreter has already run leaves it
+   indistinguishable from a machine that only ever saw the patched bytes.
+   The program loops three times over a random body whose stores stay in
+   [scratch], so its first run leaves nothing but scratch behind, which is
+   reset; patches are raw bytes or whole encodings at any offset. *)
+
+let scratch_words = 16
+
+(* one instruction over r0..r6 (r7 counts the loop) *)
+let gen_insn scratch =
+  let open QCheck2.Gen in
+  let reg = map (fun i -> Option.get (Isa.reg_of_int i)) (int_range 0 6) in
+  let imm = map Int32.of_int (int_range (-1000) 1000) in
+  let width = oneofl Isa.[ W8; W16; W32 ] in
+  let cond = oneofl Isa.[ Eq; Ne; Lt; Ge; Gt; Le ] in
+  let slot =
+    map (fun i -> Int32.of_int (scratch + (4 * i))) (int_range 0 7)
+  in
+  let alu =
+    oneofl
+      Isa.
+        [ (fun a b -> Add (a, b)); (fun a b -> Sub (a, b));
+          (fun a b -> Mul (a, b)); (fun a b -> And (a, b));
+          (fun a b -> Or (a, b)); (fun a b -> Xor (a, b));
+          (fun a b -> Shl (a, b)); (fun a b -> Shr (a, b));
+          (fun a b -> Sar (a, b)); (fun a b -> Cmp (a, b));
+          (fun a b -> Mov_rr (a, b)) ]
+  in
+  oneof
+    [ map2 (fun a v -> Isa.Mov_ri (a, v)) reg imm;
+      map3 (fun f a b -> f a b) alu reg reg;
+      map2 (fun a v -> Isa.Addi (a, v)) reg imm;
+      map2 (fun a v -> Isa.Cmpi (a, v)) reg imm;
+      map2 (fun c a -> Isa.Setcc (c, a)) cond reg;
+      map
+        (fun (k, a) ->
+          match k with
+          | 0 -> Isa.Neg a | 1 -> Isa.Not a | 2 -> Isa.Sext8 a
+          | 3 -> Isa.Sext16 a | 4 -> Isa.Zext8 a | _ -> Isa.Zext16 a)
+        (pair (int_range 0 5) reg);
+      map (fun n -> Isa.Nop n) (int_range 1 3);
+      map3 (fun w a r -> Isa.Store_abs (w, a, r)) width slot reg;
+      map3 (fun w r a -> Isa.Load_abs (w, r, a)) width reg slot ]
+
+let gen_body scratch =
+  let open QCheck2.Gen in
+  let insn = gen_insn scratch in
+  (* a conditional short jump over the following instruction *)
+  let item =
+    oneof
+      [ map (fun i -> [ i ]) insn;
+        map2
+          (fun c i -> [ Isa.Jcc_s (c, Isa.length i); i ])
+          (oneofl Isa.[ Eq; Ne; Lt; Ge; Gt; Le ])
+          insn ]
+  in
+  map List.concat (list_size (int_range 1 24) item)
+
+let program scratch body =
+  let out = scratch + (4 * 8) in
+  let back =
+    List.fold_left (fun n i -> n + Isa.length i) 0 body
+    + Isa.length (Isa.Addi (Isa.R7, 0l))
+    + Isa.length (Isa.Cmpi (Isa.R7, 0l))
+    + Isa.length (Isa.Jcc (Isa.Gt, 0l))
+  in
+  (Isa.Mov_ri (Isa.R7, 3l) :: body)
+  @ Isa.
+      [ Addi (R7, -1l); Cmpi (R7, 0l); Jcc (Gt, Int32.of_int (-back)) ]
+  @ List.init 8 (fun r ->
+        Isa.Store_abs
+          (Isa.W32, Int32.of_int (out + (4 * r)),
+           Option.get (Isa.reg_of_int r)))
+  @ [ Isa.Ret ]
+
+type patch =
+  | P_bytes of int * Bytes.t
+  | P_u8 of int * int
+  | P_i32 of int * int32
+
+let gen_patch scratch code_len =
+  let open QCheck2.Gen in
+  let at len = int_range 0 (max 0 (code_len - len)) in
+  oneof
+    [ (let* b = map Bytes.of_string (string_size (int_range 1 6)) in
+       map (fun o -> P_bytes (o, b)) (at (Bytes.length b)));
+      (let* i = gen_insn scratch in
+       let b = Isa.encode_to_bytes i in
+       map (fun o -> P_bytes (o, b)) (at (Bytes.length b)));
+      map2 (fun o v -> P_u8 (o, v)) (at 1) (int_range 0 255);
+      map2 (fun o v -> P_i32 (o, Int32.of_int v)) (at 4) int ]
+
+let apply_patch m code_at = function
+  | P_bytes (o, b) -> Machine.write_bytes m (code_at + o) b
+  | P_u8 (o, v) -> Machine.write_u8 m (code_at + o) v
+  | P_i32 (o, v) -> Machine.write_i32 m (code_at + o) v
+
+(* a small machine with the code straddling a page boundary *)
+let icache_machine () =
+  let obj =
+    Asm.Assembler.assemble ~unit_name:"k.s" ~function_sections:false
+      ".text\n.global f\nf:\n  ret\n"
+  in
+  let m =
+    Machine.create ~mem_size:0x40_0000 (Image.link_exn ~base:0x100000 [ obj ])
+  in
+  let page = Machine.alloc_module m ~size:8192 ~align:4096 in
+  let scratch = Machine.alloc_module m ~size:(4 * scratch_words) ~align:4 in
+  (m, page + 4096 - 40, scratch)
+
+let outcome m at =
+  match Machine.call_function ~step_limit:5_000 m ~addr:at ~args:[] with
+  | Ok v -> Printf.sprintf "ok %ld" v
+  | Error f -> Format.asprintf "fault: %a" Machine.pp_fault f
+  | exception Machine.Out_of_memory msg -> "out of memory: " ^ msg
+
+let prop_icache_matches_cold_machine =
+  let open QCheck2.Gen in
+  let _, code_at0, scratch0 = icache_machine () in
+  let gen =
+    let* body = gen_body scratch0 in
+    let code = encode (program scratch0 body) in
+    let* patches =
+      list_size (int_range 1 4) (gen_patch scratch0 (Bytes.length code))
+    in
+    return (code, patches)
+  in
+  let print (code, patches) =
+    Printf.sprintf "code %s (at %#x), patches %s"
+      (String.concat ""
+         (List.map
+            (fun c -> Printf.sprintf "%02x" (Char.code c))
+            (List.of_seq (Bytes.to_seq code))))
+      code_at0
+      (String.concat "; "
+         (List.map
+            (function
+              | P_bytes (o, b) ->
+                Printf.sprintf "+%d <- %S" o (Bytes.to_string b)
+              | P_u8 (o, v) -> Printf.sprintf "+%d <- u8 %d" o v
+              | P_i32 (o, v) -> Printf.sprintf "+%d <- i32 %ld" o v)
+            patches))
+  in
+  QCheck2.Test.make ~name:"patched warm machine matches a cold one"
+    ~count:300 ~print gen (fun (code, patches) ->
+      let warm, code_at, scratch = icache_machine () in
+      Machine.write_bytes warm code_at code;
+      ignore (outcome warm code_at : string);
+      Machine.write_bytes warm scratch (Bytes.make (4 * scratch_words) '\000');
+      List.iter (apply_patch warm code_at) patches;
+      let before = Machine.instructions_retired warm in
+      let got = outcome warm code_at in
+      let retired = Machine.instructions_retired warm - before in
+      let cold, _, _ = icache_machine () in
+      Machine.write_bytes cold code_at code;
+      List.iter (apply_patch cold code_at) patches;
+      let want = outcome cold code_at in
+      let diffs = Machine.diff_snapshot cold (Machine.snapshot warm) in
+      if got <> want then
+        QCheck2.Test.fail_reportf "warm %s, cold %s" got want;
+      if retired <> Machine.instructions_retired cold then
+        QCheck2.Test.fail_reportf "warm retired %d, cold %d" retired
+          (Machine.instructions_retired cold);
+      if diffs <> [] then
+        QCheck2.Test.fail_reportf "state differs: %s"
+          (String.concat "; " diffs);
+      true)
+
 let suite =
   [
     ( "machine",
@@ -481,5 +733,13 @@ let suite =
         t "backtrace of a sleeping thread" test_backtrace_sleeping;
         t "backtrace of not-started and exited threads"
           test_backtrace_not_started_and_exited;
+        t "icache: host write over executed code" test_icache_host_write;
+        t "icache: guest store into its own text" test_icache_guest_store;
+        t "icache: write straddling a page boundary"
+          test_icache_page_straddle;
+        t "icache: transaction rollback" test_icache_txn_rollback;
+        t "icache: illegal opcode over cached code"
+          test_icache_illegal_opcode;
+        QCheck_alcotest.to_alcotest prop_icache_matches_cold_machine;
       ] );
   ]
