@@ -3,6 +3,108 @@ module Txn = Ksplice.Txn
 module Faultinj = Ksplice.Faultinj
 module Apply = Ksplice.Apply
 module Create = Ksplice.Create
+module J = Report.Json
+
+(* ---------- the harness: one signature, one driver, one printer ---------- *)
+
+module type S = sig
+  type key
+  type row
+
+  val name : string
+  val default_rows : unit -> key list
+  val gate_rows : unit -> key list
+  val key_of_string : string -> key option
+  val key_name : key -> string
+  val run_row : seed:int -> index:int -> key -> row
+  val progress : row -> string
+  val violations : row -> string list
+  val row_json : row -> J.t
+  val totals : row list -> J.t
+  val check : row list -> string list
+end
+
+type 'row report = {
+  sweep : string;
+  seed : int;
+  rows : 'row list;
+  lines : string list;
+  rows_json : J.t list;
+  totals : J.t;
+  violations : string list;
+}
+
+let run (type k r) ?rows ?(seed = 0) ?domains ?progress
+    (module M : S with type key = k and type row = r) =
+  let keys = match rows with Some l -> l | None -> M.default_rows () in
+  (* rows are independent (each boots its own machines), so they fan out
+     across the domain pool; progress lines arrive in completion order,
+     serialised by a mutex, while the report keeps input order *)
+  let progress_m = Mutex.create () in
+  let emit line =
+    Option.iter (fun f -> Mutex.protect progress_m (fun () -> f line)) progress
+  in
+  let rows =
+    Parallel.map ?domains
+      (fun (index, key) ->
+        let row = M.run_row ~seed ~index key in
+        emit (M.progress row);
+        row)
+      (List.mapi (fun i k -> (i, k)) keys)
+  in
+  let violations =
+    List.concat
+      (List.map2
+         (fun key row ->
+           List.map
+             (Printf.sprintf "%s: %s" (M.key_name key))
+             (M.violations row))
+         keys rows)
+    @ M.check rows
+  in
+  { sweep = M.name; seed; rows; lines = List.map M.progress rows;
+    rows_json = List.map M.row_json rows; totals = M.totals rows; violations }
+
+let ok r = r.violations = []
+let num n = J.Num (float_of_int n)
+let strs l = J.Arr (List.map (fun s -> J.Str s) l)
+
+let to_json r =
+  J.Obj
+    [
+      ("sweep", J.Str r.sweep);
+      ("seed", num r.seed);
+      ("ok", J.Bool (ok r));
+      ("violations", strs r.violations);
+      ("totals", r.totals);
+      ("rows", J.Arr r.rows_json);
+    ]
+
+let pp ppf r =
+  Format.fprintf ppf "%s sweep: %d row(s), seed %d@\n" r.sweep
+    (List.length r.lines) r.seed;
+  List.iter (Format.fprintf ppf "  %s@\n") r.lines;
+  Format.fprintf ppf "@\n%a" Report.Render.pp r.totals;
+  List.iter (Format.fprintf ppf "VIOLATION %s@\n") r.violations;
+  Format.fprintf ppf "%s sweep: %s@\n" r.sweep
+    (if ok r then "ok"
+     else Printf.sprintf "FAILED (%d violation(s))" (List.length r.violations))
+
+(* shared pieces of the sweeps below *)
+
+module By_cve = struct
+  type key = Cve.t
+
+  let key_of_string = Cve.find
+  let key_name (c : Cve.t) = c.id
+end
+
+let cves_named ids = List.map (fun id -> Option.get (Cve.find id)) ids
+let sum f rows = List.fold_left (fun acc r -> acc + f r) 0 rows
+let count p l = List.length (List.filter p l)
+let tag notes = if notes = [] then "" else "  VIOLATION"
+
+(* ---------- the fault-injection sweep ---------- *)
 
 type cell =
   | Rolled_back
@@ -23,16 +125,6 @@ type row = {
   notes : string list;
 }
 
-type report = {
-  rows : row list;
-  total_cells : int;
-  rolled_back : int;
-  benign : int;
-  not_applicable : int;
-  violations : int;
-  recovery_failures : int;
-}
-
 let err_str e = Format.asprintf "%a" Apply.pp_error e
 
 let create_update (cve : Cve.t) base =
@@ -46,16 +138,17 @@ let create_update (cve : Cve.t) base =
     failwith
       (Format.asprintf "%s: create failed: %a" cve.id Create.pp_error e)
 
-(* One (cve, step) cell: snapshot, apply under injection, judge. The
-   machine is reused across cells — rollback (and undo, for cells where
-   the apply succeeded) must return it to a consistent state, which the
-   next cell's snapshot then re-baselines. *)
-let run_cell mgr cve_id update step ~seed =
+(* One faulted cell: snapshot, [apply] under injection, judge. The
+   machine is reused across cells — rollback (and [undo] of [undo_id],
+   for cells where the [what] went through) must return it to a
+   consistent state, which the next cell's snapshot then re-baselines.
+   The fault sweep's apply and the cumulative sweep's collapse share it. *)
+let faulted_cell mgr ~what ~undo ~undo_id ~apply step ~seed =
   let m = Apply.machine mgr in
   let snap = Machine.snapshot m in
   let plan = { Faultinj.step; kind = Faultinj.kind_for_step step; seed } in
   let session = Faultinj.make m plan in
-  let result = Apply.apply mgr ~inject:session update in
+  let result = apply session in
   Faultinj.disarm session;
   let fired = Faultinj.fired session in
   match result with
@@ -69,32 +162,36 @@ let run_cell mgr cve_id update step ~seed =
     else if not fired then
       Violation
         [ Format.asprintf
-            "%a never fired yet apply failed: %s" Faultinj.pp_plan plan
+            "%a never fired yet %s failed: %s" Faultinj.pp_plan plan what
             (err_str e) ]
     else Rolled_back
   | Ok _ ->
-    (* the apply went through; it must be a benign or unfired fault, and
-       the update must verify and undo cleanly for the next cell *)
+    (* it went through; it must be a benign or unfired fault, and the
+       update must verify and undo cleanly for the next cell *)
     let verdict =
       if fired && Faultinj.expect_abort plan.kind then
         Violation
-          [ Format.asprintf "%a fired but apply succeeded"
-              Faultinj.pp_plan plan ]
+          [ Format.asprintf "%a fired but %s succeeded"
+              Faultinj.pp_plan plan what ]
       else
         match Apply.verify mgr with
         | Error e ->
           Violation
-            [ Format.asprintf "apply under %a did not verify: %s"
+            [ Format.asprintf "%s under %a did not verify: %s" what
                 Faultinj.pp_plan plan (err_str e) ]
         | Ok () -> if fired then Benign else Not_applicable
     in
-    (match Apply.undo mgr cve_id with
+    (match Apply.undo mgr undo_id with
      | Ok () -> verdict
      | Error e -> (
        match verdict with
        | Violation msgs ->
-         Violation (msgs @ [ "and undo failed: " ^ err_str e ])
-       | _ -> Violation [ "undo after surviving apply failed: " ^ err_str e ]))
+         Violation
+           (msgs @ [ Printf.sprintf "and %s failed: %s" undo (err_str e) ])
+       | _ ->
+         Violation
+           [ Printf.sprintf "%s after surviving %s failed: %s" undo what
+               (err_str e) ]))
 
 (* After the faulted cells: the CVE's hot update must still apply
    cleanly on the same machine, hold up under stress, and (where an
@@ -127,61 +224,74 @@ let sweep_cve ~seed index (cve : Cve.t) base =
     List.mapi
       (fun si step ->
         let cell_seed = seed + (1009 * index) + (31 * si) in
-        (step, run_cell mgr cve.id update step ~seed:cell_seed))
+        ( step,
+          faulted_cell mgr ~what:"apply" ~undo:"undo" ~undo_id:cve.id
+            ~apply:(fun inject -> Apply.apply mgr ~inject update)
+            step ~seed:cell_seed ))
       Txn.all_steps
   in
   let recovered, notes = check_recovery b mgr cve update in
   { cve_id = cve.id; cells; recovered; notes }
 
-let summarize rows =
-  let count f =
-    List.fold_left
-      (fun acc r ->
-        acc + List.length (List.filter (fun (_, c) -> f c) r.cells))
-      0 rows
-  in
-  {
-    rows;
-    total_cells = count (fun _ -> true);
-    rolled_back = count (fun c -> c = Rolled_back);
-    benign = count (fun c -> c = Benign);
-    not_applicable = count (fun c -> c = Not_applicable);
-    violations =
-      count (function Violation _ -> true | _ -> false);
-    recovery_failures =
-      List.length (List.filter (fun r -> not r.recovered) rows);
-  }
+let cell_string cells =
+  String.of_seq (Seq.map (fun (_, c) -> cell_char c) (List.to_seq cells))
 
-let run ?(seed = 0) ?cves ?progress ?domains () =
-  let cves = Option.value cves ~default:Cve.all in
-  let base = Base_kernel.tree () in
-  (* each CVE sweeps on its own freshly booted machine, so rows are
-     independent and sweep across the domain pool; progress lines arrive
-     in completion order (serialised by a mutex), rows in corpus order *)
-  let progress_m = Mutex.create () in
-  let emit line =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_m;
-      f line;
-      Mutex.unlock progress_m
-  in
-  let rows =
-    Parallel.map ?domains
-      (fun (i, cve) ->
-        let row = sweep_cve ~seed i cve base in
-        emit
-          (Printf.sprintf "%-14s %s %s" row.cve_id
-             (String.init (List.length row.cells) (fun j ->
-                  cell_char (snd (List.nth row.cells j))))
-             (if row.recovered then "recovered" else "RECOVERY FAILED"));
-        row)
-      (List.mapi (fun i cve -> (i, cve)) cves)
-  in
-  summarize rows
+(* one note per violating cell: the step and its diagnostics *)
+let cell_violations cells =
+  List.filter_map
+    (fun (step, c) ->
+      match c with
+      | Violation msgs ->
+        Some (Printf.sprintf "%s: %s" (Txn.step_name step)
+                (String.concat "; " msgs))
+      | _ -> None)
+    cells
 
-let ok r = r.violations = 0 && r.recovery_failures = 0
+let cell_totals cells =
+  let n p = num (count p cells) in
+  [
+    ("cells", num (List.length cells));
+    ("rolled_back", n (( = ) Rolled_back));
+    ("benign", n (( = ) Benign));
+    ("not_applicable", n (( = ) Not_applicable));
+    ("violations", n (function Violation _ -> true | _ -> false));
+  ]
+
+let small_gate =
+  [ "CVE-2006-2451"; "CVE-2006-3626"; "CVE-2007-4573"; "CVE-2008-0600" ]
+
+let fault : (module S with type key = Cve.t and type row = row) =
+  (module struct
+    include By_cve
+
+    type nonrec row = row
+
+    let name = "fault"
+    let default_rows () = Cve.all
+    let gate_rows () = cves_named small_gate
+
+    let run_row ~seed ~index cve =
+      sweep_cve ~seed index cve (Base_kernel.tree ())
+
+    let progress row =
+      Printf.sprintf "%-14s %s %s" row.cve_id (cell_string row.cells)
+        (if row.recovered then "recovered" else "RECOVERY FAILED")
+
+    let violations row = cell_violations row.cells @ row.notes
+
+    let row_json row =
+      J.Obj
+        [ ("cve", J.Str row.cve_id); ("cells", J.Str (cell_string row.cells));
+          ("recovered", J.Bool row.recovered); ("notes", strs row.notes) ]
+
+    let totals rows =
+      J.Obj
+        (cell_totals (List.concat_map (fun r -> List.map snd r.cells) rows)
+        @ [ ( "recovery_failures",
+              num (count (fun r -> not r.recovered) rows) ) ])
+
+    let check _ = []
+  end)
 
 (* ---------- the supervised (manager-level) sweep ----------
 
@@ -219,16 +329,6 @@ type mrow = {
   m_cells : (scenario * mcell) list;
 }
 
-type mreport = {
-  m_rows : mrow list;
-  m_cells_total : int;
-  m_healthy : int;
-  m_parked : int;
-  m_quarantined : int;
-  m_violations : int;
-  m_failures : int;  (* cells with contract breaches *)
-}
-
 (* the health gate the manager runs after every successful apply: the
    CVE's exploit must be blocked (where one exists) and a short stress
    smoke must pass *)
@@ -261,6 +361,21 @@ let manager_policy ~seed =
     seed; deadline = 12_000; retry_limit = 4; backoff_base = 300;
     backoff_cap = 2_000; jitter = 100 }
 
+(* the entry address of the first replaced function — where the
+   manager sweep's adversarial churner runs and the transition sweep's
+   straggler sleeps *)
+let replaced_entry machine (update : Ksplice.Update.t) =
+  match update.replaced_functions with
+  | [] -> None
+  | (_, cfn) :: _ ->
+    let raw, _ = Ksplice.Update.split_canonical cfn in
+    (match
+       Machine.lookup_name machine raw
+       |> List.filter (fun (s : Klink.Image.syminfo) -> s.kind = `Func)
+     with
+     | [ s ] -> Some s.addr
+     | _ -> None)
+
 let run_mcell ~seed scenario (cve : Cve.t) update =
   let b = Boot.boot () in
   let ap = Apply.init b.machine in
@@ -288,21 +403,13 @@ let run_mcell ~seed scenario (cve : Cve.t) update =
      (* an adversarial scheduler: a thread parked at the entry of a
         function the update will replace — its pc sits in the §5.2
         guard range until the manager's backoff drains it *)
-     (match update.Ksplice.Update.replaced_functions with
-      | (_, cfn) :: _ ->
-        let raw, _ = Ksplice.Update.split_canonical cfn in
-        (match
-           Machine.lookup_name b.machine raw
-           |> List.filter (fun (s : Klink.Image.syminfo) ->
-                  s.kind = `Func)
-         with
-         | [ s ] ->
-           ignore
-             (Machine.spawn b.machine ~name:"churner" ~uid:1
-                ~entry:s.addr ~args:[ 1l ]
-               : Machine.thread)
-         | _ -> ())
-      | [] -> ());
+     Option.iter
+       (fun entry ->
+         ignore
+           (Machine.spawn b.machine ~name:"churner" ~uid:1 ~entry
+              ~args:[ 1l ]
+             : Machine.thread))
+       (replaced_entry b.machine update);
      Manager.submit mgr update ~health
    | Unhealthy ->
      (* the update applies fine but the gate must fail: a canary probe
@@ -380,158 +487,82 @@ let run_mcell ~seed scenario (cve : Cve.t) update =
     mc_report = Manager.report mgr;
   }
 
-let msummarize rows =
-  let count f =
-    List.fold_left
-      (fun acc r ->
-        acc + List.length (List.filter (fun (_, c) -> f c) r.m_cells))
-      0 rows
-  in
-  {
-    m_rows = rows;
-    m_cells_total = count (fun _ -> true);
-    m_healthy = count (fun c -> c.mc_status = Manager.Applied_healthy);
-    m_parked =
-      count (fun c ->
-          match c.mc_status with Manager.Parked _ -> true | _ -> false);
-    m_quarantined =
-      count (fun c ->
-          match c.mc_status with
-          | Manager.Quarantined _ -> true
-          | _ -> false);
-    m_violations =
-      List.fold_left
-        (fun acc r ->
-          acc
-          + List.fold_left
-              (fun acc (_, c) -> acc + c.mc_violations)
-              0 r.m_cells)
-        0 rows;
-    m_failures = count (fun c -> c.mc_notes <> []);
-  }
+let manager : (module S with type key = Cve.t and type row = mrow) =
+  (module struct
+    include By_cve
 
-let run_manager ?(seed = 0) ?cves ?(scenarios = all_scenarios) ?progress
-    ?domains () =
-  let cves = Option.value cves ~default:Cve.all in
-  let base = Base_kernel.tree () in
-  let progress_m = Mutex.create () in
-  let emit line =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_m;
-      f line;
-      Mutex.unlock progress_m
-  in
-  let rows =
-    Parallel.map ?domains
-      (fun (i, cve) ->
-        let update = create_update cve base in
-        let cells =
-          List.map
-            (fun sc ->
-              let cell_seed = seed + (1013 * i) + Hashtbl.hash (scenario_name sc) in
-              (sc, run_mcell ~seed:cell_seed sc cve update))
-            scenarios
+    type row = mrow
+
+    let name = "manager"
+    let default_rows () = Cve.all
+    let gate_rows () = cves_named small_gate
+
+    let run_row ~seed ~index (cve : Cve.t) =
+      let update = create_update cve (Base_kernel.tree ()) in
+      let cell sc =
+        let cell_seed =
+          seed + (1013 * index) + Hashtbl.hash (scenario_name sc)
         in
-        let row = { m_cve = cve.id; m_cells = cells } in
-        emit
-          (Printf.sprintf "%-14s %s" row.m_cve
-             (String.concat " "
-                (List.map
-                   (fun (sc, c) ->
-                     Printf.sprintf "%c:%s%s" (scenario_char sc)
-                       (Manager.status_name c.mc_status)
-                       (if c.mc_notes = [] then "" else "(FAIL)"))
-                   row.m_cells)));
-        row)
-      (List.mapi (fun i cve -> (i, cve)) cves)
-  in
-  msummarize rows
+        (sc, run_mcell ~seed:cell_seed sc cve update)
+      in
+      { m_cve = cve.id; m_cells = List.map cell all_scenarios }
 
-let manager_ok r = r.m_failures = 0 && r.m_violations = 0
-
-let pp_manager ppf r =
-  Format.fprintf ppf
-    "supervised sweep: %d CVEs x %d scenarios@\n@\n"
-    (List.length r.m_rows)
-    (match r.m_rows with [] -> 0 | row :: _ -> List.length row.m_cells);
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "%-16s %s@\n" row.m_cve
-        (String.concat "  "
+    let progress row =
+      Printf.sprintf "%-14s %s" row.m_cve
+        (String.concat " "
            (List.map
               (fun (sc, c) ->
-                Printf.sprintf "%c:%-16s a=%d t=%-6d%s" (scenario_char sc)
+                Printf.sprintf "%c:%s%s" (scenario_char sc)
                   (Manager.status_name c.mc_status)
-                  c.mc_attempts c.mc_clock
-                  (if c.mc_notes = [] then "" else " FAIL"))
-              row.m_cells)))
-    r.m_rows;
-  Format.fprintf ppf
-    "@\ncells: %d  healthy: %d  parked: %d  quarantined: %d  \
-     audit violations: %d  contract failures: %d@\n"
-    r.m_cells_total r.m_healthy r.m_parked r.m_quarantined r.m_violations
-    r.m_failures;
-  List.iter
-    (fun row ->
-      List.iter
-        (fun (sc, c) ->
-          if c.mc_notes <> [] then begin
-            Format.fprintf ppf "FAILURE %s @@ %s:@\n" row.m_cve
-              (scenario_name sc);
-            List.iter (fun m -> Format.fprintf ppf "  %s@\n" m) c.mc_notes
-          end)
-        row.m_cells)
-    r.m_rows;
-  if manager_ok r then
-    Format.fprintf ppf
-      "every update reached a terminal state; every abort, park and \
-       auto-revert audited byte-identical@\n"
+                  (if c.mc_notes = [] then "" else "(FAIL)"))
+              row.m_cells))
 
-let pp_matrix ppf r =
-  let steps = Txn.all_steps in
-  (* header: abbreviated step names, vertical *)
-  Format.fprintf ppf "fault-injection sweep: %d CVEs x %d steps@\n@\n"
-    (List.length r.rows) (List.length steps);
-  Format.fprintf ppf "%-16s %s  recovered@\n" "CVE"
-    (String.concat " "
-       (List.map (fun s -> String.sub (Txn.step_name s) 0 2) steps));
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "%-16s %s  %s@\n" row.cve_id
-        (String.concat "  "
-           (List.map (fun (_, c) -> String.make 1 (cell_char c)) row.cells))
-        (if row.recovered then "yes" else "NO"))
-    r.rows;
-  Format.fprintf ppf
-    "@\nR rolled back clean  B benign  - fault never fired  ! violation@\n";
-  Format.fprintf ppf
-    "cells: %d  rolled-back: %d  benign: %d  n/a: %d  violations: %d  \
-     recovery failures: %d@\n"
-    r.total_cells r.rolled_back r.benign r.not_applicable r.violations
-    r.recovery_failures;
-  List.iter
-    (fun row ->
-      List.iter
-        (fun (step, c) ->
-          match c with
-          | Violation msgs ->
-            Format.fprintf ppf "VIOLATION %s @@ %s:@\n" row.cve_id
-              (Txn.step_name step);
-            List.iter (fun m -> Format.fprintf ppf "  %s@\n" m) msgs
-          | _ -> ())
-        row.cells;
-      if not row.recovered then begin
-        Format.fprintf ppf "RECOVERY FAILURE %s:@\n" row.cve_id;
-        List.iter (fun m -> Format.fprintf ppf "  %s@\n" m) row.notes
-      end)
-    r.rows;
-  if ok r then
-    Format.fprintf ppf
-      "all faulted applies rolled back byte-identically; all CVEs \
-       re-applied, verified, stressed%s@\n"
-      " and exploit-checked"
+    let violations row =
+      List.concat_map
+        (fun (sc, c) ->
+          List.map (Printf.sprintf "%s: %s" (scenario_name sc)) c.mc_notes)
+        row.m_cells
+
+    let cell_json (sc, c) =
+      J.Obj
+        [
+          ("scenario", J.Str (scenario_name sc));
+          ("status", J.Str (Manager.status_name c.mc_status));
+          ("attempts", num c.mc_attempts);
+          ("clock", num c.mc_clock);
+          ("events", num c.mc_events);
+          ("violations", num c.mc_violations);
+          ("notes", strs c.mc_notes);
+          ("manager", c.mc_report);
+        ]
+
+    let row_json row =
+      J.Obj
+        [ ("cve", J.Str row.m_cve);
+          ("cells", J.Arr (List.map cell_json row.m_cells)) ]
+
+    let totals rows =
+      let cells = List.concat_map (fun r -> List.map snd r.m_cells) rows in
+      let n p = num (count p cells) in
+      J.Obj
+        [
+          ("cells", num (List.length cells));
+          ("healthy", n (fun c -> c.mc_status = Manager.Applied_healthy));
+          ( "parked",
+            n (fun c ->
+                match c.mc_status with Manager.Parked _ -> true | _ -> false)
+          );
+          ( "quarantined",
+            n (fun c ->
+                match c.mc_status with
+                | Manager.Quarantined _ -> true
+                | _ -> false) );
+          ("violations", num (sum (fun c -> c.mc_violations) cells));
+          ("failures", n (fun c -> c.mc_notes <> []));
+        ]
+
+    let check _ = []
+  end)
 
 (* ---------- the crash sweep: persistence under process death ----------
 
@@ -554,16 +585,6 @@ type crow = {
   cr_gc_swept : int;
   cr_gc_bytes : int;
   cr_notes : string list;  (* violations; [] = row passed *)
-}
-
-type crash_report = {
-  c_rows : crow list;
-  c_cells : int;
-  c_published : int;
-  c_absent : int;
-  c_violations : int;
-  c_gc_swept : int;
-  c_gc_bytes : int;
 }
 
 let rec rm_rf path =
@@ -716,71 +737,48 @@ let crash_cve ~seed (cve : Cve.t) base =
 
 (* every 8th CVE: a deterministic sample spanning the corpus — each row
    costs [ops] publish+recover+gc rounds, so the full 64 would be slow *)
-let crash_sample () = List.filteri (fun i _ -> i mod 8 = 0) Cve.all
+let corpus_sample () = List.filteri (fun i _ -> i mod 8 = 0) Cve.all
 
-let run_crash ?(seed = 0) ?cves ?progress ?domains () =
-  let cves = match cves with Some l -> l | None -> crash_sample () in
-  let base = Base_kernel.tree () in
-  let progress_m = Mutex.create () in
-  let emit line =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_m;
-      f line;
-      Mutex.unlock progress_m
-  in
-  let rows =
-    Parallel.map ?domains
-      (fun (i, cve) ->
-        let row = crash_cve ~seed:(seed + (1009 * i)) cve base in
-        emit
-          (Printf.sprintf "%-14s %3d crash points: %d whole, %d absent%s"
-             row.cr_cve row.cr_ops row.cr_published row.cr_absent
-             (if row.cr_notes = [] then "" else "  VIOLATION"));
-        row)
-      (List.mapi (fun i cve -> (i, cve)) cves)
-  in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  {
-    c_rows = rows;
-    c_cells = sum (fun r -> r.cr_ops);
-    c_published = sum (fun r -> r.cr_published);
-    c_absent = sum (fun r -> r.cr_absent);
-    c_violations = sum (fun r -> List.length r.cr_notes);
-    c_gc_swept = sum (fun r -> r.cr_gc_swept);
-    c_gc_bytes = sum (fun r -> r.cr_gc_bytes);
-  }
+let crash : (module S with type key = Cve.t and type row = crow) =
+  (module struct
+    include By_cve
 
-let crash_ok r = r.c_violations = 0
+    type row = crow
 
-let pp_crash ppf r =
-  Format.fprintf ppf
-    "crash sweep: %d CVEs, a publish killed at every mutating I/O op@\n@\n"
-    (List.length r.c_rows);
-  Format.fprintf ppf "%-16s %5s %9s %7s %9s@\n" "CVE" "ops" "published"
-    "absent" "gc-bytes";
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "%-16s %5d %9d %7d %9d%s@\n" row.cr_cve row.cr_ops
-        row.cr_published row.cr_absent row.cr_gc_bytes
-        (if row.cr_notes = [] then "" else "  VIOLATION"))
-    r.c_rows;
-  Format.fprintf ppf
-    "@\ncrash points: %d  recovered whole: %d  recovered absent: %d  \
-     violations: %d  gc swept: %d blobs (%d bytes)@\n"
-    r.c_cells r.c_published r.c_absent r.c_violations r.c_gc_swept
-    r.c_gc_bytes;
-  List.iter
-    (fun row ->
-      List.iter
-        (fun m -> Format.fprintf ppf "VIOLATION %s: %s@\n" row.cr_cve m)
-        row.cr_notes)
-    r.c_rows;
-  if crash_ok r then
-    Format.fprintf ppf
-      "every crash point recovered to fsck-clean with the chain \
-       all-or-nothing; gc reclaimed only unreachable blobs@\n"
+    let name = "crash"
+    let default_rows = corpus_sample
+    let gate_rows () = cves_named [ "CVE-2006-2451"; "CVE-2008-0600" ]
+
+    let run_row ~seed ~index cve =
+      crash_cve ~seed:(seed + (1009 * index)) cve (Base_kernel.tree ())
+
+    let progress row =
+      Printf.sprintf "%-14s %3d crash points: %d whole, %d absent%s"
+        row.cr_cve row.cr_ops row.cr_published row.cr_absent
+        (tag row.cr_notes)
+
+    let violations row = row.cr_notes
+
+    let row_json row =
+      J.Obj
+        [ ("cve", J.Str row.cr_cve); ("ops", num row.cr_ops);
+          ("published", num row.cr_published); ("absent", num row.cr_absent);
+          ("gc_swept", num row.cr_gc_swept); ("gc_bytes", num row.cr_gc_bytes);
+          ("notes", strs row.cr_notes) ]
+
+    let totals rows =
+      J.Obj
+        [
+          ("cells", num (sum (fun r -> r.cr_ops) rows));
+          ("published", num (sum (fun r -> r.cr_published) rows));
+          ("absent", num (sum (fun r -> r.cr_absent) rows));
+          ("violations", num (sum (fun r -> List.length r.cr_notes) rows));
+          ("gc_swept", num (sum (fun r -> r.cr_gc_swept) rows));
+          ("gc_bytes", num (sum (fun r -> r.cr_gc_bytes) rows));
+        ]
+
+    let check _ = []
+  end)
 
 (* ---------- the transition sweep: patch under load, no global pause ----------
 
@@ -812,13 +810,6 @@ type trow = {
   t_notes : string list;  (* contract breaches; [] = row passed *)
 }
 
-type treport = {
-  t_rows : trow list;
-  t_pauseless : int;  (* rows whose per-thread apply never paused *)
-  t_fallbacks : int;  (* straggler cells that engaged the fallback *)
-  t_violations : int;
-}
-
 (* generous §5.2 bounds for the baseline twin: under the stress load it
    must converge (the comparison needs a successful baseline), however
    many backoff rounds that takes *)
@@ -828,21 +819,6 @@ let baseline_apply mgr update =
 
 let baseline_undo mgr id =
   Apply.undo mgr ~max_attempts:64 ~retry_budget:400_000 ~retry_cap:8_000 id
-
-(* the entry address of the first replaced function — where the
-   straggler cell parks a sleeping thread (same recipe as the manager
-   sweep's adversarial churner, but asleep mid-function) *)
-let replaced_entry machine (update : Ksplice.Update.t) =
-  match update.replaced_functions with
-  | [] -> None
-  | (_, cfn) :: _ ->
-    let raw, _ = Ksplice.Update.split_canonical cfn in
-    (match
-       Machine.lookup_name machine raw
-       |> List.filter (fun (s : Klink.Image.syminfo) -> s.kind = `Func)
-     with
-     | [ s ] -> Some s.addr
-     | _ -> None)
 
 (* [Stress.run] is single-use per boot (its host-side check expects each
    counter to equal exactly one run's iterations), so every phase gets a
@@ -1015,78 +991,100 @@ let run_tcell (cve : Cve.t) update =
        | None -> 0);
     t_notes = !notes }
 
-(* same deterministic corpus sample as the crash sweep: each row costs
-   six stress runs across its twin machines *)
-let transition_sample () = List.filteri (fun i _ -> i mod 8 = 0) Cve.all
+(* The machine's time model: 1 instruction = 1 ns (the stop_machine
+   pause model in lib/kernel is calibrated against the same scale). A
+   row's throughput dip is the fraction of the engagement's wall time
+   the stress workload spent frozen: pause / (pause + work). *)
+let ns_per_insn = 1
 
-let run_transition ?cves ?progress ?domains () =
-  let cves = match cves with Some l -> l | None -> transition_sample () in
-  let base = Base_kernel.tree () in
-  let progress_m = Mutex.create () in
-  let emit line =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_m;
-      f line;
-      Mutex.unlock progress_m
+let transition_totals rows =
+  let dip pause_of =
+    let dip_of r =
+      let pause = pause_of r and work = r.t_sched_steps * ns_per_insn in
+      if pause = 0 then 0.0
+      else float_of_int pause /. float_of_int (pause + work)
+    in
+    match rows with
+    | [] -> 0.0
+    | _ ->
+      List.fold_left (fun a r -> a +. dip_of r) 0.0 rows
+      /. float_of_int (List.length rows)
   in
-  let rows =
-    Parallel.map ?domains
-      (fun cve ->
-        let update = create_update cve base in
-        let row = run_tcell cve update in
-        emit
-          (Printf.sprintf "%-14s pause %d ns (baseline %d ns) forced %d%s"
-             row.t_cve row.t_pause_ns row.t_base_pause_ns
-             row.t_straggler_forced
-             (if row.t_notes = [] then "" else "  VIOLATION"));
-        row)
-      cves
+  let dip_pt = dip (fun r -> r.t_pause_ns) in
+  let dip_base = dip (fun r -> r.t_base_pause_ns) in
+  let migrated c =
+    let name = Transition.sp_class_name c in
+    (* apply-phase stats carry no Forced entries (a pauseless apply never
+       forces); the straggler cells do *)
+    ( name,
+      num
+        (sum
+           (fun r ->
+             Option.value ~default:0 (List.assoc_opt name r.t_migrated)
+             + if c = Transition.Forced then r.t_straggler_forced else 0)
+           rows) )
   in
-  { t_rows = rows;
-    t_pauseless =
-      List.length (List.filter (fun r -> r.t_pause_ns = 0) rows);
-    t_fallbacks =
-      List.length (List.filter (fun r -> r.t_straggler_forced > 0) rows);
-    t_violations =
-      List.fold_left (fun acc r -> acc + List.length r.t_notes) 0 rows }
+  let pauses f = J.Arr (List.map (fun r -> num (f r)) rows) in
+  J.Obj
+    [
+      ("threads", num (sum (fun r -> r.t_threads) rows));
+      ("pauseless", num (count (fun r -> r.t_pause_ns = 0) rows));
+      ("fallbacks", num (count (fun r -> r.t_straggler_forced > 0) rows));
+      ("violations", num (sum (fun r -> List.length r.t_notes) rows));
+      ("dip", J.Num dip_pt);
+      ("baseline_dip", J.Num dip_base);
+      ("dip_below_baseline", J.Bool (dip_pt < dip_base));
+      ("migrated_by_class", J.Obj (List.map migrated Transition.all_classes));
+      ("pauses_ns", pauses (fun r -> r.t_pause_ns));
+      ("undo_pauses_ns", pauses (fun r -> r.t_undo_pause_ns));
+      ("baseline_pauses_ns", pauses (fun r -> r.t_base_pause_ns));
+      ("straggler_pauses_ns", pauses (fun r -> r.t_straggler_pause_ns));
+    ]
 
-let transition_ok r = r.t_violations = 0
+let transition : (module S with type key = Cve.t and type row = trow) =
+  (module struct
+    include By_cve
 
-let pp_transition ppf r =
-  Format.fprintf ppf
-    "transition sweep: %d CVEs applied and undone mid-stress, per-thread \
-     vs stop_machine twins@\n@\n"
-    (List.length r.t_rows);
-  Format.fprintf ppf "%-16s %4s %9s %9s %7s %6s %s@\n" "CVE" "thr"
-    "pause(ns)" "base(ns)" "forced" "rounds" "migrated-by";
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "%-16s %4d %9d %9d %7d %6d %s%s@\n" row.t_cve
-        row.t_threads row.t_pause_ns row.t_base_pause_ns
-        row.t_straggler_forced row.t_rounds
-        (String.concat ","
-           (List.map
-              (fun (c, n) -> Printf.sprintf "%s=%d" c n)
-              row.t_migrated))
-        (if row.t_notes = [] then "" else "  VIOLATION"))
-    r.t_rows;
-  Format.fprintf ppf
-    "@\nrows: %d  pauseless applies: %d  straggler fallbacks: %d  \
-     violations: %d@\n"
-    (List.length r.t_rows) r.t_pauseless r.t_fallbacks r.t_violations;
-  List.iter
-    (fun row ->
-      List.iter
-        (fun m -> Format.fprintf ppf "VIOLATION %s: %s@\n" row.t_cve m)
-        row.t_notes)
-    r.t_rows;
-  if transition_ok r then
-    Format.fprintf ppf
-      "every update landed and reversed under load with zero pause and a \
-       byte-identical footprint; every straggler converged through the \
-       bounded fallback@\n"
+    type row = trow
+
+    let name = "transition"
+
+    (* the same sample as the crash sweep: each row costs six stress runs
+       across its twin machines *)
+    let default_rows = corpus_sample
+    let gate_rows () = cves_named [ "CVE-2006-2451"; "CVE-2007-4573" ]
+
+    (* deterministic without a seed: the machines are *)
+    let run_row ~seed:_ ~index:_ cve =
+      run_tcell cve (create_update cve (Base_kernel.tree ()))
+
+    let progress row =
+      Printf.sprintf "%-14s pause %d ns (baseline %d ns) forced %d%s" row.t_cve
+        row.t_pause_ns row.t_base_pause_ns row.t_straggler_forced
+        (tag row.t_notes)
+
+    let violations row = row.t_notes
+
+    let row_json row =
+      J.Obj
+        [
+          ("cve", J.Str row.t_cve);
+          ("threads", num row.t_threads);
+          ("pause_ns", num row.t_pause_ns);
+          ("undo_pause_ns", num row.t_undo_pause_ns);
+          ("baseline_pause_ns", num row.t_base_pause_ns);
+          ( "migrated",
+            J.Obj (List.map (fun (c, n) -> (c, num n)) row.t_migrated) );
+          ("rounds", num row.t_rounds);
+          ("sched_steps", num row.t_sched_steps);
+          ("straggler_forced", num row.t_straggler_forced);
+          ("straggler_pause_ns", num row.t_straggler_pause_ns);
+          ("notes", strs row.t_notes);
+        ]
+
+    let totals = transition_totals
+    let check _ = []
+  end)
 
 (* ---------- the fleet sweep: distribution under transport faults ----------
 
@@ -1115,42 +1113,34 @@ type frow = {
   fl_notes : string list;  (* violations; [] = row passed *)
 }
 
-type fleet_report = {
-  fl_rows : frow list;
-  fl_total_cells : int;
-  fl_total_retried : int;
-  fl_total_saved : int;
-  fl_violations : int;
-}
-
-(* build the server chain: publish [cve], then keep stacking the corpus
-   CVEs that still apply to the successively patched tree *)
-let fleet_chain (cve : Cve.t) base ~max_depth =
-  let repo = Repo.of_store (Store.create ~name:("fleet-" ^ cve.id) ()) in
-  let rest =
-    let rec from = function
-      | c :: tl when c.Cve.id = cve.Cve.id -> c :: tl
-      | _ :: tl -> from tl
-      | [] -> []
-    in
-    from Cve.all
-  in
-  let tree = ref base and depth = ref 0 and err = ref None in
+(* publish a stacked chain of up to [depth] CVEs into a fresh in-memory
+   repository: walk [from] (default: the corpus), keeping every CVE that
+   still applies to the successively patched tree; oldest first *)
+let publish_chain ~name ?(from = Cve.all) base ~depth =
+  let repo = Repo.of_store (Store.create ~name ()) in
+  let tree = ref base and err = ref None in
+  let chain = ref [] in
   List.iter
     (fun (c : Cve.t) ->
-      if !err = None && !depth < max_depth && Cve.applies_to c !tree then begin
+      if !err = None && List.length !chain < depth && Cve.applies_to c !tree
+      then begin
         let patch = Cve.hot_patch c !tree in
-        let update = create_update c !tree in
-        match Repo.publish repo ~source:!tree ~patch ~update with
-        | Error e ->
-          err := Some (Format.asprintf "publish %s: %a" c.id Repo.pp_error e)
-        | Ok _ -> (
-          match Diff.apply patch !tree with
-          | Ok t -> tree := t; incr depth
-          | Error m -> err := Some (Printf.sprintf "apply %s: %s" c.id m))
+        match create_update c !tree with
+        | exception Failure m -> err := Some m
+        | update -> (
+          match Repo.publish repo ~source:!tree ~patch ~update with
+          | Error e ->
+            err :=
+              Some (Format.asprintf "publish %s: %a" c.id Repo.pp_error e)
+          | Ok _ -> (
+            match Diff.apply patch !tree with
+            | Ok t ->
+              tree := t;
+              chain := (c, update) :: !chain
+            | Error m -> err := Some (Printf.sprintf "apply %s: %s" c.id m)))
       end)
-    rest;
-  (repo, !depth, !err)
+    from;
+  (repo, List.rev !chain, !err)
 
 let fleet_mirror_notes repo sub ~server_head (r : Subscriber.report) =
   let notes = ref [] in
@@ -1202,7 +1192,16 @@ let fleet_cve ~seed (cve : Cve.t) base =
   let notes = ref [] in
   let note fmt = Format.kasprintf (fun s -> notes := !notes @ [ s ]) fmt in
   let base_digest = Tree.digest base in
-  let repo, depth, chain_err = fleet_chain cve base ~max_depth:3 in
+  (* the server chain: [cve], then the corpus CVEs stacking onto it *)
+  let rec from = function
+    | c :: _ as l when String.equal c.Cve.id cve.id -> l
+    | _ :: tl -> from tl
+    | [] -> []
+  in
+  let repo, chain, chain_err =
+    publish_chain ~name:("fleet-" ^ cve.id) ~from:(from Cve.all) base ~depth:3
+  in
+  let depth = List.length chain in
   (match chain_err with Some m -> note "%s" m | None -> ());
   if depth = 0 then note "no chain could be published";
   let server_head =
@@ -1283,72 +1282,46 @@ let fleet_cve ~seed (cve : Cve.t) base =
     fl_notes = !notes;
   }
 
-let fleet_sample = crash_sample
+let fleet : (module S with type key = Cve.t and type row = frow) =
+  (module struct
+    include By_cve
 
-let run_fleet ?(seed = 0) ?cves ?progress ?domains () =
-  let cves = match cves with Some l -> l | None -> fleet_sample () in
-  let base = Base_kernel.tree () in
-  let progress_m = Mutex.create () in
-  let emit line =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_m;
-      f line;
-      Mutex.unlock progress_m
-  in
-  let rows =
-    Parallel.map ?domains
-      (fun (i, cve) ->
-        let row = fleet_cve ~seed:(seed + (2003 * i)) cve base in
-        emit
-          (Printf.sprintf
-             "%-14s depth %d, %3d frames, %3d cells: %d retried, %dB saved%s"
-             row.fl_cve row.fl_depth row.fl_frames row.fl_cells
-             row.fl_retried row.fl_bytes_saved
-             (if row.fl_notes = [] then "" else "  VIOLATION"));
-        row)
-      (List.mapi (fun i cve -> (i, cve)) cves)
-  in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  {
-    fl_rows = rows;
-    fl_total_cells = sum (fun r -> r.fl_cells);
-    fl_total_retried = sum (fun r -> r.fl_retried);
-    fl_total_saved = sum (fun r -> r.fl_bytes_saved);
-    fl_violations = sum (fun r -> List.length r.fl_notes);
-  }
+    type row = frow
 
-let fleet_ok r = r.fl_violations = 0
+    let name = "fleet"
+    let default_rows = corpus_sample
+    let gate_rows () = cves_named [ "CVE-2006-2451"; "CVE-2008-0600" ]
 
-let pp_fleet ppf r =
-  Format.fprintf ppf
-    "fleet sweep: %d CVEs, every transport fault at every wire frame@\n@\n"
-    (List.length r.fl_rows);
-  Format.fprintf ppf "%-16s %5s %7s %6s %8s %11s@\n" "CVE" "depth" "frames"
-    "cells" "retried" "bytes-saved";
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "%-16s %5d %7d %6d %8d %11d%s@\n" row.fl_cve
-        row.fl_depth row.fl_frames row.fl_cells row.fl_retried
-        row.fl_bytes_saved
-        (if row.fl_notes = [] then "" else "  VIOLATION"))
-    r.fl_rows;
-  Format.fprintf ppf
-    "@\ncells: %d  retried to convergence: %d  resume bytes saved: %d  \
-     violations: %d@\n"
-    r.fl_total_cells r.fl_total_retried r.fl_total_saved r.fl_violations;
-  List.iter
-    (fun row ->
-      List.iter
-        (fun m -> Format.fprintf ppf "VIOLATION %s: %s@\n" row.fl_cve m)
-        row.fl_notes)
-    r.fl_rows;
-  if fleet_ok r then
-    Format.fprintf ppf
-      "every faulted sync converged byte-identically with a clean mirror \
-       and zero redundant transfers; unreachable servers degraded to the \
-       old head@\n"
+    let run_row ~seed ~index cve =
+      fleet_cve ~seed:(seed + (2003 * index)) cve (Base_kernel.tree ())
+
+    let progress row =
+      Printf.sprintf
+        "%-14s depth %d, %3d frames, %3d cells: %d retried, %dB saved%s"
+        row.fl_cve row.fl_depth row.fl_frames row.fl_cells row.fl_retried
+        row.fl_bytes_saved (tag row.fl_notes)
+
+    let violations row = row.fl_notes
+
+    let row_json row =
+      J.Obj
+        [ ("cve", J.Str row.fl_cve); ("depth", num row.fl_depth);
+          ("frames", num row.fl_frames); ("cells", num row.fl_cells);
+          ("retried", num row.fl_retried);
+          ("bytes_saved", num row.fl_bytes_saved);
+          ("notes", strs row.fl_notes) ]
+
+    let totals rows =
+      J.Obj
+        [
+          ("cells", num (sum (fun r -> r.fl_cells) rows));
+          ("retried", num (sum (fun r -> r.fl_retried) rows));
+          ("bytes_saved", num (sum (fun r -> r.fl_bytes_saved) rows));
+          ("violations", num (sum (fun r -> List.length r.fl_notes) rows));
+        ]
+
+    let check _ = []
+  end)
 
 (* ---------- the cumulative sweep: atomic replace at depth ----------
 
@@ -1388,91 +1361,6 @@ type cushadow = {
   cs_notes : string list;
 }
 
-type cumulative_report = {
-  cu_rows : curow list;
-  cu_shadows : cushadow list;
-  cu_total_cells : int;
-  cu_rolled_back : int;
-  cu_violations : int;
-}
-
-let cumulative_depths = [ 1; 8; 32 ]
-
-(* publish a chain of [depth] CVEs: walk the corpus, keep every CVE
-   that still applies to the successively patched tree *)
-let cumulative_chain ~name base ~depth =
-  let repo = Repo.of_store (Store.create ~name ()) in
-  let tree = ref base and err = ref None in
-  let chain = ref [] in
-  List.iter
-    (fun (c : Cve.t) ->
-      if !err = None && List.length !chain < depth && Cve.applies_to c !tree
-      then begin
-        let patch = Cve.hot_patch c !tree in
-        match create_update c !tree with
-        | exception Failure m -> err := Some m
-        | update -> (
-          match Repo.publish repo ~source:!tree ~patch ~update with
-          | Error e ->
-            err :=
-              Some (Format.asprintf "publish %s: %a" c.id Repo.pp_error e)
-          | Ok _ -> (
-            match Diff.apply patch !tree with
-            | Ok t ->
-              tree := t;
-              chain := (c, update) :: !chain
-            | Error m -> err := Some (Printf.sprintf "apply %s: %s" c.id m)))
-      end)
-    Cve.all;
-  (repo, List.rev !chain, !err)
-
-(* one faulted collapse cell: the machine carries the stacked chain;
-   an abort must put it back byte-identical (stack still live), a
-   survived apply must verify and un-collapse for the next cell *)
-let run_cucell mgr cum_id update step ~seed =
-  let m = Apply.machine mgr in
-  let snap = Machine.snapshot m in
-  let plan = { Faultinj.step; kind = Faultinj.kind_for_step step; seed } in
-  let session = Faultinj.make m plan in
-  let result = Apply.apply_cumulative mgr ~inject:session update in
-  Faultinj.disarm session;
-  let fired = Faultinj.fired session in
-  match result with
-  | Error e ->
-    let diff = Machine.diff_snapshot m snap in
-    if diff <> [] then
-      Violation
-        (Format.asprintf "abort of %a left the machine diverged: %s"
-           Faultinj.pp_plan plan (err_str e)
-         :: diff)
-    else if not fired then
-      Violation
-        [ Format.asprintf "%a never fired yet collapse failed: %s"
-            Faultinj.pp_plan plan (err_str e) ]
-    else Rolled_back
-  | Ok _ ->
-    let verdict =
-      if fired && Faultinj.expect_abort plan.kind then
-        Violation
-          [ Format.asprintf "%a fired but collapse succeeded"
-              Faultinj.pp_plan plan ]
-      else
-        match Apply.verify mgr with
-        | Error e ->
-          Violation
-            [ Format.asprintf "collapse under %a did not verify: %s"
-                Faultinj.pp_plan plan (err_str e) ]
-        | Ok () -> if fired then Benign else Not_applicable
-    in
-    (match Apply.undo mgr cum_id with
-     | Ok () -> verdict
-     | Error e -> (
-       match verdict with
-       | Violation msgs ->
-         Violation (msgs @ [ "and un-collapse failed: " ^ err_str e ])
-       | _ ->
-         Violation [ "un-collapse after surviving apply failed: " ^ err_str e ]))
-
 let stack_ids mgr =
   List.rev_map
     (fun (a : Apply.applied) -> a.Apply.update.Ksplice.Update.update_id)
@@ -1482,7 +1370,7 @@ let run_curow ~seed ~depth base =
   let notes = ref [] in
   let note fmt = Format.kasprintf (fun s -> notes := !notes @ [ s ]) fmt in
   let repo, chain, chain_err =
-    cumulative_chain ~name:(Printf.sprintf "cumulative-%d" depth) base ~depth
+    publish_chain ~name:(Printf.sprintf "cumulative-%d" depth) base ~depth
   in
   (match chain_err with Some m -> note "%s" m | None -> ());
   let ids = List.map (fun ((c : Cve.t), _) -> c.id) chain in
@@ -1577,7 +1465,11 @@ let run_curow ~seed ~depth base =
      cells :=
        List.mapi
          (fun si step ->
-           (step, run_cucell mgrc cum_id cu step ~seed:(seed + (31 * si))))
+           ( step,
+             faulted_cell mgrc ~what:"collapse" ~undo:"un-collapse"
+               ~undo_id:cum_id
+               ~apply:(fun inject -> Apply.apply_cumulative mgrc ~inject cu)
+               step ~seed:(seed + (31 * si)) ))
          Txn.all_steps;
      (* recovery: a clean collapse must still land after the sweep *)
      (match Apply.apply_cumulative mgrc cu with
@@ -1674,107 +1566,81 @@ let run_cushadow (cve : Cve.t) base =
   check_exploit "reverted" true;
   { cs_cve = cve.id; cs_shadows = !shadows; cs_notes = !notes }
 
-let run_cumulative ?(seed = 0) ?(depths = cumulative_depths) ?progress
-    ?domains () =
-  let base = Base_kernel.tree () in
-  let progress_m = Mutex.create () in
-  let emit line =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_m;
-      f line;
-      Mutex.unlock progress_m
-  in
-  let rows =
-    Parallel.map ?domains
-      (fun (i, depth) ->
-        let row = run_curow ~seed:(seed + (4001 * i)) ~depth base in
-        emit
-          (Printf.sprintf "depth %-3d (%d published) %s  fsck %s%s"
-             row.cu_requested row.cu_depth
-             (String.concat ""
-                (List.map (fun (_, c) -> String.make 1 (cell_char c))
-                   row.cu_cells))
-             (if row.cu_fsck_clean then "clean" else "DIRTY")
-             (if row.cu_notes = [] then "" else "  VIOLATION"));
-        row)
-      (List.mapi (fun i d -> (i, d)) depths)
-  in
-  let shadows =
-    Parallel.map ?domains
-      (fun (cve : Cve.t) ->
-        let row = run_cushadow cve base in
-        emit
-          (Printf.sprintf "%-14s %d shadow bindings%s" row.cs_cve
-             row.cs_shadows
-             (if row.cs_notes = [] then "" else "  VIOLATION"));
-        row)
-      Cve.shadow_extras
-  in
-  let cell_count f =
-    List.fold_left
-      (fun acc r ->
-        acc + List.length (List.filter (fun (_, c) -> f c) r.cu_cells))
-      0 rows
-  in
-  {
-    cu_rows = rows;
-    cu_shadows = shadows;
-    cu_total_cells = cell_count (fun _ -> true);
-    cu_rolled_back = cell_count (fun c -> c = Rolled_back);
-    cu_violations =
-      cell_count (function Violation _ -> true | _ -> false)
-      + List.fold_left (fun a r -> a + List.length r.cu_notes) 0 rows
-      + List.fold_left (fun a r -> a + List.length r.cs_notes) 0 shadows;
-  }
+type cumulative_key = Depth of int | Shadow of Cve.t
+type cumulative_row = Collapse of curow | Shadow_round_trip of cushadow
 
-let cumulative_ok r = r.cu_violations = 0
+let cumulative :
+    (module S with type key = cumulative_key and type row = cumulative_row) =
+  (module struct
+    type key = cumulative_key
+    type row = cumulative_row
 
-let pp_cumulative ppf r =
-  Format.fprintf ppf
-    "cumulative sweep: atomic replace at depth %s, faults at every step@\n@\n"
-    (String.concat "/"
-       (List.map (fun row -> string_of_int row.cu_requested) r.cu_rows));
-  Format.fprintf ppf "%-10s %-10s %-12s %-6s cells@\n" "requested"
-    "published" "chain-head" "fsck";
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "%-10d %-10d %-12s %-6s %s%s@\n" row.cu_requested
-        row.cu_depth
-        (match List.rev row.cu_chain with [] -> "-" | id :: _ -> id)
-        (if row.cu_fsck_clean then "clean" else "DIRTY")
-        (String.concat ""
-           (List.map (fun (_, c) -> String.make 1 (cell_char c)) row.cu_cells))
-        (if row.cu_notes = [] then "" else "  VIOLATION"))
-    r.cu_rows;
-  Format.fprintf ppf "@\nshadow-variable rows (§5.3):@\n";
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "%-16s %d bindings%s@\n" row.cs_cve row.cs_shadows
-        (if row.cs_notes = [] then "" else "  VIOLATION"))
-    r.cu_shadows;
-  Format.fprintf ppf
-    "@\ncells: %d  rolled-back: %d  violations: %d@\n" r.cu_total_cells
-    r.cu_rolled_back r.cu_violations;
-  List.iter
-    (fun row ->
-      List.iter
-        (fun m ->
-          Format.fprintf ppf "VIOLATION depth %d: %s@\n" row.cu_requested m)
-        row.cu_notes)
-    r.cu_rows;
-  List.iter
-    (fun row ->
-      List.iter
-        (fun m -> Format.fprintf ppf "VIOLATION %s: %s@\n" row.cs_cve m)
-        row.cs_notes)
-    r.cu_shadows;
-  if cumulative_ok r then
-    Format.fprintf ppf
-      "every collapse landed footprint-identical to its plain twin, every \
-       fault rolled back to the stacked machine, and the shadow round \
-       trips ran their ctors and dtors@\n"
+    let name = "cumulative"
+    let shadows = List.map (fun c -> Shadow c) Cve.shadow_extras
+    let default_rows () = List.map (fun d -> Depth d) [ 1; 8; 32 ] @ shadows
+    let gate_rows () = [ Depth 1; Depth 4 ] @ shadows
+
+    let key_of_string s =
+      match int_of_string_opt s with
+      | Some d when d > 0 -> Some (Depth d)
+      | _ ->
+        List.find_opt (fun (c : Cve.t) -> String.equal c.id s) Cve.shadow_extras
+        |> Option.map (fun c -> Shadow c)
+
+    let key_name = function
+      | Depth d -> Printf.sprintf "depth %d" d
+      | Shadow c -> c.Cve.id
+
+    let run_row ~seed ~index = function
+      | Depth depth ->
+        Collapse
+          (run_curow ~seed:(seed + (4001 * index)) ~depth (Base_kernel.tree ()))
+      | Shadow cve -> Shadow_round_trip (run_cushadow cve (Base_kernel.tree ()))
+
+    let progress = function
+      | Collapse row ->
+        Printf.sprintf "depth %-3d (%d published) %s  fsck %s%s"
+          row.cu_requested row.cu_depth (cell_string row.cu_cells)
+          (if row.cu_fsck_clean then "clean" else "DIRTY")
+          (tag row.cu_notes)
+      | Shadow_round_trip row ->
+        Printf.sprintf "%-14s %d shadow bindings%s" row.cs_cve row.cs_shadows
+          (tag row.cs_notes)
+
+    let violations = function
+      | Collapse row -> cell_violations row.cu_cells @ row.cu_notes
+      | Shadow_round_trip row -> row.cs_notes
+
+    let row_json = function
+      | Collapse row ->
+        J.Obj
+          [ ("requested", num row.cu_requested); ("depth", num row.cu_depth);
+            ("chain", strs row.cu_chain);
+            ("cells", J.Str (cell_string row.cu_cells));
+            ("fsck_clean", J.Bool row.cu_fsck_clean);
+            ("notes", strs row.cu_notes) ]
+      | Shadow_round_trip row ->
+        J.Obj
+          [ ("cve", J.Str row.cs_cve); ("shadows", num row.cs_shadows);
+            ("notes", strs row.cs_notes) ]
+
+    let totals rows =
+      let cells =
+        List.concat_map
+          (function
+            | Collapse r -> List.map snd r.cu_cells
+            | Shadow_round_trip _ -> [])
+          rows
+      in
+      J.Obj
+        [
+          ("cells", num (List.length cells));
+          ("rolled_back", num (count (( = ) Rolled_back) cells));
+          ("violations", num (sum (fun r -> List.length (violations r)) rows));
+        ]
+
+    let check _ = []
+  end)
 
 (* ---------- the minimal-differencing sweep ----------
 
@@ -1796,19 +1662,6 @@ type dmrow = {
   dm_closure : bool;  (** some symbol shipped by dependency closure *)
   dm_data_ref : bool;  (** some function shipped as a data referent *)
   dm_notes : string list;  (** violations; [[]] = row passed *)
-}
-
-type dm_report = {
-  dm_rows : dmrow list;
-  dm_bytes_min : int;
-  dm_bytes_whole : int;
-  dm_trials_min : int;
-  dm_trials_whole : int;
-  dm_closure_demos : int;
-  dm_dataref_demos : int;
-  dm_persist_rejects : int;
-      (** Table-1 mainline patches refused as [Data_semantics_changed] *)
-  dm_violations : int;
 }
 
 let defined_syms (o : Objfile.t) =
@@ -1973,91 +1826,91 @@ let dm_persist_rejects base =
       | _ -> acc)
     0 Cve.all
 
-let diffmin_cves () = Cve.all @ Cve.shadow_extras @ Cve.diff_extras
+(* a property of the corpus, not of any row: computed once *)
+let persist_rejects = lazy (dm_persist_rejects (Base_kernel.tree ()))
 
-let run_diffmin ?cves ?progress ?domains () =
-  let cves = match cves with Some l -> l | None -> diffmin_cves () in
-  let base = Base_kernel.tree () in
-  let progress_m = Mutex.create () in
-  let emit line =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_m;
-      f line;
-      Mutex.unlock progress_m
-  in
-  let rows =
-    Parallel.map ?domains
-      (fun (cve : Cve.t) ->
-        let row = run_dmrow cve base in
-        emit
-          (Printf.sprintf "%-14s %5d/%5d B  %3d/%3d trials%s%s%s" row.dm_cve
-             row.dm_min_bytes row.dm_whole_bytes row.dm_min_trials
-             row.dm_whole_trials
-             (if row.dm_closure then " C" else "")
-             (if row.dm_data_ref then " D" else "")
-             (if row.dm_notes = [] then "" else "  VIOLATION"));
-        row)
-      cves
-  in
-  let sum f = List.fold_left (fun a r -> a + f r) 0 rows in
-  {
-    dm_rows = rows;
-    dm_bytes_min = sum (fun r -> r.dm_min_bytes);
-    dm_bytes_whole = sum (fun r -> r.dm_whole_bytes);
-    dm_trials_min = sum (fun r -> r.dm_min_trials);
-    dm_trials_whole = sum (fun r -> r.dm_whole_trials);
-    dm_closure_demos =
-      List.length (List.filter (fun r -> r.dm_closure) rows);
-    dm_dataref_demos =
-      List.length (List.filter (fun r -> r.dm_data_ref) rows);
-    dm_persist_rejects = dm_persist_rejects base;
-    dm_violations = sum (fun r -> List.length r.dm_notes);
-  }
+let diffmin : (module S with type key = Cve.t and type row = dmrow) =
+  (module struct
+    include By_cve
 
-let diffmin_ok r =
-  r.dm_violations = 0
-  && r.dm_closure_demos >= 1
-  && r.dm_dataref_demos >= 1
-  && r.dm_persist_rejects >= 1
-  && r.dm_bytes_min < r.dm_bytes_whole
-  && r.dm_trials_min <= r.dm_trials_whole
+    type row = dmrow
 
-let pp_diffmin ppf r =
-  Format.fprintf ppf
-    "minimal-differencing sweep: %d rows, function-granular vs \
-     whole-unit@\n@\n"
-    (List.length r.dm_rows);
-  Format.fprintf ppf "%-16s %10s %10s %8s %8s  demo@\n" "cve" "min B"
-    "whole B" "min try" "whole try";
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "%-16s %10d %10d %8d %8d  %s%s%s@\n" row.dm_cve
+    let name = "diffmin"
+    let default_rows () = Cve.all @ Cve.shadow_extras @ Cve.diff_extras
+
+    let gate_rows () =
+      cves_named [ "CVE-2006-2451"; "CVE-2008-0600"; "DIFF-2009-0001" ]
+
+    let run_row ~seed:_ ~index:_ cve = run_dmrow cve (Base_kernel.tree ())
+
+    let progress row =
+      Printf.sprintf "%-14s %5d/%5d B  %3d/%3d trials%s%s%s" row.dm_cve
         row.dm_min_bytes row.dm_whole_bytes row.dm_min_trials
         row.dm_whole_trials
-        (if row.dm_closure then "C" else "-")
-        (if row.dm_data_ref then "D" else "-")
-        (if row.dm_notes = [] then "" else "  VIOLATION"))
-    r.dm_rows;
-  Format.fprintf ppf
-    "@\nbytes: %d minimal vs %d whole-unit (%.0f%% saved)@\n" r.dm_bytes_min
-    r.dm_bytes_whole
-    (100.
-    *. (1. -. (float_of_int r.dm_bytes_min /. float_of_int r.dm_bytes_whole))
-    );
-  Format.fprintf ppf "run-pre trials: %d minimal vs %d whole-unit@\n"
-    r.dm_trials_min r.dm_trials_whole;
-  Format.fprintf ppf
-    "closure demos: %d  data-referent demos: %d  data-init refusals: %d@\n"
-    r.dm_closure_demos r.dm_dataref_demos r.dm_persist_rejects;
-  List.iter
-    (fun row ->
-      List.iter
-        (fun m -> Format.fprintf ppf "VIOLATION %s: %s@\n" row.dm_cve m)
-        row.dm_notes)
-    r.dm_rows;
-  if diffmin_ok r then
-    Format.fprintf ppf
-      "every minimal update applied, verified, stressed clean and blocked \
-       its exploit at a fraction of the whole-unit cost@\n"
+        (if row.dm_closure then " C" else "")
+        (if row.dm_data_ref then " D" else "")
+        (tag row.dm_notes)
+
+    let violations row = row.dm_notes
+
+    let row_json row =
+      J.Obj
+        [
+          ("cve", J.Str row.dm_cve);
+          ("min_bytes", num row.dm_min_bytes);
+          ("whole_bytes", num row.dm_whole_bytes);
+          ("min_syms", num row.dm_min_syms);
+          ("whole_syms", num row.dm_whole_syms);
+          ("min_trials", num row.dm_min_trials);
+          ("whole_trials", num row.dm_whole_trials);
+          ("closure", J.Bool row.dm_closure);
+          ("data_ref", J.Bool row.dm_data_ref);
+          ("notes", strs row.dm_notes);
+        ]
+
+    let totals rows =
+      J.Obj
+        [
+          ("bytes_min", num (sum (fun r -> r.dm_min_bytes) rows));
+          ("bytes_whole", num (sum (fun r -> r.dm_whole_bytes) rows));
+          ("trials_min", num (sum (fun r -> r.dm_min_trials) rows));
+          ("trials_whole", num (sum (fun r -> r.dm_whole_trials) rows));
+          ("closure_demos", num (count (fun r -> r.dm_closure) rows));
+          ("dataref_demos", num (count (fun r -> r.dm_data_ref) rows));
+          ("persist_rejects", num (Lazy.force persist_rejects));
+          ("violations", num (sum (fun r -> List.length r.dm_notes) rows));
+        ]
+
+    (* what minimality must buy over the whole sweep, beyond each row *)
+    let check rows =
+      let total f = sum f rows in
+      List.filter_map
+        (fun (failed, msg) -> if failed then Some msg else None)
+        [
+          ( count (fun r -> r.dm_closure) rows < 1,
+            "no symbol shipped by dependency closure" );
+          ( count (fun r -> r.dm_data_ref) rows < 1,
+            "no function shipped as a data referent" );
+          ( Lazy.force persist_rejects < 1,
+            "no data-init mainline patch refused as persistent data" );
+          ( total (fun r -> r.dm_min_bytes)
+            >= total (fun r -> r.dm_whole_bytes),
+            "minimal updates are not smaller than whole-unit ones" );
+          ( total (fun r -> r.dm_min_trials)
+            > total (fun r -> r.dm_whole_trials),
+            "minimal applies tried more run-pre candidates" );
+        ]
+  end)
+
+(* ---------- the registry ---------- *)
+
+type sweep = Sweep : (module S with type key = 'k and type row = 'r) -> sweep
+
+let all =
+  [ Sweep fault; Sweep manager; Sweep crash; Sweep transition; Sweep fleet;
+    Sweep cumulative; Sweep diffmin ]
+
+let find name =
+  List.find_opt
+    (fun (Sweep (module M)) -> String.equal M.name name)
+    all

@@ -1,10 +1,105 @@
-(** The systematic fault-injection sweep: for every CVE in the corpus,
-    inject the canonical fault at each apply-pipeline step, assert
-    crash-consistent rollback (byte-identical machine), then re-apply
-    fault-free and confirm the patched kernel still survives the stress
-    workload and blocks its exploit.
+(** The corpus sweeps: each one pushes a list of rows (corpus CVEs, or
+    chain depths) through a feature under deliberately hostile conditions
+    and holds every row to an oracle. Seven sweeps share one harness: a
+    sweep is an {!S} — its rows, a seeded row runner, a one-line progress
+    rendering, a row oracle, a sweep-level oracle and a JSON codec — and
+    {!run} is the one driver, {!pp} the one printer, {!to_json} the one
+    export.
 
-    The sweep is fully deterministic in [seed]; a failing cell can be
+    Every sweep is deterministic in its seed. The seed of row [i] is
+    derived from the sweep seed, [i] and the cell, per sweep (fault:
+    [seed + 1009*i + 31*step], manager: [seed + 1013*i + hash scenario],
+    crash: [seed + 1009*i], fleet: [seed + 2003*i] plus [127*frame + kind],
+    cumulative: [seed + 4001*i + 31*step]; transition and diffmin are
+    seedless), so a row's verdict never depends on how many domains ran
+    the sweep or in which order rows completed. *)
+
+(** {1 The harness} *)
+
+module type S = sig
+  type key
+  (** What a row is keyed by: a corpus CVE, or a chain depth. *)
+
+  type row
+  (** One row's outcome. *)
+
+  val name : string
+  val default_rows : unit -> key list
+
+  val gate_rows : unit -> key list
+  (** The small slice [dune build @sweep] holds to the oracle. *)
+
+  val key_of_string : string -> key option
+  (** The row resolver behind [ksplice-tool sweep NAME --row ID]. *)
+
+  val key_name : key -> string
+
+  val run_row : seed:int -> index:int -> key -> row
+  (** Run row number [index] of a sweep seeded with [seed], on its own
+      freshly booted machines. *)
+
+  val progress : row -> string
+  (** One line: the row's key and its cells at a glance. *)
+
+  val violations : row -> string list
+  (** The row oracle; [[]] = the row passed. *)
+
+  val row_json : row -> Report.Json.t
+
+  val totals : row list -> Report.Json.t
+  (** The sweep's counters, encoded. *)
+
+  val check : row list -> string list
+  (** The sweep-level oracle: contracts no single row can show. *)
+end
+
+type 'row report = {
+  sweep : string;
+  seed : int;
+  rows : 'row list;  (** in input order *)
+  lines : string list;  (** {!S.progress} of each row, in input order *)
+  rows_json : Report.Json.t list;
+  totals : Report.Json.t;
+  violations : string list;
+      (** every row violation, prefixed by its row's key, then the
+          sweep-level ones *)
+}
+
+(** [run ?rows ?seed ?domains ?progress sweep] runs [rows] (default
+    {!S.default_rows}) with [seed] (default 0). Rows fan out across up to
+    [domains] domains (default {!Parallel.default_domains}; [1] forces a
+    serial sweep). [progress] receives each row's {!S.progress} line as it
+    completes — in completion order; the report keeps input order. *)
+val run :
+  ?rows:'k list ->
+  ?seed:int ->
+  ?domains:int ->
+  ?progress:(string -> unit) ->
+  (module S with type key = 'k and type row = 'r) ->
+  'r report
+
+(** No row and no sweep-level violation. *)
+val ok : _ report -> bool
+
+(** [{sweep, seed, ok, violations, totals, rows}]. *)
+val to_json : _ report -> Report.Json.t
+
+(** Progress lines, totals, violations and the verdict. *)
+val pp : Format.formatter -> _ report -> unit
+
+type sweep = Sweep : (module S with type key = 'k and type row = 'r) -> sweep
+
+(** The seven sweeps below, in this order. *)
+val all : sweep list
+
+val find : string -> sweep option
+
+(** {1 The fault-injection sweep}
+
+    For every CVE, inject the canonical fault at each apply-pipeline
+    step, assert crash-consistent rollback (byte-identical machine), then
+    re-apply fault-free and confirm the patched kernel still survives the
+    stress workload and blocks its exploit. A failing cell can be
     replayed with [Faultinj.make] and the printed plan. *)
 
 (** Outcome of one (CVE, step) cell. *)
@@ -33,40 +128,16 @@ type row = {
   notes : string list;  (** recovery diagnostics when [recovered = false] *)
 }
 
-type report = {
-  rows : row list;
-  total_cells : int;
-  rolled_back : int;
-  benign : int;
-  not_applicable : int;
-  violations : int;
-  recovery_failures : int;
-}
-
-(** [run ?seed ?cves ?progress ?domains ()] sweeps [cves] (default: all
-    64). Each CVE runs on its own freshly booted machine; rows are
-    independent, so the sweep fans out across up to [domains] domains
-    (default {!Parallel.default_domains}; [1] forces a serial sweep).
-    [progress] (if given) receives one line per CVE as it completes —
-    in completion order, which under parallelism need not be corpus
-    order; the returned [rows] always are. *)
-val run :
-  ?seed:int ->
-  ?cves:Cve.t list ->
-  ?progress:(string -> unit) ->
-  ?domains:int ->
-  unit ->
-  report
-
-(** No violations and every CVE recovered. *)
-val ok : report -> bool
+(** Default rows: all 64 CVEs. *)
+val fault : (module S with type key = Cve.t and type row = row)
 
 (** {1 The supervised (manager-level) sweep}
 
-    The cells above prove §5.2 for a single transactional apply; this
+    The fault cells prove §5.2 for a single transactional apply; this
     sweep proves the supervision loop around it. Every CVE is pushed
-    through {!Manager.t} under three hostile regimes and must reach a
-    terminal state (liveness) with clean rollback audits (safety). *)
+    through {!Manager.t} under three hostile regimes — the row's cells —
+    and must reach a terminal state (liveness) with clean rollback audits
+    (safety). *)
 
 type scenario =
   | Injected
@@ -81,9 +152,6 @@ type scenario =
   | Unhealthy
       (** a canary health probe always fails: the gate must unwind the
           probes, auto-revert, and quarantine with the evidence *)
-
-val all_scenarios : scenario list
-val scenario_name : scenario -> string
 
 type mcell = {
   mc_status : Manager.status;  (** terminal state the cell reached *)
@@ -100,41 +168,12 @@ type mrow = {
   m_cells : (scenario * mcell) list;
 }
 
-type mreport = {
-  m_rows : mrow list;
-  m_cells_total : int;
-  m_healthy : int;
-  m_parked : int;
-  m_quarantined : int;
-  m_violations : int;
-  m_failures : int;
-}
-
-(** [run_manager ?seed ?cves ?scenarios ?progress ?domains ()] — same
-    fan-out discipline as {!run}: one freshly booted machine per
-    (CVE, scenario) cell, rows parallel across the domain pool,
-    deterministic in [seed]. *)
-val run_manager :
-  ?seed:int ->
-  ?cves:Cve.t list ->
-  ?scenarios:scenario list ->
-  ?progress:(string -> unit) ->
-  ?domains:int ->
-  unit ->
-  mreport
-
-(** Zero contract failures and zero audit violations. *)
-val manager_ok : mreport -> bool
-
-val pp_manager : Format.formatter -> mreport -> unit
-
-(** The step × fault matrix: one row per CVE, one column per pipeline
-    step, plus totals and a closing verdict line. *)
-val pp_matrix : Format.formatter -> report -> unit
+(** Default rows: all 64 CVEs, one freshly booted machine per cell. *)
+val manager : (module S with type key = Cve.t and type row = mrow)
 
 (** {1 The crash sweep: persistence under process death}
 
-    The filesystem analogue of {!run}: each sampled CVE's update is
+    The filesystem analogue of the fault sweep: each CVE's update is
     published into a fresh on-disk repository with a hard crash
     ({!Vfs.Crash}) injected at every i-th mutating I/O operation. After
     each crash the directory is reopened with a clean handle (the
@@ -154,35 +193,9 @@ type crow = {
   cr_notes : string list;  (** violations; [[]] = row passed *)
 }
 
-type crash_report = {
-  c_rows : crow list;
-  c_cells : int;  (** total crash points exercised *)
-  c_published : int;
-  c_absent : int;
-  c_violations : int;
-  c_gc_swept : int;
-  c_gc_bytes : int;
-}
-
-(** [run_crash ?seed ?cves ?progress ?domains ()] sweeps [cves]
-    (default: every 8th corpus CVE — a deterministic 8-CVE sample; each
-    row costs one publish+recover+gc round per I/O op). Same fan-out
-    and determinism discipline as {!run}. *)
-val run_crash :
-  ?seed:int ->
-  ?cves:Cve.t list ->
-  ?progress:(string -> unit) ->
-  ?domains:int ->
-  unit ->
-  crash_report
-
-(** The default sample {!run_crash} sweeps: every 8th corpus CVE. *)
-val crash_sample : unit -> Cve.t list
-
-(** No violations at any crash point. *)
-val crash_ok : crash_report -> bool
-
-val pp_crash : Format.formatter -> crash_report -> unit
+(** Default rows: every 8th corpus CVE — each row costs one
+    publish+recover+gc round per I/O op. *)
+val crash : (module S with type key = Cve.t and type row = crow)
 
 (** {1 The transition sweep: patch under load with no global pause}
 
@@ -201,7 +214,11 @@ val pp_crash : Format.formatter -> crash_report -> unit
     - a forced straggler — a thread parked asleep inside the patched
       function — demotes the engagement to the bounded stop_machine
       fallback, which must converge, force-migrate it, and still land
-      the identical footprint. *)
+      the identical footprint.
+
+    The totals carry the throughput dips (pause / (pause + work), one
+    instruction = one ns) of both engagements, the migrations by
+    safe-point class, and every row's pauses. *)
 
 type trow = {
   t_cve : string;
@@ -217,42 +234,20 @@ type trow = {
   t_notes : string list;  (** contract breaches; [[]] = row passed *)
 }
 
-type treport = {
-  t_rows : trow list;
-  t_pauseless : int;  (** rows whose per-thread apply never paused *)
-  t_fallbacks : int;  (** straggler cells that engaged the fallback *)
-  t_violations : int;
-}
-
-(** [run_transition ?cves ?progress ?domains ()] sweeps [cves] (default:
-    {!transition_sample}). Same fan-out discipline as {!run}; the sweep
-    is deterministic (the machines are). *)
-val run_transition :
-  ?cves:Cve.t list ->
-  ?progress:(string -> unit) ->
-  ?domains:int ->
-  unit ->
-  treport
-
-(** The default sample {!run_transition} sweeps: every 8th corpus CVE. *)
-val transition_sample : unit -> Cve.t list
-
-(** No contract breaches on any row. *)
-val transition_ok : treport -> bool
-
-val pp_transition : Format.formatter -> treport -> unit
+(** Default rows: every 8th corpus CVE. *)
+val transition : (module S with type key = Cve.t and type row = trow)
 
 (** {1 The fleet sweep: distribution under transport faults}
 
-    The wire analogue of {!run_crash}: for each sampled CVE a server
+    The wire analogue of the crash sweep: for each CVE a server
     repository publishes a short stacked chain (the CVE plus the next
     corpus CVEs still applicable to the patched tree, at most three
     hops). A fault-free probe sync counts the frames a full mirror
     costs; then {e every} {!Fleet.Transport.fault_kind} is injected at
     {e every} frame index, and a fresh subscriber must still converge —
     retried sync byte-identical to the server's chain refs, mirror
-    fsck-clean, zero redundant blob transfers — deterministically in
-    [seed]. One extra cell per row proves graceful degradation: with the
+    fsck-clean, zero redundant blob transfers — deterministically in the
+    seed. One extra cell per row proves graceful degradation: with the
     server unreachable the subscriber keeps its old head over a
     fsck-clean store. *)
 
@@ -266,38 +261,14 @@ type frow = {
   fl_notes : string list;  (** violations; [[]] = row passed *)
 }
 
-type fleet_report = {
-  fl_rows : frow list;
-  fl_total_cells : int;
-  fl_total_retried : int;
-  fl_total_saved : int;
-  fl_violations : int;
-}
-
-(** [run_fleet ?seed ?cves ?progress ?domains ()] — same fan-out and
-    determinism discipline as {!run_crash}. *)
-val run_fleet :
-  ?seed:int ->
-  ?cves:Cve.t list ->
-  ?progress:(string -> unit) ->
-  ?domains:int ->
-  unit ->
-  fleet_report
-
-(** The default sample {!run_fleet} sweeps: every 8th corpus CVE. *)
-val fleet_sample : unit -> Cve.t list
-
-(** No violations in any cell. *)
-val fleet_ok : fleet_report -> bool
-
-val pp_fleet : Format.formatter -> fleet_report -> unit
+(** Default rows: every 8th corpus CVE. *)
+val fleet : (module S with type key = Cve.t and type row = frow)
 
 (** {1 The cumulative sweep: atomic replace at depth}
 
-    For each requested depth [k] a chain of [k] corpus CVEs (each still
-    applicable to the successively patched tree) is published into a
-    repository and collapsed with {!Ksplice.Repository.publish_cumulative}.
-    Contracts per row:
+    A depth row [k] publishes a chain of [k] corpus CVEs (each still
+    applicable to the successively patched tree) into a repository and
+    collapses it with {!Ksplice.Repository.publish_cumulative}. Contracts:
 
     - the collapse's [supersedes] lists exactly the chain ids, oldest
       first;
@@ -311,14 +282,16 @@ val pp_fleet : Format.formatter -> fleet_report -> unit
     - the repository (per-update chain plus cumulative entry) passes
       fsck.
 
-    The shadow rows prove §5.3 end to end for {!Cve.shadow_extras}:
+    A shadow row proves §5.3 end to end for one of {!Cve.shadow_extras}:
     patch (the ctor attaches the side table), exploit blocked, collapse
     and un-collapse keep the shadows live, the final undo runs the dtors
     and the exploit returns. *)
 
 type curow = {
   cu_requested : int;
-  cu_depth : int;  (** chain entries actually published *)
+  cu_depth : int;
+      (** chain entries actually published ([<= cu_requested]: the
+          shortfall is reported, not hidden) *)
   cu_chain : string list;  (** update ids, oldest first *)
   cu_cells : (Ksplice.Txn.step * cell) list;
   cu_fsck_clean : bool;
@@ -331,48 +304,28 @@ type cushadow = {
   cs_notes : string list;
 }
 
-type cumulative_report = {
-  cu_rows : curow list;
-  cu_shadows : cushadow list;
-  cu_total_cells : int;
-  cu_rolled_back : int;
-  cu_violations : int;
-}
+type cumulative_key = Depth of int | Shadow of Cve.t
+type cumulative_row = Collapse of curow | Shadow_round_trip of cushadow
 
-(** The default depths {!run_cumulative} sweeps: [1; 8; 32]. *)
-val cumulative_depths : int list
-
-(** [run_cumulative ?seed ?depths ?progress ?domains ()] — same fan-out
-    and determinism discipline as {!run}. A depth row publishes as many
-    chain entries as the corpus still yields ([cu_depth] ≤
-    [cu_requested] — the shortfall is reported, not hidden). *)
-val run_cumulative :
-  ?seed:int ->
-  ?depths:int list ->
-  ?progress:(string -> unit) ->
-  ?domains:int ->
-  unit ->
-  cumulative_report
-
-(** No violations in any row. *)
-val cumulative_ok : cumulative_report -> bool
-
-val pp_cumulative : Format.formatter -> cumulative_report -> unit
+(** Default rows: depths 1, 8 and 32, then every shadow extra. A row
+    id is a depth or a shadow extra's CVE id. *)
+val cumulative :
+  (module S with type key = cumulative_key and type row = cumulative_row)
 
 (** {1 The minimal-differencing sweep}
 
-    For every corpus CVE plus the shadow and differencing extras, the
-    update is created twice — function-granular minimal (the default)
-    and whole-unit baseline ([~minimal:false]) — and the minimal one is
-    proven complete: it applies, verifies, survives stress, blocks the
-    CVE's exploit where one is registered, lands a deterministic
+    Each update is created twice — function-granular minimal (the
+    default) and whole-unit baseline ([~minimal:false]) — and the minimal
+    one is proven complete: it applies, verifies, survives stress, blocks
+    the CVE's exploit where one is registered, lands a deterministic
     footprint on twin boots, and every defined symbol of its primary
     carries an inclusion reason. Alongside, the sweep measures what
-    minimality buys (update bytes, run-pre candidate trials) and counts
-    the engine's qualitative demos: symbols shipped by dependency
-    closure, functions shipped as data referents, and Table-1 data-init
-    mainline patches refused as {!Ksplice.Create.Data_semantics_changed}
-    with the datum named. *)
+    minimality buys (update bytes, run-pre candidate trials). Its
+    sweep-level oracle wants at least one symbol shipped by dependency
+    closure, one function shipped as a data referent, one Table-1
+    data-init mainline patch refused as
+    {!Ksplice.Create.Data_semantics_changed}, strictly fewer bytes and no
+    more run-pre trials than the whole-unit baseline. *)
 
 type dmrow = {
   dm_cve : string;
@@ -387,33 +340,6 @@ type dmrow = {
   dm_notes : string list;  (** violations; [[]] = row passed *)
 }
 
-type dm_report = {
-  dm_rows : dmrow list;
-  dm_bytes_min : int;
-  dm_bytes_whole : int;
-  dm_trials_min : int;
-  dm_trials_whole : int;
-  dm_closure_demos : int;
-  dm_dataref_demos : int;
-  dm_persist_rejects : int;
-      (** Table-1 mainline patches refused as [Data_semantics_changed] *)
-  dm_violations : int;
-}
-
-(** The default rows: {!Cve.all} plus {!Cve.shadow_extras} plus
+(** Default rows: {!Cve.all} plus {!Cve.shadow_extras} plus
     {!Cve.diff_extras}. *)
-val diffmin_cves : unit -> Cve.t list
-
-val run_diffmin :
-  ?cves:Cve.t list ->
-  ?progress:(string -> unit) ->
-  ?domains:int ->
-  unit ->
-  dm_report
-
-(** No violations, at least one closure / data-referent / refusal demo
-    each, and the minimal updates cost strictly fewer bytes (and no more
-    run-pre trials) than the whole-unit baseline. *)
-val diffmin_ok : dm_report -> bool
-
-val pp_diffmin : Format.formatter -> dm_report -> unit
+val diffmin : (module S with type key = Cve.t and type row = dmrow)

@@ -1,6 +1,8 @@
-(** Minimal JSON tree, writer, and parser — enough for the BENCH.json
-    perf baseline (written by [bench/main.ml], read by
-    [ksplice-tool bench-summary]) without an external dependency. *)
+(** Minimal JSON tree, writer, and parser — enough for the reports the
+    tools write (BENCH.json from [bench/main.ml], sweep reports from
+    [ksplice-tool sweep --out], manager event logs), rendered by
+    {!Render} behind [ksplice-tool report], without an external
+    dependency. *)
 
 type t =
   | Null

@@ -212,25 +212,37 @@ let test_fault_rolls_back_whole_collapse () =
     Txn.all_steps
 
 let test_sweep_shallow () =
-  let r = Corpus.Sweep.run_cumulative ~depths:[ 1; 2 ] () in
-  if not (Corpus.Sweep.cumulative_ok r) then
-    Alcotest.failf "cumulative sweep: %a" Corpus.Sweep.pp_cumulative r;
-  Alcotest.(check int) "both depth rows ran" 2 (List.length r.cu_rows);
+  let module Sweep = Corpus.Sweep in
+  let shadows = List.map (fun c -> Sweep.Shadow c) Corpus.Cve.shadow_extras in
+  let r =
+    Sweep.run ~rows:([ Sweep.Depth 1; Sweep.Depth 2 ] @ shadows)
+      Sweep.cumulative
+  in
+  if not (Sweep.ok r) then Alcotest.failf "cumulative sweep: %a" Sweep.pp r;
+  let depth_rows =
+    List.filter_map (function Sweep.Collapse row -> Some row | _ -> None) r.rows
+  in
+  let shadow_rows =
+    List.filter_map
+      (function Sweep.Shadow_round_trip row -> Some row | _ -> None)
+      r.rows
+  in
+  Alcotest.(check int) "both depth rows ran" 2 (List.length depth_rows);
   List.iter
-    (fun (row : Corpus.Sweep.curow) ->
+    (fun (row : Sweep.curow) ->
       Alcotest.(check int)
         (Printf.sprintf "depth %d fully published" row.cu_requested)
         row.cu_requested row.cu_depth;
       Alcotest.(check bool) "fsck clean" true row.cu_fsck_clean)
-    r.cu_rows;
+    depth_rows;
   Alcotest.(check int) "both shadow extras round-tripped" 2
-    (List.length r.cu_shadows);
+    (List.length shadow_rows);
   List.iter
-    (fun (row : Corpus.Sweep.cushadow) ->
+    (fun (row : Sweep.cushadow) ->
       Alcotest.(check bool)
         (row.cs_cve ^ " attached shadows")
         true (row.cs_shadows > 0))
-    r.cu_shadows
+    shadow_rows
 
 let suite =
   [

@@ -2,7 +2,7 @@
    retry queue, the health gate with auto-revert, and the structured
    event log. Each test boots the tiny two-function kernel from the
    fault-injection suite; the corpus-wide behaviour is covered by the
-   manager sweep (Corpus.Sweep.run_manager). *)
+   manager sweep (Corpus.Sweep.manager). *)
 
 module Tree = Patchfmt.Source_tree
 module Diff = Patchfmt.Diff
@@ -323,21 +323,24 @@ let test_manager_sweep_subset () =
         List.mem c.id [ "CVE-2006-2451"; "CVE-2008-0007" ])
       Corpus.Cve.all
   in
-  let r = Corpus.Sweep.run_manager ~seed:5 ~cves ~domains:1 () in
-  Alcotest.(check int) "cells" 6 r.Corpus.Sweep.m_cells_total;
-  Alcotest.(check int) "no audit violations" 0 r.Corpus.Sweep.m_violations;
-  (match
-     List.concat_map
-       (fun (row : Corpus.Sweep.mrow) ->
-         List.concat_map
-           (fun (_, c) -> c.Corpus.Sweep.mc_notes)
-           row.Corpus.Sweep.m_cells)
-       r.Corpus.Sweep.m_rows
-   with
+  let r =
+    Corpus.Sweep.run ~seed:5 ~rows:cves ~domains:1 Corpus.Sweep.manager
+  in
+  let cells =
+    List.concat_map
+      (fun (row : Corpus.Sweep.mrow) -> List.map snd row.m_cells)
+      r.rows
+  in
+  Alcotest.(check int) "cells" 6 (List.length cells);
+  Alcotest.(check int) "no audit violations" 0
+    (List.fold_left
+       (fun acc (c : Corpus.Sweep.mcell) -> acc + c.mc_violations)
+       0 cells);
+  (match List.concat_map (fun (c : Corpus.Sweep.mcell) -> c.mc_notes) cells with
    | [] -> ()
    | notes -> Alcotest.failf "contract breaches:\n%s"
                 (String.concat "\n" notes));
-  Alcotest.(check bool) "sweep verdict" true (Corpus.Sweep.manager_ok r)
+  Alcotest.(check bool) "sweep verdict" true (Corpus.Sweep.ok r)
 
 let suite =
   [

@@ -1,4 +1,5 @@
-(* Writer/parser roundtrip for the BENCH.json perf baseline format. *)
+(* Writer/parser roundtrip for the JSON reports, and the generic
+   renderer behind `ksplice-tool report`. *)
 
 module Json = Report.Json
 
@@ -179,8 +180,71 @@ let prop_prefix_total =
       done;
       !ok)
 
+(* --- the generic renderer behind `ksplice-tool report` --- *)
+
+module Render = Report.Render
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_render_unknown_section () =
+  let doc =
+    Json.Obj
+      [
+        ("schema", Json.Str "ksplice-bench/1");
+        ( "a_section_no_renderer_knows",
+          Json.Obj
+            [ ("answer", Json.Num 42.);
+              ( "pauses_ns",
+                Json.Arr (List.map (fun n -> Json.Num n) [ 3.; 1.; 100.; 2. ])
+              ) ] );
+      ]
+  in
+  let text = Format.asprintf "%a" Render.pp doc in
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) ("renders " ^ line) true (contains text line))
+    [ "schema: ksplice-bench/1"; "a_section_no_renderer_knows:";
+      "  answer: 42"; "  pauses_ns: n=4 p50=2 p99=100 max=100" ]
+
+let test_render_missing_section () =
+  let doc = Json.Obj [ ("fleet", Json.Obj [ ("ok", Json.Bool true) ]);
+                       ("trace", Json.Null) ] in
+  Alcotest.(check bool) "missing section" true
+    (Render.section "manager" doc = Error (Render.Missing_section "manager"));
+  Alcotest.(check bool) "null section counts as missing" true
+    (Render.section "trace" doc = Error (Render.Missing_section "trace"));
+  Alcotest.(check bool) "present section" true
+    (Render.section "fleet" doc
+    = Ok (Json.Obj [ ("fleet", Json.Obj [ ("ok", Json.Bool true) ]) ]))
+
+let test_render_verdict () =
+  let doc section = Json.Obj [ ("mode", Json.Str "quick"); ("s", section) ] in
+  let verdict section = Render.verdict (doc section) in
+  Alcotest.(check bool) "clean" true
+    (verdict (Json.Obj [ ("ok", Json.Bool true); ("violations", Json.Num 0.) ]));
+  Alcotest.(check bool) "ok: false" false
+    (verdict (Json.Obj [ ("ok", Json.Bool false) ]));
+  Alcotest.(check bool) "violations > 0" false
+    (verdict (Json.Obj [ ("violations", Json.Num 2.) ]));
+  Alcotest.(check bool) "violation notes" false
+    (verdict (Json.Obj [ ("violations", Json.Arr [ Json.Str "x" ]) ]));
+  Alcotest.(check bool) "nested in a row" false
+    (verdict (Json.Arr [ Json.Obj [ ("ok", Json.Bool false) ] ]))
+
 let suite =
   [
+    ( "report render",
+      [
+        t "unknown sections and numeric arrays render"
+          test_render_unknown_section;
+        t "a missing section is a typed error" test_render_missing_section;
+        t "recorded failures fail the verdict" test_render_verdict;
+      ] );
     ( "report json",
       [
         t "sample roundtrip" test_roundtrip;
