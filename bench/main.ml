@@ -69,11 +69,13 @@ let create_cve ?(hot = true) ?domains (cve : Corpus.Cve.t) =
   Create.create ?domains
     { source = base; patch; update_id = cve.id; description = cve.desc }
 
-let create_cve_exn ?domains cve =
-  match create_cve ?domains cve with
-  | Ok c -> c
-  | Error e ->
-    Format.kasprintf failwith "%s: create failed: %a" cve.id Create.pp_error e
+(* the bench aborts on any pipeline failure *)
+let get what pp = function
+  | Ok v -> v
+  | Error e -> Format.kasprintf failwith "%s: %a" what pp e
+
+let created ?domains (cve : Corpus.Cve.t) =
+  get (cve.id ^ ": create failed") Create.pp_error (create_cve ?domains cve)
 
 (* ---------- F3: Figure 3 ---------- *)
 
@@ -146,7 +148,7 @@ let headline () =
   let results =
     Parallel.map ~domains:(par_domains ())
       (fun (cve : Corpus.Cve.t) ->
-        let c = create_cve_exn cve in
+        let c = created cve in
         let b = Corpus.Boot.boot () in
         let mgr = Apply.init b.machine in
         match Apply.apply mgr c.update with
@@ -239,7 +241,7 @@ let symbol_stats () =
   let cves_with_ambiguous =
     List.filter
       (fun (cve : Corpus.Cve.t) ->
-        let c = create_cve_exn cve in
+        let c = created cve in
         List.exists
           (fun (s : Objfile.Section.t) ->
             s.kind = Objfile.Section.Text
@@ -263,7 +265,10 @@ let symbol_stats () =
 
 let inline_stats () =
   section "Inlining statistics (paper 6.3: 20/64 inlined, 4/64 explicit)";
-  let run_build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build base in
+  let run_build =
+    get "run build" Kbuild.pp_error
+      (Kbuild.build_tree ~options:Minic.Driver.run_build base)
+  in
   let inlined = Kbuild.inlined_callees run_build in
   let inlined_in unit f =
     List.exists (fun (u, _, callee) -> u = unit && callee = f) inlined
@@ -282,7 +287,7 @@ let inline_stats () =
   let count_pred pred =
     List.filter
       (fun (cve : Corpus.Cve.t) ->
-        let c = create_cve_exn cve in
+        let c = created cve in
         List.exists
           (fun (d : Ksplice.Prepost.unit_diff) ->
             List.exists (pred d.unit_name)
@@ -314,7 +319,7 @@ let exploits () =
         let b1 = Corpus.Boot.boot () in
         let before = (e.run b1).succeeded in
         let b2 = Corpus.Boot.boot () in
-        let c = create_cve_exn cve in
+        let c = created cve in
         let mgr = Apply.init b2.machine in
         (match Apply.apply mgr c.update with
          | Ok _ -> ()
@@ -341,7 +346,7 @@ let runpre_robustness () =
   let results =
     Parallel.map ~domains:(par_domains ())
       (fun (cve : Corpus.Cve.t) ->
-        let c = create_cve_exn cve in
+        let c = created cve in
         let b = Corpus.Boot.boot () in
         let mgr = Apply.init b.machine in
         match Apply.apply mgr c.update with
@@ -401,7 +406,7 @@ let appendix () =
     "replaced" "custom" "unit";
   List.iter
     (fun (cve : Corpus.Cve.t) ->
-      let c = create_cve_exn cve in
+      let c = created cve in
       let lines =
         (Diff.stats (Corpus.Cve.mainline_patch cve base)).changed
       in
@@ -503,7 +508,7 @@ let kernel_matrix () =
 let ablation () =
   section "Ablation: why run-pre matching needs architecture knowledge";
   let attempt tolerance (cve : Corpus.Cve.t) =
-    let c = create_cve_exn cve in
+    let c = created cve in
     let b = Corpus.Boot.boot () in
     let mgr = Apply.init b.machine in
     match Apply.apply ~tolerance mgr c.update with
@@ -570,7 +575,7 @@ let creation_sweep ?(cves = Corpus.Cve.all) () =
   Kbuild.reset_cache ();
   let t0 = now () in
   let serial_ups =
-    List.map (fun cve -> serialize (create_cve_exn ~domains:1 cve)) cves
+    List.map (fun cve -> serialize (created ~domains:1 cve)) cves
   in
   let serial_t = now () -. t0 in
   Kbuild.reset_cache ();
@@ -578,11 +583,12 @@ let creation_sweep ?(cves = Corpus.Cve.all) () =
   (* warm the shared pre build once so the concurrent creates hit the
      compile cache instead of racing to rebuild the same units *)
   ignore
-    (Kbuild.build_tree_exn ~domains:nd ~options:Minic.Driver.pre_build base
+    (get "pre build" Kbuild.pp_error
+       (Kbuild.build_tree ~domains:nd ~options:Minic.Driver.pre_build base)
       : Kbuild.build);
   let par_ups =
     Parallel.map ~domains:nd
-      (fun cve -> serialize (create_cve_exn ~domains:nd cve))
+      (fun cve -> serialize (created ~domains:nd cve))
       cves
   in
   let par_t = now () -. t0 in
@@ -707,7 +713,7 @@ let trace_overhead_budget = 1.5
 
 let trace_overhead ?(cves = Corpus.Cve.all) () =
   section "Tracing overhead: traced vs untraced apply sweep";
-  let ups = List.map (fun cve -> (cve, (create_cve_exn cve).update)) cves in
+  let ups = List.map (fun cve -> (cve, (created cve).update)) cves in
   (* what "applied bytes" means here: the module image the update landed
      plus the trampoline bytes read back from the running kernel — the
      sum of everything apply wrote that stays live *)
@@ -790,7 +796,7 @@ let crash_sweep ?rows () =
     ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
     (fun () ->
       let patch = Corpus.Cve.hot_patch cve base in
-      let update = (create_cve_exn cve).update in
+      let update = (created cve).update in
       let vfs, _ =
         Vfs.inject { Vfs.at = 12; kind = Vfs.Crash; seed = 0 } Vfs.real
       in
@@ -838,31 +844,11 @@ let fleet_bench ?(subscribers = 512) () =
   (* a server chain stacked like the fleet sweep's: successive corpus
      CVEs applied to the successively patched tree *)
   let repo = Repo.of_store (Store.create ~name:"fleet-bench-server" ()) in
-  let tree = ref base and depth = ref 0 in
-  List.iter
-    (fun (cve : Corpus.Cve.t) ->
-      if !depth < 4 && Corpus.Cve.applies_to cve !tree then begin
-        let patch = Corpus.Cve.hot_patch cve !tree in
-        match
-          Create.create
-            { source = !tree; patch; update_id = cve.id;
-              description = cve.desc }
-        with
-        | Error e ->
-          Format.kasprintf failwith "fleet bench create: %a" Create.pp_error e
-        | Ok c -> (
-          (match Repo.publish repo ~source:!tree ~patch ~update:c.update with
-          | Ok _ -> ()
-          | Error e ->
-            Format.kasprintf failwith "fleet bench publish: %a" Repo.pp_error
-              e);
-          match Diff.apply patch !tree with
-          | Ok t ->
-            tree := t;
-            incr depth
-          | Error m -> failwith ("fleet bench apply: " ^ m))
-      end)
-    Corpus.Cve.all;
+  let depth =
+    List.length
+      (get "fleet bench chain" Format.pp_print_string
+         (Corpus.Sweep.publish_chain repo base ~depth:4))
+  in
   let base_digest = Tree.digest base in
   let manifest =
     match Repo.manifest repo ~digest:base_digest with
@@ -900,7 +886,7 @@ let fleet_bench ?(subscribers = 512) () =
     Parallel.map ~domains:(par_domains ())
       (fun i ->
         let sub = Store.create ~name:(Printf.sprintf "sub-%d" i) () in
-        preseed sub (i mod (!depth + 1));
+        preseed sub (i mod (depth + 1));
         let connect _ =
           let tr, _ =
             Transport.sim ~serve:(Server.handle (Server.session repo)) ()
@@ -931,7 +917,7 @@ let fleet_bench ?(subscribers = 512) () =
   let outcome =
     {
       fb_subscribers = subscribers;
-      fb_depth = !depth;
+      fb_depth = depth;
       fb_synced = synced;
       fb_wall_s = wall;
       fb_subs_per_s = float_of_int subscribers /. wall;
@@ -949,7 +935,7 @@ let fleet_bench ?(subscribers = 512) () =
     }
   in
   fleet_result := Some outcome;
-  Printf.printf "chain: %d entries, %d blob bytes per cold mirror\n" !depth
+  Printf.printf "chain: %d entries, %d blob bytes per cold mirror\n" depth
     chain_bytes;
   Printf.printf "synced %d/%d subscribers in %.3f s  (%.1f subscribers/s)\n"
     synced subscribers wall outcome.fb_subs_per_s;
@@ -986,38 +972,11 @@ let cumulative_bench ?(depths = [ 1; 8; 32 ]) () =
           Repo.of_store
             (Store.create ~name:(Printf.sprintf "cum-bench-%d" requested) ())
         in
-        let tree = ref base and updates = ref [] in
-        List.iter
-          (fun (cve : Corpus.Cve.t) ->
-            if
-              List.length !updates < requested
-              && Corpus.Cve.applies_to cve !tree
-            then begin
-              let patch = Corpus.Cve.hot_patch cve !tree in
-              match
-                Create.create
-                  { source = !tree; patch; update_id = cve.id;
-                    description = cve.desc }
-              with
-              | Error e ->
-                Format.kasprintf failwith "cumulative bench create: %a"
-                  Create.pp_error e
-              | Ok c -> (
-                (match
-                   Repo.publish repo ~source:!tree ~patch ~update:c.update
-                 with
-                | Ok _ -> ()
-                | Error e ->
-                  Format.kasprintf failwith "cumulative bench publish: %a"
-                    Repo.pp_error e);
-                match Diff.apply patch !tree with
-                | Ok t ->
-                  updates := c.update :: !updates;
-                  tree := t
-                | Error m -> failwith ("cumulative bench apply: " ^ m))
-            end)
-          Corpus.Cve.all;
-        let chain = List.rev !updates in
+        let chain =
+          List.map snd
+            (get "cumulative bench chain" Format.pp_print_string
+               (Corpus.Sweep.publish_chain repo base ~depth:requested))
+        in
         let depth = List.length chain in
         let base_digest = Tree.digest base in
         (* the manifest advertises the cumulative hop once published, so
@@ -1108,7 +1067,7 @@ let bechamel_benches ?(quick = false) () =
   let open Toolkit in
   (* prepared state for the benches *)
   let cve = Option.get (Corpus.Cve.find "CVE-2006-2451") in
-  let prepared = create_cve_exn cve in
+  let prepared = created cve in
   (* machine with the update applied, for trampoline-overhead probes *)
   let b_patched = Corpus.Boot.boot () in
   let mgr = Apply.init b_patched.machine in
@@ -1148,7 +1107,7 @@ let bechamel_benches ?(quick = false) () =
       Test.make ~name:"run-pre matching (one helper unit)"
         (Staged.stage (fun () -> ignore (inference_bench ())));
       Test.make ~name:"ksplice-create (prctl patch)"
-        (Staged.stage (fun () -> ignore (create_cve_exn cve)));
+        (Staged.stage (fun () -> ignore (created cve)));
       Test.make ~name:"apply+undo on live kernel"
         (Staged.stage (fun () ->
              let b = Corpus.Boot.boot () in
@@ -1179,10 +1138,11 @@ let bechamel_benches ?(quick = false) () =
         let tree =
           Patchfmt.Source_tree.of_list [ ("kernel/s.c", mk_unit n) ]
         in
-        let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-        let img = Image.link_exn ~base:0x100000 (Kbuild.objects build) in
-        let m = Machine.create img in
-        let pre = Kbuild.build_tree_exn ~options:Minic.Driver.pre_build tree in
+        let m = (Corpus.Boot.boot ~tree ()).machine in
+        let pre =
+          get "pre build" Kbuild.pp_error
+            (Kbuild.build_tree ~options:Minic.Driver.pre_build tree)
+        in
         let helper = List.hd (Kbuild.objects pre) in
         Test.make
           ~name:(Printf.sprintf "run-pre matching, %d-function unit" n)

@@ -16,11 +16,21 @@ module Update = Ksplice.Update
 module Create = Ksplice.Create
 module Apply = Ksplice.Apply
 
+(* Whole-file I/O for the file-based commands. A failure is [Sys_error]'s
+   own "PATH: reason" message, which [or_exit] reports. *)
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  try Ok (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error m -> Error m
+
+let write_file path data =
+  try Ok (Out_channel.with_open_bin path (fun oc -> output_string oc data))
+  with Sys_error m -> Error m
+
+let or_exit = function
+  | Ok v -> v
+  | Error m ->
+    prerr_endline ("error: " ^ m);
+    exit 1
 
 (* load a source tree from a directory: every .c/.s file, with paths
    relative to the root *)
@@ -38,7 +48,7 @@ let read_tree root =
               (String.length root + 1)
               (String.length path - String.length root - 1)
           in
-          (rel, read_file path) :: acc
+          (rel, or_exit (read_file path)) :: acc
         end
         else acc)
       acc (Sys.readdir dir)
@@ -67,7 +77,7 @@ let print_explanation (c : Create.created) =
 
 let cmd_create source patch_file output id desc explain =
   let tree = read_tree source in
-  let patch_text = read_file patch_file in
+  let patch_text = or_exit (read_file patch_file) in
   match Diff.parse patch_text with
   | Error e ->
     Printf.eprintf "error: cannot parse patch: %s\n" e;
@@ -80,7 +90,7 @@ let cmd_create source patch_file output id desc explain =
       Format.eprintf "error: %a@." Create.pp_error e;
       exit 1
     | Ok ({ update; diffs; _ } as created) ->
-      Update.write_file output update;
+      or_exit (write_file output (Bytes.to_string (Update.to_bytes update)));
       Printf.printf "Ksplice update written to %s\n" output;
       List.iter
         (fun (d : Ksplice.Prepost.unit_diff) ->
@@ -89,7 +99,13 @@ let cmd_create source patch_file output id desc explain =
       if explain then print_explanation created)
 
 let cmd_inspect path =
-  let u = Update.read_file path in
+  let u =
+    match Update.of_bytes (Bytes.of_string (or_exit (read_file path))) with
+    | Ok u -> u
+    | Error e ->
+      Format.eprintf "error: %s: %a@." path Update.pp_decode_error e;
+      exit 1
+  in
   Printf.printf "update:      %s\n" u.update_id;
   Printf.printf "description: %s\n" u.description;
   Printf.printf "patched units (%d):\n" (List.length u.patched_units);
@@ -112,30 +128,27 @@ let cmd_inspect path =
     (List.fold_left (fun a h -> a + section_bytes h) 0 u.helpers)
 
 let cmd_objdump path =
-  let data = read_file path in
-  if String.length data >= 5 && String.sub data 0 5 = "KSPL1" then begin
-    match Update.of_bytes (Bytes.of_string data) with
-    | Error e ->
-      Printf.eprintf "error: corrupt update file: %s\n"
-        (Update.decode_error_to_string e);
-      exit 1
-    | Ok u ->
-      Printf.printf "update %s\n\n=== primary module ===\n" u.update_id;
-      Format.printf "%a@." Objfile.Objdump.pp u.primary;
-      List.iter
-        (fun h ->
-          Printf.printf "\n=== helper (pre) module: %s ===\n"
-            h.Objfile.unit_name;
-          Format.printf "%a@." Objfile.Objdump.pp h)
-        u.helpers
-  end
-  else
-    match Objfile.of_bytes (Bytes.of_string data) with
+  let data = Bytes.of_string (or_exit (read_file path)) in
+  match Update.of_bytes data with
+  | Ok u ->
+    Printf.printf "update %s\n\n=== primary module ===\n" u.update_id;
+    Format.printf "%a@." Objfile.Objdump.pp u.primary;
+    List.iter
+      (fun h ->
+        Printf.printf "\n=== helper (pre) module: %s ===\n"
+          h.Objfile.unit_name;
+        Format.printf "%a@." Objfile.Objdump.pp h)
+      u.helpers
+  | Error (Update.Bad_magic _) -> (
+    match Objfile.of_bytes data with
     | Ok o -> Format.printf "%a@." Objfile.Objdump.pp o
     | Error e ->
-      Printf.eprintf "error: not an update or object file: %s\n"
-        (Objfile.decode_error_to_string e);
-      exit 1
+      Format.eprintf "error: %s: not an update or object file: %a@." path
+        Objfile.pp_decode_error e;
+      exit 1)
+  | Error e ->
+    Format.eprintf "error: %s: %a@." path Update.pp_decode_error e;
+    exit 1
 
 let cmd_export dir =
   (* write the evaluation kernel's source tree plus every CVE patch, so
@@ -144,26 +157,26 @@ let cmd_export dir =
        ksplice-tool create --source /tmp/ws/src \
          --patch /tmp/ws/patches/CVE-2006-2451.patch -o u.ksplice *)
   let base = Corpus.Base_kernel.tree () in
-  let mkdir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755 in
+  let mkdir d =
+    try if not (Sys.file_exists d) then Sys.mkdir d 0o755
+    with Sys_error m -> or_exit (Error m)
+  in
   mkdir dir;
   let src_dir = Filename.concat dir "src" in
   mkdir src_dir;
   mkdir (Filename.concat src_dir "kernel");
   List.iter
     (fun (path, contents) ->
-      let oc = open_out (Filename.concat src_dir path) in
-      output_string oc contents;
-      close_out oc)
+      or_exit (write_file (Filename.concat src_dir path) contents))
     (Tree.bindings base);
   let patch_dir = Filename.concat dir "patches" in
   mkdir patch_dir;
   List.iter
     (fun (cve : Corpus.Cve.t) ->
-      let oc =
-        open_out (Filename.concat patch_dir (cve.id ^ ".patch"))
-      in
-      output_string oc (Diff.to_string (Corpus.Cve.hot_patch cve base));
-      close_out oc)
+      or_exit
+        (write_file
+           (Filename.concat patch_dir (cve.id ^ ".patch"))
+           (Diff.to_string (Corpus.Cve.hot_patch cve base))))
     Corpus.Cve.all;
   Printf.printf "exported kernel source to %s and %d patches to %s\n"
     src_dir (List.length Corpus.Cve.all) patch_dir

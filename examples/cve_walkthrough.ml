@@ -52,11 +52,14 @@ let () =
     (List.length update.replaced_functions)
     (List.length update.helpers);
 
-  (* apply while user threads hammer syscalls *)
+  (* apply while user threads hammer syscalls: the stress threads always
+     have syscall_entry on their stacks, so a stop_machine apply could
+     never find the kernel quiescent; the per-thread transition migrates
+     each thread at its next safe point instead *)
   let mgr = Apply.init b.machine in
   let report =
     Corpus.Stress.run b ~threads:3 ~iterations:20 ~during:(fun () ->
-        match Apply.apply mgr update with
+        match Apply.apply ~engage:(Manager.Transition.engage ()) mgr update with
         | Ok a ->
           Printf.printf
             "update applied mid-workload (simulated pause %.3f ms)\n"

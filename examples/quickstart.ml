@@ -35,9 +35,7 @@ let () =
   (* 1. boot a kernel the way a distro would build it: one .text per
      unit, no preparation for hot updates whatsoever *)
   let tree = Tree.of_list [ ("kernel/main.c", kernel_source) ] in
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-  let image = Image.link_exn ~base:0x100000 (Kbuild.objects build) in
-  let machine = Machine.create image in
+  let { Corpus.Boot.image; machine; _ } = Corpus.Boot.boot ~tree () in
   let call name args =
     let sym = Option.get (Image.lookup_global image name) in
     match Machine.call_function machine ~addr:sym.addr ~args with

@@ -106,9 +106,7 @@ int stats(int which) {
 let () =
   print_endline "== user-space server hot update ==";
   let tree = Tree.of_list [ ("server/main.c", server_source) ] in
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-  let img = Image.link_exn ~base:0x100000 (Kbuild.objects build) in
-  let m = Machine.create img in
+  let { Corpus.Boot.image = img; machine = m; _ } = Corpus.Boot.boot ~tree () in
   let addr name = (Option.get (Image.lookup_global img name)).Image.addr in
   let call name args =
     match Machine.call_function m ~addr:(addr name) ~args with

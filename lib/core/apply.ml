@@ -260,12 +260,10 @@ type engagement = {
          hooks *)
 }
 
-(* An engagement reports failure by raising with a pipeline error (for
+(* An engagement returns the pause it imposed, or a pipeline error (for
    example [Not_quiescent] when even the fallback cannot converge); the
-   transaction rolls back as for any other step failure. *)
-exception Engage_failed of error
-
-type engage_fn = engagement -> int
+   transaction then rolls back as for any other step failure. *)
+type engage_fn = engagement -> (int, error) result
 
 let run_named_hooks t ~resolve names =
   List.iter
@@ -320,7 +318,7 @@ let apply_pipeline ~txn ~enter ~tolerance ~max_attempts ~retry_base
             ~already:(already_redirected t)
             ~inference helper
         with
-        | l ->
+        | Ok l ->
           Log.debug (fun k ->
               k "run-pre matched %s: %d functions located"
                 helper.Objfile.unit_name (List.length l));
@@ -328,8 +326,8 @@ let apply_pipeline ~txn ~enter ~tolerance ~max_attempts ~retry_base
             (fun (cname, addr) ->
               anchors := ((helper.Objfile.unit_name, cname), addr) :: !anchors)
             l
-        | exception Runpre.Mismatch m -> raise (Fail (Code_mismatch m))
-        | exception Runpre.Ambiguous { unit_name; symbol; matches } ->
+        | Error (Runpre.Mismatch m) -> raise (Fail (Code_mismatch m))
+        | Error (Runpre.Ambiguous { unit_name; symbol; matches }) ->
           raise (Fail (Ambiguous_symbol (unit_name, symbol, matches))))
       update.helpers;
     let resolve name =
@@ -555,7 +553,7 @@ let apply_pipeline ~txn ~enter ~tolerance ~max_attempts ~retry_base
             e_prepare = (fun () -> ());
             e_install = insert }
         in
-        try f eng with Engage_failed e -> raise (Fail e))
+        match f eng with Ok ns -> ns | Error e -> raise (Fail e))
     in
     (* === commit === *)
     enter Txn.Commit;
@@ -754,8 +752,9 @@ let unwind_top ~txn ~max_attempts ~retry_base ~retry_cap ~retry_budget
                     top.saved);
               e_install = install }
           in
-          (try ignore (f eng : int)
-           with Engage_failed e -> raise (Fail e)));
+          match f eng with
+          | Ok (_ : int) -> ()
+          | Error e -> raise (Fail e));
        Txn.with_tag txn Txn.Hook (fun () ->
            run_hooks t ~resolve top.update Ast.Hook_post_reverse);
        Machine.remove_kallsyms t.m (fun s ->

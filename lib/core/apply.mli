@@ -107,9 +107,9 @@ val pp_error : Format.formatter -> error -> unit
     An engagement receives the record below and must call [e_prepare]
     before activating any transition and [e_install] exactly once on
     success; it returns the total simulated pause in nanoseconds its
-    strategy imposed on the machine (0 for a pauseless transition). It
-    reports failure by raising {!Engage_failed} with a pipeline error;
-    the transaction then rolls back as for any other step failure. *)
+    strategy imposed on the machine (0 for a pauseless transition), or a
+    pipeline error; the transaction then rolls back as for any other step
+    failure. *)
 
 type engagement = {
   e_machine : Kernel.Machine.t;
@@ -136,9 +136,7 @@ type engagement = {
           hooks *)
 }
 
-exception Engage_failed of error
-
-type engage_fn = engagement -> int
+type engage_fn = engagement -> (int, error) result
 
 (** {2 Quiescence primitives}
 

@@ -65,9 +65,8 @@ let skipped_units () = Atomic.get skipped
 let reset_creation_stats () = Atomic.set skipped 0
 
 (* The per-symbol [unit-diff/2] codec. The wire format (and its typed,
-   total decoder) lives in {!Prepost}; a blob written by the retired
-   [unit-diff/1] codec fails the magic check, so on an old store every
-   lookup is a plain cache miss, never an error. *)
+   total decoder) lives in {!Prepost}; a blob that fails the magic check
+   is a plain cache miss, never an error. *)
 module Diff_codec = Store.Typed (struct
   type v = Prepost.unit_diff
 

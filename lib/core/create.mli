@@ -80,8 +80,8 @@ val shipped_symbols : created -> (string * (string * Prepost.reason)) list
     a unit whose pre and post objects are byte-identical skips
     differencing entirely, and a (pre, post) digest pair already
     differenced in this store reuses the cached result (codec
-    ["unit-diff/2"]; blobs from the retired v1 codec fail its typed
-    decoder and count as plain misses). Incremental and from-scratch
+    ["unit-diff/2"]; a blob its typed decoder refuses counts as a plain
+    miss). Incremental and from-scratch
     creation produce byte-identical updates.
 
     [supersedes] (default [[]]) makes the result a {e cumulative} update:

@@ -33,9 +33,8 @@ let empty unit_name =
 
 (* --- the unit-diff/2 wire codec ---
 
-   Same netstring discipline as {!Update.to_bytes}, behind a magic so a
-   v1 blob (which led with a digit) can never parse: length-prefixed
-   strings, counted lists, reasons as one tag byte plus an argument. *)
+   Netstrings behind a magic: length-prefixed strings, counted lists,
+   reasons as one tag byte plus an argument. *)
 
 let magic = "UDF2"
 

@@ -64,8 +64,7 @@ val empty : string -> unit_diff
 
     Used by {!Create}'s store-backed incremental differencing. [decode]
     is total: any input — including truncations and bitflips of encoded
-    diffs, and blobs written by the retired [unit-diff/1] codec — yields
-    a typed error, never an exception. *)
+    diffs — yields a typed error, never an exception. *)
 
 val encode : unit_diff -> string
 

@@ -74,8 +74,8 @@ let recovery t = Store.recovery t.store
    by its own digest and the mutable ref ["entry:<base_digest>"] points
    at it — reading re-digests the blob, so truncation or bit-flips
    surface as [Corrupt_entry], never as a parse crash. The update inside
-   is serialised store-backed (KSPL2), so every entry of a chain shares
-   one physical copy of each common helper object. *)
+   is serialised store-backed, so every entry of a chain shares one
+   physical copy of each common helper object. *)
 
 let entry_magic = "KSPLREPO2"
 let entry_ref digest = "entry:" ^ digest
@@ -133,7 +133,7 @@ let decode_entry store ~digest raw =
   | Error reason -> fail reason
   | Ok (base_digest, next_digest, patch_text, update_bytes) -> (
     match Update.of_bytes_store store (Bytes.of_string update_bytes) with
-    | Error e -> fail (Update.decode_error_to_string e)
+    | Error e -> fail (Format.asprintf "%a" Update.pp_decode_error e)
     | Ok update -> Ok { base_digest; next_digest; patch_text; update })
 
 let read_ref_entry t ~ref_name ~digest =
@@ -351,8 +351,8 @@ let fsck t =
   else Error report
 
 (* reachability out of a blob: a repository entry reaches its serialised
-   update's interned objects; a bare KSPL2 update blob reaches the same;
-   anything else (helper objects themselves) is a leaf *)
+   update's interned objects; a bare store-backed update blob reaches the
+   same; anything else (helper objects themselves) is a leaf *)
 let expand_blob _digest raw =
   let mlen = String.length entry_magic in
   let update_bytes =

@@ -170,9 +170,9 @@ val manifest : t -> digest:string -> (manifest_entry list, error) result
 val head : t -> digest:string -> (string, error) result
 
 (** [closure raw] is the digests a blob references: a KSPLREPO2 entry or
-    bare KSPL2 update reaches its interned objects; anything else is a
-    leaf. Pure — a subscriber re-derives an entry's object set from the
-    received bytes instead of trusting the server's manifest. *)
+    bare store-backed update reaches its interned objects; anything else
+    is a leaf. Pure — a subscriber re-derives an entry's object set from
+    the received bytes instead of trusting the server's manifest. *)
 val closure : string -> Store.digest list
 
 (** [blob_ref raw] is the ref name a received KSPLREPO2 entry blob

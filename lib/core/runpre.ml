@@ -11,14 +11,20 @@ type mismatch = {
   reason : string;
 }
 
-exception Mismatch of mismatch
+type failure =
+  | Mismatch of mismatch
+  | Ambiguous of { unit_name : string; symbol : string; matches : int }
 
-exception
-  Ambiguous of {
-    unit_name : string;
-    symbol : string;
-    matches : int;
-  }
+let pp_failure ppf = function
+  | Mismatch m ->
+    Format.fprintf ppf "%s %s: pre+%#x / run %#x: %s" m.unit_name m.section
+      m.pre_off m.run_addr m.reason
+  | Ambiguous { unit_name; symbol; matches } ->
+    Format.fprintf ppf "%s: %s matched %d candidates" unit_name symbol matches
+
+(* the per-candidate backtracking signal; [match_helper] turns the one
+   that decides the verdict into a [failure] *)
+exception Mismatched of mismatch
 
 type inference = (string, int) Hashtbl.t
 
@@ -100,7 +106,7 @@ let match_text ~tolerance ~read_run ~(helper : Objfile.t) ~bindings
     ~(section : Section.t) ~run_base ~(trial : trial) =
   let fail pre_off run_addr reason =
     raise
-      (Mismatch
+      (Mismatched
          { unit_name = helper.unit_name; section = section.name; pre_off;
            run_addr; reason })
   in
@@ -335,7 +341,7 @@ let match_helper ?(tolerance = full_tolerance) ~read_run ~candidates
                 ("addr", Trace.Int addr);
                 ("accepted", Trace.Bool true) ];
           Some (addr, trial)
-        | exception Mismatch m ->
+        | exception Mismatched m ->
           last_failure := Some m;
           Trace.count ("runpre.reject." ^ reason_class m.reason) 1;
           (* the §4 diagnostic: which candidate, and the byte offset of
@@ -370,24 +376,20 @@ let match_helper ?(tolerance = full_tolerance) ~read_run ~candidates
       !pending;
     pending := List.rev !still
   done;
-  (match !pending with
-   | [] -> ()
-   | p :: _ ->
-     let cands, _ = candidate_addrs p in
-     match try_candidates p cands with
-     | [] -> (
-       (* surface the underlying code mismatch when there was a single
-          candidate — that is the §4.2 safety abort *)
-       match !last_failure, cands with
-       | Some m, [ _ ] -> raise (Mismatch m)
-       | _ ->
-         raise
-           (Ambiguous
-              { unit_name = helper.unit_name; symbol = p.p_fname; matches = 0 }))
-     | l ->
-       raise
-         (Ambiguous
-            { unit_name = helper.unit_name; symbol = p.p_fname;
-              matches = List.length l }))
-  ;
-  List.rev !anchors
+  match !pending with
+  | [] -> Ok (List.rev !anchors)
+  | p :: _ -> (
+    let cands, _ = candidate_addrs p in
+    let ambiguous matches =
+      Error
+        (Ambiguous
+           { unit_name = helper.unit_name; symbol = p.p_fname; matches })
+    in
+    match try_candidates p cands with
+    | [] -> (
+      (* surface the underlying code mismatch when there was a single
+         candidate — that is the §4.2 safety abort *)
+      match !last_failure, cands with
+      | Some m, [ _ ] -> Error (Mismatch m)
+      | _ -> ambiguous 0)
+    | l -> ambiguous (List.length l))

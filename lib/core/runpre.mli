@@ -28,14 +28,17 @@ type mismatch = {
   reason : string;
 }
 
-exception Mismatch of mismatch
+(** Why a helper did not match: pre and run code genuinely differ, or
+    a function could not be located uniquely. *)
+type failure =
+  | Mismatch of mismatch
+  | Ambiguous of {
+      unit_name : string;
+      symbol : string;
+      matches : int;  (** 0 = no candidate matched, >1 = several did *)
+    }
 
-exception
-  Ambiguous of {
-    unit_name : string;
-    symbol : string;
-    matches : int;  (** 0 = no candidate matched, >1 = several did *)
-  }
+val pp_failure : Format.formatter -> failure -> unit
 
 (** Accumulated inference state, shared across the helpers of one update:
     canonical symbol name (see {!Update.canonical}) to value. *)
@@ -85,10 +88,8 @@ val full_tolerance : tolerance
 
     Returns the run address of every function in the helper, keyed by
     canonical name, and extends [inference] with every symbol value
-    learned.
-
-    @raise Mismatch when pre and run code genuinely differ.
-    @raise Ambiguous when a function cannot be located uniquely. *)
+    learned; [Error] when pre and run code genuinely differ or a function
+    cannot be located uniquely. *)
 val match_helper :
   ?tolerance:tolerance ->
   read_run:(int -> int) ->
@@ -96,4 +97,4 @@ val match_helper :
   already:(string * string -> (int * int) option) ->
   inference:inference ->
   Objfile.t ->
-  (string * int) list
+  ((string * int) list, failure) result

@@ -26,20 +26,22 @@ let split_canonical n =
     (String.sub n 0 i, Some (String.sub n (i + 1) (String.length n - i - 1)))
   | None -> (n, None)
 
-(* --- serialisation --- *)
+(* --- serialisation ---
 
-let magic = "KSPL1"
+   One layout, one magic. The header carries every field in a fixed
+   order, with the primary and helper objects named by their store
+   digests; the embedded object list follows. [to_bytes_store] interns
+   the objects and leaves that list empty, so updates sharing a base
+   kernel share one physical copy of each common helper; [to_bytes]
+   embeds one blob per digest the header names (primary first). *)
+
+let magic = "KSPL4"
 
 let put_int b v = Buffer.add_int32_le b (Int32.of_int v)
 
 let put_str b s =
   put_int b (String.length s);
   Buffer.add_string b s
-
-let put_obj b o =
-  let bytes = Objfile.to_bytes o in
-  put_int b (Bytes.length bytes);
-  Buffer.add_bytes b bytes
 
 let put_list b f l =
   put_int b (List.length l);
@@ -49,38 +51,52 @@ let put_pair b (x, y) =
   put_str b x;
   put_str b y
 
-let to_bytes u =
-  let b = Buffer.create 8192 in
+let encode ~intern ~embed u =
+  let blob o = Bytes.to_string (Objfile.to_bytes o) in
+  let primary = blob u.primary and helpers = List.map blob u.helpers in
+  let b = Buffer.create 1024 in
   Buffer.add_string b magic;
   put_str b u.update_id;
   put_str b u.description;
   put_list b put_str u.patched_units;
   put_list b put_pair u.replaced_functions;
-  put_obj b u.primary;
-  put_list b put_obj u.helpers;
+  put_str b (intern primary);
+  put_list b put_str (List.map intern helpers);
   put_list b put_pair u.primary_sym_units;
   put_list b put_str u.supersedes;
   put_list b put_str u.shadow_ctors;
   put_list b put_str u.shadow_dtors;
+  put_list b put_str (if embed then primary :: helpers else []);
   Buffer.to_bytes b
+
+let to_bytes u = encode ~intern:Store.digest_of_string ~embed:true u
+let to_bytes_store store u = encode ~intern:(Store.put store) ~embed:false u
 
 (* Decoding is total: a corrupt blob — out of the CAS, off the wire, or
    handed to the CLI — yields a typed [Error], never an escaped
    exception. The reader raises the private [Decode] exception
-   internally; the [of_bytes*] entry points are the only boundaries that
-   catch it. *)
-type decode_error = { de_off : int; de_reason : string }
+   internally; [decode_header] is the only boundary that catches it. *)
+type decode_error =
+  | Bad_magic of string
+  | Malformed of { off : int; reason : string }
+  | Store_backed
+  | Object_unavailable of { digest : Store.digest; reason : string }
 
 exception Decode of decode_error
 
-let pp_decode_error ppf e =
-  Format.fprintf ppf "%s at byte %d" e.de_reason e.de_off
-
-let decode_error_to_string e = Format.asprintf "%a" pp_decode_error e
+let pp_decode_error ppf = function
+  | Bad_magic m -> Format.fprintf ppf "bad magic %S (expected %S)" m magic
+  | Malformed { off; reason } -> Format.fprintf ppf "%s at byte %d" reason off
+  | Store_backed ->
+    Format.pp_print_string ppf
+      "store-backed update: its objects are not embedded (decode it \
+       against the artifact store it was written through)"
+  | Object_unavailable { digest; reason } ->
+    Format.fprintf ppf "object %s: %s" digest reason
 
 type reader = { buf : Bytes.t; mutable pos : int }
 
-let bad r reason = raise (Decode { de_off = r.pos; de_reason = reason })
+let bad r reason = raise (Decode (Malformed { off = r.pos; reason }))
 
 let need r n =
   if n < 0 || r.pos + n > Bytes.length r.buf then bad r "truncated input"
@@ -99,18 +115,6 @@ let get_str r =
   r.pos <- r.pos + n;
   s
 
-let get_obj r =
-  let n = get_int r in
-  need r n;
-  match Objfile.of_bytes (Bytes.sub r.buf r.pos n) with
-  | Error e ->
-    bad r
-      (Printf.sprintf "bad embedded object: %s"
-         (Objfile.decode_error_to_string e))
-  | Ok o ->
-    r.pos <- r.pos + n;
-    o
-
 let get_list r f = List.init (get_int r) (fun _ -> f r)
 
 let get_pair r =
@@ -118,188 +122,105 @@ let get_pair r =
   let b = get_str r in
   (a, b)
 
-let decode_self r =
-  let update_id = get_str r in
-  let description = get_str r in
-  let patched_units = get_list r get_str in
-  let replaced_functions = get_list r get_pair in
-  let primary = get_obj r in
-  let helpers = get_list r get_obj in
-  let primary_sym_units = get_list r get_pair in
-  let supersedes = get_list r get_str in
-  let shadow_ctors = get_list r get_str in
-  let shadow_dtors = get_list r get_str in
-  { update_id; description; patched_units; replaced_functions; primary;
-    helpers; primary_sym_units; supersedes; shadow_ctors; shadow_dtors }
+(* A decoded header: the objects still named by digest. [objects] are
+   the embedded blobs, already checked against [digests]; [] for a
+   store-backed file. *)
+type header = {
+  digests : Store.digest list;  (* primary first, then helpers *)
+  objects : string list;
+  supersedes : string list;
+  with_objects : Objfile.t list -> t;  (* the objects in [digests] order *)
+}
 
-let of_bytes buf =
+let decode_header buf =
+  let r = { buf; pos = 0 } in
   match
-    let r = { buf; pos = 0 } in
-    need r (String.length magic);
-    (match Bytes.sub_string buf 0 (String.length magic) with
-    | m when String.equal m magic -> ()
-    | "KSPL2" | "KSPL3" ->
-      bad r
-        "store-backed update file; decode it with of_bytes_store against \
-         the artifact store it was written through"
-    | _ -> bad r "bad magic");
-    r.pos <- String.length magic;
-    decode_self r
+    let mlen = min (String.length magic) (Bytes.length buf) in
+    let m = Bytes.sub_string buf 0 mlen in
+    if m <> magic then raise (Decode (Bad_magic m));
+    r.pos <- mlen;
+    let update_id = get_str r in
+    let description = get_str r in
+    let patched_units = get_list r get_str in
+    let replaced_functions = get_list r get_pair in
+    let primary = get_str r in
+    let helpers = get_list r get_str in
+    let primary_sym_units = get_list r get_pair in
+    let supersedes = get_list r get_str in
+    let shadow_ctors = get_list r get_str in
+    let shadow_dtors = get_list r get_str in
+    let objects_at = r.pos in
+    let objects = get_list r get_str in
+    if r.pos <> Bytes.length buf then bad r "trailing bytes";
+    let digests = primary :: helpers in
+    if objects <> [] then begin
+      let fail reason =
+        raise (Decode (Malformed { off = objects_at; reason }))
+      in
+      if List.compare_lengths objects digests <> 0 then
+        fail
+          (Printf.sprintf "%d embedded objects for %d digests"
+             (List.length objects) (List.length digests));
+      List.iteri
+        (fun i (d, blob) ->
+          if not (String.equal (Store.digest_of_string blob) d) then
+            fail
+              (Printf.sprintf "embedded object %d does not match its digest" i))
+        (List.combine digests objects)
+    end;
+    let with_objects = function
+      | primary :: helpers ->
+        { update_id; description; patched_units; replaced_functions; primary;
+          helpers; primary_sym_units; supersedes; shadow_ctors; shadow_dtors }
+      | [] -> invalid_arg "Update.with_objects"
+    in
+    { digests; objects; supersedes; with_objects }
   with
-  | u -> Ok u
+  | h -> Ok h
   | exception Decode e -> Error e
 
-let of_bytes_exn buf =
-  match of_bytes buf with
-  | Ok u -> u
-  | Error e -> failwith ("Update: " ^ decode_error_to_string e)
+let ( let* ) = Result.bind
 
-(* --- store-backed serialisation (KSPL2 / KSPL3) ---
-
-   Object payloads (the primary and every helper) are interned in the
-   artifact store and the file carries only their digests, so stacked
-   updates sharing a base kernel share one physical copy of each common
-   helper. KSPL3 extends KSPL2 with the cumulative records — the update
-   ids this blob supersedes (atomic replace) and the shadow-variable
-   constructor/destructor hooks; the writer emits KSPL3 only when one of
-   those is present, so ordinary updates stay byte-identical to their
-   KSPL2 encoding and every old blob remains readable. *)
-
-let store_magic = "KSPL2"
-let cumulative_magic = "KSPL3"
-
-let intern_obj store o =
-  Store.put store (Bytes.to_string (Objfile.to_bytes o))
-
-let to_bytes_store store u =
-  let cumulative =
-    u.supersedes <> [] || u.shadow_ctors <> [] || u.shadow_dtors <> []
+(* parse every object, in [digests] order, from its fetched bytes *)
+let resolve h blobs =
+  let rec go acc = function
+    | [] -> Ok (h.with_objects (List.rev acc))
+    | (digest, raw) :: rest -> (
+      let* raw = raw in
+      match Objfile.of_bytes (Bytes.of_string raw) with
+      | Ok o -> go (o :: acc) rest
+      | Error e ->
+        let reason = Format.asprintf "%a" Objfile.pp_decode_error e in
+        Error (Object_unavailable { digest; reason }))
   in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (if cumulative then cumulative_magic else store_magic);
-  put_str b u.update_id;
-  put_str b u.description;
-  put_list b put_str u.patched_units;
-  put_list b put_pair u.replaced_functions;
-  put_str b (intern_obj store u.primary);
-  put_list b put_str (List.map (intern_obj store) u.helpers);
-  put_list b put_pair u.primary_sym_units;
-  if cumulative then begin
-    put_list b put_str u.supersedes;
-    put_list b put_str u.shadow_ctors;
-    put_list b put_str u.shadow_dtors
-  end;
-  Buffer.to_bytes b
+  go [] blobs
 
-(* Which store-backed format a blob claims, by magic alone. *)
-let store_format buf =
-  let mlen = String.length store_magic in
-  if Bytes.length buf < mlen then `Unknown
-  else
-    match Bytes.sub_string buf 0 mlen with
-    | m when String.equal m magic -> `Self
-    | m when String.equal m store_magic -> `Store
-    | m when String.equal m cumulative_magic -> `Cumulative
-    | _ -> `Unknown
+let embedded h = List.map2 (fun d blob -> (d, Ok blob)) h.digests h.objects
+
+let of_bytes buf =
+  let* h = decode_header buf in
+  if h.objects = [] then Error Store_backed else resolve h (embedded h)
+
+let fetch store digest =
+  match Store.load store digest with
+  | Ok raw -> Ok raw
+  | Error `Missing ->
+    Error (Object_unavailable { digest; reason = "not in the artifact store" })
+  | Error (`Corrupt m) ->
+    Error (Object_unavailable { digest; reason = "corrupt: " ^ m })
 
 let of_bytes_store store buf =
-  match store_format buf with
-  | `Self ->
-    (* self-contained legacy file: no store needed *)
-    of_bytes buf
-  | `Unknown -> Error { de_off = 0; de_reason = "bad magic" }
-  | (`Store | `Cumulative) as fmt -> (
-    let fetch_obj r d =
-      match Store.load store d with
-      | Ok raw -> (
-        match Objfile.of_bytes (Bytes.of_string raw) with
-        | Ok o -> o
-        | Error e ->
-          bad r
-            (Printf.sprintf "object %s does not parse: %s" d
-               (Objfile.decode_error_to_string e)))
-      | Error `Missing -> bad r ("object " ^ d ^ " is not in the artifact store")
-      | Error (`Corrupt m) -> bad r ("corrupt object: " ^ m)
-    in
-    match
-      let r = { buf; pos = String.length store_magic } in
-      let update_id = get_str r in
-      let description = get_str r in
-      let patched_units = get_list r get_str in
-      let replaced_functions = get_list r get_pair in
-      let primary = fetch_obj r (get_str r) in
-      let helpers = get_list r get_str |> List.map (fetch_obj r) in
-      let primary_sym_units = get_list r get_pair in
-      let supersedes, shadow_ctors, shadow_dtors =
-        match fmt with
-        | `Store -> ([], [], [])
-        | `Cumulative ->
-          let s = get_list r get_str in
-          let c = get_list r get_str in
-          let d = get_list r get_str in
-          (s, c, d)
-      in
-      { update_id; description; patched_units; replaced_functions; primary;
-        helpers; primary_sym_units; supersedes; shadow_ctors; shadow_dtors }
-    with
-    | u -> Ok u
-    | exception Decode e -> Error e)
+  let* h = decode_header buf in
+  if h.objects <> [] then resolve h (embedded h)
+  else resolve h (List.map (fun d -> (d, fetch store d)) h.digests)
 
-(* The store digests a serialised update references, without fetching
-   (or needing) the objects themselves — the GC's reachability edge. A
-   self-contained KSPL1 file references nothing. *)
+(* the GC's reachability edge: a self-contained file needs nothing from
+   the store *)
 let store_digests buf =
-  match store_format buf with
-  | `Self -> Ok []
-  | `Unknown -> Error "Update: bad magic"
-  | `Store | `Cumulative -> (
-    match
-      let r = { buf; pos = String.length store_magic } in
-      let _update_id = get_str r in
-      let _description = get_str r in
-      let _patched_units = get_list r get_str in
-      let _replaced_functions = get_list r get_pair in
-      let primary = get_str r in
-      let helpers = get_list r get_str in
-      primary :: helpers
-    with
-    | ds -> Ok ds
-    | exception Decode e -> Error ("Update: " ^ decode_error_to_string e))
+  let* h = decode_header buf in
+  Ok (if h.objects = [] then h.digests else [])
 
-(* The ids a serialised update supersedes, parsed from the blob alone
-   (no store): how a subscriber recognises a cumulative entry in the
-   bytes it received, rather than trusting the server's framing. An
-   unparseable or non-cumulative blob supersedes nothing. *)
+(* how a subscriber recognises a cumulative entry in the bytes it
+   received, rather than trusting the server's framing *)
 let supersedes_of_bytes buf =
-  match store_format buf with
-  | `Self | `Store | `Unknown -> []
-  | `Cumulative -> (
-    match
-      let r = { buf; pos = String.length store_magic } in
-      let _update_id = get_str r in
-      let _description = get_str r in
-      let _patched_units = get_list r get_str in
-      let _replaced_functions = get_list r get_pair in
-      let _primary = get_str r in
-      let _helpers = get_list r get_str in
-      let _primary_sym_units = get_list r get_pair in
-      get_list r get_str
-    with
-    | ds -> ds
-    | exception Decode _ -> [])
-
-let write_file path u =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_bytes oc (to_bytes u))
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      let b = Bytes.create n in
-      really_input ic b 0 n;
-      of_bytes_exn b)
+  match decode_header buf with Ok h -> h.supersedes | Error _ -> []

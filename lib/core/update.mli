@@ -54,51 +54,52 @@ val canonical :
 (** [split_canonical n] recovers [(original_name, unit option)]. *)
 val split_canonical : string -> string * string option
 
-(** Why a blob failed to decode: the byte offset the reader stood at and
-    what it found there. Decoding is {e total} — arbitrary bytes yield
-    [Error], never an exception. *)
-type decode_error = { de_off : int; de_reason : string }
+(** {2 Serialisation}
+
+    One layout, magic [KSPL4]: a header carrying every field, with the
+    primary and helper objects named by their artifact-store digests,
+    then the embedded object list. {!to_bytes} embeds one blob per digest
+    the header names (a self-contained file); {!to_bytes_store} interns
+    the objects in the store and leaves the list empty, so stacked updates
+    sharing a base kernel share one physical copy of each common helper.
+    One header decoder serves all four readers: it re-digests embedded
+    blobs against the header and rejects trailing bytes. *)
+
+(** Why a blob failed to decode. Decoding is {e total} — arbitrary bytes
+    yield [Error], never an exception. *)
+type decode_error =
+  | Bad_magic of string  (** the file's first bytes are not the magic *)
+  | Malformed of { off : int; reason : string }
+      (** truncated, a negative length, trailing bytes, or an embedded
+          object that does not match the digest the header names *)
+  | Store_backed
+      (** {!of_bytes} on a file whose objects live in an artifact store *)
+  | Object_unavailable of { digest : Store.digest; reason : string }
+      (** a named object is missing from the store, corrupt, or does not
+          parse *)
 
 val pp_decode_error : Format.formatter -> decode_error -> unit
-val decode_error_to_string : decode_error -> string
 
-(** Self-contained serialisation (format [KSPL1]): every object payload
-    is embedded. [of_bytes] refuses store-backed [KSPL2]/[KSPL3] files
-    with an error naming {!of_bytes_store}; [of_bytes_exn] is the legacy
-    interface, raising [Failure] instead. *)
-
+(** The self-contained encoding. *)
 val to_bytes : t -> Bytes.t
+
+(** Decodes a self-contained file; a store-backed one is [Store_backed]. *)
 val of_bytes : Bytes.t -> (t, decode_error) result
-val of_bytes_exn : Bytes.t -> t
 
-(** Store-backed serialisation (formats [KSPL2] and [KSPL3]): the
-    primary and helper objects are interned in the artifact store and the
-    file carries only their digests, so stacked updates sharing a base
-    kernel share one physical copy of each common helper. The writer
-    emits [KSPL3] only when the update carries cumulative records
-    ([supersedes] or shadow hooks), so ordinary updates stay
-    byte-identical to their [KSPL2] encoding. [of_bytes_store] reads all
-    three formats — a [KSPL1] file decodes without touching the store; a
-    store-backed file resolves its digests through [store], failing
-    cleanly if a referenced blob is missing or corrupt. *)
-
+(** The store-backed encoding: the objects are {!Store.put} into [store]. *)
 val to_bytes_store : Store.t -> t -> Bytes.t
+
+(** Decodes either encoding, fetching a store-backed file's objects from
+    [store]. *)
 val of_bytes_store : Store.t -> Bytes.t -> (t, decode_error) result
 
-(** The store digests a serialised update references (primary first,
-    then helpers), parsed from the header alone — the blobs are never
-    fetched. A self-contained [KSPL1] file references nothing ([Ok []]).
-    This is the GC's reachability edge from an update blob to the object
-    blobs it shares with other updates. *)
-val store_digests : Bytes.t -> (string list, string) result
+(** The store digests a store-backed file references (primary first,
+    then helpers), without fetching them: the GC's reachability edge from
+    an update blob to the object blobs it shares with other updates. A
+    self-contained file references nothing ([Ok []]). *)
+val store_digests : Bytes.t -> (Store.digest list, decode_error) result
 
-(** The update ids a serialised [KSPL3] blob supersedes, parsed from the
-    bytes alone (no store): how a subscriber recognises a cumulative
-    entry in what it actually received. Anything non-cumulative or
-    unparseable supersedes nothing. *)
+(** The update ids a serialised update supersedes, from the bytes alone
+    (no store): how a subscriber recognises a cumulative entry in what it
+    actually received. An undecodable blob supersedes nothing. *)
 val supersedes_of_bytes : Bytes.t -> string list
-
-(** Convenience file IO. [read_file] raises [Failure] on malformed
-    contents. *)
-val write_file : string -> t -> unit
-val read_file : string -> t

@@ -19,10 +19,20 @@ let call_if_present b name args =
       failwith
         (Format.asprintf "boot: %s faulted: %a" name Machine.pp_fault f))
 
+let or_fail what pp = function
+  | Ok v -> v
+  | Error e -> failwith (Format.asprintf "boot: %s: %a" what pp e)
+
 let boot ?(workers = 0) ?tree () =
   let tree = match tree with Some t -> t | None -> Base_kernel.tree () in
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-  let image = Image.link_exn ~base:0x100000 (Kbuild.objects build) in
+  let build =
+    or_fail "build" Kbuild.pp_error
+      (Kbuild.build_tree ~options:Minic.Driver.run_build tree)
+  in
+  let image =
+    or_fail "link" Image.pp_error
+      (Image.link ~base:0x100000 (Kbuild.objects build))
+  in
   let machine = Machine.create image in
   let b = { build; image; machine } in
   List.iter (fun f -> call_if_present b f []) Base_kernel.init_functions;

@@ -10,7 +10,9 @@ type booted = {
 }
 
 (** [boot ?workers ?tree ()] boots [tree] (default {!Base_kernel.tree}).
-    [workers] (default 0) kernel worker threads are spawned. *)
+    [workers] (default 0) kernel worker threads are spawned.
+    @raise Failure if [tree] does not build or link, or an init function
+    faults. *)
 val boot : ?workers:int -> ?tree:Patchfmt.Source_tree.t -> unit -> booted
 
 (** [syscall b ~uid nr args] invokes a syscall through the entry path the

@@ -127,16 +127,17 @@ type row = {
 
 let err_str e = Format.asprintf "%a" Apply.pp_error e
 
+let create_result (cve : Cve.t) ~patch base =
+  Create.create
+    { source = base; patch; update_id = cve.id; description = cve.desc }
+  |> Result.map (fun c -> c.Create.update)
+  |> Result.map_error
+       (Format.asprintf "%s: create failed: %a" cve.id Create.pp_error)
+
 let create_update (cve : Cve.t) base =
-  let patch = Cve.hot_patch cve base in
-  match
-    Create.create
-      { source = base; patch; update_id = cve.id; description = cve.desc }
-  with
-  | Ok c -> c.Create.update
-  | Error e ->
-    failwith
-      (Format.asprintf "%s: create failed: %a" cve.id Create.pp_error e)
+  match create_result cve ~patch:(Cve.hot_patch cve base) base with
+  | Ok u -> u
+  | Error m -> failwith m
 
 (* One faulted cell: snapshot, [apply] under injection, judge. The
    machine is reused across cells — rollback (and [undo] of [undo_id],
@@ -1113,34 +1114,27 @@ type frow = {
   fl_notes : string list;  (* violations; [] = row passed *)
 }
 
-(* publish a stacked chain of up to [depth] CVEs into a fresh in-memory
-   repository: walk [from] (default: the corpus), keeping every CVE that
-   still applies to the successively patched tree; oldest first *)
-let publish_chain ~name ?(from = Cve.all) base ~depth =
-  let repo = Repo.of_store (Store.create ~name ()) in
-  let tree = ref base and err = ref None in
-  let chain = ref [] in
-  List.iter
-    (fun (c : Cve.t) ->
-      if !err = None && List.length !chain < depth && Cve.applies_to c !tree
-      then begin
-        let patch = Cve.hot_patch c !tree in
-        match create_update c !tree with
-        | exception Failure m -> err := Some m
-        | update -> (
-          match Repo.publish repo ~source:!tree ~patch ~update with
-          | Error e ->
-            err :=
-              Some (Format.asprintf "publish %s: %a" c.id Repo.pp_error e)
-          | Ok _ -> (
-            match Diff.apply patch !tree with
-            | Ok t ->
-              tree := t;
-              chain := (c, update) :: !chain
-            | Error m -> err := Some (Printf.sprintf "apply %s: %s" c.id m)))
-      end)
-    from;
-  (repo, List.rev !chain, !err)
+let publish_chain repo ?(from = Cve.all) base ~depth =
+  let ( let* ) = Result.bind in
+  let rec go tree chain = function
+    | (c : Cve.t) :: rest when List.length chain < depth ->
+      if not (Cve.applies_to c tree) then go tree chain rest
+      else
+        let patch = Cve.hot_patch c tree in
+        let* update = create_result c ~patch tree in
+        let* (_ : Repo.entry) =
+          Repo.publish repo ~source:tree ~patch ~update
+          |> Result.map_error
+               (Format.asprintf "publish %s: %a" c.id Repo.pp_error)
+        in
+        let* tree =
+          Diff.apply patch tree
+          |> Result.map_error (Printf.sprintf "apply %s: %s" c.id)
+        in
+        go tree ((c, update) :: chain) rest
+    | _ -> Ok (List.rev chain)
+  in
+  go base [] from
 
 let fleet_mirror_notes repo sub ~server_head (r : Subscriber.report) =
   let notes = ref [] in
@@ -1198,11 +1192,15 @@ let fleet_cve ~seed (cve : Cve.t) base =
     | _ :: tl -> from tl
     | [] -> []
   in
-  let repo, chain, chain_err =
-    publish_chain ~name:("fleet-" ^ cve.id) ~from:(from Cve.all) base ~depth:3
+  let repo = Repo.of_store (Store.create ~name:("fleet-" ^ cve.id) ()) in
+  let chain =
+    match publish_chain repo ~from:(from Cve.all) base ~depth:3 with
+    | Ok chain -> chain
+    | Error m ->
+      note "%s" m;
+      []
   in
   let depth = List.length chain in
-  (match chain_err with Some m -> note "%s" m | None -> ());
   if depth = 0 then note "no chain could be published";
   let server_head =
     match Repo.head repo ~digest:base_digest with
@@ -1369,10 +1367,15 @@ let stack_ids mgr =
 let run_curow ~seed ~depth base =
   let notes = ref [] in
   let note fmt = Format.kasprintf (fun s -> notes := !notes @ [ s ]) fmt in
-  let repo, chain, chain_err =
-    publish_chain ~name:(Printf.sprintf "cumulative-%d" depth) base ~depth
+  let name = Printf.sprintf "cumulative-%d" depth in
+  let repo = Repo.of_store (Store.create ~name ()) in
+  let chain =
+    match publish_chain repo base ~depth with
+    | Ok chain -> chain
+    | Error m ->
+      note "%s" m;
+      []
   in
-  (match chain_err with Some m -> note "%s" m | None -> ());
   let ids = List.map (fun ((c : Cve.t), _) -> c.id) chain in
   if chain = [] then note "no chain could be published";
   let cum_id = Printf.sprintf "cumulative-depth-%d" depth in

@@ -94,6 +94,19 @@ val all : sweep list
 
 val find : string -> sweep option
 
+(** [publish_chain repo ?from base ~depth] publishes a stacked chain of
+    up to [depth] CVEs into [repo]: it walks [from] (default {!Cve.all}),
+    keeping every CVE that still applies to the successively patched
+    tree. Returns the chain oldest first, or the first create, publish or
+    patch failure. The fleet and cumulative sweeps and the bench share
+    it. *)
+val publish_chain :
+  Ksplice.Repository.t ->
+  ?from:Cve.t list ->
+  Patchfmt.Source_tree.t ->
+  depth:int ->
+  ((Cve.t * Ksplice.Update.t) list, string) result
+
 (** {1 The fault-injection sweep}
 
     For every CVE, inject the canonical fault at each apply-pipeline

@@ -1,7 +1,7 @@
 let version = 1
 let magic = "KFR1"
 
-(* big enough for any KSPL2 blob the corpus produces, small enough that
+(* big enough for any update blob the corpus produces, small enough that
    a bit-flipped length field cannot make a receiver buffer gigabytes *)
 let max_payload = 16 * 1024 * 1024
 

@@ -20,8 +20,6 @@ let pp_error ppf = function
   | Unit_assemble_failed { unit_name; line; reason } ->
     Format.fprintf ppf "%s:%d: %s" unit_name line reason
 
-exception Build_error of string
-
 (* internal: carries the typed error out of the domain pool; Parallel.map
    re-raises the smallest-index failure, so the surfaced error is
    deterministically the first failing unit in path order *)
@@ -111,7 +109,8 @@ module Unit_codec = Store.Typed (struct
       let obj =
         match Objfile.of_bytes (Bytes.of_string (get_str ())) with
         | Ok o -> o
-        | Error e -> fail ("bad object: " ^ Objfile.decode_error_to_string e)
+        | Error e ->
+          fail (Format.asprintf "bad object: %a" Objfile.pp_decode_error e)
       in
       let n =
         match int_of_string_opt (get_str ()) with
@@ -178,11 +177,6 @@ let build_tree ?domains ~options tree =
   with
   | units -> Ok { units; options }
   | exception Fail e -> Error e
-
-let build_tree_exn ?domains ~options tree =
-  match build_tree ?domains ~options tree with
-  | Ok b -> b
-  | Error e -> raise (Build_error (Format.asprintf "%a" pp_error e))
 
 let objects b = List.map (fun u -> u.obj) b.units
 

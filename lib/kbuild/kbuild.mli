@@ -33,11 +33,6 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-(** Raised only by {!build_tree_exn}, for callers that still want the
-    exception convention; the message is [pp_error] applied to the typed
-    error. *)
-exception Build_error of string
-
 (** [build_tree ?domains ~options tree] compiles every [.c] and [.s] file
     of the tree, in path order, using up to [domains] domains (default
     {!Parallel.default_domains}; [1] forces a fully sequential build).
@@ -46,12 +41,6 @@ exception Build_error of string
 val build_tree :
   ?domains:int -> options:Minic.Driver.options -> Patchfmt.Source_tree.t ->
   (build, error) result
-
-(** {!build_tree} for callers without a failure path of their own.
-    @raise Build_error on the first failing unit. *)
-val build_tree_exn :
-  ?domains:int -> options:Minic.Driver.options -> Patchfmt.Source_tree.t ->
-  build
 
 (** [objects b] lists the object files in build order. *)
 val objects : build -> Objfile.t list

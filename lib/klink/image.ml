@@ -49,8 +49,6 @@ let pp_error ppf = function
     Format.fprintf ppf "%s: undefined symbol %s (section %s+%#x)" us_unit
       us_symbol us_section us_offset
 
-exception Link_error of string
-
 (* internal abort carrying the typed error; never escapes [link] *)
 exception Fail of error
 
@@ -195,11 +193,6 @@ let link ~base objects =
   match link_result ~base objects with
   | img -> Ok img
   | exception Fail e -> Error e
-
-let link_exn ~base objects =
-  match link ~base objects with
-  | Ok img -> img
-  | Error e -> raise (Link_error (Format.asprintf "%a" pp_error e))
 
 let lookup img name =
   List.filter (fun s -> String.equal s.name name) img.kallsyms

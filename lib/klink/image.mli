@@ -49,18 +49,11 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-(** Legacy interface: raised by {!link_exn} with the {!pp_error}
-    rendering of the underlying {!error}. *)
-exception Link_error of string
-
 (** [link ~base objects] lays out sections (text, rodata, data, bss — in
     that order), resolves and applies all relocations, and builds
     kallsyms. Returns [Error _] on duplicate global definitions,
     symbols defined in missing sections, or unresolved relocations. *)
 val link : base:int -> Objfile.t list -> (t, error) result
-
-(** {!link}, raising {!Link_error} instead of returning a result. *)
-val link_exn : base:int -> Objfile.t list -> t
 
 (** [lookup image name] returns all kallsyms entries with the given name
     (there may be several — local symbols are not unique). *)

@@ -26,8 +26,6 @@ let pp_error ppf = function
     Format.fprintf ppf "module %s: unresolved symbol %s (section %s+%#x)"
       un_module un_symbol un_section un_offset
 
-exception Load_error of string
-
 (* internal abort carrying the typed error; never escapes [relocate] *)
 exception Fail of error
 
@@ -102,8 +100,3 @@ let relocate t ~resolve =
   match relocate_result t ~resolve with
   | writes -> Ok writes
   | exception Fail e -> Error e
-
-let relocate_exn t ~resolve =
-  match relocate t ~resolve with
-  | Ok writes -> writes
-  | Error e -> raise (Load_error (Format.asprintf "%a" pp_error e))

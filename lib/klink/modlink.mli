@@ -25,10 +25,6 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-(** Legacy interface: raised by {!relocate_exn} with the {!pp_error}
-    rendering of the underlying {!error}. *)
-exception Load_error of string
-
 (** [layout ~alloc obj] assigns an address to every allocatable section
     ([alloc ~size ~align] returns a fresh address; Note sections are
     skipped). *)
@@ -50,7 +46,3 @@ val relocate :
   t ->
   resolve:(string -> int option) ->
   ((int * Bytes.t) list, error) result
-
-(** {!relocate}, raising {!Load_error} instead of returning a result. *)
-val relocate_exn :
-  t -> resolve:(string -> int option) -> (int * Bytes.t) list

@@ -124,7 +124,7 @@ let engage ?(policy = default_policy) ?on_stats () (e : Apply.engagement) =
     (match Machine.transition_update m with
      | Some _ -> Machine.end_transition m
      | None -> ());
-    raise (Apply.Engage_failed err)
+    Error err
   in
   (* initial stack-check pass: exited threads and sleepers already clear
      of the guard ranges migrate without ever reaching a safe point *)
@@ -155,13 +155,13 @@ let engage ?(policy = default_policy) ?on_stats () (e : Apply.engagement) =
     if !ran = 0 then stalled := true
   done;
   Machine.set_safepoint_hook m None;
-  let pause_ns =
+  let outcome =
     if all_migrated () then begin
       (* no-pause convergence: the machine never stopped *)
       Machine.end_transition m;
       e.e_enter Txn.Trampoline;
       e.e_install ();
-      0
+      Ok 0
     end
     else begin
       (* straggler fallback: the bounded stop_machine loop of §5.2,
@@ -197,7 +197,7 @@ let engage ?(policy = default_policy) ?on_stats () (e : Apply.engagement) =
               else false)
         in
         let pause_acc = pause_acc + pause in
-        if ok then pause_acc
+        if ok then Ok pause_acc
         else begin
           let delay =
             min
@@ -223,19 +223,22 @@ let engage ?(policy = default_policy) ?on_stats () (e : Apply.engagement) =
       attempt 0 0 0
     end
   in
-  let stats =
-    { st_update = e.e_update;
-      st_direction = e.e_direction;
-      st_threads = n_threads;
-      st_migrations = List.rev !migrations;
-      st_rounds = !rounds;
-      st_sched_steps = !sched_steps;
-      st_fallback = !forced > 0 || pause_ns > 0;
-      st_forced = !forced;
-      st_pause_ns = pause_ns }
-  in
-  Trace.observe "transition.pause_ns" (float_of_int pause_ns);
-  Trace.observe "transition.sched_steps" (float_of_int !sched_steps);
-  Log.info (fun k -> k "%a" pp_stats stats);
-  (match on_stats with Some f -> f stats | None -> ());
-  pause_ns
+  Result.map
+    (fun pause_ns ->
+      let stats =
+        { st_update = e.e_update;
+          st_direction = e.e_direction;
+          st_threads = n_threads;
+          st_migrations = List.rev !migrations;
+          st_rounds = !rounds;
+          st_sched_steps = !sched_steps;
+          st_fallback = !forced > 0 || pause_ns > 0;
+          st_forced = !forced;
+          st_pause_ns = pause_ns }
+      in
+      Trace.observe "transition.pause_ns" (float_of_int pause_ns);
+      Trace.observe "transition.sched_steps" (float_of_int !sched_steps);
+      Log.info (fun k -> k "%a" pp_stats stats);
+      (match on_stats with Some f -> f stats | None -> ());
+      pause_ns)
+    outcome

@@ -20,7 +20,7 @@
     sleeping with a guarded return address on their stack) demote the
     engagement to the paper's bounded stop_machine loop, which
     force-migrates whoever is left once the guards quiesce; exhausting
-    that fallback raises [Apply.Engage_failed (Not_quiescent _)] and the
+    that fallback returns [Error (Apply.Not_quiescent _)] and the
     transaction rolls back byte-identically.
 
     The same engagement reverses an update: [Apply.undo ~engage] runs a

@@ -47,10 +47,3 @@ let compile ~options ~unit_name src =
     | tunit ->
       let obj = Codegen.compile_unit ~options:options.codegen tunit in
       Ok { obj; inline_decisions = inlined.decisions })
-
-exception Error of string
-
-let compile_exn ~options ~unit_name src =
-  match compile ~options ~unit_name src with
-  | Ok c -> c
-  | Error e -> raise (Error (Format.asprintf "%a" pp_error e))

@@ -33,10 +33,3 @@ val pp_error : Format.formatter -> error -> unit
     parser, and typechecker failures come back as typed errors. *)
 val compile :
   options:options -> unit_name:string -> string -> (compiled, error) result
-
-exception Error of string
-(** Compilation failure rendered through {!pp_error} — raised only by
-    {!compile_exn}. *)
-
-(** Legacy raising variant of {!compile}. @raise Error *)
-val compile_exn : options:options -> unit_name:string -> string -> compiled

@@ -79,8 +79,6 @@ exception Decode of decode_error
 let pp_decode_error ppf e =
   Format.fprintf ppf "%s at byte %d" e.de_reason e.de_off
 
-let decode_error_to_string e = Format.asprintf "%a" pp_decode_error e
-
 let rkind_code = function Reloc.Abs32 -> 0 | Reloc.Pc32 -> 1
 let skind_code = function `Func -> 0 | `Object -> 1 | `Notype -> 2
 
@@ -220,30 +218,10 @@ let decode r =
         in
         { Symbol.name; binding; def; size; kind })
   in
+  if r.pos <> Bytes.length r.buf then bad r "trailing bytes";
   { unit_name; sections; symbols }
 
 let of_bytes buf =
   match decode { buf; pos = 0 } with
   | o -> Ok o
   | exception Decode e -> Error e
-
-let of_bytes_exn buf =
-  match of_bytes buf with
-  | Ok o -> o
-  | Error e -> failwith ("Objfile: " ^ decode_error_to_string e)
-
-let write_file path o =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_bytes oc (to_bytes o))
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      let b = Bytes.create n in
-      really_input ic b 0 n;
-      of_bytes_exn b)

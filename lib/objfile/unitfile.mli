@@ -45,17 +45,7 @@ val to_bytes : t -> Bytes.t
 type decode_error = { de_off : int; de_reason : string }
 
 val pp_decode_error : Format.formatter -> decode_error -> unit
-val decode_error_to_string : decode_error -> string
 
+(** [of_bytes b] decodes one object occupying all of [b]: trailing bytes
+    are an error. *)
 val of_bytes : Bytes.t -> (t, decode_error) result
-
-(** [of_bytes_exn] is {!of_bytes}, raising [Failure] on malformed input
-    (the pre-typed-error interface, for callers that cannot recover
-    anyway). *)
-val of_bytes_exn : Bytes.t -> t
-
-(** Convenience file IO. [read_file] raises [Failure] on malformed
-    contents. *)
-val write_file : string -> t -> unit
-
-val read_file : string -> t

@@ -9,19 +9,9 @@ module Machine = Kernel.Machine
 module Create = Ksplice.Create
 module Apply = Ksplice.Apply
 
-let t name f = Alcotest.test_case name `Quick f
+open Fixture
 
-let replace old_s new_s s =
-  let rec find i =
-    if i + String.length old_s > String.length s then
-      Alcotest.failf "pattern %S not found" old_s
-    else if String.sub s i (String.length old_s) = old_s then i
-    else find (i + 1)
-  in
-  let i = find 0 in
-  String.sub s 0 i ^ new_s
-  ^ String.sub s (i + String.length old_s)
-      (String.length s - i - String.length old_s)
+let t name f = Alcotest.test_case name `Quick f
 
 let base_src =
   {|
@@ -39,27 +29,6 @@ int peek(int v) {
   return acc;
 }
 |}
-
-let boot src =
-  let tree = Tree.of_list [ ("k/t.c", src) ] in
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-  let img = Image.link_exn ~base:0x100000 (Kbuild.objects build) in
-  (tree, img, Machine.create img)
-
-let call m img name args =
-  let sym = Option.get (Image.lookup_global img name) in
-  match Machine.call_function m ~addr:sym.addr ~args with
-  | Ok v -> v
-  | Error f -> Alcotest.failf "%s faulted: %a" name Machine.pp_fault f
-
-let mk_update ~id tree tree' =
-  match
-    Create.create
-      { source = tree; patch = Diff.diff_trees tree tree'; update_id = id;
-        description = id }
-  with
-  | Ok c -> c.update
-  | Error e -> Alcotest.failf "create: %a" Create.pp_error e
 
 let test_static_local_state_preserved () =
   (* live static-local state must survive a hot update of its function:

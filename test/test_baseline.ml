@@ -9,8 +9,8 @@ module Baseline = Ksplice.Source_level
 let t name f = Alcotest.test_case name `Quick f
 
 let image_of tree =
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-  Klink.Image.link_exn ~base:0x100000 (Kbuild.objects build)
+  let build = Fixture.build ~options:Minic.Driver.run_build tree in
+  Fixture.link ~base:0x100000 (Kbuild.objects build)
 
 let evaluate tree tree' =
   match

@@ -21,10 +21,9 @@ let create_update ?(hot = true) (cve : Corpus.Cve.t) =
   Create.create
     { source = b; patch; update_id = cve.id; description = cve.desc }
 
-let create_update_exn cve =
-  match create_update cve with
-  | Ok c -> c.update
-  | Error e -> Alcotest.failf "%s: create failed: %a" cve.id Create.pp_error e
+let created_update (cve : Corpus.Cve.t) =
+  (Fixture.ok (cve.id ^ ": create failed") Create.pp_error (create_update cve))
+    .update
 
 let test_boot () =
   let b = Corpus.Boot.boot () in
@@ -103,7 +102,7 @@ let test_data_gate_without_custom () =
     [ "CVE-2007-3851"; "CVE-2006-5753" ]
 
 let apply_cve b (cve : Corpus.Cve.t) =
-  let update = create_update_exn cve in
+  let update = created_update cve in
   let mgr = Apply.init b.Corpus.Boot.machine in
   match Apply.apply mgr update with
   | Ok a -> (mgr, a)
@@ -153,7 +152,7 @@ let test_stress_across_update () =
   (* apply a hot update while the stress workload is mid-flight *)
   let b = Corpus.Boot.boot () in
   let cve = Option.get (Corpus.Cve.find "CVE-2006-2451") in
-  let update = create_update_exn cve in
+  let update = created_update cve in
   let mgr = Apply.init b.machine in
   let applied = ref false in
   let r =
@@ -263,7 +262,7 @@ let test_cross_version_rejection () =
   List.iter
     (fun id ->
       let cve = Option.get (Corpus.Cve.find id) in
-      let update = create_update_exn cve in
+      let update = created_update cve in
       let mgr = Apply.init b.machine in
       match Apply.apply mgr update with
       | Error (Apply.Code_mismatch _ | Apply.Ambiguous_symbol _) ->

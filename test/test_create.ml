@@ -15,7 +15,7 @@ let t name f = Alcotest.test_case name `Quick f
 let slist = Alcotest.(list string)
 
 let compile ?(options = Minic.Driver.pre_build) src =
-  (Minic.Driver.compile_exn ~options ~unit_name:"u.c" src).obj
+  (Fixture.compile ~options ~unit_name:"u.c" src).obj
 
 let diff ?options_pre ?options_post a b =
   Prepost.diff_unit

@@ -12,19 +12,9 @@ module Apply = Ksplice.Apply
 module Txn = Ksplice.Txn
 module Faultinj = Ksplice.Faultinj
 
-let t name f = Alcotest.test_case name `Quick f
+open Fixture
 
-let replace old_s new_s s =
-  let rec find i =
-    if i + String.length old_s > String.length s then
-      Alcotest.failf "pattern %S not found" old_s
-    else if String.sub s i (String.length old_s) = old_s then i
-    else find (i + 1)
-  in
-  let i = find 0 in
-  String.sub s 0 i ^ new_s
-  ^ String.sub s (i + String.length old_s)
-      (String.length s - i - String.length old_s)
+let t name f = Alcotest.test_case name `Quick f
 
 let base_src =
   {|
@@ -44,32 +34,6 @@ int churn(int n) {
   return acc;
 }
 |}
-
-let boot src =
-  let tree = Tree.of_list [ ("k/t.c", src) ] in
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-  let img = Image.link_exn ~base:0x100000 (Kbuild.objects build) in
-  (tree, img, Machine.create img)
-
-let call m img name args =
-  let sym = Option.get (Image.lookup_global img name) in
-  match Machine.call_function m ~addr:sym.addr ~args with
-  | Ok v -> v
-  | Error f -> Alcotest.failf "%s faulted: %a" name Machine.pp_fault f
-
-let mk_update ~id tree tree' =
-  match
-    Create.create
-      { source = tree; patch = Diff.diff_trees tree tree'; update_id = id;
-        description = id }
-  with
-  | Ok c -> c.update
-  | Error e -> Alcotest.failf "create: %a" Create.pp_error e
-
-let patched_fare tree =
-  Tree.add tree "k/t.c"
-    (replace "acc = acc + fares;" "acc = acc + fares + 1;"
-       (Option.get (Tree.find tree "k/t.c")))
 
 let contains ~needle hay =
   let n = String.length needle in

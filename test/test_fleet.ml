@@ -29,18 +29,6 @@ let base_tree =
         \  return acc;\n\
          }\n" ) ]
 
-let replace old_s new_s s =
-  let rec find i =
-    if i + String.length old_s > String.length s then
-      Alcotest.failf "pattern %S not found" old_s
-    else if String.sub s i (String.length old_s) = old_s then i
-    else find (i + 1)
-  in
-  let i = find 0 in
-  String.sub s 0 i ^ new_s
-  ^ String.sub s (i + String.length old_s)
-      (String.length s - i - String.length old_s)
-
 let edit tree f =
   Tree.add tree "kernel/k.c" (f (Option.get (Tree.find tree "kernel/k.c")))
 
@@ -54,9 +42,11 @@ let mk_update ~id ~from ~to_ =
   | Error e -> Alcotest.failf "create %s: %a" id Create.pp_error e
 
 let tree1 =
-  edit base_tree (replace "acc = acc + level;" "acc = acc + level + 1;")
+  edit base_tree
+    (Fixture.replace "acc = acc + level;" "acc = acc + level + 1;")
 
-let tree2 = edit tree1 (replace "int level = 1;" "int level = 1;\nint spare;")
+let tree2 =
+  edit tree1 (Fixture.replace "int level = 1;" "int level = 1;\nint spare;")
 
 let server_repo () =
   let repo = Repo.of_store (Store.create ~name:"fleet-server" ()) in

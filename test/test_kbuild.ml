@@ -17,7 +17,7 @@ let tree1 =
     ]
 
 let test_builds_only_sources () =
-  let b = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree1 in
+  let b = Fixture.build ~options:Minic.Driver.run_build tree1 in
   check
     (Alcotest.list Alcotest.string)
     "units" [ "a.c"; "b.c"; "e.s" ]
@@ -26,7 +26,7 @@ let test_builds_only_sources () =
 let test_determinism () =
   (* identical source + options => byte-identical objects *)
   let obj_bytes tree =
-    let b = Kbuild.build_tree_exn ~options:Minic.Driver.pre_build tree in
+    let b = Fixture.build ~options:Minic.Driver.pre_build tree in
     List.map (fun o -> Bytes.to_string (Objfile.to_bytes o)) (Kbuild.objects b)
   in
   check
@@ -35,9 +35,9 @@ let test_determinism () =
 
 let test_cache_physical_reuse () =
   (* unchanged units are the same compiled artifact across builds *)
-  let b1 = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree1 in
+  let b1 = Fixture.build ~options:Minic.Driver.run_build tree1 in
   let tree2 = Tree.add tree1 "a.c" "int x = 2;\nint get_x() { return x; }\n" in
-  let b2 = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree2 in
+  let b2 = Fixture.build ~options:Minic.Driver.run_build tree2 in
   let find b n = Option.get (Kbuild.find_unit b n) in
   Alcotest.(check bool)
     "b.c reused physically" true
@@ -47,8 +47,8 @@ let test_cache_physical_reuse () =
     (not (find b1 "a.c" == find b2 "a.c"))
 
 let test_options_invalidate_cache () =
-  let run = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree1 in
-  let pre = Kbuild.build_tree_exn ~options:Minic.Driver.pre_build tree1 in
+  let run = Fixture.build ~options:Minic.Driver.run_build tree1 in
+  let pre = Fixture.build ~options:Minic.Driver.pre_build tree1 in
   let sections b n =
     List.map
       (fun (s : Objfile.Section.t) -> s.name)
@@ -65,7 +65,7 @@ let test_inline_metadata () =
          "int base = 4;\nint get_base() { return base; }\n\
           int calc(int v) { return get_base() * v; }\n") ]
   in
-  let b = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
+  let b = Fixture.build ~options:Minic.Driver.run_build tree in
   check
     (Alcotest.list
        (Alcotest.triple Alcotest.string Alcotest.string Alcotest.string))
@@ -76,20 +76,13 @@ let test_inline_metadata () =
 let test_build_error_names_unit () =
   let bad = Tree.of_list [ ("broken.c", "int f( { return; }\n") ] in
   (* errors-as-data: the failure is a typed value naming the unit *)
-  (match Kbuild.build_tree ~options:Minic.Driver.run_build bad with
+  match Kbuild.build_tree ~options:Minic.Driver.run_build bad with
   | Ok _ -> Alcotest.fail "expected a typed build error"
   | Error (Kbuild.Unit_compile_failed { unit_name; reason }) ->
     Alcotest.(check string) "names the unit" "broken.c" unit_name;
     Alcotest.(check bool) "message names the unit" true
       (String.length reason >= 6 && String.sub reason 0 6 = "broken")
-  | Error e -> Alcotest.failf "unexpected error: %a" Kbuild.pp_error e);
-  (* the legacy exception wrapper carries the same rendering *)
-  try
-    ignore (Kbuild.build_tree_exn ~options:Minic.Driver.run_build bad);
-    Alcotest.fail "expected Build_error"
-  with Kbuild.Build_error m ->
-    Alcotest.(check bool) "names the unit" true
-      (String.length m >= 8 && String.sub m 0 6 = "broken")
+  | Error e -> Alcotest.failf "unexpected error: %a" Kbuild.pp_error e
 
 let suite =
   [

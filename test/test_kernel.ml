@@ -14,7 +14,7 @@ let t name f = Alcotest.test_case name `Quick f
 (* build a machine whose kernel is a raw assembly unit *)
 let boot_asm src =
   let obj = Asm.Assembler.assemble ~unit_name:"k.s" ~function_sections:false src in
-  let img = Image.link_exn ~base:0x100000 [ obj ] in
+  let img = Fixture.link ~base:0x100000 [ obj ] in
   (img, Machine.create img)
 
 let addr img name = (Option.get (Image.lookup_global img name)).Image.addr
@@ -645,7 +645,7 @@ let icache_machine () =
       ".text\n.global f\nf:\n  ret\n"
   in
   let m =
-    Machine.create ~mem_size:0x40_0000 (Image.link_exn ~base:0x100000 [ obj ])
+    Machine.create ~mem_size:0x40_0000 (Fixture.link ~base:0x100000 [ obj ])
   in
   let page = Machine.alloc_module m ~size:8192 ~align:4096 in
   let scratch = Machine.alloc_module m ~size:(4 * scratch_words) ~align:4 in

@@ -14,7 +14,7 @@ let check = Alcotest.check
 let t name f = Alcotest.test_case name `Quick f
 
 let compile ~unit_name src =
-  (Minic.Driver.compile_exn ~options:Minic.Driver.run_build ~unit_name src).obj
+  (Fixture.compile ~options:Minic.Driver.run_build ~unit_name src).obj
 
 let asm ~unit_name src =
   Asm.Assembler.assemble ~unit_name ~function_sections:false src
@@ -29,7 +29,7 @@ int blank[4];
 int get() { char *s = "str"; return counter + s[0]; }
 |}
   in
-  let img = Image.link_exn ~base:0x1000 [ o ] in
+  let img = Fixture.link ~base:0x1000 [ o ] in
   let find name =
     List.find (fun (_, s, _, _) -> String.equal s name) img.placements
   in
@@ -47,7 +47,7 @@ int get() { char *s = "str"; return counter + s[0]; }
 let test_cross_unit_relocation () =
   let a = compile ~unit_name:"a.c" "extern int shared; int get() { return shared; }" in
   let b = compile ~unit_name:"b.c" "int shared = 77;" in
-  let img = Image.link_exn ~base:0x1000 [ a; b ] in
+  let img = Fixture.link ~base:0x1000 [ a; b ] in
   let m = Kernel.Machine.create ~mem_size:0x100000 img in
   let sym = Option.get (Image.lookup_global img "get") in
   match Kernel.Machine.call_function m ~addr:sym.addr ~args:[] with
@@ -67,14 +67,7 @@ let test_duplicate_global_rejected () =
      check Alcotest.string "symbol" "v" dg_symbol;
      check Alcotest.string "first unit" "a.c" dg_first_unit;
      check Alcotest.string "second unit" "b.c" dg_second_unit
-   | Error e -> Alcotest.failf "unexpected error: %a" Image.pp_error e);
-  (* the legacy interface still raises, with the rendered message *)
-  try
-    ignore (Image.link_exn ~base:0x1000 [ a; b ]);
-    Alcotest.fail "expected Link_error"
-  with Image.Link_error m ->
-    Alcotest.(check bool) "names symbol" true
-      (String.length m > 0)
+   | Error e -> Alcotest.failf "unexpected error: %a" Image.pp_error e)
 
 let test_local_scoping () =
   (* identically named statics resolve to their own unit's definition *)
@@ -84,7 +77,7 @@ let test_local_scoping () =
   let b =
     compile ~unit_name:"b.c" "static int v = 20; int getb() { return v; }"
   in
-  let img = Image.link_exn ~base:0x1000 [ a; b ] in
+  let img = Fixture.link ~base:0x1000 [ a; b ] in
   let m = Kernel.Machine.create ~mem_size:0x100000 img in
   let call name =
     let sym = Option.get (Image.lookup_global img name) in
@@ -109,7 +102,7 @@ let test_kallsyms_includes_locals () =
     compile ~unit_name:"a.c"
       "static int hidden = 1; int visible() { return hidden; }"
   in
-  let img = Image.link_exn ~base:0x1000 [ a ] in
+  let img = Fixture.link ~base:0x1000 [ a ] in
   Alcotest.(check int) "hidden in kallsyms" 1
     (List.length (Image.lookup img "hidden"));
   let h = List.hd (Image.lookup img "hidden") in
@@ -120,7 +113,7 @@ let test_symbol_census () =
   let a = compile ~unit_name:"a.c" "static int dup = 1; int ua() { return dup; }" in
   let b = compile ~unit_name:"b.c" "static int dup = 2; int ub() { return dup; }" in
   let c = compile ~unit_name:"c.c" "int solo() { return 0; }" in
-  let img = Image.link_exn ~base:0x1000 [ a; b; c ] in
+  let img = Fixture.link ~base:0x1000 [ a; b; c ] in
   let total, ambiguous = Image.symbol_census img in
   Alcotest.(check int) "total" 5 total;
   Alcotest.(check int) "ambiguous (two dup)" 2 ambiguous;
@@ -145,7 +138,7 @@ table:
   .word f+4
 |}
   in
-  let img = Image.link_exn ~base:0x1000 [ o ] in
+  let img = Fixture.link ~base:0x1000 [ o ] in
   let f_addr = (Option.get (Image.lookup_global img "f")).addr in
   let table = (Option.get (Image.lookup_global img "table")).addr in
   let w0 = Bytes.get_int32_le img.data (table - img.base) in
@@ -188,8 +181,9 @@ let test_modlink_roundtrip () =
   Alcotest.(check bool) "bss placed" true
     (Option.is_some (Modlink.symbol_addr placed "mod_state"));
   let writes =
-    Modlink.relocate_exn placed ~resolve:(fun n ->
-        if n = "kernel_fn" then Some 0x1234 else None)
+    Fixture.ok "relocate" Modlink.pp_error
+      (Modlink.relocate placed ~resolve:(fun n ->
+           if n = "kernel_fn" then Some 0x1234 else None))
   in
   Alcotest.(check int) "two writes" 2 (List.length writes);
   (* decode the relocated call and verify its target *)
@@ -221,18 +215,11 @@ let test_modlink_unresolved () =
     a
   in
   let placed = Modlink.layout ~alloc obj in
-  (match Modlink.relocate placed ~resolve:(fun _ -> None) with
-   | Ok _ -> Alcotest.fail "expected Unresolved_symbol"
-   | Error (Modlink.Unresolved_symbol { un_module; un_symbol; _ }) ->
-     check Alcotest.string "module" "mod" un_module;
-     check Alcotest.string "symbol" "missing" un_symbol);
-  (* the legacy interface still raises, with the rendered message *)
-  try
-    ignore (Modlink.relocate_exn placed ~resolve:(fun _ -> None));
-    Alcotest.fail "expected Load_error"
-  with Modlink.Load_error m ->
-    Alcotest.(check bool) "names the symbol" true
-      (String.length m > 0)
+  match Modlink.relocate placed ~resolve:(fun _ -> None) with
+  | Ok _ -> Alcotest.fail "expected Unresolved_symbol"
+  | Error (Modlink.Unresolved_symbol { un_module; un_symbol; _ }) ->
+    check Alcotest.string "module" "mod" un_module;
+    check Alcotest.string "symbol" "missing" un_symbol
 
 let test_note_sections_not_placed () =
   let obj =

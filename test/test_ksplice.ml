@@ -72,8 +72,8 @@ let base_tree =
       ("kernel/worker.c", worker_c) ]
 
 let boot ?(tree = base_tree) () =
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-  let img = Image.link_exn ~base:0x100000 (Kbuild.objects build) in
+  let build = Fixture.build ~options:Minic.Driver.run_build tree in
+  let img = Fixture.link ~base:0x100000 (Kbuild.objects build) in
   (img, Machine.create img)
 
 let call m img fn args =
@@ -221,7 +221,10 @@ let test_update_serialisation () =
          ~new_s:"return acc + debug + 100;")
   in
   let { Create.update; _ } = mk_update ~from:base_tree ~to_ () in
-  let u' = Update.of_bytes_exn (Update.to_bytes update) in
+  let u' =
+    Fixture.ok "decode" Update.pp_decode_error
+      (Update.of_bytes (Update.to_bytes update))
+  in
   check Alcotest.string "id" update.update_id u'.update_id;
   Alcotest.(check int) "helpers" (List.length update.helpers)
     (List.length u'.helpers);

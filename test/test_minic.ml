@@ -12,10 +12,14 @@ let check = Alcotest.check
 let int32_c = Alcotest.int32
 
 let compile ?(opts = Driver.run_build) ?(unit_name = "t.c") src =
-  (Driver.compile_exn ~options:opts ~unit_name src).obj
+  (Fixture.compile ~options:opts ~unit_name src).obj
+
+let rejected src =
+  Result.is_error
+    (Driver.compile ~options:Driver.run_build ~unit_name:"t.c" src)
 
 let boot objs =
-  let img = Image.link_exn ~base:0x100000 objs in
+  let img = Fixture.link ~base:0x100000 objs in
   (img, Machine.create img)
 
 let call m img fn args =
@@ -292,7 +296,7 @@ int probe(int v) { return get_level() * v; }
   in
   check int32_c "inlined accessor" 15l (exec src "probe" [ 3l ]);
   let { Driver.inline_decisions; _ } =
-    Driver.compile_exn ~options:Driver.run_build ~unit_name:"t.c" src
+    Fixture.compile ~options:Driver.run_build ~unit_name:"t.c" src
   in
   Alcotest.(check bool)
     "decision recorded" true
@@ -318,7 +322,7 @@ int probe(int v) { return clamp(v); }
   in
   ignore (exec src "probe" [ 150l ]);
   let { Driver.inline_decisions; _ } =
-    Driver.compile_exn ~options:Driver.run_build ~unit_name:"t.c" src
+    Fixture.compile ~options:Driver.run_build ~unit_name:"t.c" src
   in
   Alcotest.(check bool)
     "explicit inline honoured" true
@@ -593,11 +597,7 @@ let test_switch_duplicate_case_rejected () =
     "int f(int v) { switch (v) { case 1: return 1; case 1: return 2; } \
      return 0; }"
   in
-  Alcotest.(check bool) "duplicate case rejected" true
-    (try
-       ignore (compile src);
-       false
-     with Driver.Error _ -> true)
+  Alcotest.(check bool) "duplicate case rejected" true (rejected src)
 
 let test_type_errors () =
   let bad =
@@ -613,25 +613,20 @@ let test_type_errors () =
   in
   List.iter
     (fun src ->
-      Alcotest.(check bool)
-        ("rejected: " ^ src) true
-        (try
-           ignore (compile src);
-           false
-         with Driver.Error _ -> true))
+      Alcotest.(check bool) ("rejected: " ^ src) true (rejected src))
     bad
 
 let test_parse_errors_have_lines () =
   let src = "int f() {\n  return 1 +;\n}" in
-  (try
-     ignore (compile src);
-     Alcotest.fail "expected parse error"
-   with Driver.Error m ->
-     Alcotest.(check bool) "line in message" true
-       (String.length m > 0
-        &&
-        (* message should carry unit:line *)
-        String.split_on_char ':' m |> List.length >= 2))
+  match Driver.compile ~options:Driver.run_build ~unit_name:"t.c" src with
+  | Ok _ -> Alcotest.fail "expected parse error"
+  | Error e ->
+    let m = Format.asprintf "%a" Driver.pp_error e in
+    Alcotest.(check bool) "line in message" true
+      (String.length m > 0
+      &&
+      (* message should carry unit:line *)
+      String.split_on_char ':' m |> List.length >= 2)
 
 let test_void_function () =
   let src =

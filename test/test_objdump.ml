@@ -66,7 +66,7 @@ let test_resync_on_garbage () =
 
 let test_full_dump_renders () =
   let obj =
-    (Minic.Driver.compile_exn ~options:Minic.Driver.pre_build ~unit_name:"d.c"
+    (Fixture.compile ~options:Minic.Driver.pre_build ~unit_name:"d.c"
        "int v = 9;\nchar msg[4] = \"ok\";\nint get() { return v; }\n")
       .obj
   in

@@ -68,9 +68,12 @@ let sample_object () =
   in
   Objfile.make ~unit_name:"sample.c" ~sections:[ text; data; bss ] ~symbols
 
+let decode b =
+  Fixture.ok "decode" Objfile.pp_decode_error (Objfile.of_bytes b)
+
 let test_serialisation_roundtrip () =
   let o = sample_object () in
-  let o' = Objfile.of_bytes_exn (Objfile.to_bytes o) in
+  let o' = decode (Objfile.to_bytes o) in
   check Alcotest.string "unit name" o.unit_name o'.unit_name;
   check Alcotest.int "sections" (List.length o.sections)
     (List.length o'.sections);
@@ -89,8 +92,12 @@ let test_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Objfile.write_file path o;
-      let o' = Objfile.read_file path in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_bytes oc (Objfile.to_bytes o));
+      let o' =
+        decode
+          (Bytes.of_string (In_channel.with_open_bin path In_channel.input_all))
+      in
       check bool_c "file roundtrip symbols" true (o.symbols = o'.symbols))
 
 let test_bad_magic () =
@@ -98,18 +105,22 @@ let test_bad_magic () =
    | Ok _ -> Alcotest.fail "bad magic accepted"
    | Error e ->
      check bool_c "reason mentions magic" true
-       (String.length (Objfile.decode_error_to_string e) > 0));
-  check bool_c "exn interface raises Failure" true
-    (try
-       ignore (Objfile.of_bytes_exn (Bytes.of_string "NOTSELF_____"));
-       false
-     with Failure _ -> true)
+       (String.length (Format.asprintf "%a" Objfile.pp_decode_error e) > 0))
 
 let test_truncated_input () =
   let b = Objfile.to_bytes (sample_object ()) in
   let cut = Bytes.sub b 0 (Bytes.length b - 7) in
   check bool_c "truncated rejected" true
     (Result.is_error (Objfile.of_bytes cut))
+
+let test_trailing_bytes () =
+  let b = Objfile.to_bytes (sample_object ()) in
+  let padded = Bytes.cat b (Bytes.of_string "TRAILING-GARBAGE") in
+  match Objfile.of_bytes padded with
+  | Ok _ -> Alcotest.fail "trailing bytes accepted"
+  | Error e ->
+    check Alcotest.int "rejected where the object ends" (Bytes.length b)
+      e.de_off
 
 let test_queries () =
   let o = sample_object () in
@@ -200,6 +211,8 @@ let suite =
         Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
         Alcotest.test_case "bad magic" `Quick test_bad_magic;
         Alcotest.test_case "truncated input" `Quick test_truncated_input;
+        Alcotest.test_case "trailing bytes rejected" `Quick
+          test_trailing_bytes;
         Alcotest.test_case "queries" `Quick test_queries;
         Alcotest.test_case "section content equality" `Quick
           test_section_equal_contents;

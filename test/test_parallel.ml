@@ -79,7 +79,7 @@ let test_parallel_build_identical () =
   let outcome ~domains =
     Kbuild.reset_cache ();
     let b =
-      Kbuild.build_tree_exn ~domains ~options:Minic.Driver.pre_build big_tree
+      Fixture.build ~domains ~options:Minic.Driver.pre_build big_tree
     in
     ( List.map
         (fun o -> Bytes.to_string (Objfile.to_bytes o))
@@ -105,7 +105,7 @@ let test_cache_lru_bound () =
           );
         ]
     in
-    ignore (Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree : Kbuild.build)
+    ignore (Fixture.build ~options:Minic.Driver.run_build tree : Kbuild.build)
   done;
   let s = Kbuild.cache_stats () in
   Kbuild.set_cache_capacity saved;
@@ -120,8 +120,8 @@ let tiny_machine () =
     Tree.of_list
       [ ("kernel/t.c", "int tv = 1;\nint tf(int p) { return p + tv; }\n") ]
   in
-  let b = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-  Machine.create (Image.link_exn ~base:0x100000 (Kbuild.objects b))
+  let b = Fixture.build ~options:Minic.Driver.run_build tree in
+  Machine.create (Fixture.link ~base:0x100000 (Kbuild.objects b))
 
 let mk_sym name addr : Image.syminfo =
   {

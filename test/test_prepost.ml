@@ -9,7 +9,7 @@ let t name f = Alcotest.test_case name `Quick f
 let slist = Alcotest.(list string)
 
 let compile src =
-  (Minic.Driver.compile_exn ~options:Minic.Driver.pre_build ~unit_name:"u.c" src).obj
+  (Fixture.compile ~options:Minic.Driver.pre_build ~unit_name:"u.c" src).obj
 
 let diff a b = Prepost.diff_unit ~pre:(compile a) ~post:(compile b)
 

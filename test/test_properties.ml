@@ -129,9 +129,8 @@ let prog_to_c (p : rprog) =
   Buffer.contents b
 
 let boot_tree tree =
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-  let img = Image.link_exn ~base:0x100000 (Kbuild.objects build) in
-  (img, Machine.create img)
+  let b = Corpus.Boot.boot ~tree () in
+  (b.image, b.machine)
 
 let observe (img, m) fname arg =
   match Image.lookup_global img fname with
@@ -157,7 +156,7 @@ let prop_runpre_self_match =
     gen_prog (fun p ->
       let tree = Tree.of_list [ ("kernel/r.c", prog_to_c p) ] in
       let _, m = boot_tree tree in
-      let pre = Kbuild.build_tree_exn ~options:Minic.Driver.pre_build tree in
+      let pre = Fixture.build ~options:Minic.Driver.pre_build tree in
       let helper = List.hd (Kbuild.objects pre) in
       let inference = Ksplice.Runpre.create_inference () in
       match
@@ -172,9 +171,8 @@ let prop_runpre_self_match =
           ~already:(fun _ -> None)
           ~inference helper
       with
-      | anchors -> List.length anchors = List.length p.funcs
-      | exception Ksplice.Runpre.Mismatch _ -> false
-      | exception Ksplice.Runpre.Ambiguous _ -> false)
+      | Ok anchors -> List.length anchors = List.length p.funcs
+      | Error _ -> false)
 
 (* property 2: hot apply == fresh boot of patched source *)
 let prop_hot_update_equivalence =
@@ -225,7 +223,7 @@ let prop_objdump_total =
   QCheck2.Test.make ~name:"objdump decodes all generated text" ~count:30
     gen_prog (fun p ->
       let tree = Tree.of_list [ ("kernel/r.c", prog_to_c p) ] in
-      let b = Kbuild.build_tree_exn ~options:Minic.Driver.pre_build tree in
+      let b = Fixture.build ~options:Minic.Driver.pre_build tree in
       List.for_all
         (fun (o : Objfile.t) ->
           List.for_all
@@ -256,7 +254,7 @@ let prop_mutation_detected =
       let orig = Machine.read_u8 m at in
       Machine.write_u8 m at ((orig + delta) land 0xff);
       let mutated = Machine.read_u8 m at <> orig in
-      let pre = Kbuild.build_tree_exn ~options:Minic.Driver.pre_build tree in
+      let pre = Fixture.build ~options:Minic.Driver.pre_build tree in
       let helper = List.hd (Kbuild.objects pre) in
       let inference = Ksplice.Runpre.create_inference () in
       let outcome =
@@ -272,9 +270,8 @@ let prop_mutation_detected =
             ~already:(fun _ -> None)
             ~inference helper
         with
-        | anchors -> `Matched anchors
-        | exception Ksplice.Runpre.Mismatch _ -> `Rejected
-        | exception Ksplice.Runpre.Ambiguous _ -> `Rejected
+        | Ok anchors -> `Matched anchors
+        | Error _ -> `Rejected
       in
       match outcome with
       | `Rejected -> true
@@ -387,8 +384,7 @@ let prop_mutation_detected =
                ~already:(fun _ -> None)
                ~inference:clean helper
            with
-           | _ -> ()
-           | exception _ -> ());
+           | Ok _ | Error _ -> ());
           (* the mutated acceptance must be explained by a hole: at least
              one inferred symbol value changed *)
           Hashtbl.fold

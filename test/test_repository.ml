@@ -25,18 +25,6 @@ let base_tree =
         \  return acc;\n\
          }\n" ) ]
 
-let replace old_s new_s s =
-  let rec find i =
-    if i + String.length old_s > String.length s then
-      Alcotest.failf "pattern %S not found" old_s
-    else if String.sub s i (String.length old_s) = old_s then i
-    else find (i + 1)
-  in
-  let i = find 0 in
-  String.sub s 0 i ^ new_s
-  ^ String.sub s (i + String.length old_s)
-      (String.length s - i - String.length old_s)
-
 let edit tree f =
   Tree.add tree "kernel/k.c" (f (Option.get (Tree.find tree "kernel/k.c")))
 
@@ -69,9 +57,11 @@ let with_repo f =
 
 (* three successive source states *)
 let tree1 =
-  edit base_tree (replace "acc = acc + level;" "acc = acc + level + 1;")
+  edit base_tree
+    (Fixture.replace "acc = acc + level;" "acc = acc + level + 1;")
 
-let tree2 = edit tree1 (replace "int level = 1;" "int level = 1;\nint spare;")
+let tree2 =
+  edit tree1 (Fixture.replace "int level = 1;" "int level = 1;\nint spare;")
 
 let publish_chain repo =
   let u1 = mk_update ~id:"hop-1" ~from:base_tree ~to_:tree1 in
@@ -119,8 +109,8 @@ let test_duplicate_publish_rejected () =
       | Error e -> Alcotest.failf "unexpected error: %a" Repo.pp_error e)
 
 let boot_base () =
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build base_tree in
-  let img = Image.link_exn ~base:0x100000 (Kbuild.objects build) in
+  let build = Fixture.build ~options:Minic.Driver.run_build base_tree in
+  let img = Fixture.link ~base:0x100000 (Kbuild.objects build) in
   let m = Machine.create img in
   let mgr = Apply.init m in
   let call () =

@@ -45,13 +45,26 @@ let read_of mem pos =
     raise (Invalid_argument "read out of range")
   else Bytes.get_uint8 mem pos
 
-let match_one ?(candidates = fun _ -> []) ?(already = fun _ -> None)
+let run_match ?(candidates = fun _ -> []) ?(already = fun _ -> None)
     ?(inference = Runpre.create_inference ()) mem h =
-  let anchors =
-    Runpre.match_helper ~read_run:(read_of mem) ~candidates ~already
-      ~inference h
-  in
-  (anchors, inference)
+  ( Runpre.match_helper ~read_run:(read_of mem) ~candidates ~already
+      ~inference h,
+    inference )
+
+let match_one ?candidates ?already ?inference mem h =
+  let r, inference = run_match ?candidates ?already ?inference mem h in
+  (Fixture.ok "run-pre" Runpre.pp_failure r, inference)
+
+(* the failure a helper that must not match is refused with *)
+let refusal ?candidates mem h =
+  match fst (run_match ?candidates mem h) with
+  | Ok _ -> Alcotest.fail "expected a run-pre failure"
+  | Error f -> f
+
+let mismatch ?candidates mem h =
+  match refusal ?candidates mem h with
+  | Runpre.Mismatch m -> m
+  | f -> Alcotest.failf "expected a mismatch, got %a" Runpre.pp_failure f
 
 let base = 0x2000
 
@@ -205,13 +218,10 @@ let test_jump_target_divergence_rejected () =
   in
   let h = helper pre in
   let mem, _ = run_memory ~base run in
-  (try
-     ignore (match_one mem h ~candidates:(fun _ -> [ base ]));
-     Alcotest.fail "expected mismatch"
-   with Runpre.Mismatch m ->
-     Alcotest.(check bool)
-       "reason mentions target" true
-       (String.length m.reason > 0))
+  let m = mismatch mem h ~candidates:(fun _ -> [ base ]) in
+  Alcotest.(check bool)
+    "reason mentions target" true
+    (String.length m.reason > 0)
 
 let test_instruction_divergence_rejected () =
   let pre f =
@@ -224,10 +234,7 @@ let test_instruction_divergence_rejected () =
   in
   let h = helper pre in
   let mem, _ = run_memory ~base run in
-  try
-    ignore (match_one mem h ~candidates:(fun _ -> [ base ]));
-    Alcotest.fail "expected mismatch"
-  with Runpre.Mismatch _ -> ()
+  ignore (mismatch mem h ~candidates:(fun _ -> [ base ]) : Runpre.mismatch)
 
 let test_inference_conflict_rejected () =
   (* the same symbol inferred with two different values must abort *)
@@ -243,12 +250,8 @@ let test_inference_conflict_rejected () =
   in
   let h = helper pre in
   let mem, _ = run_memory ~base run in
-  try
-    ignore (match_one mem h ~candidates:(fun _ -> [ base ]));
-    Alcotest.fail "expected mismatch"
-  with Runpre.Mismatch m ->
-    Alcotest.(check bool) "conflict reported" true
-      (String.length m.reason > 0)
+  let m = mismatch mem h ~candidates:(fun _ -> [ base ]) in
+  Alcotest.(check bool) "conflict reported" true (String.length m.reason > 0)
 
 let test_candidate_trial_selects_matching () =
   (* two candidate addresses with different code: the matching one wins *)
@@ -295,19 +298,17 @@ let test_identical_candidates_ambiguous () =
   place 0x2000;
   place 0x3000;
   let h = helper code in
-  try
-    ignore (match_one mem h ~candidates:(fun _ -> [ 0x2000; 0x3000 ]));
-    Alcotest.fail "expected Ambiguous"
-  with Runpre.Ambiguous { matches = 2; _ } -> ()
+  match refusal mem h ~candidates:(fun _ -> [ 0x2000; 0x3000 ]) with
+  | Runpre.Ambiguous { matches = 2; _ } -> ()
+  | f -> Alcotest.failf "expected Ambiguous(2), got %a" Runpre.pp_failure f
 
 let test_no_candidates () =
   let code f = Frag.insn f Isa.Ret in
   let mem = Bytes.make 0x1000 '\x00' in
   let h = helper code in
-  try
-    ignore (match_one mem h ~candidates:(fun _ -> []));
-    Alcotest.fail "expected Ambiguous(0)"
-  with Runpre.Ambiguous { matches = 0; _ } -> ()
+  match refusal mem h ~candidates:(fun _ -> []) with
+  | Runpre.Ambiguous { matches = 0; _ } -> ()
+  | f -> Alcotest.failf "expected Ambiguous(0), got %a" Runpre.pp_failure f
 
 let test_already_redirected () =
   (* stacked updates: the code lives at the replacement address, but the
@@ -417,11 +418,10 @@ let test_tolerance_ablation () =
       h
   in
   Alcotest.(check int) "full matcher succeeds" 1
-    (List.length (go Runpre.full_tolerance));
-  (try
-     ignore (go { Runpre.full_tolerance with skip_nops = false });
-     Alcotest.fail "naive matcher should reject"
-   with Runpre.Mismatch _ | Runpre.Ambiguous _ -> ())
+    (List.length
+       (Fixture.ok "run-pre" Runpre.pp_failure (go Runpre.full_tolerance)));
+  Alcotest.(check bool) "naive matcher rejects" true
+    (Result.is_error (go { Runpre.full_tolerance with skip_nops = false }))
 
 let test_tolerance_strict_jump () =
   (* a branch spans alignment padding: displacements differ, targets
@@ -447,11 +447,11 @@ let test_tolerance_strict_jump () =
       h
   in
   Alcotest.(check int) "full matcher succeeds" 1
-    (List.length (go Runpre.full_tolerance));
-  try
-    ignore (go { Runpre.full_tolerance with jump_equivalence = false });
-    Alcotest.fail "strict-jump matcher should reject"
-  with Runpre.Mismatch _ | Runpre.Ambiguous _ -> ()
+    (List.length
+       (Fixture.ok "run-pre" Runpre.pp_failure (go Runpre.full_tolerance)));
+  Alcotest.(check bool) "strict-jump matcher rejects" true
+    (Result.is_error
+       (go { Runpre.full_tolerance with jump_equivalence = false }))
 
 let suite =
   [

@@ -11,6 +11,8 @@ module Machine = Kernel.Machine
 module Create = Ksplice.Create
 module Apply = Ksplice.Apply
 
+open Fixture
+
 let t name f = Alcotest.test_case name `Quick f
 
 (* every test owns the global collector: start clean, leave clean
@@ -167,38 +169,6 @@ int churn(int n) {
   return acc;
 }
 |}
-
-let boot src =
-  let tree = Tree.of_list [ ("k/t.c", src) ] in
-  let build = Kbuild.build_tree_exn ~options:Minic.Driver.run_build tree in
-  let img = Image.link_exn ~base:0x100000 (Kbuild.objects build) in
-  (tree, img, Machine.create img)
-
-let replace old_s new_s s =
-  let rec find i =
-    if i + String.length old_s > String.length s then
-      Alcotest.failf "pattern %S not found" old_s
-    else if String.sub s i (String.length old_s) = old_s then i
-    else find (i + 1)
-  in
-  let i = find 0 in
-  String.sub s 0 i ^ new_s
-  ^ String.sub s (i + String.length old_s)
-      (String.length s - i - String.length old_s)
-
-let patched_fare tree =
-  Tree.add tree "k/t.c"
-    (replace "acc = acc + fares;" "acc = acc + fares + 1;"
-       (Option.get (Tree.find tree "k/t.c")))
-
-let mk_update ~id tree tree' =
-  match
-    Create.create
-      { source = tree; patch = Diff.diff_trees tree tree'; update_id = id;
-        description = id }
-  with
-  | Ok c -> c.update
-  | Error e -> Alcotest.failf "create: %a" Create.pp_error e
 
 let test_apply_spans () =
   with_trace @@ fun () ->

@@ -22,22 +22,26 @@ let corpus_updates =
          | Error _ -> None)
        Corpus.Cve.all)
 
+let decode what b =
+  Fixture.ok (what ^ ": decode") Update.pp_decode_error (Update.of_bytes b)
+
+let same_objects what (u : Update.t) (u' : Update.t) =
+  let bytes o = Bytes.to_string (Objfile.to_bytes o) in
+  Alcotest.(check string) (what ^ " primary bytes") (bytes u.primary)
+    (bytes u'.primary);
+  Alcotest.(check (list string)) (what ^ " helper bytes")
+    (List.map bytes u.helpers) (List.map bytes u'.helpers)
+
 let test_roundtrip_all () =
   List.iter
     (fun (u : Update.t) ->
-      let u' = Update.of_bytes_exn (Update.to_bytes u) in
+      let u' = decode u.update_id (Update.to_bytes u) in
       Alcotest.(check string) (u.update_id ^ " id") u.update_id u'.update_id;
       Alcotest.(check bool)
         (u.update_id ^ " replaced functions")
         true
         (u.replaced_functions = u'.replaced_functions);
-      Alcotest.(check bool)
-        (u.update_id ^ " primary bytes")
-        true
-        (Bytes.equal (Objfile.to_bytes u.primary) (Objfile.to_bytes u'.primary));
-      Alcotest.(check int)
-        (u.update_id ^ " helpers")
-        (List.length u.helpers) (List.length u'.helpers))
+      same_objects u.update_id u u')
     (Lazy.force corpus_updates)
 
 let test_corruption_rejected () =
@@ -46,7 +50,7 @@ let test_corruption_rejected () =
   let cases =
     [ Bytes.sub good 0 4 (* truncated magic *);
       Bytes.sub good 0 (Bytes.length good / 2) (* truncated body *);
-      Bytes.of_string "KSPL1garbage";
+      Bytes.of_string "KSPL4garbage";
       (let b = Bytes.copy good in
        (* corrupt a length field just past the magic *)
        Bytes.set_int32_le b 5 0x7fffffffl;
@@ -66,7 +70,7 @@ let test_deserialised_update_applies () =
       (fun (u : Update.t) -> u.update_id = "CVE-2006-2451")
       (Lazy.force corpus_updates)
   in
-  let u' = Update.of_bytes_exn (Update.to_bytes u) in
+  let u' = decode u.update_id (Update.to_bytes u) in
   let b = Corpus.Boot.boot () in
   let mgr = Apply.init b.machine in
   (match Apply.apply mgr u' with
@@ -76,7 +80,7 @@ let test_deserialised_update_applies () =
   Alcotest.(check bool) "exploit blocked by deserialised update" false
     (e.run b).succeeded
 
-(* --- store-backed (KSPL2) serialisation --- *)
+(* --- store-backed serialisation --- *)
 
 let test_store_roundtrip_all () =
   let store = Store.create ~name:"upd-test" () in
@@ -85,21 +89,10 @@ let test_store_roundtrip_all () =
       let b = Update.to_bytes_store store u in
       match Update.of_bytes_store store b with
       | Error e ->
-        Alcotest.failf "%s: %s" u.update_id (Update.decode_error_to_string e)
+        Alcotest.failf "%s: %a" u.update_id Update.pp_decode_error e
       | Ok u' ->
         Alcotest.(check string) (u.update_id ^ " id") u.update_id u'.update_id;
-        Alcotest.(check bool)
-          (u.update_id ^ " primary bytes")
-          true
-          (Bytes.equal (Objfile.to_bytes u.primary)
-             (Objfile.to_bytes u'.primary));
-        Alcotest.(check bool)
-          (u.update_id ^ " helper bytes")
-          true
-          (List.for_all2
-             (fun h h' ->
-               Bytes.equal (Objfile.to_bytes h) (Objfile.to_bytes h'))
-             u.helpers u'.helpers))
+        same_objects u.update_id u u')
     (Lazy.force corpus_updates)
 
 let test_store_dedups_helpers () =
@@ -112,36 +105,40 @@ let test_store_dedups_helpers () =
   Alcotest.(check bool) "helpers dedup across updates" true
     (st.Store.dedup_hits > 0 && st.Store.bytes_deduped > 0)
 
-let test_legacy_readable_by_store_reader () =
-  let store = Store.create ~name:"upd-legacy" () in
+let test_store_reader_reads_embedded () =
+  (* a self-contained file needs nothing from the store *)
+  let empty = Store.create ~name:"upd-embedded" () in
   let u = List.hd (Lazy.force corpus_updates) in
-  match Update.of_bytes_store store (Update.to_bytes u) with
-  | Ok u' -> Alcotest.(check string) "id" u.update_id u'.update_id
-  | Error e ->
-    Alcotest.failf "KSPL1 must stay readable: %s"
-      (Update.decode_error_to_string e)
+  let b = Update.to_bytes u in
+  (match Update.of_bytes_store empty b with
+   | Ok u' -> same_objects "embedded" u u'
+   | Error e -> Alcotest.failf "embedded: %a" Update.pp_decode_error e);
+  Alcotest.(check (list string)) "no store digests" []
+    (Fixture.ok "store_digests" Update.pp_decode_error (Update.store_digests b))
 
-let test_plain_reader_refuses_kspl2 () =
+let test_plain_reader_refuses_store_backed () =
   let store = Store.create ~name:"upd-refuse" () in
   let u = List.hd (Lazy.force corpus_updates) in
   let b = Update.to_bytes_store store u in
   (match Update.of_bytes b with
-  | Ok _ -> Alcotest.fail "of_bytes must refuse KSPL2"
-  | Error e ->
-    let m = Update.decode_error_to_string e in
-    let needle = "of_bytes_store" in
-    let rec has i =
-      i + String.length needle <= String.length m
-      && (String.sub m i (String.length needle) = needle || has (i + 1))
-    in
-    Alcotest.(check bool) "message names of_bytes_store" true (has 0));
-  (* a KSPL2 file against a store missing its blobs fails cleanly *)
+   | Error Update.Store_backed -> ()
+   | Ok _ -> Alcotest.fail "of_bytes must refuse a store-backed file"
+   | Error e ->
+     Alcotest.failf "expected Store_backed: %a" Update.pp_decode_error e);
+  Alcotest.(check int) "primary and helpers referenced"
+    (1 + List.length u.helpers)
+    (List.length
+       (Fixture.ok "store_digests" Update.pp_decode_error
+          (Update.store_digests b)));
+  (* a store-backed file against a store missing its blobs fails cleanly *)
   let empty = Store.create ~name:"upd-empty" () in
   match Update.of_bytes_store empty b with
-  | Error _ -> ()
+  | Error (Update.Object_unavailable _) -> ()
+  | Error e ->
+    Alcotest.failf "expected a missing object: %a" Update.pp_decode_error e
   | Ok _ -> Alcotest.fail "expected a missing-blob error"
 
-(* --- cumulative (KSPL3) serialisation --- *)
+(* --- cumulative records --- *)
 
 let cumulative_of (u : Update.t) =
   { u with
@@ -149,79 +146,137 @@ let cumulative_of (u : Update.t) =
     shadow_ctors = [ "ctor@kernel/x.c" ];
     shadow_dtors = [ "dtor@kernel/x.c" ] }
 
-let test_ordinary_stays_kspl2 () =
-  (* byte-stability: an update without cumulative records must encode
-     exactly as before KSPL3 existed *)
-  let store = Store.create ~name:"upd-k2" () in
-  let u = List.hd (Lazy.force corpus_updates) in
-  let b = Update.to_bytes_store store u in
-  Alcotest.(check string) "magic" "KSPL2" (Bytes.sub_string b 0 5);
-  Alcotest.(check bool) "not cumulative" false (Update.is_cumulative u);
-  Alcotest.(check (list string)) "supersedes nothing" []
-    (Update.supersedes_of_bytes b)
-
-let test_kspl3_roundtrip () =
-  let store = Store.create ~name:"upd-k3" () in
-  let u = cumulative_of (List.hd (Lazy.force corpus_updates)) in
-  let b = Update.to_bytes_store store u in
-  Alcotest.(check string) "magic" "KSPL3" (Bytes.sub_string b 0 5);
-  Alcotest.(check (list string)) "supersedes from bytes alone"
+let check_cumulative_roundtrip what store (u : Update.t) b =
+  Alcotest.(check (list string)) (what ^ ": supersedes from bytes alone")
     u.supersedes (Update.supersedes_of_bytes b);
   match Update.of_bytes_store store b with
-  | Error e -> Alcotest.fail (Update.decode_error_to_string e)
+  | Error e -> Alcotest.failf "%s: %a" what Update.pp_decode_error e
   | Ok u' ->
-    Alcotest.(check bool) "cumulative" true (Update.is_cumulative u');
-    Alcotest.(check (list string)) "supersedes" u.supersedes u'.supersedes;
-    Alcotest.(check (list string)) "ctors" u.shadow_ctors u'.shadow_ctors;
-    Alcotest.(check (list string)) "dtors" u.shadow_dtors u'.shadow_dtors;
-    Alcotest.(check bool) "primary bytes" true
-      (Bytes.equal (Objfile.to_bytes u.primary) (Objfile.to_bytes u'.primary))
+    Alcotest.(check bool) (what ^ ": cumulative") true
+      (Update.is_cumulative u');
+    Alcotest.(check (list string)) (what ^ ": supersedes") u.supersedes
+      u'.supersedes;
+    Alcotest.(check (list string)) (what ^ ": ctors") u.shadow_ctors
+      u'.shadow_ctors;
+    Alcotest.(check (list string)) (what ^ ": dtors") u.shadow_dtors
+      u'.shadow_dtors;
+    same_objects what u u'
 
-let test_kspl1_roundtrips_cumulative_fields () =
+(* The two cumulative tests keep the names they had when the
+   self-contained and the cumulative store-backed files each had a
+   magic of their own (KSPL1, KSPL3); both are now one-layout files. *)
+
+let test_self_contained_cumulative () =
+  let store = Store.create ~name:"upd-cumulative-self" () in
   let u = cumulative_of (List.hd (Lazy.force corpus_updates)) in
-  let u' = Update.of_bytes_exn (Update.to_bytes u) in
-  Alcotest.(check (list string)) "supersedes" u.supersedes u'.supersedes;
-  Alcotest.(check (list string)) "ctors" u.shadow_ctors u'.shadow_ctors;
-  Alcotest.(check (list string)) "dtors" u.shadow_dtors u'.shadow_dtors
+  check_cumulative_roundtrip "self-contained" store u (Update.to_bytes u)
 
-(* --- decoder totality: no exception reachable from arbitrary bytes ---
+let test_store_backed_cumulative () =
+  let store = Store.create ~name:"upd-cumulative-store" () in
+  let u = cumulative_of (List.hd (Lazy.force corpus_updates)) in
+  check_cumulative_roundtrip "store-backed" store u
+    (Update.to_bytes_store store u)
 
-   Every truncated prefix and every single-byte flip of a valid blob —
-   self-contained KSPL1, store-backed KSPL2, cumulative KSPL3 — must
-   yield [Ok] or [Error], never raise. *)
+(* --- strictness: one magic, no trailing bytes, checked objects --- *)
 
 let blobs =
   lazy
     (let store = Store.create ~name:"upd-total" () in
      let u = List.hd (Lazy.force corpus_updates) in
      let cu = cumulative_of u in
-     [ ("KSPL1", Update.to_bytes u, `Plain);
-       ("KSPL2", Update.to_bytes_store store u, `Store store);
-       ("KSPL3", Update.to_bytes_store store cu, `Store store) ])
+     [ ("self-contained", Update.to_bytes u, store);
+       ("store-backed", Update.to_bytes_store store u, store);
+       ("cumulative", Update.to_bytes_store store cu, store) ])
 
-let decode_total (b : Bytes.t) = function
-  | `Plain -> (
-    match Update.of_bytes b with
-    | Ok _ -> `Ok
-    | Error _ -> `Error
-    | exception e -> `Raised e)
-  | `Store store -> (
-    match Update.of_bytes_store store b with
-    | Ok _ -> `Ok
-    | Error _ -> `Error
-    | exception e -> `Raised e)
+let test_old_formats_rejected () =
+  List.iter
+    (fun (what, b, store) ->
+      List.iter
+        (fun old ->
+          let b = Bytes.copy b in
+          Bytes.blit_string old 0 b 0 (String.length old);
+          let bad_magic = function
+            | Error (Update.Bad_magic m) -> String.equal m old
+            | _ -> false
+          in
+          let label = Printf.sprintf "%s relabelled %s" what old in
+          Alcotest.(check bool) (label ^ ": of_bytes") true
+            (bad_magic (Update.of_bytes b));
+          Alcotest.(check bool) (label ^ ": of_bytes_store") true
+            (bad_magic (Update.of_bytes_store store b));
+          Alcotest.(check bool) (label ^ ": store_digests") true
+            (Result.is_error (Update.store_digests b));
+          Alcotest.(check (list string)) (label ^ ": supersedes") []
+            (Update.supersedes_of_bytes b))
+        [ "KSPL1"; "KSPL2"; "KSPL3" ])
+    (Lazy.force blobs)
+
+let test_trailing_bytes_rejected () =
+  List.iter
+    (fun (what, b, store) ->
+      let b = Bytes.cat b (Bytes.of_string "TRAILING-GARBAGE") in
+      Alcotest.(check bool) (what ^ ": of_bytes_store") true
+        (Result.is_error (Update.of_bytes_store store b));
+      Alcotest.(check bool) (what ^ ": of_bytes") true
+        (Result.is_error (Update.of_bytes b));
+      Alcotest.(check bool) (what ^ ": store_digests") true
+        (Result.is_error (Update.store_digests b)))
+    (Lazy.force blobs)
+
+let test_tampered_object_rejected () =
+  (* flip one byte in the last embedded object: the file still parses,
+     but the blob no longer matches the digest the header names *)
+  let u = List.hd (Lazy.force corpus_updates) in
+  let b = Update.to_bytes u in
+  let pos = Bytes.length b - 3 in
+  Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor 0x40);
+  let store = Store.create ~name:"upd-tamper" () in
+  List.iter
+    (fun (what, r) ->
+      match r with
+      | Error (Update.Malformed { reason; _ }) ->
+        Alcotest.(check bool) (what ^ ": names the digest") true
+          (String.ends_with ~suffix:"does not match its digest" reason)
+      | Error e -> Alcotest.failf "%s: %a" what Update.pp_decode_error e
+      | Ok _ -> Alcotest.failf "%s: tampered object accepted" what)
+    [ ("of_bytes", Update.of_bytes b);
+      ("of_bytes_store", Update.of_bytes_store store b);
+      ("store_digests", Result.map (fun _ -> u) (Update.store_digests b)) ]
+
+(* --- decoder totality: no exception reachable from arbitrary bytes ---
+
+   Every truncated prefix and every single-byte flip of a valid blob —
+   self-contained, store-backed, cumulative — must yield [Ok] or
+   [Error] from every reader, never raise; a truncated prefix must be
+   [Error]. *)
+
+let readers store =
+  [ ("of_bytes", fun b -> Result.map ignore (Update.of_bytes b));
+    ( "of_bytes_store",
+      fun b -> Result.map ignore (Update.of_bytes_store store b) );
+    ("store_digests", fun b -> Result.map ignore (Update.store_digests b)) ]
+
+let decode_total read (b : Bytes.t) =
+  match read b with
+  | Ok () -> `Ok
+  | Error _ -> `Error
+  | exception e -> `Raised e
 
 let test_every_prefix_rejected () =
   List.iter
-    (fun (fmt, b, how) ->
-      for n = 0 to Bytes.length b - 1 do
-        match decode_total (Bytes.sub b 0 n) how with
-        | `Error -> ()
-        | `Ok -> Alcotest.failf "%s: prefix of %d bytes parsed" fmt n
-        | `Raised e ->
-          Alcotest.failf "%s: prefix of %d bytes raised %s" fmt n
-            (Printexc.to_string e)
-      done;
+    (fun (fmt, b, store) ->
+      List.iter
+        (fun (reader, read) ->
+          for n = 0 to Bytes.length b - 1 do
+            match decode_total read (Bytes.sub b 0 n) with
+            | `Error -> ()
+            | `Ok ->
+              Alcotest.failf "%s %s: prefix of %d bytes parsed" fmt reader n
+            | `Raised e ->
+              Alcotest.failf "%s %s: prefix of %d bytes raised %s" fmt reader
+                n (Printexc.to_string e)
+          done)
+        (readers store);
       (* supersedes_of_bytes shares the totality guarantee *)
       for n = 0 to Bytes.length b - 1 do
         ignore (Update.supersedes_of_bytes (Bytes.sub b 0 n) : string list)
@@ -234,16 +289,20 @@ let prop_byte_flip_total =
     ~count:600
     (tup3 (int_range 0 2) (int_range 0 100_000) (int_range 1 255))
     (fun (which, pos, flip) ->
-      let _, b, how = List.nth (Lazy.force blobs) which in
+      let _, b, store = List.nth (Lazy.force blobs) which in
       let b = Bytes.copy b in
       let pos = pos mod Bytes.length b in
       Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor flip);
-      match decode_total b how with
-      | `Ok | `Error ->
-        (match Update.supersedes_of_bytes b with
-         | (_ : string list) -> true
-         | exception _ -> false)
-      | `Raised _ -> false)
+      List.for_all
+        (fun (_, read) ->
+          match decode_total read b with
+          | `Raised _ -> false
+          | `Ok | `Error -> true)
+        (readers store)
+      &&
+      match Update.supersedes_of_bytes b with
+      | (_ : string list) -> true
+      | exception _ -> false)
 
 let suite =
   [
@@ -252,16 +311,17 @@ let suite =
         t "roundtrip all corpus updates" test_roundtrip_all;
         t "corruption rejected" test_corruption_rejected;
         t "deserialised update applies" test_deserialised_update_applies;
-        t "store-backed roundtrip (KSPL2)" test_store_roundtrip_all;
+        t "store-backed roundtrip" test_store_roundtrip_all;
         t "store dedups shared helpers" test_store_dedups_helpers;
-        t "legacy KSPL1 readable by store reader"
-          test_legacy_readable_by_store_reader;
-        t "plain reader refuses KSPL2" test_plain_reader_refuses_kspl2;
-        t "ordinary update stays byte-identical KSPL2"
-          test_ordinary_stays_kspl2;
-        t "cumulative roundtrip (KSPL3)" test_kspl3_roundtrip;
-        t "KSPL1 carries cumulative fields"
-          test_kspl1_roundtrips_cumulative_fields;
+        t "store reader reads embedded objects"
+          test_store_reader_reads_embedded;
+        t "plain reader refuses store-backed"
+          test_plain_reader_refuses_store_backed;
+        t "cumulative roundtrip (KSPL3)" test_store_backed_cumulative;
+        t "KSPL1 carries cumulative fields" test_self_contained_cumulative;
+        t "old KSPL1/2/3 bytes rejected" test_old_formats_rejected;
+        t "trailing bytes rejected" test_trailing_bytes_rejected;
+        t "tampered embedded object rejected" test_tampered_object_rejected;
         t "every truncated prefix rejected" test_every_prefix_rejected;
         QCheck_alcotest.to_alcotest prop_byte_flip_total;
       ] );
