@@ -144,7 +144,7 @@ let cmd_objdump path =
     | Ok o -> Format.printf "%a@." Objfile.Objdump.pp o
     | Error e ->
       Format.eprintf "error: %s: not an update or object file: %a@." path
-        Objfile.pp_decode_error e;
+        Codec.pp_error e;
       exit 1)
   | Error e ->
     Format.eprintf "error: %s: %a@." path Update.pp_decode_error e;

@@ -1,0 +1,69 @@
+(** The one binary codec behind every binary format: objects ([SELF1]),
+    updates ([KSPL4]), unit diffs ([UDF3]), compile-cache units
+    ([kbuild-unit/2]), repository entries ([KSPLREPO2]), journal records
+    ([J2]) and wire frames ([KFR1]).
+
+    Integers are little-endian, a string is a u32 length then its bytes,
+    a list a u32 count then its elements. Decoding is {e total} — any
+    input yields a value or an {!error}, never an exception — and no
+    length or count is believed beyond the bytes left, so a corrupt
+    field cannot make the reader allocate more than its input. *)
+
+(** Where a blob failed to decode, and what the reader found there. *)
+type error = { off : int; reason : string }
+
+(** ["<reason> at byte <off>"] *)
+val pp_error : Format.formatter -> error -> unit
+
+(** {2 Writers} *)
+
+val put_u8 : Buffer.t -> int -> unit
+
+(** A length, count or size: a non-negative int below [2{^31}]. *)
+val put_u32 : Buffer.t -> int -> unit
+
+val put_i32 : Buffer.t -> int32 -> unit
+val put_str : Buffer.t -> string -> unit
+val put_list : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a list -> unit
+
+(** {2 Reader} *)
+
+type reader
+
+val get_u8 : reader -> int
+
+(** A set top bit fails as ["negative length"]. *)
+val get_u32 : reader -> int
+
+val get_i32 : reader -> int32
+val get_str : reader -> string
+
+(** A count above the bytes left fails before any element is read
+    (every element encoding is at least one byte). *)
+val get_list : (reader -> 'a) -> reader -> 'a list
+
+(** [fail r reason] abandons the decode in progress at [r]'s position.
+    Only valid inside the function given to {!decode}. *)
+val fail : reader -> string -> 'a
+
+(** [decode ~magic f s] checks that [s] starts with [magic], reads the
+    rest with [f] and rejects trailing bytes. *)
+val decode : magic:string -> (reader -> 'a) -> string -> ('a, error) result
+
+(** {2 Checksummed frames}
+
+    [magic · u32 length · payload · MD5(payload)]: self-delimiting, so
+    frames stream or append back to back, and the checksum is checked
+    before any payload field is believed. *)
+
+val frame : magic:string -> string -> string
+
+(** [unframe ~magic buf ~pos] is the payload of the frame at [pos] and
+    the position just past it. [`Incomplete]: the bytes are a strict
+    prefix of a frame (wait for more, or a torn tail); a wrong magic
+    fails as soon as the prefix diverges, and a length above 16 MiB
+    fails at once, so a flipped length cannot make a receiver buffer
+    gigabytes. *)
+val unframe :
+  magic:string -> string -> pos:int ->
+  (string * int, [ `Incomplete | `Fail of error ]) result

@@ -64,19 +64,15 @@ let skipped = Atomic.make 0
 let skipped_units () = Atomic.get skipped
 let reset_creation_stats () = Atomic.set skipped 0
 
-(* The per-symbol [unit-diff/2] codec. The wire format (and its typed,
-   total decoder) lives in {!Prepost}; a blob that fails the magic check
-   is a plain cache miss, never an error. *)
+(* The per-symbol unit-diff codec. The format (and its typed, total
+   decoder) lives in {!Prepost}; a blob that fails to decode is a plain
+   cache miss, never an error. *)
 module Diff_codec = Store.Typed (struct
   type v = Prepost.unit_diff
 
-  let codec_id = "unit-diff/2"
+  let codec_id = "unit-diff/3"
   let encode = Prepost.encode
-
-  let decode s =
-    match Prepost.decode s with
-    | Ok d -> Ok d
-    | Error e -> Error (Format.asprintf "%a" Prepost.pp_decode_error e)
+  let decode = Prepost.decode
 end)
 
 let diff_unit_incremental store ~unit_name ~(pre : Objfile.t)

@@ -80,7 +80,7 @@ val shipped_symbols : created -> (string * (string * Prepost.reason)) list
     a unit whose pre and post objects are byte-identical skips
     differencing entirely, and a (pre, post) digest pair already
     differenced in this store reuses the cached result (codec
-    ["unit-diff/2"]; a blob its typed decoder refuses counts as a plain
+    ["unit-diff/3"]; a blob its typed decoder refuses counts as a plain
     miss). Incremental and from-scratch
     creation produce byte-identical updates.
 

@@ -60,19 +60,12 @@ val is_empty : unit_diff -> bool
 (** The all-empty diff for [unit_name]. *)
 val empty : string -> unit_diff
 
-(** {2 The [unit-diff/2] wire codec}
+(** {2 The unit-diff codec}
 
-    Used by {!Create}'s store-backed incremental differencing. [decode]
-    is total: any input — including truncations and bitflips of encoded
-    diffs — yields a typed error, never an exception. *)
+    Magic [UDF3] on {!Codec}. Used by {!Create}'s store-backed
+    incremental differencing. [decode] is total: any input — including
+    truncations and bitflips of encoded diffs — yields a typed error,
+    never an exception. *)
 
 val encode : unit_diff -> string
-
-type decode_error = {
-  de_off : int;  (** byte offset where decoding failed *)
-  de_reason : string;
-}
-
-val pp_decode_error : Format.formatter -> decode_error -> unit
-
-val decode : string -> (unit_diff, decode_error) result
+val decode : string -> (unit_diff, Codec.error) result

@@ -87,54 +87,60 @@ let cumulative_ref digest = "cumulative:" ^ digest
 
 let encode_entry store (e : entry) =
   let b = Buffer.create 4096 in
-  let put_str s =
-    Buffer.add_int32_le b (Int32.of_int (String.length s));
-    Buffer.add_string b s
-  in
   Buffer.add_string b entry_magic;
-  put_str e.base_digest;
-  put_str e.next_digest;
-  put_str e.patch_text;
-  put_str (Bytes.to_string (Update.to_bytes_store store e.update));
+  Codec.put_str b e.base_digest;
+  Codec.put_str b e.next_digest;
+  Codec.put_str b e.patch_text;
+  Codec.put_str b (Bytes.to_string (Update.to_bytes_store store e.update));
   Buffer.contents b
 
-(* (base_digest, next_digest, patch_text, update_bytes), without
-   decoding the update — shared by entry reads and the GC's
-   reachability expansion *)
-let parse_entry_fields raw =
-  let mlen = String.length entry_magic in
-  if String.length raw < mlen || String.sub raw 0 mlen <> entry_magic then
-    Error "bad entry magic"
-  else begin
-    let pos = ref mlen in
-    let get_str () =
-      if !pos + 4 > String.length raw then failwith "truncated entry";
-      let n = Int32.to_int (String.get_int32_le raw !pos) in
-      pos := !pos + 4;
-      if n < 0 || !pos + n > String.length raw then failwith "truncated entry";
-      let s = String.sub raw !pos n in
-      pos := !pos + n;
-      s
-    in
-    match
-      let base_digest = get_str () in
-      let next_digest = get_str () in
-      let patch_text = get_str () in
-      let update_bytes = get_str () in
-      (base_digest, next_digest, patch_text, update_bytes)
-    with
-    | exception Failure m -> Error m
-    | fields -> Ok fields
-  end
+let ( let* ) = Result.bind
+
+let corrupt ~digest pp e =
+  Error (Corrupt_entry { digest; reason = Format.asprintf "%a" pp e })
+
+(* an entry blob's fields, its update still serialised; [digest] labels
+   the error with the source state the entry was read for *)
+let read_fields ~digest raw =
+  let field r =
+    let base = Codec.get_str r in
+    let next = Codec.get_str r in
+    let patch = Codec.get_str r in
+    (* a fresh copy, owned here *)
+    (base, next, patch, Bytes.unsafe_of_string (Codec.get_str r))
+  in
+  match Codec.decode ~magic:entry_magic field raw with
+  | Ok f -> Ok f
+  | Error e -> corrupt ~digest Codec.pp_error e
 
 let decode_entry store ~digest raw =
-  let fail reason = Error (Corrupt_entry { digest; reason }) in
-  match parse_entry_fields raw with
-  | Error reason -> fail reason
-  | Ok (base_digest, next_digest, patch_text, update_bytes) -> (
-    match Update.of_bytes_store store (Bytes.of_string update_bytes) with
-    | Error e -> fail (Format.asprintf "%a" Update.pp_decode_error e)
-    | Ok update -> Ok { base_digest; next_digest; patch_text; update })
+  let* base_digest, next_digest, patch_text, update =
+    read_fields ~digest raw
+  in
+  match Update.of_bytes_store store update with
+  | Error e -> corrupt ~digest Update.pp_decode_error e
+  | Ok update -> Ok { base_digest; next_digest; patch_text; update }
+
+type links = {
+  l_base : string;
+  l_next : string;
+  l_ref : string;
+  l_objects : Store.digest list;
+}
+
+(* one read of the entry's fields and its update's header: the ref the
+   entry belongs under comes from the bytes themselves (never from
+   server metadata) — an entry whose update supersedes something is
+   cumulative *)
+let links ~digest raw =
+  let* l_base, l_next, _patch, update = read_fields ~digest raw in
+  match Update.references update with
+  | Error e -> corrupt ~digest Update.pp_decode_error e
+  | Ok (l_objects, supersedes) ->
+    let l_ref =
+      if supersedes <> [] then cumulative_ref l_base else entry_ref l_base
+    in
+    Ok { l_base; l_next; l_ref; l_objects }
 
 let read_ref_entry t ~ref_name ~digest =
   match Store.find_ref t.store ref_name with
@@ -350,24 +356,21 @@ let fsck t =
   if Result.is_ok store_res && report.corrupt_entries = [] then Ok report
   else Error report
 
-(* reachability out of a blob: a repository entry reaches its serialised
-   update's interned objects; a bare store-backed update blob reaches the
-   same; anything else (helper objects themselves) is a leaf *)
-let expand_blob _digest raw =
-  let mlen = String.length entry_magic in
-  let update_bytes =
-    if String.length raw >= mlen && String.sub raw 0 mlen = entry_magic then
-      match parse_entry_fields raw with
-      | Ok (_, _, _, ub) -> Some ub
-      | Error _ -> None
-    else Some raw
-  in
-  match update_bytes with
-  | None -> []
-  | Some ub -> (
-    match Update.store_digests (Bytes.of_string ub) with
-    | Ok ds -> ds
-    | Error _ -> [])
+(* reachability out of a blob, told apart by magic: a repository entry
+   and a bare update reach the objects the update interns; anything else
+   (objects, head digests, cached diffs) is a leaf. An entry or update
+   that does not decode is damage, never a leaf. *)
+let expand_blob digest raw =
+  if String.starts_with ~prefix:entry_magic raw then
+    match links ~digest raw with
+    | Ok l -> Ok l.l_objects
+    | Error (Corrupt_entry { reason; _ }) -> Error reason
+    | Error e -> Error (Format.asprintf "%a" pp_error e)
+  else if String.starts_with ~prefix:Update.magic raw then
+    match Update.store_digests (Bytes.of_string raw) with
+    | Ok ds -> Ok ds
+    | Error e -> Error (Format.asprintf "%a" Update.pp_decode_error e)
+  else Ok []
 
 let gc t =
   match Store.gc ~expand:expand_blob t.store with
@@ -375,19 +378,6 @@ let gc t =
   | Error m -> Error (Gc_unsafe m)
 
 (* --- distribution support: digest-level chain manifests --- *)
-
-let closure raw = expand_blob "" raw
-
-(* the ref a received entry blob belongs under, derived from the bytes
-   themselves (never from server metadata): an entry whose serialised
-   update supersedes something is cumulative *)
-let blob_ref raw =
-  match parse_entry_fields raw with
-  | Error _ -> None
-  | Ok (base, _next, _patch, update_bytes) ->
-    if Update.supersedes_of_bytes (Bytes.of_string update_bytes) <> [] then
-      Some (cumulative_ref base)
-    else Some (entry_ref base)
 
 type manifest_entry = {
   me_base : string;
@@ -398,7 +388,7 @@ type manifest_entry = {
 }
 
 let manifest t ~digest =
-  let load_sized ~owner d =
+  let load ~owner d =
     match Store.load t.store d with
     | Ok raw -> Ok raw
     | Error `Missing ->
@@ -407,6 +397,12 @@ let manifest t ~digest =
            { digest = owner; reason = "blob " ^ d ^ " is missing" })
     | Error (`Corrupt reason) ->
       Error (Corrupt_entry { digest = owner; reason })
+  in
+  let rec sized ~owner acc = function
+    | [] -> Ok (List.rev acc)
+    | d :: rest ->
+      let* o = load ~owner d in
+      sized ~owner ((d, String.length o) :: acc) rest
   in
   let rec walk digest acc seen =
     if List.mem digest seen then Error (Chain_cycle digest)
@@ -421,28 +417,15 @@ let manifest t ~digest =
       in
       match hop_blob with
       | None -> Ok (List.rev acc)
-      | Some blob_digest -> (
-        match load_sized ~owner:digest blob_digest with
-        | Error e -> Error e
-        | Ok raw -> (
-          match parse_entry_fields raw with
-          | Error reason -> Error (Corrupt_entry { digest; reason })
-          | Ok (me_base, me_next, _patch, _ub) ->
-            let rec sized acc = function
-              | [] -> Ok (List.rev acc)
-              | d :: rest -> (
-                match load_sized ~owner:digest d with
-                | Error e -> Error e
-                | Ok o -> sized ((d, String.length o) :: acc) rest)
-            in
-            (match sized [] (expand_blob blob_digest raw) with
-            | Error e -> Error e
-            | Ok me_objects ->
-              let e =
-                { me_base; me_next; me_blob = blob_digest;
-                  me_size = String.length raw; me_objects }
-              in
-              walk me_next (e :: acc) (digest :: seen))))
+      | Some blob_digest ->
+        let* raw = load ~owner:digest blob_digest in
+        let* l = links ~digest raw in
+        let* me_objects = sized ~owner:digest [] l.l_objects in
+        let e =
+          { me_base = l.l_base; me_next = l.l_next; me_blob = blob_digest;
+            me_size = String.length raw; me_objects }
+        in
+        walk l.l_next (e :: acc) (digest :: seen)
   in
   walk digest [] []
 

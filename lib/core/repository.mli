@@ -161,31 +161,41 @@ type manifest_entry = {
 
 (** [manifest repo ~digest] is the pending chain from [digest] as
     digests, oldest first. Every blob on the chain (entries and interned
-    objects) is digest-verified as it is read, so a server never
-    advertises bytes it cannot serve intact. *)
+    objects) is digest-verified as it is read, and every entry must
+    decode ({!links}), so a server never advertises bytes it cannot
+    serve intact or that its own {!pending} would reject. *)
 val manifest : t -> digest:string -> (manifest_entry list, error) result
 
 (** [head repo ~digest] is the source digest at the end of the chain
     starting at [digest] ([digest] itself when the chain is empty). *)
 val head : t -> digest:string -> (string, error) result
 
-(** [closure raw] is the digests a blob references: a KSPLREPO2 entry or
-    bare store-backed update reaches its interned objects; anything else
-    is a leaf. Pure — a subscriber re-derives an entry's object set from
-    the received bytes instead of trusting the server's manifest. *)
-val closure : string -> Store.digest list
+(** What a KSPLREPO2 entry blob links, read from its bytes alone. *)
+type links = {
+  l_base : string;  (** source digest the entry applies to *)
+  l_next : string;  (** source digest after applying it *)
+  l_ref : string;
+      (** the ref the entry belongs under: {!cumulative_ref} of its base
+          when the serialised update inside supersedes something,
+          {!entry_ref} otherwise *)
+  l_objects : Store.digest list;
+      (** the object blobs the serialised update interns *)
+}
 
-(** [blob_ref raw] is the ref name a received KSPLREPO2 entry blob
-    belongs under — {!cumulative_ref} of its base when the serialised
-    update inside supersedes something, {!entry_ref} otherwise; [None]
-    if [raw] is not a parseable entry. Derived from the bytes alone, so
-    a subscriber never trusts server metadata for ref placement. *)
-val blob_ref : string -> string option
+(** [links ~digest raw] decodes an entry blob's fields and its update's
+    header once, never trusting server metadata: a subscriber files a
+    received entry and checks its object closure with it, the server
+    builds its manifest from it, and the GC closes reachability through
+    it. A blob that is not a well-formed entry, or whose update does not
+    decode, is [Corrupt_entry] labelled [digest] (the source state the
+    entry was read for). *)
+val links : digest:string -> string -> (links, error) result
 
 (** Mark-and-sweep garbage collection. Roots are every ref (chain
     entries and any named refs); reachability closes over each entry's
     serialised update into the object blobs it shares with other
     entries. A publish racing the sweep is protected by the store's
     transaction pinning. Refuses to collect ([Gc_unsafe]) if a blob on a
-    live path is missing or corrupt. *)
+    live path is missing or corrupt, or is an entry or update that does
+    not decode. *)
 val gc : t -> (Store.gc_report, error) result

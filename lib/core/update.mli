@@ -56,20 +56,24 @@ val split_canonical : string -> string * string option
 
 (** {2 Serialisation}
 
-    One layout, magic [KSPL4]: a header carrying every field, with the
-    primary and helper objects named by their artifact-store digests,
-    then the embedded object list. {!to_bytes} embeds one blob per digest
-    the header names (a self-contained file); {!to_bytes_store} interns
-    the objects in the store and leaves the list empty, so stacked updates
-    sharing a base kernel share one physical copy of each common helper.
-    One header decoder serves all four readers: it re-digests embedded
-    blobs against the header and rejects trailing bytes. *)
+    One layout on {!Codec}, magic [KSPL4]: a header carrying every
+    field, with the primary and helper objects named by their
+    artifact-store digests, then the embedded object list. {!to_bytes}
+    embeds one blob per digest the header names (a self-contained file);
+    {!to_bytes_store} interns the objects in the store and leaves the
+    list empty, so stacked updates sharing a base kernel share one
+    physical copy of each common helper. One header decoder serves every
+    reader: it re-digests embedded blobs against the header and rejects
+    trailing bytes. *)
+
+(** The leading bytes of every serialised update. *)
+val magic : string
 
 (** Why a blob failed to decode. Decoding is {e total} — arbitrary bytes
     yield [Error], never an exception. *)
 type decode_error =
   | Bad_magic of string  (** the file's first bytes are not the magic *)
-  | Malformed of { off : int; reason : string }
+  | Malformed of Codec.error
       (** truncated, a negative length, trailing bytes, or an embedded
           object that does not match the digest the header names *)
   | Store_backed
@@ -101,5 +105,10 @@ val store_digests : Bytes.t -> (Store.digest list, decode_error) result
 
 (** The update ids a serialised update supersedes, from the bytes alone
     (no store): how a subscriber recognises a cumulative entry in what it
-    actually received. An undecodable blob supersedes nothing. *)
-val supersedes_of_bytes : Bytes.t -> string list
+    actually received. *)
+val supersedes_of_bytes : Bytes.t -> (string list, decode_error) result
+
+(** {!store_digests} and {!supersedes_of_bytes} from one read of the
+    header. *)
+val references :
+  Bytes.t -> (Store.digest list * string list, decode_error) result

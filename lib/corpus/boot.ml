@@ -137,9 +137,3 @@ let find_global b name =
 let read_global_result b name =
   Result.map (fun (s : Image.syminfo) -> Machine.read_i32 b.machine s.addr)
     (find_global b name)
-
-let read_global b name =
-  match read_global_result b name with
-  | Ok v -> v
-  | Error e ->
-    failwith (Format.asprintf "read_global: %a" pp_global_error e)

@@ -35,10 +35,6 @@ val pp_global_error : Format.formatter -> global_error -> unit
     every candidate. *)
 val read_global_result : booted -> string -> (int32, global_error) result
 
-(** [read_global b name] is {!read_global_result}, raising on error.
-    @raise Failure if the symbol is missing or genuinely ambiguous. *)
-val read_global : booted -> string -> int32
-
 (** The secret planted at boot ([boot_token]); exploit checks compare
     leaked values against it. *)
 val secret : int32

@@ -1752,10 +1752,12 @@ let run_dmrow (cve : Cve.t) base =
             note "exploit %s survives the minimal update: %s" ex.name
               o.detail);
        if String.equal cve.id Cve.diff_banner.id then begin
-         let got = Boot.read_global b "banner_sum" in
          let want = expected_banner_sum Cve.banner_new in
-         if not (Int32.equal got want) then
-           note "banner_sum %ld after refresh, expected %ld" got want
+         match Boot.read_global_result b "banner_sum" with
+         | Error e -> note "banner_sum: %a" Boot.pp_global_error e
+         | Ok got ->
+           if not (Int32.equal got want) then
+             note "banner_sum %ld after refresh, expected %ld" got want
        end;
        (* twin determinism: the same minimal update on a second fresh
           boot must land a byte-identical footprint *)

@@ -37,6 +37,7 @@ type error =
   | Protocol of string
   | Server of { code : string; msg : string }
   | Digest_mismatch of { digest : string }
+  | Bad_entry of Repo.error
 
 let pp_error ppf = function
   | Transport e -> Transport.pp_recv_error ppf e
@@ -44,6 +45,7 @@ let pp_error ppf = function
   | Server { code; msg } -> Format.fprintf ppf "server error [%s] %s" code msg
   | Digest_mismatch { digest } ->
     Format.fprintf ppf "received bytes do not digest to %s" digest
+  | Bad_entry e -> Format.fprintf ppf "entry refused: %a" Repo.pp_error e
 
 let head_ref = "fleet:head"
 
@@ -80,31 +82,32 @@ let check_linkage head0 (items : Wire.manifest_item list) =
 (* commit every leading manifest entry whose blob and re-derived object
    closure are all locally present: the ref flip (entry + head) is one
    journal record, so a kill between blobs leaves the chain at the last
-   whole entry *)
+   whole entry. An entry blob that does not decode is refused and
+   nothing past it is committed. *)
 let commit_ready store (items : Wire.manifest_item array) committed totals =
   let rec go () =
-    if !committed < Array.length items then begin
+    if !committed >= Array.length items then Ok ()
+    else
       let i = items.(!committed) in
       match Store.get store i.mi_blob with
-      | None -> ()
-      | Some raw ->
-        if List.for_all (Store.mem store) (Repo.closure raw) then begin
-          (* the ref name comes from the verified bytes, not the
-             manifest: a cumulative entry lands under its cumulative
-             ref so a later local sync takes the one-hop route *)
-          let ref_name =
-            Option.value (Repo.blob_ref raw)
-              ~default:(Repo.entry_ref i.mi_base)
-          in
-          Store.with_txn store (fun () ->
-              let hd = Store.put store i.mi_next in
-              Store.commit_refs store
-                [ (ref_name, i.mi_blob); (head_ref, hd) ]);
-          incr committed;
-          totals.committed <- totals.committed + 1;
-          go ()
-        end
-    end
+      | None -> Ok ()
+      | Some raw -> (
+        match Repo.links ~digest:i.mi_base raw with
+        | Error e -> Error (Bad_entry e)
+        | Ok l ->
+          if not (List.for_all (Store.mem store) l.l_objects) then Ok ()
+          else begin
+            (* the ref name comes from the verified bytes, not the
+               manifest: a cumulative entry lands under its cumulative
+               ref so a later local sync takes the one-hop route *)
+            Store.with_txn store (fun () ->
+                let hd = Store.put store i.mi_next in
+                Store.commit_refs store
+                  [ (l.l_ref, i.mi_blob); (head_ref, hd) ]);
+            incr committed;
+            totals.committed <- totals.committed + 1;
+            go ()
+          end)
   in
   go ()
 
@@ -160,7 +163,7 @@ let sync_once ~id ~store ~base totals (tr : Transport.t) =
   let wants = List.rev !wants in
   let items = Array.of_list items in
   let committed = ref 0 in
-  commit_ready store items committed totals;
+  let* () = commit_ready store items committed totals in
   let* () = send (Wire.Want wants) in
   let outstanding = Hashtbl.copy wanted in
   let rec stream () =
@@ -182,7 +185,7 @@ let sync_once ~id ~store ~base totals (tr : Transport.t) =
         Hashtbl.remove outstanding digest;
         totals.blobs_fetched <- totals.blobs_fetched + 1;
         totals.bytes_fetched <- totals.bytes_fetched + String.length bytes;
-        commit_ready store items committed totals;
+        let* () = commit_ready store items committed totals in
         stream ()
       end
     | Wire.Done { head = h } ->

@@ -9,7 +9,8 @@
     - {b all-or-nothing per entry}: a chain entry becomes visible only
       via {!Store.with_txn}/{!Store.commit_refs}, and only once the
       entry blob {e and} its re-derived object closure are all present —
-      a killed sync never exposes a partial chain.
+      a killed sync never exposes a partial chain. An entry blob that
+      does not decode is refused ([Bad_entry]), never filed.
     - {b resume, never re-download}: wants are computed by set
       difference against the local store, so blobs verified in an
       earlier attempt (even an aborted one) are never transferred again.
@@ -45,6 +46,9 @@ type error =
   | Server of { code : string; msg : string }  (** the server said no *)
   | Digest_mismatch of { digest : string }
       (** received bytes do not digest to what was announced *)
+  | Bad_entry of Ksplice.Repository.error
+      (** a received entry blob does not decode: refused, old head
+          kept *)
 
 val pp_error : Format.formatter -> error -> unit
 

@@ -75,7 +75,7 @@ val pair : ?recv_timeout:float -> unit -> t * t
 (** {2 Frame layer} *)
 
 type recv_error =
-  | Decode of Wire.decode_error
+  | Decode of Codec.error
   | Disconnected
   | Stalled_out of string
 

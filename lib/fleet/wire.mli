@@ -1,13 +1,14 @@
 (** The fleet wire protocol's frame codec.
 
-    A frame is [magic(4) · payload_len(u32le) · payload · md5(16)]: the
-    checksum is over the payload, so a torn or bit-flipped frame is
-    rejected before any field is believed. The decoder is {e total}: any
-    byte string yields a frame, [`Incomplete] (a prefix of a valid
-    frame — wait for more bytes), or a typed [`Fail] — never an
-    exception. That totality is what lets the transport's fault plans
-    (torn frames, corrupted payloads) surface as clean typed errors the
-    subscriber can retry through.
+    A frame is a {!Codec} frame with magic [KFR1] — [magic(4) ·
+    payload_len(u32le) · payload · md5(16)] — whose payload is a tag byte
+    and the frame's fields: the checksum is over the payload, so a torn
+    or bit-flipped frame is rejected before any field is believed. The
+    decoder is {e total}: any byte string yields a frame, [`Incomplete]
+    (a prefix of a valid frame — wait for more bytes), or a typed
+    [`Fail] — never an exception. That totality is what lets the
+    transport's fault plans (torn frames, corrupted payloads) surface as
+    clean typed errors the subscriber can retry through.
 
     The conversation is: [Hello]/[Hello_ack] (version gate), [Head]
     (subscriber announces its chain position), [Manifest] (server
@@ -38,22 +39,14 @@ type frame =
   | Done of { head : string }
   | Err of { code : string; msg : string }
 
-type decode_error =
-  | Bad_magic
-  | Bad_length of int  (** negative or beyond the frame size bound *)
-  | Checksum_mismatch
-  | Bad_tag of int
-  | Malformed of string  (** payload structure does not parse *)
-
-val pp_decode_error : Format.formatter -> decode_error -> unit
-
 (** Short human-readable form, for logs and sweep notes. *)
 val pp_frame : Format.formatter -> frame -> unit
 
 val encode : frame -> string
 
 (** [decode buf ~pos] parses one frame starting at [pos]. [Ok (f, p)]
-    is the frame and the position just past it. Total: never raises. *)
+    is the frame and the position just past it. Total: never raises.
+    Payload errors are offsets into the payload. *)
 val decode :
   string -> pos:int ->
-  (frame * int, [ `Incomplete | `Fail of decode_error ]) result
+  (frame * int, [ `Incomplete | `Fail of Codec.error ]) result

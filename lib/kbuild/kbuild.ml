@@ -65,68 +65,41 @@ let options_fingerprint (o : Minic.Driver.options) =
     o.codegen.align_loops o.inline_enabled o.auto_inline_max
     o.explicit_inline_max
 
-(* netstring-style framing: "<decimal len>:<bytes>" per field *)
+(* the unit codec on {!Codec}, led by its codec id; a blob that fails to
+   decode is a cache miss *)
 module Unit_codec = Store.Typed (struct
   type v = unit_build
 
-  let codec_id = "kbuild-unit/1"
+  let codec_id = "kbuild-unit/2"
 
-  let put_str b s =
-    Buffer.add_string b (string_of_int (String.length s));
-    Buffer.add_char b ':';
-    Buffer.add_string b s
+  let put_decision b (d : Minic.Inline.decision) =
+    Codec.put_str b d.caller;
+    Codec.put_str b d.callee
 
   let encode u =
     let b = Buffer.create 1024 in
-    put_str b u.source_name;
-    put_str b (Bytes.to_string (Objfile.to_bytes u.obj));
-    put_str b (string_of_int (List.length u.inline_decisions));
-    List.iter
-      (fun (d : Minic.Inline.decision) ->
-        put_str b d.caller;
-        put_str b d.callee)
-      u.inline_decisions;
+    Buffer.add_string b codec_id;
+    Codec.put_str b u.source_name;
+    Codec.put_str b (Bytes.to_string (Objfile.to_bytes u.obj));
+    Codec.put_list put_decision b u.inline_decisions;
     Buffer.contents b
 
-  let decode s =
-    let pos = ref 0 in
-    let fail m = failwith (Printf.sprintf "%s at byte %d" m !pos) in
-    let get_str () =
-      match String.index_from_opt s !pos ':' with
-      | None -> fail "missing length prefix"
-      | Some colon ->
-        let len =
-          match int_of_string_opt (String.sub s !pos (colon - !pos)) with
-          | Some n when n >= 0 -> n
-          | _ -> fail "bad length prefix"
+  let get_decision r : Minic.Inline.decision =
+    let caller = Codec.get_str r in
+    let callee = Codec.get_str r in
+    { caller; callee }
+
+  let decode =
+    Codec.decode ~magic:codec_id (fun r ->
+        let source_name = Codec.get_str r in
+        let obj =
+          match Objfile.of_bytes (Bytes.of_string (Codec.get_str r)) with
+          | Ok o -> o
+          | Error e ->
+            Codec.fail r (Format.asprintf "bad object: %a" Codec.pp_error e)
         in
-        if colon + 1 + len > String.length s then fail "truncated field";
-        pos := colon + 1 + len;
-        String.sub s (colon + 1) len
-    in
-    match
-      let source_name = get_str () in
-      let obj =
-        match Objfile.of_bytes (Bytes.of_string (get_str ())) with
-        | Ok o -> o
-        | Error e ->
-          fail (Format.asprintf "bad object: %a" Objfile.pp_decode_error e)
-      in
-      let n =
-        match int_of_string_opt (get_str ()) with
-        | Some n when n >= 0 -> n
-        | _ -> fail "bad decision count"
-      in
-      let inline_decisions =
-        List.init n (fun _ ->
-            let caller = get_str () in
-            let callee = get_str () in
-            ({ caller; callee } : Minic.Inline.decision))
-      in
-      { source_name; obj; inline_decisions }
-    with
-    | u -> Ok u
-    | exception Failure m -> Error m
+        let inline_decisions = Codec.get_list get_decision r in
+        { source_name; obj; inline_decisions })
 end)
 
 let compile_one ~options path contents =

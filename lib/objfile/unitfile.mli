@@ -36,16 +36,10 @@ val defined_symbols_in : t -> string -> Symbol.t list
     defined by any symbol of [o]. *)
 val undefined_symbols : t -> string list
 
-(** Binary serialisation. *)
+(** Binary serialisation ([SELF1] on {!Codec}). *)
 val to_bytes : t -> Bytes.t
 
-(** Why a blob failed to decode: the byte offset the reader stood at and
-    what it found there. Decoding is {e total} — arbitrary bytes yield
-    [Error], never an exception. *)
-type decode_error = { de_off : int; de_reason : string }
-
-val pp_decode_error : Format.formatter -> decode_error -> unit
-
 (** [of_bytes b] decodes one object occupying all of [b]: trailing bytes
-    are an error. *)
-val of_bytes : Bytes.t -> (t, decode_error) result
+    are an error. Total: arbitrary bytes yield [Error], never an
+    exception. *)
+val of_bytes : Bytes.t -> (t, Codec.error) result

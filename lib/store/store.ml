@@ -142,12 +142,10 @@ let write_atomic vfs path contents =
 
 (* --- write-ahead ref journal ---
 
-   A multi-ref commit appends one self-delimiting record to <dir>/journal
-   and fsyncs it *before* touching any ref file:
-
-     "J1 " <len> ":" <payload> <md5-hex payload> "\n"
-     payload = netstring count, then (name, old, new) netstring triples
-               (old = "" when the ref did not exist)
+   A multi-ref commit appends one checksummed {!Codec} frame (magic
+   "J2") to <dir>/journal and fsyncs it *before* touching any ref file.
+   The payload is a list of (name, old, new) triples, old = "" when the
+   ref did not exist.
 
    Recovery re-reads the journal: a record whose checksum verifies and
    whose new blobs are all present and re-digest clean is rolled forward
@@ -155,75 +153,35 @@ let write_atomic vfs path contents =
    the recorded old values; a torn tail is discarded (the commit never
    reached its fsync, so no ref file was written). *)
 
-let ns_add b s =
-  Buffer.add_string b (string_of_int (String.length s));
-  Buffer.add_char b ':';
-  Buffer.add_string b s
-
-let ns_read raw pos =
-  match String.index_from_opt raw pos ':' with
-  | None -> None
-  | Some colon -> (
-    match int_of_string_opt (String.sub raw pos (colon - pos)) with
-    | Some n when n >= 0 && colon + 1 + n <= String.length raw ->
-      Some (String.sub raw (colon + 1) n, colon + 1 + n)
-    | _ -> None)
+let journal_magic = "J2"
 
 let journal_record updates =
   let b = Buffer.create 256 in
-  ns_add b (string_of_int (List.length updates));
-  List.iter
-    (fun (rname, old_d, new_d) ->
-      ns_add b rname;
-      ns_add b old_d;
-      ns_add b new_d)
-    updates;
-  let payload = Buffer.contents b in
-  "J1 "
-  ^ string_of_int (String.length payload)
-  ^ ":" ^ payload ^ digest_of_string payload ^ "\n"
+  Codec.put_list
+    (fun b (rname, old_d, new_d) ->
+      Codec.put_str b rname;
+      Codec.put_str b old_d;
+      Codec.put_str b new_d)
+    b updates;
+  Codec.frame ~magic:journal_magic (Buffer.contents b)
 
-let parse_payload payload =
-  let ( let* ) = Option.bind in
-  let* count_s, pos = ns_read payload 0 in
-  let* count = int_of_string_opt count_s in
-  if count < 0 then None
-  else
-    let rec triples acc pos = function
-      | 0 -> if pos = String.length payload then Some (List.rev acc) else None
-      | k ->
-        let* rname, pos = ns_read payload pos in
-        let* old_d, pos = ns_read payload pos in
-        let* new_d, pos = ns_read payload pos in
-        triples ((rname, old_d, new_d) :: acc) pos (k - 1)
-    in
-    triples [] pos count
+let read_triple r =
+  let rname = Codec.get_str r in
+  let old_d = Codec.get_str r in
+  let new_d = Codec.get_str r in
+  (rname, old_d, new_d)
 
 (* -> (complete records, torn-tail count: 0 or 1) *)
 let parse_journal raw =
-  let len = String.length raw in
   let rec go pos records =
-    if pos >= len then (List.rev records, 0)
+    if pos >= String.length raw then (List.rev records, 0)
     else
-      let record =
-        if pos + 3 > len || not (String.equal (String.sub raw pos 3) "J1 ")
-        then None
-        else
-          match ns_read raw (pos + 3) with
-          | Some (payload, next)
-            when next + 32 < len
-                 && raw.[next + 32] = '\n'
-                 && String.equal
-                      (String.sub raw next 32)
-                      (digest_of_string payload) -> (
-            match parse_payload payload with
-            | Some refs -> Some (refs, next + 33)
-            | None -> None)
-          | _ -> None
-      in
-      match record with
-      | None -> (List.rev records, 1)
-      | Some (refs, next) -> go next (refs :: records)
+      match Codec.unframe ~magic:journal_magic raw ~pos with
+      | Error (`Incomplete | `Fail _) -> (List.rev records, 1)
+      | Ok (payload, next) -> (
+        match Codec.decode ~magic:"" (Codec.get_list read_triple) payload with
+        | Ok refs -> go next (refs :: records)
+        | Error _ -> (List.rev records, 1))
   in
   go 0 []
 
@@ -761,7 +719,7 @@ let fsck t =
 
 (* --- mark-and-sweep GC --- *)
 
-let gc ?(expand = fun _ _ -> []) t =
+let gc ?(expand = fun _ _ -> Ok []) t =
   t.gc_runs <- t.gc_runs + 1;
   (* mark: roots are every ref (memory + disk) and every pinned digest
      of an in-flight transaction; [expand] closes over blob-to-blob
@@ -795,7 +753,10 @@ let gc ?(expand = fun _ _ -> []) t =
     if not (Hashtbl.mem marked d) then begin
       Hashtbl.replace marked d ();
       match load t d with
-      | Ok raw -> List.iter mark (expand d raw)
+      | Ok raw -> (
+        match expand d raw with
+        | Ok ds -> List.iter mark ds
+        | Error m -> broken := (d, m) :: !broken)
       | Error `Missing -> broken := (d, "missing") :: !broken
       | Error (`Corrupt m) -> broken := (d, m) :: !broken
     end
@@ -933,7 +894,7 @@ module type VALUE = sig
 
   val codec_id : string
   val encode : v -> string
-  val decode : string -> (v, string) result
+  val decode : string -> (v, Codec.error) result
 end
 
 module Typed (V : VALUE) = struct
@@ -952,14 +913,14 @@ module Typed (V : VALUE) = struct
     match fast with
     | `Err err ->
       Error
-        (err
-          :> [ `Missing | `Corrupt of string | `Decode of string ])
+        (err :> [ `Missing | `Corrupt of string | `Decode of Codec.error ])
     | `Cached v -> Ok v
     | `Raw data -> (
       (* resident but not yet decoded for this type: decode outside the
          lock, then memoise (last writer wins; values are equal) *)
       match V.decode data with
-      | Error m -> Error (`Decode (V.codec_id ^ ": " ^ m))
+      | Error e ->
+        Error (`Decode { e with reason = V.codec_id ^ ": " ^ e.reason })
       | Ok v ->
         locked t (fun () ->
             match Hashtbl.find_opt t.blobs d with

@@ -189,12 +189,15 @@ type gc_report = {
     ref (memory and disk) plus the pins of in-flight {!with_txn}
     transactions; [expand digest bytes] returns the digests a live blob
     references, closing the reachability relation over encodings the
-    store cannot parse itself (default: none). Deleting only unreachable
-    blobs is crash-safe without journalling — a crash mid-sweep merely
-    leaves some garbage for the next run. Returns [Error] without
-    collecting anything if a blob on a live path is missing or corrupt
-    (the live set cannot be trusted; run {!fsck}). *)
-val gc : ?expand:(digest -> string -> digest list) -> t -> (gc_report, string) result
+    store cannot parse itself (default: none), or why the blob does not
+    decode. Deleting only unreachable blobs is crash-safe without
+    journalling — a crash mid-sweep merely leaves some garbage for the
+    next run. Returns [Error] without collecting anything if a blob on a
+    live path is missing, corrupt or undecodable (the live set cannot be
+    trusted; run {!fsck}). *)
+val gc :
+  ?expand:(digest -> string -> (digest list, string) result) -> t ->
+  (gc_report, string) result
 
 (** {2 Cache-style combined operations} *)
 
@@ -252,11 +255,12 @@ val fingerprint : t -> digest
 module type VALUE = sig
   type v
 
-  (** Versioned codec label, e.g. ["kbuild-unit/1"]. *)
+  (** Versioned codec label, e.g. ["kbuild-unit/2"], prefixed to the
+      reason of a decode error. *)
   val codec_id : string
 
   val encode : v -> string
-  val decode : string -> (v, string) result
+  val decode : string -> (v, Codec.error) result
 end
 
 (** Blob access through a codec, with the decoded value memoised on the
@@ -267,7 +271,7 @@ module Typed (V : VALUE) : sig
 
   val get :
     t -> digest ->
-    (V.v, [ `Missing | `Corrupt of string | `Decode of string ]) result
+    (V.v, [ `Missing | `Corrupt of string | `Decode of Codec.error ]) result
 
   (** [lookup t key] is ref-resolve + typed load, counting one hit or
       miss; a decode failure yields [None]. *)

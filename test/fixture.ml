@@ -25,6 +25,10 @@ let boot src =
   let b = Corpus.Boot.boot ~tree () in
   (tree, b.image, b.machine)
 
+let read_global b name =
+  ok ("read_global " ^ name) Corpus.Boot.pp_global_error
+    (Corpus.Boot.read_global_result b name)
+
 let call m img name args =
   let sym = Option.get (Klink.Image.lookup_global img name) in
   ok (name ^ " faulted") Machine.pp_fault

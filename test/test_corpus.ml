@@ -28,8 +28,8 @@ let created_update (cve : Corpus.Cve.t) =
 let test_boot () =
   let b = Corpus.Boot.boot () in
   check Alcotest.int32 "boot token planted" Corpus.Boot.secret
-    (Corpus.Boot.read_global b "boot_token");
-  check Alcotest.int32 "boot_done" 1l (Corpus.Boot.read_global b "boot_done");
+    (Fixture.read_global b "boot_token");
+  check Alcotest.int32 "boot_done" 1l (Fixture.read_global b "boot_done");
   match Corpus.Boot.syscall b ~uid:1000 0 [] with
   | Ok 1l -> ()
   | Ok v -> Alcotest.failf "getpid returned %ld" v
@@ -170,18 +170,18 @@ let test_custom_quota_fixup () =
   let b = Corpus.Boot.boot () in
   let cve = Option.get (Corpus.Cve.find "CVE-2008-0007") in
   check Alcotest.int32 "uid0 quota before" 1024l
-    (Corpus.Boot.read_global b "quota_table");
+    (Fixture.read_global b "quota_table");
   let _ = apply_cve b cve in
   (* the ksplice_apply hook rewrote the live table entry *)
   check Alcotest.int32 "uid0 quota fixed by hook" 4096l
-    (Corpus.Boot.read_global b "quota_table")
+    (Fixture.read_global b "quota_table")
 
 let test_custom_tz_fixup () =
   let b = Corpus.Boot.boot () in
   let cve = Option.get (Corpus.Cve.find "CVE-2007-3851") in
-  check Alcotest.int32 "tz before" 0l (Corpus.Boot.read_global b "tz_minutes");
+  check Alcotest.int32 "tz before" 0l (Fixture.read_global b "tz_minutes");
   let _ = apply_cve b cve in
-  check Alcotest.int32 "tz fixed" 60l (Corpus.Boot.read_global b "tz_minutes")
+  check Alcotest.int32 "tz fixed" 60l (Fixture.read_global b "tz_minutes")
 
 let test_shadow_struct_field () =
   (* CVE-2005-2709: the peer-uid field added via shadow data structures *)

@@ -1,8 +1,9 @@
 (* The minimal-differencing engine (Diffobj/Prepost/Create): benign
    rebuild noise must produce empty diffs, genuinely changed functions
    ship alone, data referents and closure inclusions are detected, every
-   shipped symbol carries a reason, and the unit-diff/2 store codec is
-   total. *)
+   shipped symbol carries a reason, and the unit-diff store codec is
+   total. The codec tests keep the names they had under unit-diff/2
+   (magic UDF2); the codec is now UDF3. *)
 
 module Tree = Patchfmt.Source_tree
 module Diff = Patchfmt.Diff
@@ -173,14 +174,14 @@ let test_banner_refresh_end_to_end () =
   let b = Corpus.Boot.boot () in
   Alcotest.(check int32_c') "boot computed the old checksum"
     (Int32.of_int (expected_banner_sum Corpus.Cve.banner_old))
-    (Corpus.Boot.read_global b "banner_sum");
+    (Fixture.read_global b "banner_sum");
   let mgr = Apply.init b.machine in
   (match Apply.apply mgr created.update with
    | Ok _ -> ()
    | Error e -> Alcotest.failf "apply: %a" Apply.pp_error e);
   Alcotest.(check int32_c') "hook recomputed through the new string"
     (Int32.of_int (expected_banner_sum Corpus.Cve.banner_new))
-    (Corpus.Boot.read_global b "banner_sum");
+    (Fixture.read_global b "banner_sum");
   match Apply.undo mgr cve.id with
   | Ok () -> ()
   | Error e -> Alcotest.failf "undo: %a" Apply.pp_error e
@@ -258,7 +259,7 @@ let test_every_shipped_symbol_has_reason () =
             (List.mem_assoc sym.name reasons))
       c.update.primary.symbols
 
-(* --- unit-diff/2 codec totality --- *)
+(* --- unit-diff codec totality --- *)
 
 let sample_diff () =
   diff
@@ -279,11 +280,11 @@ let test_codec_roundtrip () =
   match Prepost.decode (Prepost.encode d) with
   | Ok d' ->
     Alcotest.(check bool) "roundtrip" true (d = d')
-  | Error e -> Alcotest.failf "decode: %a" Prepost.pp_decode_error e
+  | Error e -> Alcotest.failf "decode: %a" Codec.pp_error e
 
 let test_codec_rejects_v1_blob () =
-  (* the retired unit-diff/1 codec led with a decimal length, never the
-     UDF2 magic: any such blob must be a typed error (a cache miss at
+  (* the retired unit-diff/1 codec led with a decimal length, never a
+     UDF magic: any such blob must be a typed error (a cache miss at
      the store layer), not an exception *)
   List.iter
     (fun blob ->

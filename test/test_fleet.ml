@@ -338,6 +338,96 @@ let test_disk_resume_across_handles () =
         (r1.r_bytes_fetched = 0 || r2.r_bytes_saved > 0);
       check_mirror repo s2)
 
+(* --- a corrupt entry never reaches a subscriber --- *)
+
+(* a well-framed KSPLREPO2 entry for base -> tree1 whose serialised
+   update is garbage: its blob digest is intact, so only decoding the
+   entry tells it apart from a good one *)
+let garbage_entry () =
+  let b = Buffer.create 128 in
+  let str s =
+    Buffer.add_int32_le b (Int32.of_int (String.length s));
+    Buffer.add_string b s
+  in
+  Buffer.add_string b "KSPLREPO2";
+  List.iter str [ base_digest; Tree.digest tree1; ""; "KSPL4garb" ];
+  Buffer.contents b
+
+(* a server that advertises and serves one entry blob, decoded or not *)
+let lying_server blob =
+  let digest = Store.digest_of_string blob in
+  let next = Tree.digest tree1 in
+  fun bytes ->
+    List.map Wire.encode
+      (match Wire.decode bytes ~pos:0 with
+      | Ok (Wire.Hello _, _) ->
+        [ Wire.Hello_ack { version = Wire.version; peer = "liar" } ]
+      | Ok (Wire.Head _, _) ->
+        [ Wire.Manifest
+            [ { mi_base = base_digest; mi_next = next; mi_blob = digest;
+                mi_size = String.length blob; mi_objects = [] } ] ]
+      | Ok (Wire.Want _, _) ->
+        [ Wire.Blob { digest; bytes = blob }; Wire.Done { head = next } ]
+      | _ -> [])
+
+let mentions needle hay =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
+let test_corrupt_entry_refused () =
+  let repo = server_repo () in
+  let server = Repo.store repo in
+  let blob = garbage_entry () in
+  Store.set_ref server (Repo.entry_ref base_digest) (Store.put server blob);
+  (match Repo.pending repo ~digest:base_digest with
+  | Error (Repo.Corrupt_entry _) -> ()
+  | Error e -> Alcotest.failf "pending: %a" Repo.pp_error e
+  | Ok _ -> Alcotest.fail "pending accepted the corrupt entry");
+  (match Repo.manifest repo ~digest:base_digest with
+  | Error (Repo.Corrupt_entry _) -> ()
+  | Error e -> Alcotest.failf "manifest: %a" Repo.pp_error e
+  | Ok l ->
+    Alcotest.failf "manifest advertised %d entries its pending rejects"
+      (List.length l));
+  (match Repo.gc repo with
+  | Error (Repo.Gc_unsafe _) -> ()
+  | Error e -> Alcotest.failf "gc: %a" Repo.pp_error e
+  | Ok _ -> Alcotest.fail "gc took the corrupt entry for a leaf");
+  let policy = { Subscriber.default_policy with retries = 2 } in
+  let refused what (r : Subscriber.report) sub cause =
+    Alcotest.(check bool) (what ^ ": not synced") false r.r_synced;
+    Alcotest.(check string) (what ^ ": old head kept") base_digest r.r_head;
+    Alcotest.(check string) (what ^ ": durable head") base_digest
+      (Subscriber.head sub ~base:base_digest);
+    Alcotest.(check (option string)) (what ^ ": nothing filed") None
+      (Store.find_ref sub (Repo.entry_ref base_digest));
+    Alcotest.(check bool) (what ^ ": cause logged") true
+      (List.exists (mentions cause) r.r_log);
+    match Repo.fsck (Repo.of_store sub) with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.failf "%s: mirror fsck reports damage" what
+  in
+  (* the honest server refuses to advertise it *)
+  let sub = sub_store () in
+  let r =
+    Subscriber.sync ~policy ~store:sub ~base:base_digest
+      ~connect:(connect_sim repo) ()
+  in
+  refused "server" r sub "corrupt repository entry";
+  (* a server that serves it anyway: the subscriber decodes the entry
+     before filing it, and refuses *)
+  let sub = sub_store () in
+  let r =
+    Subscriber.sync ~policy ~store:sub ~base:base_digest
+      ~connect:(fun _ ->
+        Some (fst (Transport.sim ~serve:(lying_server blob) ())))
+      ()
+  in
+  refused "lying server" r sub "entry refused"
+
 (* --- the listener's stale-socket liveness probe --- *)
 
 let tmp_socket_path () =
@@ -433,5 +523,7 @@ let suite =
         t "listen replaces a dead socket file" test_listen_replaces_dead_socket;
         t "listen refuses a live socket" test_listen_refuses_live_socket;
         t "real socketpair round trip" test_socketpair_roundtrip;
+        t "a corrupt entry never reaches a subscriber"
+          test_corrupt_entry_refused;
       ] );
   ]

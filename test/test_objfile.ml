@@ -69,7 +69,7 @@ let sample_object () =
   Objfile.make ~unit_name:"sample.c" ~sections:[ text; data; bss ] ~symbols
 
 let decode b =
-  Fixture.ok "decode" Objfile.pp_decode_error (Objfile.of_bytes b)
+  Fixture.ok "decode" Codec.pp_error (Objfile.of_bytes b)
 
 let test_serialisation_roundtrip () =
   let o = sample_object () in
@@ -105,7 +105,7 @@ let test_bad_magic () =
    | Ok _ -> Alcotest.fail "bad magic accepted"
    | Error e ->
      check bool_c "reason mentions magic" true
-       (String.length (Format.asprintf "%a" Objfile.pp_decode_error e) > 0))
+       (String.length (Format.asprintf "%a" Codec.pp_error e) > 0))
 
 let test_truncated_input () =
   let b = Objfile.to_bytes (sample_object ()) in
@@ -120,7 +120,7 @@ let test_trailing_bytes () =
   | Ok _ -> Alcotest.fail "trailing bytes accepted"
   | Error e ->
     check Alcotest.int "rejected where the object ends" (Bytes.length b)
-      e.de_off
+      e.off
 
 let test_queries () =
   let o = sample_object () in

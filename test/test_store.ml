@@ -133,14 +133,14 @@ module Pair_codec = Store.Typed (struct
 
   let decode s =
     match String.index_opt s ':' with
-    | None -> Error "no separator"
+    | None -> Error { Codec.off = 0; reason = "no separator" }
     | Some i -> (
       match int_of_string_opt (String.sub s 0 i) with
       | Some n when n >= 0 && i + 1 + n <= String.length s ->
         Ok
           ( String.sub s (i + 1) n,
             String.sub s (i + 1 + n) (String.length s - i - 1 - n) )
-      | _ -> Error "bad length")
+      | _ -> Error { Codec.off = 0; reason = "bad length" })
 end)
 
 let test_typed_codec () =

@@ -148,7 +148,9 @@ let cumulative_of (u : Update.t) =
 
 let check_cumulative_roundtrip what store (u : Update.t) b =
   Alcotest.(check (list string)) (what ^ ": supersedes from bytes alone")
-    u.supersedes (Update.supersedes_of_bytes b);
+    u.supersedes
+    (Fixture.ok "supersedes_of_bytes" Update.pp_decode_error
+       (Update.supersedes_of_bytes b));
   match Update.of_bytes_store store b with
   | Error e -> Alcotest.failf "%s: %a" what Update.pp_decode_error e
   | Ok u' ->
@@ -206,8 +208,8 @@ let test_old_formats_rejected () =
             (bad_magic (Update.of_bytes_store store b));
           Alcotest.(check bool) (label ^ ": store_digests") true
             (Result.is_error (Update.store_digests b));
-          Alcotest.(check (list string)) (label ^ ": supersedes") []
-            (Update.supersedes_of_bytes b))
+          Alcotest.(check bool) (label ^ ": supersedes") true
+            (bad_magic (Update.supersedes_of_bytes b)))
         [ "KSPL1"; "KSPL2"; "KSPL3" ])
     (Lazy.force blobs)
 
@@ -279,7 +281,9 @@ let test_every_prefix_rejected () =
         (readers store);
       (* supersedes_of_bytes shares the totality guarantee *)
       for n = 0 to Bytes.length b - 1 do
-        ignore (Update.supersedes_of_bytes (Bytes.sub b 0 n) : string list)
+        ignore
+          (Update.supersedes_of_bytes (Bytes.sub b 0 n)
+            : (string list, Update.decode_error) result)
       done)
     (Lazy.force blobs)
 
@@ -301,7 +305,7 @@ let prop_byte_flip_total =
         (readers store)
       &&
       match Update.supersedes_of_bytes b with
-      | (_ : string list) -> true
+      | (_ : (string list, Update.decode_error) result) -> true
       | exception _ -> false)
 
 let suite =
