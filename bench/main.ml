@@ -1,13 +1,15 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§6) against the synthetic corpus, then runs Bechamel
-   micro-benchmarks for the performance claims (§2/§5.2).
+(* Evaluation harness: regenerates every table and figure of the paper's
+   evaluation (§6) against the synthetic corpus, and runs the corpus
+   sweeps. Timings of the pipeline's layers live in the repository
+   benchmark (benchmark/); the two kept here have no counterpart there
+   yet: tracing overhead against its budget, and crash recovery.
 
    Per-CVE corpus work (each CVE boots its own machine) fans out across
-   the {!Parallel} domain pool, and every run writes a machine-readable
-   perf baseline — BENCH.json: per-section wall-clock, Bechamel OLS
-   estimates, compile-cache and kallsyms-index hit rates, and the
-   serial-vs-parallel 64-CVE creation sweep. `--quick` runs a small
-   subset (< 30 s) for CI; `ksplice-tool report` renders the file.
+   the {!Parallel} domain pool. Every run writes BENCH.json: per-section
+   wall-clock, compile-cache and kallsyms-index hit rates, every sweep's
+   report, the tracing-overhead check and the recovery time. `--quick`
+   runs a small subset (< 30 s) for CI; `ksplice-tool report` renders the
+   file. The bench exits 1 when that document records a failed verdict.
 
    Experiments (see DESIGN.md's index):
      F3 — Figure 3, patches by patch length
@@ -17,11 +19,11 @@
      S2 — §6.3 inlining statistics
      X  — §6.3 exploit verification
      R  — §4.3 robustness across build modes
-     CS — creation sweep: serial vs domain-parallel update creation
-     ST — store sweep: cold vs warm creation through the artifact store
-     CR — crash sweep: publish killed at every I/O op, recovery verified
-     P  — Bechamel: apply pause, trampoline overhead, run-pre matching,
-          update creation *)
+     B  — §6.3/§7.1 source-level baseline
+     V  — §6.2 kernel release matrix
+     A  — §4.3 ablation of matcher capabilities
+     FS / MS / DF / CR / TN / FL / CU — the seven corpus sweeps
+     TR — tracing overhead and traced/untraced byte identity *)
 
 module Tree = Patchfmt.Source_tree
 module Diff = Patchfmt.Diff
@@ -34,24 +36,10 @@ module Update = Ksplice.Update
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
-(* --- perf-baseline instrumentation --- *)
-
 let quick = ref false
 let out_path = ref "BENCH.json"
-let domains_flag = ref 0
-
-(* domain budget for the parallel legs: at least 2 so the pool machinery
-   is exercised even on a single-core host (where the speedup is ~1x) *)
-let par_domains () =
-  if !domains_flag > 0 then !domains_flag
-  else max 2 (Parallel.default_domains ())
-
 let now () = Unix.gettimeofday ()
 let section_times : (string * float) list ref = ref []
-let bech_estimates : (string * float) list ref = ref []
-
-(* (cves, serial wall s, parallel wall s, identical) *)
-let creation_result : (int * float * float * bool) option ref = ref None
 
 let timed name f =
   let t0 = now () in
@@ -61,21 +49,16 @@ let timed name f =
 
 let base = Corpus.Base_kernel.tree ()
 
-let create_cve ?(hot = true) ?domains (cve : Corpus.Cve.t) =
-  let patch =
-    if hot then Corpus.Cve.hot_patch cve base
-    else Corpus.Cve.mainline_patch cve base
-  in
-  Create.create ?domains
-    { source = base; patch; update_id = cve.id; description = cve.desc }
-
 (* the bench aborts on any pipeline failure *)
 let get what pp = function
   | Ok v -> v
   | Error e -> Format.kasprintf failwith "%s: %a" what pp e
 
-let created ?domains (cve : Corpus.Cve.t) =
-  get (cve.id ^ ": create failed") Create.pp_error (create_cve ?domains cve)
+let created (cve : Corpus.Cve.t) =
+  get (cve.id ^ ": create failed") Create.pp_error
+    (Create.create
+       { source = base; patch = Corpus.Cve.hot_patch cve base;
+         update_id = cve.id; description = cve.desc })
 
 (* ---------- F3: Figure 3 ---------- *)
 
@@ -146,7 +129,7 @@ let headline () =
   (* each CVE boots its own machine, so the per-CVE work is independent
      and fans out across the domain pool; the fold below is sequential *)
   let results =
-    Parallel.map ~domains:(par_domains ())
+    Parallel.map
       (fun (cve : Corpus.Cve.t) ->
         let c = created cve in
         let b = Corpus.Boot.boot () in
@@ -313,7 +296,7 @@ let exploits () =
   section "Exploit verification (paper 6.3: works before, fails after)";
   Printf.printf "%-16s %-34s %-8s %-8s\n" "CVE ID" "exploit" "before" "after";
   let rows =
-    Parallel.map ~domains:(par_domains ())
+    Parallel.map
       (fun (e : Corpus.Exploits.t) ->
         let cve = Option.get (Corpus.Cve.find e.cve_id) in
         let b1 = Corpus.Boot.boot () in
@@ -344,7 +327,7 @@ let runpre_robustness () =
      resolved intra-unit calls); every pre object is built with them; all
      64 updates must still match *)
   let results =
-    Parallel.map ~domains:(par_domains ())
+    Parallel.map
       (fun (cve : Corpus.Cve.t) ->
         let c = created cve in
         let b = Corpus.Boot.boot () in
@@ -428,7 +411,7 @@ let baseline () =
     "Source-level baseline (OPUS/LUCOS/DynAMOS-style) vs Ksplice (6.3)";
   let b = Corpus.Boot.boot () in
   let per_cve =
-    Parallel.map ~domains:(par_domains ())
+    Parallel.map
       (fun (cve : Corpus.Cve.t) ->
         let patch = Corpus.Cve.hot_patch cve base in
         match
@@ -474,7 +457,7 @@ let kernel_matrix () =
     (fun (v : Corpus.Versions.t) ->
       let apps = Corpus.Versions.applicable v in
       let applied_flags =
-        Parallel.map ~domains:(par_domains ())
+        Parallel.map
           (fun (cve : Corpus.Cve.t) ->
             match Corpus.Versions.hot_patch cve v with
             | None -> false
@@ -518,8 +501,7 @@ let ablation () =
   let count tolerance =
     List.length
       (List.filter Fun.id
-         (Parallel.map ~domains:(par_domains ()) (attempt tolerance)
-            Corpus.Cve.all))
+         (Parallel.map (attempt tolerance) Corpus.Cve.all))
   in
   let full = Ksplice.Runpre.full_tolerance in
   Printf.printf "%-52s %2d / 64\n" "full matcher (nop skip + jump equivalence):"
@@ -534,14 +516,14 @@ let ablation () =
      equivalence. A byte-exact matcher rejects safe updates whenever the \
      distro build aligned a loop head that the pre build did not.)\n"
 
-(* ---------- FS / MS / DF / TN: the corpus sweeps ---------- *)
+(* ---------- the corpus sweeps ---------- *)
 
 (* every sweep's report, in run order: BENCH.json's "sweeps" object *)
 let sweep_reports : (string * Report.Json.t) list ref = ref []
 
 let run_sweep title ?rows s =
   section title;
-  let r = Corpus.Sweep.run ?rows ~domains:(par_domains ()) s in
+  let r = Corpus.Sweep.run ?rows s in
   print_string (Format.asprintf "%a" Corpus.Sweep.pp r);
   sweep_reports :=
     (r.Corpus.Sweep.sweep, Corpus.Sweep.to_json r) :: !sweep_reports
@@ -564,143 +546,13 @@ let transition_sweep ?rows () =
     "Transition sweep: per-thread engagement vs stop_machine under load" ?rows
     Corpus.Sweep.transition
 
-(* ---------- CS: serial vs domain-parallel update creation ---------- *)
+let fleet_sweep () =
+  run_sweep "Fleet sweep: delta sync under every wire fault at every frame"
+    Corpus.Sweep.fleet
 
-let creation_sweep ?(cves = Corpus.Cve.all) () =
-  section "Creation sweep: update creation, serial vs domain-parallel";
-  let nd = par_domains () in
-  let serialize (c : Create.created) =
-    Bytes.to_string (Update.to_bytes c.update)
-  in
-  Kbuild.reset_cache ();
-  let t0 = now () in
-  let serial_ups =
-    List.map (fun cve -> serialize (created ~domains:1 cve)) cves
-  in
-  let serial_t = now () -. t0 in
-  Kbuild.reset_cache ();
-  let t0 = now () in
-  (* warm the shared pre build once so the concurrent creates hit the
-     compile cache instead of racing to rebuild the same units *)
-  ignore
-    (get "pre build" Kbuild.pp_error
-       (Kbuild.build_tree ~domains:nd ~options:Minic.Driver.pre_build base)
-      : Kbuild.build);
-  let par_ups =
-    Parallel.map ~domains:nd
-      (fun cve -> serialize (created ~domains:nd cve))
-      cves
-  in
-  let par_t = now () -. t0 in
-  let identical = serial_ups = par_ups in
-  creation_result := Some (List.length cves, serial_t, par_t, identical);
-  Printf.printf "CVEs:                %d\n" (List.length cves);
-  Printf.printf "serial wall:         %8.3f s\n" serial_t;
-  Printf.printf "parallel wall:       %8.3f s  (%d domains)\n" par_t nd;
-  Printf.printf "speedup:             %8.2fx\n" (serial_t /. par_t);
-  Printf.printf "identical updates from both paths: %b\n" identical;
-  if not identical then
-    print_endline "*** PARALLEL CREATION DIVERGED FROM SERIAL ***"
-
-(* ---------- ST: artifact store, cold vs warm creation ---------- *)
-
-type store_outcome = {
-  st_cves : int;
-  st_cold_s : float;
-  st_warm_s : float;
-  st_identical : bool;
-  st_skipped : int;
-  st_dedup_ratio : float;
-  st_bytes_saved : int;
-  st_diff_bytes_saved : int;
-      (* update bytes the minimal differencing avoids shipping,
-         vs the whole-unit baseline over the same CVEs *)
-  st_skipped_syms : int;
-      (* defined primary symbols the whole-unit baseline would ship
-         that the minimal updates leave home *)
-}
-
-let store_result : store_outcome option ref = ref None
-
-let store_sweep ?(cves = Corpus.Cve.all) () =
-  section "Store sweep: cold vs warm creation through one shared store";
-  let shared = Store.create ~name:"bench" ~capacity:16384 () in
-  let create_updates ?minimal () =
-    List.map
-      (fun (cve : Corpus.Cve.t) ->
-        match
-          Create.create ?minimal ~store:shared
-            { source = base; patch = Corpus.Cve.hot_patch cve base;
-              update_id = cve.id; description = cve.desc }
-        with
-        | Ok c -> c.Create.update
-        | Error e ->
-          Format.kasprintf failwith "%s: store sweep create failed: %a" cve.id
-            Create.pp_error e)
-      cves
-  in
-  let create_all () =
-    List.map
-      (fun u -> Bytes.to_string (Update.to_bytes u))
-      (create_updates ())
-  in
-  (* cold: empty compile cache, empty store — every unit compiles and
-     every patched unit is differenced *)
-  Kbuild.reset_cache ();
-  Create.reset_creation_stats ();
-  let t0 = now () in
-  let cold_ups = create_all () in
-  let cold_t = now () -. t0 in
-  (* warm: same store — compiles hit the kbuild store, differencing
-     resolves from interned (pre, post) digest pairs *)
-  Create.reset_creation_stats ();
-  let t0 = now () in
-  let warm_ups = create_all () in
-  let warm_t = now () -. t0 in
-  let skipped = Create.skipped_units () in
-  let identical = cold_ups = warm_ups in
-  (* the minimal-differencing dividend over the same store: what the
-     whole-unit baseline would have shipped beyond the minimal carve *)
-  let minimal_ups = create_updates () in
-  let whole_ups = create_updates ~minimal:false () in
-  let usize (u : Update.t) = Bytes.length (Update.to_bytes u) in
-  let defined (u : Update.t) =
-    List.length
-      (List.filter Objfile.Symbol.is_defined u.primary.Objfile.symbols)
-  in
-  let sum f l = List.fold_left (fun a u -> a + f u) 0 l in
-  let diff_bytes_saved = sum usize whole_ups - sum usize minimal_ups in
-  let skipped_syms = sum defined whole_ups - sum defined minimal_ups in
-  let st = Store.stats shared in
-  let dedup_ratio =
-    if st.Store.puts = 0 then 0.0
-    else float_of_int st.Store.dedup_hits /. float_of_int st.Store.puts
-  in
-  store_result :=
-    Some
-      { st_cves = List.length cves; st_cold_s = cold_t; st_warm_s = warm_t;
-        st_identical = identical; st_skipped = skipped;
-        st_dedup_ratio = dedup_ratio;
-        st_bytes_saved = st.Store.bytes_deduped;
-        st_diff_bytes_saved = diff_bytes_saved;
-        st_skipped_syms = skipped_syms };
-  Printf.printf "CVEs:                %d\n" (List.length cves);
-  Printf.printf "cold wall:           %8.3f s\n" cold_t;
-  Printf.printf "warm wall:           %8.3f s\n" warm_t;
-  Printf.printf "speedup:             %8.2fx\n" (cold_t /. warm_t);
-  Printf.printf "units skipped (warm):%6d\n" skipped;
-  Printf.printf "store puts:          %6d  (dedup hits: %d, ratio %.2f)\n"
-    st.Store.puts st.Store.dedup_hits dedup_ratio;
-  Printf.printf "bytes interned:      %8d  (saved by dedup: %d)\n"
-    st.Store.bytes_put st.Store.bytes_deduped;
-  Printf.printf "minimal diffs:       %8d update bytes saved, %d symbols \
-                 left home (vs whole-unit)\n"
-    diff_bytes_saved skipped_syms;
-  Printf.printf "identical updates from both passes: %b\n" identical;
-  if not identical then
-    print_endline "*** WARM CREATION DIVERGED FROM COLD ***";
-  if skipped = 0 then
-    print_endline "*** WARM PASS SKIPPED NO UNITS: incremental path dead ***"
+let cumulative_sweep () =
+  run_sweep "Cumulative sweep: atomic replace of a stacked chain at depth"
+    Corpus.Sweep.cumulative
 
 (* ---------- TR: tracing overhead and byte identity ---------- *)
 
@@ -817,387 +669,9 @@ let crash_sweep ?rows () =
       Printf.printf "reopen+recover after a mid-publish crash: %.6f s\n"
         recovery_t)
 
-(* ---------- FL: simulated fleet distribution ---------- *)
+(* ---------- BENCH.json ---------- *)
 
-type fleet_outcome = {
-  fb_subscribers : int;
-  fb_depth : int;  (** server chain entries *)
-  fb_synced : int;
-  fb_wall_s : float;
-  fb_subs_per_s : float;
-  fb_p50_s : float;
-  fb_p99_s : float;
-  fb_chain_bytes : int;  (** blob bytes of one full cold mirror *)
-  fb_bytes_fetched : int;
-  fb_bytes_saved : int;  (** bytes not transferred vs all-cold mirrors *)
-}
-
-let fleet_result : fleet_outcome option ref = ref None
-
-let fleet_bench ?(subscribers = 512) () =
-  section
-    (Printf.sprintf "Fleet distribution: %d subscribers mirroring one server"
-       subscribers);
-  let module Transport = Fleet.Transport in
-  let module Server = Fleet.Server in
-  let module Subscriber = Fleet.Subscriber in
-  (* a server chain stacked like the fleet sweep's: successive corpus
-     CVEs applied to the successively patched tree *)
-  let repo = Repo.of_store (Store.create ~name:"fleet-bench-server" ()) in
-  let depth =
-    List.length
-      (get "fleet bench chain" Format.pp_print_string
-         (Corpus.Sweep.publish_chain repo base ~depth:4))
-  in
-  let base_digest = Tree.digest base in
-  let manifest =
-    match Repo.manifest repo ~digest:base_digest with
-    | Ok m -> m
-    | Error e -> Format.kasprintf failwith "fleet manifest: %a" Repo.pp_error e
-  in
-  let chain_bytes =
-    List.fold_left
-      (fun acc (e : Repo.manifest_entry) ->
-        acc + e.me_size
-        + List.fold_left (fun a (_, s) -> a + s) 0 e.me_objects)
-      0 manifest
-  in
-  let server_store = Repo.store repo in
-  (* pre-seed a subscriber to chain position [k]: exactly the refs and
-     blobs a prior sync committed, so the timed sync fetches the delta *)
-  let preseed sub k =
-    List.iteri
-      (fun i (e : Repo.manifest_entry) ->
-        if i < k then begin
-          List.iter
-            (fun d ->
-              match Store.get server_store d with
-              | Some b -> ignore (Store.put sub b)
-              | None -> failwith "fleet bench: server blob missing")
-            (e.me_blob :: List.map fst e.me_objects);
-          let hd = Store.put sub e.me_next in
-          Store.commit_refs sub
-            [ (Repo.entry_ref e.me_base, e.me_blob); ("fleet:head", hd) ]
-        end)
-      manifest
-  in
-  let t0 = now () in
-  let reports =
-    Parallel.map ~domains:(par_domains ())
-      (fun i ->
-        let sub = Store.create ~name:(Printf.sprintf "sub-%d" i) () in
-        preseed sub (i mod (depth + 1));
-        let connect _ =
-          let tr, _ =
-            Transport.sim ~serve:(Server.handle (Server.session repo)) ()
-          in
-          Some tr
-        in
-        let s0 = now () in
-        let r =
-          Subscriber.sync ~id:(Printf.sprintf "sub-%d" i) ~store:sub
-            ~base:base_digest ~connect ()
-        in
-        (now () -. s0, r))
-      (List.init subscribers (fun i -> i))
-  in
-  let wall = now () -. t0 in
-  let lats = List.sort compare (List.map fst reports) in
-  let pct p =
-    let n = List.length lats in
-    if n = 0 then 0.0
-    else
-      List.nth lats
-        (max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1)))
-  in
-  let sum f =
-    List.fold_left (fun acc (_, r) -> acc + f r) 0 reports
-  in
-  let synced = sum (fun (r : Subscriber.report) -> if r.r_synced then 1 else 0) in
-  let outcome =
-    {
-      fb_subscribers = subscribers;
-      fb_depth = depth;
-      fb_synced = synced;
-      fb_wall_s = wall;
-      fb_subs_per_s = float_of_int subscribers /. wall;
-      fb_p50_s = pct 0.50;
-      fb_p99_s = pct 0.99;
-      fb_chain_bytes = chain_bytes;
-      fb_bytes_fetched = sum (fun (r : Subscriber.report) -> r.r_bytes_fetched);
-      (* a cold mirror transfers [chain_bytes]; whatever the fleet did
-         not fetch was saved by delta sync (head exchange skipping
-         committed entries) plus CAS hits on shared object blobs *)
-      fb_bytes_saved =
-        max 0
-          ((chain_bytes * subscribers)
-          - sum (fun (r : Subscriber.report) -> r.r_bytes_fetched));
-    }
-  in
-  fleet_result := Some outcome;
-  Printf.printf "chain: %d entries, %d blob bytes per cold mirror\n" depth
-    chain_bytes;
-  Printf.printf "synced %d/%d subscribers in %.3f s  (%.1f subscribers/s)\n"
-    synced subscribers wall outcome.fb_subs_per_s;
-  Printf.printf "sync latency: p50 %.6f s   p99 %.6f s\n" outcome.fb_p50_s
-    outcome.fb_p99_s;
-  Printf.printf
-    "delta sync: %d bytes fetched, %d bytes saved vs cold mirrors\n"
-    outcome.fb_bytes_fetched outcome.fb_bytes_saved;
-  if synced <> subscribers then
-    print_endline "*** FLEET BENCH: not every subscriber synced ***"
-
-(* ---------- CU: cumulative updates (atomic replace) ---------- *)
-
-type cumulative_row = {
-  cb_requested : int;
-  cb_depth : int;  (** chain entries actually published *)
-  cb_stacked_s : float;  (** applying the chain hop by hop *)
-  cb_collapse_s : float;  (** one atomic replace of the whole stack *)
-  cb_chain_bytes : int;  (** wire bytes of the per-update chain *)
-  cb_cumulative_bytes : int;  (** wire bytes of the one cumulative hop *)
-  cb_footprints_identical : bool;
-}
-
-let cumulative_result : cumulative_row list ref = ref []
-
-let cumulative_bench ?(depths = [ 1; 8; 32 ]) () =
-  section "Cumulative updates: atomic replace vs the stacked chain";
-  let rows =
-    List.map
-      (fun requested ->
-        (* a chain of corpus CVEs, each still applicable to the
-           successively patched tree, published like the fleet bench's *)
-        let repo =
-          Repo.of_store
-            (Store.create ~name:(Printf.sprintf "cum-bench-%d" requested) ())
-        in
-        let chain =
-          List.map snd
-            (get "cumulative bench chain" Format.pp_print_string
-               (Corpus.Sweep.publish_chain repo base ~depth:requested))
-        in
-        let depth = List.length chain in
-        let base_digest = Tree.digest base in
-        (* the manifest advertises the cumulative hop once published, so
-           measuring it before and after the collapse yields the wire
-           bytes of the chain vs the single replacement hop *)
-        let manifest_bytes () =
-          match Repo.manifest repo ~digest:base_digest with
-          | Ok m ->
-            List.fold_left
-              (fun acc (e : Repo.manifest_entry) ->
-                acc + e.me_size
-                + List.fold_left (fun a (_, s) -> a + s) 0 e.me_objects)
-              0 m
-          | Error e ->
-            Format.kasprintf failwith "cumulative bench manifest: %a"
-              Repo.pp_error e
-        in
-        let chain_bytes = manifest_bytes () in
-        let cum =
-          match
-            Repo.publish_cumulative repo ~source:base
-              ~update_id:(Printf.sprintf "cumulative-%d" depth)
-              ~description:(Printf.sprintf "collapse of %d update(s)" depth)
-          with
-          | Ok e -> e.Repo.update
-          | Error e ->
-            Format.kasprintf failwith "cumulative bench collapse: %a"
-              Repo.pp_error e
-        in
-        let cumulative_bytes = manifest_bytes () in
-        let apply_ok mgr u =
-          match Apply.apply mgr u with
-          | Ok _ -> ()
-          | Error e ->
-            Format.kasprintf failwith "cumulative bench apply: %a"
-              Apply.pp_error e
-        in
-        (* twin A: the stacked chain, timed hop by hop *)
-        let ba = Corpus.Boot.boot () in
-        let mgra = Apply.init ba.machine in
-        let t0 = now () in
-        List.iter (apply_ok mgra) chain;
-        let stacked_s = now () -. t0 in
-        (* twin B: the same stack, then one timed atomic replace *)
-        let bb = Corpus.Boot.boot () in
-        let mgrb = Apply.init bb.machine in
-        List.iter (apply_ok mgrb) chain;
-        let t1 = now () in
-        (match Apply.apply_cumulative mgrb cum with
-        | Ok _ -> ()
-        | Error e ->
-          Format.kasprintf failwith "cumulative bench replace: %a"
-            Apply.pp_error e);
-        let collapse_s = now () -. t1 in
-        (* footprint parity: unwind twin A by hand, plain-apply, compare *)
-        List.iter
-          (fun (u : Update.t) ->
-            match Apply.undo mgra u.update_id with
-            | Ok () -> ()
-            | Error e ->
-              Format.kasprintf failwith "cumulative bench undo: %a"
-                Apply.pp_error e)
-          (List.rev chain);
-        apply_ok mgra cum;
-        let identical =
-          String.equal (Apply.footprint mgra) (Apply.footprint mgrb)
-        in
-        Printf.printf
-          "depth %2d: stacked apply %.3f s, atomic replace %.3f s; wire %d \
-           -> %d bytes; footprints identical: %b\n"
-          depth stacked_s collapse_s chain_bytes cumulative_bytes identical;
-        { cb_requested = requested; cb_depth = depth;
-          cb_stacked_s = stacked_s; cb_collapse_s = collapse_s;
-          cb_chain_bytes = chain_bytes;
-          cb_cumulative_bytes = cumulative_bytes;
-          cb_footprints_identical = identical })
-      depths
-  in
-  cumulative_result := rows;
-  if List.exists (fun r -> not r.cb_footprints_identical) rows then
-    print_endline "*** CUMULATIVE BENCH: footprint divergence ***"
-
-(* ---------- P: Bechamel timing ---------- *)
-
-let bechamel_benches ?(quick = false) () =
-  section "Timing micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  (* prepared state for the benches *)
-  let cve = Option.get (Corpus.Cve.find "CVE-2006-2451") in
-  let prepared = created cve in
-  (* machine with the update applied, for trampoline-overhead probes *)
-  let b_patched = Corpus.Boot.boot () in
-  let mgr = Apply.init b_patched.machine in
-  (match Apply.apply mgr prepared.update with
-   | Ok _ -> ()
-   | Error e -> Format.kasprintf failwith "bench apply: %a" Apply.pp_error e);
-  let b_plain = Corpus.Boot.boot () in
-  let addr_of (b : Corpus.Boot.booted) name =
-    (Option.get (Image.lookup_global b.image name)).addr
-  in
-  let call_patched = addr_of b_patched "sys_prctl" in
-  let call_plain = addr_of b_plain "sys_prctl" in
-  let helper = List.hd prepared.update.helpers in
-  let inference_bench () =
-    let inference = Ksplice.Runpre.create_inference () in
-    Ksplice.Runpre.match_helper
-      ~read_run:(fun a -> Machine.read_u8 b_plain.machine a)
-      ~candidates:(fun name ->
-        Machine.lookup_name b_plain.machine name
-        |> List.filter_map (fun (s : Image.syminfo) ->
-             if s.kind = `Func then Some s.addr else None))
-      ~already:(fun _ -> None)
-      ~inference helper
-  in
-  let tests =
-    [
-      Test.make ~name:"call: unpatched function"
-        (Staged.stage (fun () ->
-             ignore
-               (Machine.call_function b_plain.machine ~addr:call_plain
-                  ~args:[ 3l; 0l ])));
-      Test.make ~name:"call: patched function (trampoline)"
-        (Staged.stage (fun () ->
-             ignore
-               (Machine.call_function b_patched.machine ~addr:call_patched
-                  ~args:[ 3l; 0l ])));
-      Test.make ~name:"run-pre matching (one helper unit)"
-        (Staged.stage (fun () -> ignore (inference_bench ())));
-      Test.make ~name:"ksplice-create (prctl patch)"
-        (Staged.stage (fun () -> ignore (created cve)));
-      Test.make ~name:"apply+undo on live kernel"
-        (Staged.stage (fun () ->
-             let b = Corpus.Boot.boot () in
-             let mgr = Apply.init b.machine in
-             (match Apply.apply mgr prepared.update with
-              | Ok _ -> ()
-              | Error _ -> failwith "bench apply failed");
-             match Apply.undo mgr cve.id with
-             | Ok () -> ()
-             | Error _ -> failwith "bench undo failed"));
-    ]
-  in
-  (* matcher cost scales with the optimization unit: one synthetic unit
-     per size, measured separately *)
-  let scaling_tests () =
-    let mk_unit n =
-      let b = Buffer.create 1024 in
-      for i = 0 to n - 1 do
-        Buffer.add_string b
-          (Printf.sprintf
-             "int sfn%d(int p) {\n  int a = p + %d;\n  int i;\n  for (i = 0; i < %d; i = i + 1)\n    a = a + i;\n  return a;\n}\n"
-             i i (i + 2))
-      done;
-      Buffer.contents b
-    in
-    List.map
-      (fun n ->
-        let tree =
-          Patchfmt.Source_tree.of_list [ ("kernel/s.c", mk_unit n) ]
-        in
-        let m = (Corpus.Boot.boot ~tree ()).machine in
-        let pre =
-          get "pre build" Kbuild.pp_error
-            (Kbuild.build_tree ~options:Minic.Driver.pre_build tree)
-        in
-        let helper = List.hd (Kbuild.objects pre) in
-        Test.make
-          ~name:(Printf.sprintf "run-pre matching, %d-function unit" n)
-          (Staged.stage (fun () ->
-               let inference = Ksplice.Runpre.create_inference () in
-               ignore
-                 (Ksplice.Runpre.match_helper
-                    ~read_run:(fun a -> Machine.read_u8 m a)
-                    ~candidates:(fun name ->
-                      Machine.lookup_name m name
-                      |> List.filter_map (fun (s : Image.syminfo) ->
-                           if s.kind = `Func then Some s.addr else None))
-                    ~already:(fun _ -> None)
-                    ~inference helper))))
-      [ 4; 16; 64 ]
-  in
-  let tests =
-    if quick then
-      (* the cheap probes only — creation and apply are already wall-
-         clocked by the sections, and --quick must stay under 30 s *)
-      List.filteri (fun i _ -> i < 3) tests
-    else tests @ scaling_tests ()
-  in
-  let grouped = Test.make_grouped ~name:"ksplice" ~fmt:"%s %s" tests in
-  let cfg =
-    if quick then
-      Benchmark.cfg ~limit:100 ~quota:(Time.second 0.1) ~stabilize:false ()
-    else Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  List.iter
-    (fun (name, est) ->
-      match Analyze.OLS.estimates est with
-      | Some [ ns ] ->
-        bech_estimates := (name, ns) :: !bech_estimates;
-        if ns > 1e6 then Printf.printf "%-46s %10.3f ms/run\n" name (ns /. 1e6)
-        else if ns > 1e3 then
-          Printf.printf "%-46s %10.3f us/run\n" name (ns /. 1e3)
-        else Printf.printf "%-46s %10.1f ns/run\n" name ns
-      | _ -> Printf.printf "%-46s (no estimate)\n" name)
-    (List.sort compare rows);
-  (* instruction-level trampoline cost: the inserted jump is one extra
-     5-byte instruction per call, the paper's "a few cycles" *)
-  Printf.printf
-    "\ntrampoline cost at ISA level: 1 extra jmp instruction (5 bytes) per \
-     call to a replaced function\n"
-
-(* ---------- BENCH.json emitter ---------- *)
-
-let emit_bench_json ~mode () =
+let bench_json ~mode () =
   let open Report.Json in
   let cs = Kbuild.cache_stats () in
   let is = Machine.kallsyms_index_stats () in
@@ -1205,149 +679,56 @@ let emit_bench_json ~mode () =
   let rate hits total =
     if total = 0 then Null else Num (float_of_int hits /. float_of_int total)
   in
-  let doc =
-    Obj
-      [
-        ("schema", Str "ksplice-bench/1");
-        ("mode", Str mode);
-        ("domains", num (par_domains ()));
-        ("available_domains", num (Parallel.available_domains ()));
-        ( "sections",
-          Arr
-            (List.rev_map
-               (fun (name, wall) ->
-                 Obj [ ("name", Str name); ("wall_s", Num wall) ])
-               !section_times) );
-        ( "bechamel",
-          Arr
-            (List.rev_map
-               (fun (name, ns) ->
-                 Obj [ ("name", Str name); ("ns_per_run", Num ns) ])
-               !bech_estimates) );
-        ( "kbuild_cache",
+  Obj
+    [
+      ("schema", Str "ksplice-bench/1");
+      ("mode", Str mode);
+      ( "sections",
+        Arr
+          (List.rev_map
+             (fun (name, wall) ->
+               Obj [ ("name", Str name); ("wall_s", Num wall) ])
+             !section_times) );
+      ( "kbuild_cache",
+        Obj
+          [
+            ("hits", num cs.hits);
+            ("misses", num cs.misses);
+            ("evictions", num cs.evictions);
+            ("entries", num cs.entries);
+            ("capacity", num cs.capacity);
+            ("hit_rate", rate cs.hits (cs.hits + cs.misses));
+          ] );
+      ( "kallsyms_index",
+        Obj
+          [
+            ("lookups", num is.lookups);
+            ("hits", num is.hits);
+            ("hit_rate", rate is.hits is.lookups);
+          ] );
+      ("sweeps", Obj (List.rev !sweep_reports));
+      ( "trace",
+        match !trace_result with
+        | None -> Null
+        | Some (cves, untraced_t, traced_t, identical, records) ->
+          let overhead = traced_t /. untraced_t in
           Obj
             [
-              ("hits", num cs.hits);
-              ("misses", num cs.misses);
-              ("evictions", num cs.evictions);
-              ("entries", num cs.entries);
-              ("capacity", num cs.capacity);
-              ("hit_rate", rate cs.hits (cs.hits + cs.misses));
+              ("cves", num cves);
+              ("untraced_wall_s", Num untraced_t);
+              ("traced_wall_s", Num traced_t);
+              ("overhead", Num overhead);
+              ("budget", Num trace_overhead_budget);
+              ("within_budget", Bool (overhead <= trace_overhead_budget));
+              ("identical", Bool identical);
+              ("ok", Bool identical);
+              ("records", num records);
             ] );
-        ( "kallsyms_index",
-          Obj
-            [
-              ("lookups", num is.lookups);
-              ("hits", num is.hits);
-              ("hit_rate", rate is.hits is.lookups);
-            ] );
-        ("sweeps", Obj (List.rev !sweep_reports));
-        ( "creation_sweep",
-          match !creation_result with
-          | None -> Null
-          | Some (cves, serial_t, par_t, identical) ->
-            Obj
-              [
-                ("cves", num cves);
-                ("serial_wall_s", Num serial_t);
-                ("parallel_wall_s", Num par_t);
-                ("speedup", Num (serial_t /. par_t));
-                ("identical", Bool identical);
-              ] );
-        ( "store",
-          match !store_result with
-          | None -> Null
-          | Some s ->
-            Obj
-              [
-                ("cves", num s.st_cves);
-                ("cold_wall_s", Num s.st_cold_s);
-                ("warm_wall_s", Num s.st_warm_s);
-                ("speedup", Num (s.st_cold_s /. s.st_warm_s));
-                ("identical", Bool s.st_identical);
-                ("skipped_units", num s.st_skipped);
-                ("dedup_ratio", Num s.st_dedup_ratio);
-                ("bytes_saved", num s.st_bytes_saved);
-                ("diff_bytes_saved", num s.st_diff_bytes_saved);
-                ("skipped_symbols", num s.st_skipped_syms);
-              ] );
-        ( "trace",
-          match !trace_result with
-          | None -> Null
-          | Some (cves, untraced_t, traced_t, identical, records) ->
-            let overhead = traced_t /. untraced_t in
-            Obj
-              [
-                ("cves", num cves);
-                ("untraced_wall_s", Num untraced_t);
-                ("traced_wall_s", Num traced_t);
-                ("overhead", Num overhead);
-                ("budget", Num trace_overhead_budget);
-                ("within_budget", Bool (overhead <= trace_overhead_budget));
-                ("identical", Bool identical);
-                ("records", num records);
-              ] );
-        ( "crash_recovery",
-          match !recovery_result with
-          | None -> Null
-          | Some t -> Obj [ ("recovery_s", Num t) ] );
-        ( "fleet",
-          match !fleet_result with
-          | None -> Null
-          | Some f ->
-            Obj
-              [
-                ("subscribers", num f.fb_subscribers);
-                ("chain_depth", num f.fb_depth);
-                ("synced", num f.fb_synced);
-                ("wall_s", Num f.fb_wall_s);
-                ("subscribers_per_s", Num f.fb_subs_per_s);
-                ("p50_sync_s", Num f.fb_p50_s);
-                ("p99_sync_s", Num f.fb_p99_s);
-                ("chain_bytes", num f.fb_chain_bytes);
-                ("bytes_fetched", num f.fb_bytes_fetched);
-                ("bytes_saved", num f.fb_bytes_saved);
-                ("ok", Bool (f.fb_synced = f.fb_subscribers));
-              ] );
-        ( "cumulative",
-          match !cumulative_result with
-          | [] -> Null
-          | rows ->
-            Obj
-              [
-                ( "rows",
-                  Arr
-                    (List.map
-                       (fun r ->
-                         Obj
-                           [
-                             ("requested", num r.cb_requested);
-                             ("depth", num r.cb_depth);
-                             ("stacked_apply_s", Num r.cb_stacked_s);
-                             ("collapse_s", Num r.cb_collapse_s);
-                             ("chain_bytes", num r.cb_chain_bytes);
-                             ("cumulative_bytes", num r.cb_cumulative_bytes);
-                             ( "bytes_saved",
-                               num
-                                 (max 0
-                                    (r.cb_chain_bytes
-                                    - r.cb_cumulative_bytes)) );
-                             ( "footprints_identical",
-                               Bool r.cb_footprints_identical );
-                           ])
-                       rows) );
-                ( "ok",
-                  Bool
-                    (List.for_all
-                       (fun r -> r.cb_footprints_identical)
-                       rows) );
-              ] );
-      ]
-  in
-  let oc = open_out !out_path in
-  output_string oc (to_string doc);
-  close_out oc;
-  Printf.printf "\nperf baseline written to %s\n" !out_path
+      ( "crash_recovery",
+        match !recovery_result with
+        | None -> Null
+        | Some t -> Obj [ ("recovery_s", Num t) ] );
+    ]
 
 let () =
   let specs =
@@ -1356,14 +737,11 @@ let () =
       ( "--out",
         Arg.Set_string out_path,
         "FILE perf-baseline JSON path (default BENCH.json)" );
-      ( "--domains",
-        Arg.Set_int domains_flag,
-        "N domain budget for the parallel legs (default: max 2 cores)" );
     ]
   in
   Arg.parse (Arg.align specs)
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "bench [--quick] [--out FILE] [--domains N]";
+    "bench [--quick] [--out FILE]";
   print_endline "Ksplice reproduction - evaluation benchmarks";
   print_endline "(paper: Arnold & Kaashoek, EuroSys 2009)";
   if !quick then begin
@@ -1371,8 +749,6 @@ let () =
     timed "figure3" figure3;
     timed "table1" table1;
     timed "consequences" consequences;
-    timed "creation_sweep" (fun () -> creation_sweep ~cves:quick_cves ());
-    timed "store_sweep" (fun () -> store_sweep ~cves:quick_cves ());
     timed "differencing_sweep" (fun () ->
         differencing_sweep ~rows:(quick_cves @ Corpus.Cve.diff_extras) ());
     timed "manager_sweep" (fun () ->
@@ -1382,9 +758,8 @@ let () =
         crash_sweep ~rows:(List.filteri (fun i _ -> i < 2) quick_cves) ());
     timed "transition_sweep" (fun () ->
         transition_sweep ~rows:(List.filteri (fun i _ -> i < 2) quick_cves) ());
-    timed "fleet_bench" (fun () -> fleet_bench ());
-    timed "cumulative_bench" (fun () -> cumulative_bench ~depths:[ 1; 4 ] ());
-    timed "bechamel" (fun () -> bechamel_benches ~quick:true ())
+    timed "fleet_sweep" fleet_sweep;
+    timed "cumulative_sweep" cumulative_sweep
   end
   else begin
     timed "figure3" figure3;
@@ -1400,16 +775,21 @@ let () =
     timed "ablation" ablation;
     timed "fault_sweep" fault_sweep;
     timed "manager_sweep" (fun () -> manager_sweep ());
-    timed "creation_sweep" (fun () -> creation_sweep ());
-    timed "store_sweep" (fun () -> store_sweep ());
     timed "differencing_sweep" (fun () -> differencing_sweep ());
     timed "trace_overhead" (fun () -> trace_overhead ());
     timed "crash_sweep" (fun () -> crash_sweep ());
     timed "transition_sweep" (fun () -> transition_sweep ());
-    timed "fleet_bench" (fun () -> fleet_bench ~subscribers:1024 ());
-    timed "cumulative_bench" (fun () -> cumulative_bench ());
-    timed "appendix" appendix;
-    timed "bechamel" (fun () -> bechamel_benches ())
+    timed "fleet_sweep" fleet_sweep;
+    timed "cumulative_sweep" cumulative_sweep;
+    timed "appendix" appendix
   end;
-  emit_bench_json ~mode:(if !quick then "quick" else "full") ();
+  let doc = bench_json ~mode:(if !quick then "quick" else "full") () in
+  let oc = open_out !out_path in
+  output_string oc (Report.Json.to_string doc);
+  close_out oc;
+  Printf.printf "\nperf baseline written to %s\n" !out_path;
+  if not (Report.Render.verdict doc) then begin
+    Printf.printf "*** %s RECORDS A FAILED VERDICT ***\n" !out_path;
+    exit 1
+  end;
   print_endline "\nAll experiments complete."

@@ -303,8 +303,8 @@ let hook_fn_names sections kind =
       else [])
     sections
 
-let create ?(build_options = Minic.Driver.pre_build) ?domains
-    ?(minimal = true) ?store ?(supersedes = []) req =
+let create ?(build_options = Minic.Driver.pre_build) ?(minimal = true) ?store
+    ?(supersedes = []) req =
   let store = match store with Some s -> s | None -> Store.default () in
   Trace.with_span "create"
     ~fields:[ ("update", Trace.Str req.update_id) ]
@@ -315,10 +315,10 @@ let create ?(build_options = Minic.Driver.pre_build) ?domains
     match
       (* pre before post, sequentially: the post build then recompiles
          only patched units, everything else hits the compile cache *)
-      match Kbuild.build_tree ?domains ~options:build_options req.source with
+      match Kbuild.build_tree ~options:build_options req.source with
       | Error e -> Error e
       | Ok pre_build -> (
-        match Kbuild.build_tree ?domains ~options:build_options post_tree with
+        match Kbuild.build_tree ~options:build_options post_tree with
         | Error e -> Error e
         | Ok post_build -> Ok (pre_build, post_build))
     with
@@ -327,14 +327,9 @@ let create ?(build_options = Minic.Driver.pre_build) ?domains
       let patched_units =
         Diff.changed_files req.patch |> List.filter is_source
       in
-      (* workers may land on pool domains whose span context is empty;
-         re-enter the caller's context so per-unit spans keep the
-         "create" span as parent across Parallel.map *)
-      let ctx = Trace.context () in
       let diffs =
-        Parallel.map ?domains
+        List.map
           (fun unit_name ->
-            Trace.with_context ctx @@ fun () ->
             Trace.with_span "create.unit"
               ~fields:[ ("unit", Trace.Str unit_name) ]
             @@ fun () ->

@@ -57,13 +57,9 @@ type created = {
     [update.primary] appears exactly once. *)
 val shipped_symbols : created -> (string * (string * Prepost.reason)) list
 
-(** [create ?build_options ?domains ?minimal ?store request] builds the
-    update. [build_options] defaults to {!Minic.Driver.pre_build}
-    (function sections on — required for the differencing to be
-    per-function). [domains] bounds the domain pool used for unit
-    compilation and pre/post differencing (default
-    {!Parallel.default_domains}; [1] forces a fully serial creation);
-    parallel and serial creation produce identical updates.
+(** [create ?build_options ?minimal ?store request] builds the update.
+    [build_options] defaults to {!Minic.Driver.pre_build} (function
+    sections on — required for the differencing to be per-function).
 
     [minimal] (default [true]) selects function-granular carving: the
     primary ships only the diff's inclusion set and each helper keeps
@@ -92,7 +88,6 @@ val shipped_symbols : created -> (string * (string * Prepost.reason)) list
     [update.shadow_dtors] automatically. *)
 val create :
   ?build_options:Minic.Driver.options ->
-  ?domains:int ->
   ?minimal:bool ->
   ?store:Store.t ->
   ?supersedes:string list ->

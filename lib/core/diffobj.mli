@@ -74,27 +74,6 @@ val dataname_of_section : Objfile.Section.t -> string option
     ([.L*]), whose numbering carries no identity across builds. *)
 val is_temp : string -> bool
 
-(** Pass-2 verdict for one function. *)
-type verdict =
-  | Same
-  | Code_changed
-  | Refs_changed_data of string list
-      (** unchanged instruction stream; these post-side read-only syms
-          it references have no pre counterpart by content *)
-
-(** The correlation computed by pass 1. *)
-type correlation = { temp_map : (string, string) Hashtbl.t }
-
-val correlate : pre:Objfile.t -> post:Objfile.t -> correlation
-
-(** [code_verdict ~corr ~pre ~post] statically compares two builds of
-    one function ({!Runpre.match_text}'s static twin). *)
-val code_verdict :
-  corr:correlation ->
-  pre:Objfile.Section.t ->
-  post:Objfile.Section.t ->
-  verdict
-
 (** A defined symbol's byte range within its section. *)
 type slice = {
   sl_sym : Objfile.Symbol.t;

@@ -32,12 +32,6 @@ val of_store : Store.t -> t
     must reproduce. *)
 val entry_ref : string -> string
 
-(** The ref under which a {e cumulative} entry for a source digest is
-    published (["cumulative:<digest>"]). A cumulative entry sits beside
-    the per-update chain: one hop from its base straight to the chain
-    head, carrying an atomic-replace update. *)
-val cumulative_ref : string -> string
-
 (** An update published against a particular source state. *)
 type entry = {
   base_digest : string;  (** digest of the source this applies to *)
@@ -92,7 +86,8 @@ val publish :
     chain head, a fresh update is built from it ({!Create.create}) whose
     [supersedes] lists every chain update id oldest first (flattened
     through any cumulative chain entries), and the entry is published
-    under {!cumulative_ref} — the per-update chain stays intact for
+    under the ref ["cumulative:<digest>"], one hop from [source] straight
+    to the chain head — the per-update chain stays intact for
     mid-chain subscribers. Fails with [Patch_rejected] when there is
     nothing pending to collapse, [Already_published] when a cumulative
     entry for [source] already exists. *)
@@ -175,8 +170,8 @@ type links = {
   l_base : string;  (** source digest the entry applies to *)
   l_next : string;  (** source digest after applying it *)
   l_ref : string;
-      (** the ref the entry belongs under: {!cumulative_ref} of its base
-          when the serialised update inside supersedes something,
+      (** the ref the entry belongs under: ["cumulative:<base>"] when
+          the serialised update inside supersedes something,
           {!entry_ref} otherwise *)
   l_objects : Store.digest list;
       (** the object blobs the serialised update interns *)

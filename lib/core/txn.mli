@@ -34,7 +34,6 @@ type step =
 val all_steps : step list
 
 val step_name : step -> string
-val step_of_name : string -> step option
 
 (** Who performed a journaled write. [Mech] — the apply machinery itself;
     [Hook] — update-supplied code run via [call_function]; [Sched] — real

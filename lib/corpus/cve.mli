@@ -56,19 +56,15 @@ val banner_new : string
 
 val find : string -> t option
 
-(** [fixed_tree cve base] is the source tree with the mainline fix
-    applied (no custom code). @raise Failure when a snippet is missing —
-    corpus self-check. *)
-val fixed_tree : t -> Patchfmt.Source_tree.t -> Patchfmt.Source_tree.t
-
 (** [applies_to cve tree] is true when every snippet the fix rewrites is
     present in [tree] — i.e. the vulnerability exists in that kernel
     version (§6.2: "no single Linux kernel version needs all 64
     patches"). *)
 val applies_to : t -> Patchfmt.Source_tree.t -> bool
 
-(** [fixed_tree_opt cve tree] is [fixed_tree] returning [None] instead of
-    raising when the fix does not apply to this source state. *)
+(** [fixed_tree_opt cve tree] is the source tree with the mainline fix
+    applied (no custom code), or [None] when the fix does not apply to
+    this source state. *)
 val fixed_tree_opt :
   t -> Patchfmt.Source_tree.t -> Patchfmt.Source_tree.t option
 
@@ -77,7 +73,8 @@ val hot_tree_opt :
   t -> Patchfmt.Source_tree.t -> Patchfmt.Source_tree.t option
 
 (** [hot_tree cve base] additionally appends the custom update code (for
-    the eight Table-1 entries); equal to [fixed_tree] otherwise. *)
+    the eight Table-1 entries); the mainline fix alone otherwise.
+    @raise Failure when a snippet is missing — corpus self-check. *)
 val hot_tree : t -> Patchfmt.Source_tree.t -> Patchfmt.Source_tree.t
 
 (** [mainline_patch cve base] is the upstream patch — what Figure 3

@@ -20,20 +20,15 @@ let pp_error ppf = function
   | Unit_assemble_failed { unit_name; line; reason } ->
     Format.fprintf ppf "%s:%d: %s" unit_name line reason
 
-(* internal: carries the typed error out of the domain pool; Parallel.map
-   re-raises the smallest-index failure, so the surfaced error is
-   deterministically the first failing unit in path order *)
-exception Fail of error
-
 (* Content-addressed compile cache: (digest(source), options fingerprint)
    -> compiled unit, backed by the shared artifact store ({!Store}). The
    store supplies the mutex-guarded LRU discipline and the hit/miss/
    eviction accounting (mirrored as [store.kbuild.*] trace counters);
    this module contributes only the cache key and the unit codec.
-   Compilation happens outside the store's lock; when two domains race to
-   compile the same key, both intern byte-identical encodings (builds are
-   deterministic), so the blob dedups and every caller shares one
-   physical artifact. *)
+   Compilation happens outside the store's lock; when two concurrent
+   builds race to compile the same key, both intern byte-identical
+   encodings (builds are deterministic), so the blob dedups and every
+   caller shares one physical artifact. *)
 
 type cache_stats = {
   hits : int;
@@ -108,48 +103,45 @@ let compile_one ~options path contents =
     ^ "|" ^ path ^ "|" ^ options_fingerprint options
   in
   match Unit_codec.lookup the_store key with
-  | Some u -> u
+  | Some u -> Ok u
   | None ->
-    let u =
+    let compiled =
       if String.ends_with ~suffix:".c" path then begin
         match Minic.Driver.compile ~options ~unit_name:path contents with
         | Ok { obj; inline_decisions } ->
-          { source_name = path; obj; inline_decisions }
+          Ok { source_name = path; obj; inline_decisions }
         | Error e ->
           let reason = Format.asprintf "%a" Minic.Driver.pp_error e in
-          raise (Fail (Unit_compile_failed { unit_name = path; reason }))
+          Error (Unit_compile_failed { unit_name = path; reason })
       end
       else begin
         match
           Asm.Assembler.assemble ~unit_name:path
             ~function_sections:options.codegen.function_sections contents
         with
-        | obj -> { source_name = path; obj; inline_decisions = [] }
+        | obj -> Ok { source_name = path; obj; inline_decisions = [] }
         | exception Asm.Assembler.Error { line; msg } ->
-          raise
-            (Fail
-               (Unit_assemble_failed
-                  { unit_name = path; line; reason = msg }))
+          Error (Unit_assemble_failed { unit_name = path; line; reason = msg })
       end
     in
-    ignore (Unit_codec.remember the_store ~key u : Store.digest);
-    u
+    Result.iter
+      (fun u -> ignore (Unit_codec.remember the_store ~key u : Store.digest))
+      compiled;
+    compiled
 
 let is_source path =
   String.ends_with ~suffix:".c" path || String.ends_with ~suffix:".s" path
 
-let build_tree ?domains ~options tree =
-  let sources =
-    Patchfmt.Source_tree.bindings tree
-    |> List.filter (fun (path, _) -> is_source path)
-  in
-  match
-    Parallel.map ?domains
-      (fun (path, contents) -> compile_one ~options path contents)
-      sources
-  with
-  | units -> Ok { units; options }
-  | exception Fail e -> Error e
+let build_tree ~options tree =
+  Patchfmt.Source_tree.bindings tree
+  |> List.fold_left
+       (fun acc (path, contents) ->
+         match acc with
+         | Ok units when is_source path ->
+           Result.map (fun u -> u :: units) (compile_one ~options path contents)
+         | acc -> acc)
+       (Ok [])
+  |> Result.map (fun units -> { units = List.rev units; options })
 
 let objects b = List.map (fun u -> u.obj) b.units
 

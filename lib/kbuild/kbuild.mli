@@ -7,11 +7,10 @@
     compiler and options "is advisable"). A content-addressed cache makes
     the post build recompile only units the patch touched, like kbuild.
 
-    Units compile concurrently on a domain pool ({!Parallel}); per-unit
-    compilation is independent, so a parallel build produces exactly the
-    objects (and inline decisions) of a sequential one, in path order.
-    The cache is mutex-guarded, shared across builds in one process, and
-    bounded by an LRU policy (see {!set_cache_capacity}). *)
+    Units compile one after another, in path order. The cache is
+    mutex-guarded, shared across builds in one process (concurrent
+    builds included), and bounded by an LRU policy (see
+    {!set_cache_capacity}). *)
 
 type unit_build = {
   source_name : string;  (** e.g. ["kernel/sched.c"] *)
@@ -33,13 +32,11 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-(** [build_tree ?domains ~options tree] compiles every [.c] and [.s] file
-    of the tree, in path order, using up to [domains] domains (default
-    {!Parallel.default_domains}; [1] forces a fully sequential build).
-    A failure is returned as data — deterministically the first failing
-    unit in path order, regardless of scheduling. *)
+(** [build_tree ~options tree] compiles every [.c] and [.s] file of the
+    tree, in path order. A failure is returned as data: the first failing
+    unit in path order. *)
 val build_tree :
-  ?domains:int -> options:Minic.Driver.options -> Patchfmt.Source_tree.t ->
+  options:Minic.Driver.options -> Patchfmt.Source_tree.t ->
   (build, error) result
 
 (** [objects b] lists the object files in build order. *)

@@ -889,21 +889,9 @@ let stop_machine t f =
 
    The same (object address, key) -> shadow address table the kernel
    reaches through INT 8/9/10 (__shadow_attach / __shadow_get /
-   __shadow_detach), exposed to host code so shadow constructors and
-   destructors driven from the patching machinery observe exactly what
-   patched kernel code observes. The table is volatile state: a rolled-
-   back transaction unwinds attachments and detachments alike. *)
+   __shadow_detach). The table is volatile state: a rolled-back
+   transaction unwinds attachments and detachments alike. *)
 
-let shadow_attach t ~obj ~key ~size =
-  match Hashtbl.find_opt t.shadows (obj, key) with
-  | Some a -> a
-  | None ->
-    let a = alloc_module t ~size:(max 4 size) ~align:4 in
-    Hashtbl.replace t.shadows (obj, key) a;
-    a
-
-let shadow_get t ~obj ~key = Hashtbl.find_opt t.shadows (obj, key)
-let shadow_detach t ~obj ~key = Hashtbl.remove t.shadows (obj, key)
 let shadow_count t = Hashtbl.length t.shadows
 
 (* rebind to an existing allocation: undoing a cumulative update revives

@@ -239,16 +239,10 @@ val remove_privileged_range : t -> int * int -> unit
 
     The per-object side table — (object address, key) -> shadow address
     — that patched kernel code reaches through the [__shadow_attach] /
-    [__shadow_get] / [__shadow_detach] builtins (INT 8/9/10), exposed to
-    host code so the patching machinery's shadow constructors and
-    destructors see exactly what kernel code sees. Attachments are
-    idempotent (re-attaching yields the existing shadow) and allocate
-    zero-filled module memory; the bindings are volatile state, so a
-    rolled-back transaction unwinds them. *)
-
-val shadow_attach : t -> obj:int -> key:int -> size:int -> int
-val shadow_get : t -> obj:int -> key:int -> int option
-val shadow_detach : t -> obj:int -> key:int -> unit
+    [__shadow_get] / [__shadow_detach] builtins (INT 8/9/10).
+    Attachments are idempotent (re-attaching yields the existing shadow)
+    and allocate zero-filled module memory; the bindings are volatile
+    state, so a rolled-back transaction unwinds them. *)
 
 (** Number of live shadow bindings. *)
 val shadow_count : t -> int

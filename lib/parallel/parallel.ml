@@ -84,7 +84,7 @@ let rec await_helping l =
     await_helping l
   end
 
-let map ?domains ?chunk f xs =
+let map ?domains f xs =
   let n = List.length xs in
   let d =
     match domains with Some d -> d | None -> default_domains ()
@@ -94,11 +94,7 @@ let map ?domains ?chunk f xs =
     ensure_pool ();
     let input = Array.of_list xs in
     let out = Array.make n None in
-    let chunk =
-      match chunk with
-      | Some c -> max 1 c
-      | None -> max 1 (n / (4 * d))
-    in
+    let chunk = max 1 (n / (4 * d)) in
     let nchunks = (n + chunk - 1) / chunk in
     let l = { lm = Mutex.create (); lcv = Condition.create (); left = nchunks }
     in
@@ -132,6 +128,3 @@ let map ?domains ?chunk f xs =
     List.init n (fun i ->
         match out.(i) with Some (Ok v) -> v | _ -> assert false)
   end
-
-let iter ?domains ?chunk f xs =
-  ignore (map ?domains ?chunk (fun x -> f x) xs : unit list)

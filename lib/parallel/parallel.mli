@@ -24,16 +24,13 @@ val default_domains : unit -> int
     [KSPLICE_DOMAINS] environment variable if set to a positive integer,
     otherwise {!available_domains}. *)
 
-val map : ?domains:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ?domains ?chunk f xs] is [List.map f xs] computed with up to
-    [domains] (default {!default_domains}) threads of execution. Results
-    keep list order. [chunk] is the number of consecutive items one queue
-    pull claims (default: [length xs / (4 * domains)], at least 1).
+val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [map ?domains f xs] is [List.map f xs] computed with up to [domains]
+    (default {!default_domains}) threads of execution. Results keep list
+    order. One queue pull claims [length xs / (4 * domains)] consecutive
+    items, at least 1.
 
     If [f] raises, the exception of the {e smallest} list index that
     failed is re-raised in the caller (with its backtrace), so error
     reporting is deterministic regardless of scheduling. Chunks already
     queued still run to completion first. *)
-
-val iter : ?domains:int -> ?chunk:int -> ('a -> unit) -> 'a list -> unit
-(** [iter ?domains ?chunk f xs] is [map] for side effects only. *)

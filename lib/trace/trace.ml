@@ -158,18 +158,6 @@ let instant ?(fields = []) name =
       (push_record ~parent:(current_parent ()) ~kind:Instant ~name ~fields
         : int)
 
-(* --- cross-domain context --- *)
-
-type context = int list
-
-let context () = !(Domain.DLS.get context_key)
-
-let with_context ctx f =
-  let stack = Domain.DLS.get context_key in
-  let saved = !stack in
-  stack := ctx;
-  Fun.protect ~finally:(fun () -> stack := saved) f
-
 (* --- metrics --- *)
 
 let count name by =

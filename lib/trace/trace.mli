@@ -29,10 +29,8 @@
     grows without bound and never aborts the pipeline.
 
     {b Concurrency.} The buffer and metric registries are
-    mutex-protected; the {e current-span} context is per-domain.
-    Work fanned out over [Parallel.map] keeps its logical parent by
-    capturing {!context} before the fan-out and entering it with
-    {!with_context} inside the worker body.
+    mutex-protected; the {e current-span} context is per-domain, so work
+    run on another domain starts its spans at the root.
 
     When disabled (the default), every emitter is a single atomic load
     and branch — instrumented hot paths stay hot. *)
@@ -99,18 +97,6 @@ val end_span : ?fields:(string * value) list -> span -> unit
 
 (** Emit a point event under the current span. *)
 val instant : ?fields:(string * value) list -> string -> unit
-
-(** {2 Cross-domain context} *)
-
-type context
-
-(** The calling domain's current span context (for fan-out capture). *)
-val context : unit -> context
-
-(** Run [f] with the calling domain's context replaced by [ctx]
-    (restored afterwards): records emitted by [f] parent under the
-    captured span even on another domain. *)
-val with_context : context -> (unit -> 'a) -> 'a
 
 (** {2 Metrics} *)
 

@@ -69,7 +69,6 @@ type insn =
   | Zext16 of reg
   | Int of int  (** host escape / trap, imm8 *)
 
-val pp_insn : Format.formatter -> insn -> unit
 val insn_to_string : insn -> string
 
 (** [length i] is the encoded size of [i] in bytes. *)

@@ -14,8 +14,8 @@ let compile ~options ~unit_name src =
   ok "compile" Minic.Driver.pp_error
     (Minic.Driver.compile ~options ~unit_name src)
 
-let build ?domains ~options tree =
-  ok "build" Kbuild.pp_error (Kbuild.build_tree ?domains ~options tree)
+let build ~options tree =
+  ok "build" Kbuild.pp_error (Kbuild.build_tree ~options tree)
 
 let link ~base objs =
   ok "link" Klink.Image.pp_error (Klink.Image.link ~base objs)

@@ -127,7 +127,7 @@ let damaged good =
 let unit_tree = Tree.of_list [ ("u.c", "int g(int v) { return v + 1; }\n") ]
 
 let build () =
-  Fixture.build ~domains:1 ~options:Minic.Driver.run_build unit_tree
+  Fixture.build ~options:Minic.Driver.run_build unit_tree
 
 let unit_object b =
   Bytes.to_string (Objfile.to_bytes (List.hd (Kbuild.objects b)))

@@ -142,6 +142,40 @@ let test_exploit_returns_after_undo () =
    | Error err -> Alcotest.failf "undo failed: %a" Apply.pp_error err);
   Alcotest.(check bool) "exploitable again after undo" true (e.run b).succeeded
 
+(* §2's "a few cycles" per call, counted: on twin patched kernels, a
+   call entering the obsolete function retires exactly one instruction
+   (the trampoline's jmp) more than the same call entering the
+   replacement code directly *)
+let test_trampoline_costs_one_instruction () =
+  List.iter
+    (fun id ->
+      let cve = Option.get (Corpus.Cve.find id) in
+      let calls entry =
+        let b = Corpus.Boot.boot () in
+        let _, a = apply_cve b cve in
+        List.map
+          (fun (r : Apply.replacement) ->
+            let m = b.machine in
+            let before = Machine.instructions_retired m in
+            let ret =
+              Fixture.ok (id ^ " " ^ r.r_fn) Machine.pp_fault
+                (Machine.call_function m ~addr:(entry r) ~args:[ 0l; 0l ])
+            in
+            (r.r_fn, ret, Machine.instructions_retired m - before))
+          a.replacements
+      in
+      let via_old = calls (fun r -> r.r_old_addr) in
+      let via_new = calls (fun r -> r.r_new_addr) in
+      check Alcotest.bool (id ^ " replaces a function") true (via_new <> []);
+      List.iter2
+        (fun (fn, ret_old, n_old) (_, ret_new, n_new) ->
+          check Alcotest.int32 (id ^ " " ^ fn ^ " same result") ret_new ret_old;
+          check Alcotest.int
+            (id ^ " " ^ fn ^ " retires one more via the trampoline")
+            (n_new + 1) n_old)
+        via_old via_new)
+    [ "CVE-2007-4573"; "CVE-2006-2451"; "CVE-2008-0600"; "CVE-2006-3626" ]
+
 let test_stress_clean () =
   let b = Corpus.Boot.boot () in
   let r = Corpus.Stress.run b in
@@ -339,6 +373,8 @@ let suite =
         t "data gate without custom code" test_data_gate_without_custom;
         t "exploits before/after" test_exploits_before_after;
         t "exploit returns after undo" test_exploit_returns_after_undo;
+        t "trampoline costs one instruction per call"
+          test_trampoline_costs_one_instruction;
         t "stress on clean kernel" test_stress_clean;
         t "stress across update" test_stress_across_update;
         t "custom quota fixup" test_custom_quota_fixup;

@@ -504,6 +504,70 @@ let test_socketpair_roundtrip () =
   Alcotest.(check bool) "server sent blobs" true (st.Server.blobs_sent > 0);
   check_mirror repo sub
 
+(* --- concurrent subscribers on one server --- *)
+
+(* subscribers on pool domains share one server repository's store: each
+   pre-seeded at its own chain position, each must end exactly where it
+   ends when synced alone *)
+let test_concurrent_subscribers () =
+  let repo = Repo.of_store (Store.create ~name:"fleet-shared-server" ()) in
+  let kernel = Corpus.Base_kernel.tree () in
+  let depth =
+    List.length
+      (Fixture.ok "publish chain" Format.pp_print_string
+         (Corpus.Sweep.publish_chain repo kernel ~depth:4))
+  in
+  Alcotest.(check int) "chain depth" 4 depth;
+  let base = Tree.digest kernel in
+  let manifest =
+    Fixture.ok "manifest" Repo.pp_error (Repo.manifest repo ~digest:base)
+  in
+  let server = Repo.store repo in
+  (* exactly the refs and blobs a prior sync up to entry [k] committed *)
+  let preseed k =
+    let sub = sub_store () in
+    List.iteri
+      (fun i (e : Repo.manifest_entry) ->
+        if i < k then begin
+          List.iter
+            (fun d ->
+              ignore (Store.put sub (Option.get (Store.get server d))
+                : Store.digest))
+            (e.me_blob :: List.map fst e.me_objects);
+          Store.commit_refs sub
+            [ (Repo.entry_ref e.me_base, e.me_blob);
+              ("fleet:head", Store.put sub e.me_next) ]
+        end)
+      manifest;
+    sub
+  in
+  let sync i =
+    let sub = preseed (i mod (depth + 1)) in
+    let r =
+      Subscriber.sync ~id:(Printf.sprintf "sub-%d" i) ~store:sub ~base
+        ~connect:(connect_sim repo) ()
+    in
+    let entries =
+      List.filter
+        (fun (name, _) -> String.starts_with ~prefix:"entry:" name)
+        (Store.refs sub)
+    in
+    (r, entries, Subscriber.head sub ~base)
+  in
+  let subs = List.init 12 Fun.id in
+  let serial = List.map sync subs in
+  let concurrent = Parallel.map ~domains:2 sync subs in
+  List.iteri
+    (fun i ((rs, es, hs), (rc, ec, hc)) ->
+      let what = Printf.sprintf "sub-%d: " i in
+      Alcotest.(check bool) (what ^ "synced") true rc.Subscriber.r_synced;
+      Alcotest.(check (list (pair string string))) (what ^ "entry refs") es ec;
+      Alcotest.(check string) (what ^ "head") hs hc;
+      Alcotest.(check int)
+        (what ^ "bytes fetched") rs.Subscriber.r_bytes_fetched
+        rc.Subscriber.r_bytes_fetched)
+    (List.combine serial concurrent)
+
 let suite =
   [
     ( "fleet",
@@ -525,5 +589,7 @@ let suite =
         t "real socketpair round trip" test_socketpair_roundtrip;
         t "a corrupt entry never reaches a subscriber"
           test_corrupt_entry_refused;
+        t "concurrent subscribers share one server"
+          test_concurrent_subscribers;
       ] );
   ]

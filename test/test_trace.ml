@@ -1,8 +1,7 @@
 (* The structured tracing layer: span nesting, the bounded ring buffer,
-   parent preservation across the domain pool, counters/histograms, and
-   the determinism contract (identical runs export byte-identical
-   traces — the property the whole layer is clocked by retired
-   instructions to keep). *)
+   counters/histograms, and the determinism contract (identical runs
+   export byte-identical traces — the property the whole layer is
+   clocked by retired instructions to keep). *)
 
 module Tree = Patchfmt.Source_tree
 module Diff = Patchfmt.Diff
@@ -89,31 +88,6 @@ let test_ring_drop_oldest () =
     Alcotest.(check (option int)) "export reports dropped" (Some 4)
       (Option.bind (List.assoc_opt "dropped" fields) Report.Json.to_int)
   | _ -> Alcotest.fail "export is not an object"
-
-let test_context_across_domains () =
-  with_trace @@ fun () ->
-  let sp = Trace.begin_span "fanout" in
-  let ctx = Trace.context () in
-  let _ =
-    Parallel.map ~domains:2
-      (fun i ->
-        Trace.with_context ctx (fun () ->
-            Trace.with_span "worker"
-              ~fields:[ ("i", Trace.Int i) ]
-              (fun () -> i * i)))
-      [ 1; 2; 3; 4 ]
-  in
-  Trace.end_span sp;
-  let workers =
-    List.filter
-      (fun r -> r.Trace.name = "worker" && r.Trace.kind = Trace.Span_begin)
-      (Trace.records ())
-  in
-  Alcotest.(check int) "one begin per worker" 4 (List.length workers);
-  List.iter
-    (fun r ->
-      Alcotest.(check int) "parent survives the pool" 0 r.Trace.parent)
-    workers
 
 let test_counters_and_histograms () =
   with_trace @@ fun () ->
@@ -209,6 +183,34 @@ let test_apply_spans () =
     (Trace.counter_value "apply.trampolines");
   Alcotest.(check bool) "match attempts counted" true
     (Trace.counter_value "runpre.match_attempts" > 0)
+
+(* tracing observes and never steers: for a few corpus CVEs, Table-1
+   hook-bearing ones included, a traced apply lands the footprint of an
+   untraced one *)
+let test_traced_footprint_parity () =
+  let base = Corpus.Base_kernel.tree () in
+  List.iter
+    (fun id ->
+      let cve = Option.get (Corpus.Cve.find id) in
+      let created =
+        ok (id ^ ": create") Create.pp_error
+          (Create.create
+             { source = base; patch = Corpus.Cve.hot_patch cve base;
+               update_id = id; description = cve.desc })
+      in
+      let footprint () =
+        let b = Corpus.Boot.boot () in
+        Trace.set_clock (fun () -> Machine.instructions_retired b.machine);
+        let ap = Apply.init b.machine in
+        ignore
+          (ok (id ^ ": apply") Apply.pp_error (Apply.apply ap created.update)
+            : Apply.applied);
+        Apply.footprint ap
+      in
+      let untraced = footprint () in
+      let traced = with_trace footprint in
+      Alcotest.(check string) (id ^ " footprint") untraced traced)
+    [ "CVE-2006-2451"; "CVE-2008-0600"; "CVE-2005-3179"; "CVE-2005-2709" ]
 
 let test_runpre_reject_trace () =
   (* corrupt one byte of fare's running code: run-pre matching must
@@ -323,9 +325,10 @@ let suite =
         t "span nesting and parent ids" test_span_nesting;
         t "raising spans are recorded" test_span_exception;
         t "ring buffer drops oldest" test_ring_drop_oldest;
-        t "context survives the domain pool" test_context_across_domains;
         t "counters and histograms" test_counters_and_histograms;
         t "apply pipeline is instrumented" test_apply_spans;
+        t "traced apply lands the untraced footprint"
+          test_traced_footprint_parity;
         t "run-pre rejection carries the diagnostic"
           test_runpre_reject_trace;
         t "trace export is deterministic" test_trace_deterministic;
