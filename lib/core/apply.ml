@@ -201,16 +201,6 @@ let blocking_threads m ranges =
       else None)
     (Machine.threads m)
 
-(* bounded exponential backoff: before attempt n+1 the scheduler drains
-   min(cap, base * 2^n) instructions, within a total step budget *)
-let backoff_steps ~retry_base ~retry_cap n =
-  min retry_cap (retry_base * (1 lsl min n 20))
-
-let default_max_attempts = 10
-let default_retry_base = 250
-let default_retry_cap = 4000
-let default_retry_budget = 20_000
-
 (* hook sections of the primary: (kind, reloc syms in order) *)
 let hook_syms (primary : Objfile.t) kind =
   let prefix = Ast.hook_section kind in
@@ -229,11 +219,12 @@ exception Fail of error
 (* --- engagement: how trampolines land ---
 
    The capture/quiesce/trampoline phase is pluggable. The default
-   engagement is the paper's §5.2 stop_machine loop; a per-thread
-   engagement ([Manager.Transition.engage]) installs dispatch stubs and
-   migrates threads at safe points instead, demoting stop_machine to a
-   straggler fallback. The engagement receives everything it needs to
-   drive the phase and must call [e_install] exactly once on success. *)
+   engagement is the paper's §5.2 loop, [stop_machine] below; a
+   per-thread engagement ([Manager.Transition.engage]) installs dispatch
+   stubs and migrates threads at safe points instead, calling
+   [stop_machine] only for stragglers. The engagement receives
+   everything it needs to drive the phase and must call [e_install]
+   exactly once on success. *)
 
 type engagement = {
   e_machine : Machine.t;
@@ -246,11 +237,14 @@ type engagement = {
       (* apply: migrated threads are routed to the replacement;
          undo: unmigrated threads are (the entry holds the other side) *)
   e_guard_ranges : (int * int) list;
-      (* a thread must be clear of these to migrate (and for the
-         stop_machine fallback to fire) *)
+      (* a thread must be clear of these to migrate (and for
+         [stop_machine] to land) *)
   e_enter : Txn.step -> unit;  (* advance the transaction step marker *)
   e_sched : (unit -> unit) -> unit;
       (* run scheduler work with its writes journaled as [Txn.Sched] *)
+  e_veto : unit -> bool;
+      (* an armed [Forced_not_quiescent] injection refuses a quiescent
+         stop_machine attempt; always [false] for undo *)
   e_prepare : unit -> unit;
       (* make the fall-through side executable (undo restores the saved
          entry bytes); a no-op for apply *)
@@ -264,6 +258,68 @@ type engagement = {
    example [Not_quiescent] when even the fallback cannot converge); the
    transaction then rolls back as for any other step failure. *)
 type engage_fn = engagement -> (int, error) result
+
+(* The paper's §5.2 loop, written once: under stop_machine, land the
+   end state only if no thread runs in or returns into a guarded range
+   (and no injection vetoes it); otherwise let the scheduler drain
+   min(cap, 250 * 2^n) instructions and try again, within the step
+   budget and the optional watchdog deadline. Every attempt stops the
+   machine, so the pause is the sum over attempts. *)
+let stop_machine ?(retry_cap = 4000) ?(retry_budget = 20_000) ?deadline () e =
+  let m = e.e_machine in
+  let diag n spent =
+    let blockers = blocking_threads m e.e_guard_ranges in
+    List.iter
+      (fun (who, bt) ->
+        Log.info (fun k ->
+            k "quiescence blocked by %s: %s" who (String.concat " <- " bt)))
+      blockers;
+    { nq_functions = e.e_functions; nq_attempts = n + 1; nq_steps_run = spent;
+      nq_blockers = blockers }
+  in
+  let rec attempt n spent paused =
+    let ok, pause_ns =
+      Machine.stop_machine m (fun () ->
+          e.e_enter Txn.Quiesce;
+          if quiescent m e.e_guard_ranges && not (e.e_veto ()) then begin
+            e.e_enter Txn.Trampoline;
+            e.e_install ();
+            true
+          end
+          else false)
+    in
+    let paused = paused + pause_ns in
+    if ok then Ok paused
+    else
+      (* watchdog: the deadline dominates every other retry bound —
+         blowing it is a distinct, non-negotiable abort *)
+      let remaining =
+        match deadline with Some d -> d - spent | None -> max_int
+      in
+      if remaining <= 0 then
+        Error
+          (Deadline_exceeded
+             { de_budget = Option.get deadline; de_diag = diag n spent })
+      else
+        let delay =
+          min remaining
+            (min (Backoff.delay ~base:250 ~cap:retry_cap n)
+               (retry_budget - spent))
+        in
+        if delay <= 0 then Error (Not_quiescent (diag n spent))
+        else begin
+          Trace.count
+            (match e.e_direction with
+             | `Apply -> "apply.quiescence_retries"
+             | `Undo -> "undo.quiescence_retries")
+            1;
+          Log.debug (fun k ->
+              k "quiescence attempt %d failed; backing off %d steps" n delay);
+          e.e_sched (fun () -> ignore (Machine.run m ~steps:delay : int));
+          attempt (n + 1) (spent + delay) paused
+        end
+  in
+  attempt 0 0 0
 
 let run_named_hooks t ~resolve names =
   List.iter
@@ -282,12 +338,12 @@ let run_hooks t ~resolve (update : Update.t) kind =
 (* The apply pipeline body — duplicate check through the engagement and
    commit hooks. Runs inside [txn], which the caller begins, commits and
    rolls back; [enter] advances the step marker (and notifies any armed
-   fault-injection session). Returns a constructor for the [applied]
-   record, deferred so the caller can commit the transaction and supply
-   the resulting journal (for a cumulative apply, that journal also
-   covers the unwinding of the displaced stack). Raises [Fail]. *)
-let apply_pipeline ~txn ~enter ~tolerance ~max_attempts ~retry_base
-    ~retry_cap ~retry_budget ~deadline ~inject ~engage t (update : Update.t) =
+   fault-injection session). Returns the [applied] record as a function
+   of the journal, which exists only once the caller commits (for a
+   cumulative apply, that journal also covers the unwinding of the
+   displaced stack). Raises [Fail]. *)
+let apply_pipeline ~txn ~enter ~tolerance ~inject ~engage ~displaced
+    ~displaced_shadows t (update : Update.t) =
   begin
     if List.exists (fun a -> a.update.Update.update_id = update.update_id)
          t.stack
@@ -475,164 +531,98 @@ let apply_pipeline ~txn ~enter ~tolerance ~max_attempts ~retry_base
              state (§5.3) *)
           run_named_hooks t ~resolve update.shadow_ctors)
     in
-    let veto () =
-      match inject with
-      | Some i -> Faultinj.veto_quiescence i
-      | None -> false
-    in
-    let rec attempt n spent =
-      let (ok : bool), pause_ns =
-        Machine.stop_machine t.m (fun () ->
-            enter Txn.Quiesce;
-            if quiescent t.m guard_ranges && not (veto ()) then begin
-              enter Txn.Trampoline;
-              insert ();
-              true
-            end
-            else false)
-      in
-      if ok then pause_ns
-      else begin
-        let diag () =
-          let blockers = blocking_threads t.m guard_ranges in
-          List.iter
-            (fun (who, bt) ->
-              Log.info (fun k ->
-                  k "quiescence blocked by %s: %s" who
-                    (String.concat " <- " bt)))
-            blockers;
-          { nq_functions = List.map (fun r -> r.r_fn) replacements;
-            nq_attempts = n + 1; nq_steps_run = spent;
-            nq_blockers = blockers }
-        in
-        (* watchdog: the per-apply step budget dominates every other
-           retry bound — blowing it is a distinct, non-negotiable abort *)
-        let remaining =
-          match deadline with Some d -> d - spent | None -> max_int
-        in
-        if remaining <= 0 then
-          raise
-            (Fail
-               (Deadline_exceeded
-                  { de_budget = Option.get deadline; de_diag = diag () }));
-        let delay =
-          min
-            (min (backoff_steps ~retry_base ~retry_cap n)
-               (retry_budget - spent))
-            remaining
-        in
-        if n + 1 >= max_attempts || delay <= 0 then
-          raise (Fail (Not_quiescent (diag ())))
-        else begin
-          (* exponential backoff: let the scheduler drain the functions *)
-          Trace.count "apply.quiescence_retries" 1;
-          Log.debug (fun k ->
-              k "quiescence attempt %d failed; backing off %d steps" n
-                delay);
-          Txn.with_tag txn Txn.Sched (fun () ->
-              ignore (Machine.run t.m ~steps:delay : int));
-          attempt (n + 1) (spent + delay)
-        end
-      end
+    let engagement =
+      { e_machine = t.m;
+        e_update = update.update_id;
+        e_direction = `Apply;
+        e_functions = List.map (fun r -> r.r_fn) replacements;
+        e_dispatch =
+          List.map (fun r -> (r.r_old_addr, r.r_new_addr)) replacements;
+        e_route_migrated = true;
+        e_guard_ranges = guard_ranges;
+        e_enter = enter;
+        e_sched = (fun g -> Txn.with_tag txn Txn.Sched g);
+        e_veto =
+          (fun () ->
+            match inject with
+            | Some i -> Faultinj.veto_quiescence i
+            | None -> false);
+        e_prepare = ignore;
+        e_install = insert }
     in
     let pause_ns =
-      match engage with
-      | None -> attempt 0 0
-      | Some f -> (
-        let eng =
-          { e_machine = t.m;
-            e_update = update.update_id;
-            e_direction = `Apply;
-            e_functions = List.map (fun r -> r.r_fn) replacements;
-            e_dispatch =
-              List.map (fun r -> (r.r_old_addr, r.r_new_addr)) replacements;
-            e_route_migrated = true;
-            e_guard_ranges = guard_ranges;
-            e_enter = enter;
-            e_sched = (fun g -> Txn.with_tag txn Txn.Sched g);
-            e_prepare = (fun () -> ());
-            e_install = insert }
-        in
-        match f eng with Ok ns -> ns | Error e -> raise (Fail e))
+      match engage engagement with Ok ns -> ns | Error e -> raise (Fail e)
     in
     (* === commit === *)
     enter Txn.Commit;
     Txn.with_tag txn Txn.Hook (fun () ->
         run_hooks t ~resolve update Ast.Hook_post_apply);
     Trace.observe "apply.pause_ns" (float_of_int pause_ns);
-    fun ~journal ~displaced ~displaced_shadows ->
+    fun journal ->
       { update; replacements; saved = List.rev !saved; module_ranges;
         module_image = writes; added_symbols; priv_ranges; journal;
         pause_ns; displaced; displaced_shadows }
   end
 
-(* Shared transaction scaffolding for [apply] and [apply_cumulative]:
-   one trace span per transaction step (siblings under the caller's
-   span; the current one closes when the next step opens or on exit),
-   with any armed fault-injection session notified at step boundaries. *)
-let with_apply_txn ~span_prefix ~inject t f =
+(* The one transaction runner of [apply] and [apply_cumulative]: one
+   trace span per transaction step (siblings under the caller's span;
+   the current one closes when the next step opens or on exit), with
+   any armed fault-injection session notified at step boundaries.
+   [body] runs the pipeline and returns its commit continuation, which
+   receives the journal. On [Fail] or module-memory exhaustion the
+   journal rolls back and the applied stack is restored. *)
+let run_apply_txn ~name ~inject t (update : Update.t) body =
+  Trace.with_span name ~fields:[ ("update", Trace.Str update.update_id) ]
+  @@ fun () ->
   let txn = Txn.begin_ t.m in
   let step_span = ref None in
   let close_step () =
-    match !step_span with
-    | Some sp ->
-      Trace.end_span sp;
-      step_span := None
-    | None -> ()
+    Option.iter Trace.end_span !step_span;
+    step_span := None
   in
   let enter s =
     close_step ();
-    step_span := Some (Trace.begin_span (span_prefix ^ ".step." ^ Txn.step_name s));
+    step_span := Some (Trace.begin_span (name ^ ".step." ^ Txn.step_name s));
     Txn.enter txn s;
-    match inject with
-    | None -> ()
-    | Some i ->
-      (* a Sched_perturb injection runs real kernel code at the step
-         boundary; its writes are scheduler progress, not machinery *)
-      Txn.with_tag txn Txn.Sched (fun () -> Faultinj.on_step i s)
+    (* a Sched_perturb injection runs real kernel code at the step
+       boundary; its writes are scheduler progress, not machinery *)
+    Option.iter
+      (fun i -> Txn.with_tag txn Txn.Sched (fun () -> Faultinj.on_step i s))
+      inject
   in
-  let finish_inject () =
-    match inject with None -> () | Some i -> Faultinj.disarm i
+  let finish_inject () = Option.iter Faultinj.disarm inject in
+  let saved_stack = t.stack in
+  let abort e =
+    close_step ();
+    Txn.rollback txn;
+    finish_inject ();
+    t.stack <- saved_stack;
+    Log.warn (fun k -> k "%s %s failed: %a" name update.update_id pp_error e);
+    Error e
   in
-  f ~txn ~enter ~close_step ~finish_inject
-
-let apply ?(tolerance = Runpre.full_tolerance)
-    ?(max_attempts = default_max_attempts)
-    ?(retry_base = default_retry_base) ?(retry_cap = default_retry_cap)
-    ?(retry_budget = default_retry_budget) ?deadline ?inject ?engage t
-    (update : Update.t) =
-  Trace.with_span "apply" ~fields:[ ("update", Trace.Str update.update_id) ]
-  @@ fun () ->
-  with_apply_txn ~span_prefix:"apply" ~inject t
-  @@ fun ~txn ~enter ~close_step ~finish_inject ->
-  try
-    let mk =
-      apply_pipeline ~txn ~enter ~tolerance ~max_attempts ~retry_base
-        ~retry_cap ~retry_budget ~deadline ~inject ~engage t update
-    in
+  match body ~txn ~enter with
+  | finish ->
     let journal = Txn.commit txn in
     close_step ();
     finish_inject ();
-    let a = mk ~journal ~displaced:[] ~displaced_shadows:[] in
+    Ok (finish journal)
+  | exception Fail e -> abort e
+  | exception Machine.Out_of_memory msg -> abort (Out_of_memory msg)
+
+let apply ?(tolerance = Runpre.full_tolerance) ?inject
+    ?(engage = stop_machine ()) t (update : Update.t) =
+  run_apply_txn ~name:"apply" ~inject t update @@ fun ~txn ~enter ->
+  let mk =
+    apply_pipeline ~txn ~enter ~tolerance ~inject ~engage ~displaced:[]
+      ~displaced_shadows:[] t update
+  in
+  fun journal ->
+    let a = mk journal in
     t.stack <- a :: t.stack;
     Log.info (fun k ->
         k "update %s applied (simulated pause %d ns; %d journal entries)"
           update.update_id a.pause_ns (Txn.journal_entries journal));
-    Ok a
-  with
-  | Fail e ->
-    close_step ();
-    Txn.rollback txn;
-    finish_inject ();
-    Log.warn (fun k -> k "apply %s failed: %a" update.update_id pp_error e);
-    Error e
-  | Machine.Out_of_memory msg ->
-    close_step ();
-    Txn.rollback txn;
-    finish_inject ();
-    let e = Out_of_memory msg in
-    Log.warn (fun k -> k "apply %s failed: %a" update.update_id pp_error e);
-    Error e
+    a
 
 (* Unwind the topmost applied update inside [txn] (which the caller
    owns): reverse hooks and shadow destructors run, quiescence is
@@ -642,8 +632,7 @@ let apply ?(tolerance = Runpre.full_tolerance)
    back the stack it displaced — the journal replay just revived those
    trampolines and modules byte-for-byte, so nothing is re-applied, only
    bookkeeping returns. Raises [Fail]. *)
-let unwind_top ~txn ~max_attempts ~retry_base ~retry_cap ~retry_budget
-    ~deadline ~engage t =
+let unwind_top ~txn ~engage t =
   match t.stack with
   | [] -> raise (Fail (Not_applied "(empty stack)"))
   | top :: rest ->
@@ -685,76 +674,31 @@ let unwind_top ~txn ~max_attempts ~retry_base ~retry_cap ~retry_budget
          Txn.with_tag txn Txn.Hook (fun () ->
              run_hooks t ~resolve top.update Ast.Hook_reverse)
        in
-       let rec attempt n spent =
-         let ok, _pause =
-           Machine.stop_machine t.m (fun () ->
-               if quiescent t.m guard_ranges then begin
-                 install ();
-                 true
-               end
-               else false)
-         in
-         if ok then ()
-         else begin
-           let diag () =
-             { nq_functions =
-                 List.map (fun r -> r.r_fn) top.replacements;
-               nq_attempts = n + 1; nq_steps_run = spent;
-               nq_blockers = blocking_threads t.m guard_ranges }
-           in
-           let remaining =
-             match deadline with Some d -> d - spent | None -> max_int
-           in
-           if remaining <= 0 then
-             raise
-               (Fail
-                  (Deadline_exceeded
-                     { de_budget = Option.get deadline;
-                       de_diag = diag () }));
-           let delay =
-             min
-               (min (backoff_steps ~retry_base ~retry_cap n)
-                  (retry_budget - spent))
-               remaining
-           in
-           if n + 1 >= max_attempts || delay <= 0 then
-             raise (Fail (Not_quiescent (diag ())))
-           else begin
-             Trace.count "undo.quiescence_retries" 1;
-             Txn.with_tag txn Txn.Sched (fun () ->
-                 ignore (Machine.run t.m ~steps:delay : int));
-             attempt (n + 1) (spent + delay)
-           end
-         end
+       let engagement =
+         { e_machine = t.m;
+           e_update = update_id;
+           e_direction = `Undo;
+           e_functions = List.map (fun r -> r.r_fn) top.replacements;
+           e_dispatch =
+             List.map (fun r -> (r.r_old_addr, r.r_new_addr)) top.replacements;
+           (* reverse transition: the entry regains its original bytes,
+              so unmigrated threads must be routed to the still-live new
+              code while migrated ones fall through *)
+           e_route_migrated = false;
+           e_guard_ranges = guard_ranges;
+           e_enter = (fun s -> Txn.enter txn s);
+           e_sched = (fun g -> Txn.with_tag txn Txn.Sched g);
+           e_veto = (fun () -> false);
+           e_prepare =
+             (fun () ->
+               List.iter
+                 (fun (addr, bytes) -> Machine.write_bytes t.m addr bytes)
+                 top.saved);
+           e_install = install }
        in
-       (match engage with
-        | None -> attempt 0 0
-        | Some f ->
-          let eng =
-            { e_machine = t.m;
-              e_update = update_id;
-              e_direction = `Undo;
-              e_functions = List.map (fun r -> r.r_fn) top.replacements;
-              e_dispatch =
-                List.map (fun r -> (r.r_old_addr, r.r_new_addr))
-                  top.replacements;
-              (* reverse transition: the entry regains its original
-                 bytes, so unmigrated threads must be routed to the
-                 still-live new code while migrated ones fall through *)
-              e_route_migrated = false;
-              e_guard_ranges = guard_ranges;
-              e_enter = (fun s -> Txn.enter txn s);
-              e_sched = (fun g -> Txn.with_tag txn Txn.Sched g);
-              e_prepare =
-                (fun () ->
-                  List.iter
-                    (fun (addr, bytes) -> Machine.write_bytes t.m addr bytes)
-                    top.saved);
-              e_install = install }
-          in
-          match f eng with
-          | Ok (_ : int) -> ()
-          | Error e -> raise (Fail e));
+       (match engage engagement with
+        | Ok (_ : int) -> ()
+        | Error e -> raise (Fail e));
        Txn.with_tag txn Txn.Hook (fun () ->
            run_hooks t ~resolve top.update Ast.Hook_post_reverse);
        Machine.remove_kallsyms t.m (fun s ->
@@ -783,9 +727,7 @@ let unwind_top ~txn ~max_attempts ~retry_base ~retry_cap ~retry_budget
          top.displaced_shadows;
        t.stack <- top.displaced @ rest
 
-let undo ?(max_attempts = default_max_attempts)
-    ?(retry_base = default_retry_base) ?(retry_cap = default_retry_cap)
-    ?(retry_budget = default_retry_budget) ?deadline ?engage t update_id =
+let undo ?(engage = stop_machine ()) t update_id =
   Trace.with_span "undo" ~fields:[ ("update", Trace.Str update_id) ]
   @@ fun () ->
   (* undo is transactional too: a faulted reverse hook or quiescence
@@ -806,8 +748,7 @@ let undo ?(max_attempts = default_max_attempts)
              rest
          then raise (Fail (Not_topmost update_id))
          else raise (Fail (Not_applied update_id)));
-    unwind_top ~txn ~max_attempts ~retry_base ~retry_cap ~retry_budget
-      ~deadline ~engage t;
+    unwind_top ~txn ~engage t;
     Txn.discard txn;
     Ok ()
   with
@@ -831,127 +772,94 @@ let undo ?(max_attempts = default_max_attempts)
    the cumulative one-by-one would have produced (the sweep asserts
    footprint equality against that twin), but with no intermediate state
    ever observable. *)
-let apply_cumulative ?(tolerance = Runpre.full_tolerance)
-    ?(max_attempts = default_max_attempts)
-    ?(retry_base = default_retry_base) ?(retry_cap = default_retry_cap)
-    ?(retry_budget = default_retry_budget) ?deadline ?inject ?engage t
-    (update : Update.t) =
-  Trace.with_span "apply_cumulative"
-    ~fields:[ ("update", Trace.Str update.update_id) ]
-  @@ fun () ->
-  with_apply_txn ~span_prefix:"apply_cumulative" ~inject t
-  @@ fun ~txn ~enter ~close_step ~finish_inject ->
-  let saved_stack = t.stack in
-  try
-    if not (Update.is_cumulative update) then
-      raise
-        (Fail
-           (Integrity
-              (update.update_id
-              ^ " is not cumulative (supersedes nothing); use apply")));
-    (match Machine.transition_update t.m with
-     | Some id ->
-       raise (Fail (Integrity ("a transition is already in flight for " ^ id)))
-     | None -> ());
-    let in_supersedes a =
-      List.mem a.update.Update.update_id update.supersedes
-    in
-    (* the superseded updates must form the contiguous top of the stack
-       (they are what this cumulative replaces; anything deeper is part
-       of the base it was built against and stays untouched). A fresh
-       machine with an empty stack qualifies trivially — the cumulative
-       update then simply installs. *)
-    let rec split_top acc = function
-      | a :: rest when in_supersedes a -> split_top (a :: acc) rest
-      | rest -> (List.rev acc, rest)
-    in
-    let to_unwind, remaining = split_top [] t.stack in
-    if List.exists in_supersedes remaining then
-      raise
-        (Fail
-           (Integrity
-              (Printf.sprintf
-                 "cumulative %s supersedes updates buried beneath ones it \
-                  does not supersede (stack: [%s])"
-                 update.update_id
-                 (String.concat "; "
-                    (List.rev_map
-                       (fun a -> a.update.Update.update_id)
-                       t.stack)))));
-    (* the superseded segment must appear in chain order *)
-    let rec subseq xs ys =
-      match (xs, ys) with
-      | [], _ -> true
-      | _ :: _, [] -> false
-      | x :: xs', y :: ys' ->
-        if String.equal x y then subseq xs' ys' else subseq xs ys'
-    in
-    if
-      not
-        (subseq
-           (List.rev_map (fun a -> a.update.Update.update_id) to_unwind)
-           update.supersedes)
-    then
-      raise
-        (Fail
-           (Integrity
-              (Printf.sprintf
-                 "cumulative %s supersedes [%s] but the applied stack \
-                  holds them in a different order"
-                 update.update_id
-                 (String.concat "; " update.supersedes))));
-    Log.info (fun k ->
-        k "atomic replace: %s superseding %d stacked update(s)"
-          update.update_id (List.length to_unwind));
-    (* the shadow table as the collapse finds it: the unwind below runs
-       the displaced updates' destructors, and undoing this cumulative
-       must revive the bindings they detach *)
-    let pre_shadows = Machine.shadow_bindings t.m in
-    (* unwind the superseded segment, newest first; a displaced
-       cumulative hands its own displaced stack back mid-loop, which —
-       being superseded too (publishers flatten) — this loop then
-       unwinds as well *)
-    while
-      match t.stack with a :: _ -> in_supersedes a | [] -> false
-    do
-      unwind_top ~txn ~max_attempts ~retry_base ~retry_cap ~retry_budget
-        ~deadline ~engage t
-    done;
-    let mk =
-      apply_pipeline ~txn ~enter ~tolerance ~max_attempts ~retry_base
-        ~retry_cap ~retry_budget ~deadline ~inject ~engage t update
-    in
-    let journal = Txn.commit txn in
-    close_step ();
-    finish_inject ();
-    (* [displaced] is the pre-collapse top segment as it stood: undoing
-       the cumulative update replays this whole journal, which revives
-       exactly that state *)
-    let a = mk ~journal ~displaced:to_unwind ~displaced_shadows:pre_shadows in
+let apply_cumulative ?(tolerance = Runpre.full_tolerance) ?inject
+    ?(engage = stop_machine ()) t (update : Update.t) =
+  run_apply_txn ~name:"apply_cumulative" ~inject t update
+  @@ fun ~txn ~enter ->
+  if not (Update.is_cumulative update) then
+    raise
+      (Fail
+         (Integrity
+            (update.update_id
+            ^ " is not cumulative (supersedes nothing); use apply")));
+  (match Machine.transition_update t.m with
+   | Some id ->
+     raise (Fail (Integrity ("a transition is already in flight for " ^ id)))
+   | None -> ());
+  let in_supersedes a = List.mem a.update.Update.update_id update.supersedes in
+  (* the superseded updates must form the contiguous top of the stack
+     (they are what this cumulative replaces; anything deeper is part of
+     the base it was built against and stays untouched). A fresh machine
+     with an empty stack qualifies trivially — the cumulative update then
+     simply installs. *)
+  let rec split_top acc = function
+    | a :: rest when in_supersedes a -> split_top (a :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
+  let to_unwind, remaining = split_top [] t.stack in
+  if List.exists in_supersedes remaining then
+    raise
+      (Fail
+         (Integrity
+            (Printf.sprintf
+               "cumulative %s supersedes updates buried beneath ones it does \
+                not supersede (stack: [%s])"
+               update.update_id
+               (String.concat "; "
+                  (List.rev_map
+                     (fun a -> a.update.Update.update_id)
+                     t.stack)))));
+  (* the superseded segment must appear in chain order *)
+  let rec subseq xs ys =
+    match (xs, ys) with
+    | [], _ -> true
+    | _ :: _, [] -> false
+    | x :: xs', y :: ys' ->
+      if String.equal x y then subseq xs' ys' else subseq xs ys'
+  in
+  if
+    not
+      (subseq
+         (List.rev_map (fun a -> a.update.Update.update_id) to_unwind)
+         update.supersedes)
+  then
+    raise
+      (Fail
+         (Integrity
+            (Printf.sprintf
+               "cumulative %s supersedes [%s] but the applied stack holds \
+                them in a different order"
+               update.update_id
+               (String.concat "; " update.supersedes))));
+  Log.info (fun k ->
+      k "atomic replace: %s superseding %d stacked update(s)" update.update_id
+        (List.length to_unwind));
+  (* the shadow table as the collapse finds it: the unwind below runs the
+     displaced updates' destructors, and undoing this cumulative must
+     revive the bindings they detach *)
+  let pre_shadows = Machine.shadow_bindings t.m in
+  (* unwind the superseded segment, newest first; a displaced cumulative
+     hands its own displaced stack back mid-loop, which — being
+     superseded too (publishers flatten) — this loop then unwinds as
+     well *)
+  while match t.stack with a :: _ -> in_supersedes a | [] -> false do
+    unwind_top ~txn ~engage t
+  done;
+  (* [displaced] is the pre-collapse top segment as it stood: undoing
+     the cumulative update replays this whole journal, which revives
+     exactly that state *)
+  let mk =
+    apply_pipeline ~txn ~enter ~tolerance ~inject ~engage ~displaced:to_unwind
+      ~displaced_shadows:pre_shadows t update
+  in
+  fun journal ->
+    let a = mk journal in
     t.stack <- a :: remaining;
     Trace.count "apply.cumulative" 1;
     Log.info (fun k ->
         k "cumulative %s applied atomically (%d journal entries)"
           update.update_id (Txn.journal_entries journal));
-    Ok a
-  with
-  | Fail e ->
-    close_step ();
-    Txn.rollback txn;
-    finish_inject ();
-    t.stack <- saved_stack;
-    Log.warn (fun k ->
-        k "atomic replace %s failed: %a" update.update_id pp_error e);
-    Error e
-  | Machine.Out_of_memory msg ->
-    close_step ();
-    Txn.rollback txn;
-    finish_inject ();
-    t.stack <- saved_stack;
-    let e = Out_of_memory msg in
-    Log.warn (fun k ->
-        k "atomic replace %s failed: %a" update.update_id pp_error e);
-    Error e
+    a
 
 (* [verify] audits the applied stack: the topmost replacement of every
    function owns the jump at the code location it patched, and module

@@ -14,7 +14,7 @@
     + {b capture}/{b quiesce} — under [stop_machine], check that no
       thread's instruction pointer or stack return addresses fall within
       any to-be-replaced function (§5.2), retrying under bounded
-      exponential backoff;
+      exponential backoff ({!stop_machine});
     + {b trampoline} — insert a 5-byte jump at each obsolete function's
       entry; run [ksplice_apply] hooks while the machine is stopped;
     + {b commit} — run [ksplice_post_apply] hooks, retain the journal,
@@ -99,10 +99,10 @@ val pp_error : Format.formatter -> error -> unit
 (** {2 Engagements: how trampolines land}
 
     The capture/quiesce/trampoline phase of the pipeline is pluggable.
-    The default engagement is the paper's §5.2 [stop_machine] loop; a
+    The default engagement is the paper's §5.2 loop, {!stop_machine}; a
     per-thread engagement ([Manager.Transition.engage]) instead installs
     dispatch stubs, migrates threads at safe points with the machine
-    running, and demotes [stop_machine] to a bounded straggler fallback.
+    running, and calls {!stop_machine} only as a straggler fallback.
 
     An engagement receives the record below and must call [e_prepare]
     before activating any transition and [e_install] exactly once on
@@ -127,6 +127,9 @@ type engagement = {
   e_enter : Txn.step -> unit;  (** advance the transaction step marker *)
   e_sched : (unit -> unit) -> unit;
       (** run scheduler work with its writes journaled as [Txn.Sched] *)
+  e_veto : unit -> bool;
+      (** an armed [Forced_not_quiescent] injection refuses a quiescent
+          stop_machine attempt; always [false] for undo *)
   e_prepare : unit -> unit;
       (** make the fall-through side executable (undo restores the saved
           entry bytes); a no-op for apply *)
@@ -138,22 +141,29 @@ type engagement = {
 
 type engage_fn = engagement -> (int, error) result
 
-(** {2 Quiescence primitives}
+(** [stop_machine ?retry_cap ?retry_budget ?deadline ()] is the paper's
+    §5.2 engagement and the default of {!apply}, {!apply_cumulative} and
+    {!undo}. Under [Machine.stop_machine] it lands the end state only if
+    no live thread executes in, or holds a stack word pointing into,
+    [e_guard_ranges] (and [e_veto] does not refuse); otherwise the
+    scheduler runs [min retry_cap (250 * 2^n)] instructions before
+    attempt [n+2], within a total of [retry_budget] steps (defaults 4000
+    and 20_000, which allow 10 attempts). Exhausting the budget returns
+    [Not_quiescent] with the attempt count, steps consumed and the
+    blocking threads with backtraces. Every attempt stops the machine,
+    so the returned pause is the sum over attempts.
 
-    Exposed for engagements and diagnostics: the conservative §5.2
-    check over a set of guard ranges. *)
+    [deadline] is the watchdog: a hard cap on the backoff steps, checked
+    before the budget. Exhausting it returns {!Deadline_exceeded}. Unset
+    means no deadline (the [retry_budget] bound still applies). *)
+val stop_machine :
+  ?retry_cap:int -> ?retry_budget:int -> ?deadline:int -> unit -> engage_fn
 
 (** Does [th] execute inside [ranges], or hold a stack word pointing
-    into them? Exited and faulted threads never block. *)
+    into them? Exited and faulted threads never block: the conservative
+    §5.2 check, per thread. *)
 val thread_blocks :
   Kernel.Machine.t -> (int * int) list -> Kernel.Machine.thread -> bool
-
-(** No live thread blocks any of [ranges]. *)
-val quiescent : Kernel.Machine.t -> (int * int) list -> bool
-
-(** The threads still holding [ranges], with backtraces. *)
-val blocking_threads :
-  Kernel.Machine.t -> (int * int) list -> (string * string list) list
 
 (** The update manager: tracks applied updates on one machine (the role of
     the Ksplice core kernel module). *)
@@ -165,37 +175,20 @@ val machine : t -> Kernel.Machine.t
 (** Applied updates, most recent first. *)
 val applied : t -> applied list
 
-(** [apply t update] runs the transactional pipeline above.
-
-    Quiescence retries use bounded exponential backoff: before attempt
-    [n+1] the scheduler advances [min retry_cap (retry_base * 2^n)]
-    instructions (defaults 250 and 4000), within a total budget of
-    [retry_budget] steps (default 20_000) and at most [max_attempts]
-    attempts (default 10). On final failure the [Not_quiescent] error
-    carries the attempt count, steps consumed, and the blocking threads
-    with backtraces.
-
-    [deadline] is the watchdog: a hard cap on the total scheduler steps
-    the quiescence/backoff path may consume for this apply. It is
-    checked before [max_attempts]/[retry_budget]; exhausting it aborts
-    the transaction with {!Deadline_exceeded} and the usual
-    byte-identical rollback. Unset means no deadline (the
-    [retry_budget] bound still applies).
+(** [apply t update] runs the transactional pipeline above; a failed
+    engagement (for {!stop_machine}: [Not_quiescent] or
+    [Deadline_exceeded]) aborts it with the usual byte-identical
+    rollback.
 
     [tolerance] selects run-pre matcher capabilities (ablation
     experiments only). [inject] threads a {!Faultinj.session} through
     the pipeline — each step boundary notifies the session so it can arm
-    and disarm its machine-level fault hooks. [engage] substitutes a
-    custom {!engage_fn} for the default stop_machine loop; applying (or
-    undoing) while another update's transition is in flight fails with
+    and disarm its machine-level fault hooks. [engage] (default
+    [stop_machine ()]) lands the trampolines; applying (or undoing)
+    while another update's transition is in flight fails with
     [Integrity]. *)
 val apply :
   ?tolerance:Runpre.tolerance ->
-  ?max_attempts:int ->
-  ?retry_base:int ->
-  ?retry_cap:int ->
-  ?retry_budget:int ->
-  ?deadline:int ->
   ?inject:Faultinj.session ->
   ?engage:engage_fn ->
   t -> Update.t ->
@@ -221,30 +214,21 @@ val apply :
     is restored without re-applying anything. *)
 val apply_cumulative :
   ?tolerance:Runpre.tolerance ->
-  ?max_attempts:int ->
-  ?retry_base:int ->
-  ?retry_cap:int ->
-  ?retry_budget:int ->
-  ?deadline:int ->
   ?inject:Faultinj.session ->
   ?engage:engage_fn ->
   t -> Update.t ->
   (applied, error) result
 
 (** [undo t id] reverses the most recent update, which must be [id],
-    transactionally (same backoff parameters as {!apply}). On success
+    transactionally, guarded by [engage] (default [stop_machine ()]) on
+    the replacement code. On success
     the kernel image is byte-identical to its pre-apply contents at the
     journaled addresses; on failure it is wholly unchanged and the
-    update remains applied. With [engage], the reversal runs as a
-    {e reverse transition}: the saved entry bytes come back first, then
-    threads migrate to the old code at safe points while stragglers on
-    the replacement are routed through dispatch stubs. *)
+    update remains applied. With a per-thread [engage], the reversal
+    runs as a {e reverse transition}: the saved entry bytes come back
+    first, then threads migrate to the old code at safe points while
+    stragglers on the replacement are routed through dispatch stubs. *)
 val undo :
-  ?max_attempts:int ->
-  ?retry_base:int ->
-  ?retry_cap:int ->
-  ?retry_budget:int ->
-  ?deadline:int ->
   ?engage:engage_fn ->
   t -> string ->
   (unit, error) result

@@ -802,7 +802,7 @@ type trow = {
   t_threads : int;
   t_pause_ns : int;  (* per-thread apply pause (0 = pauseless) *)
   t_undo_pause_ns : int;
-  t_base_pause_ns : int;  (* stop_machine baseline pause under load *)
+  t_base_pause_ns : int;  (* stop_machine twin: pauses summed over attempts *)
   t_migrated : (string * int) list;  (* safe-point class -> threads *)
   t_rounds : int;
   t_sched_steps : int;
@@ -814,12 +814,7 @@ type trow = {
 (* generous §5.2 bounds for the baseline twin: under the stress load it
    must converge (the comparison needs a successful baseline), however
    many backoff rounds that takes *)
-let baseline_apply mgr update =
-  Apply.apply mgr ~max_attempts:64 ~retry_budget:400_000 ~retry_cap:8_000
-    update
-
-let baseline_undo mgr id =
-  Apply.undo mgr ~max_attempts:64 ~retry_budget:400_000 ~retry_cap:8_000 id
+let baseline = Apply.stop_machine ~retry_budget:400_000 ~retry_cap:8_000 ()
 
 (* [Stress.run] is single-use per boot (its host-side check expects each
    counter to equal exactly one run's iterations), so every phase gets a
@@ -850,7 +845,7 @@ let run_tcell (cve : Cve.t) update =
   let base_pause = ref 0 in
   check_stress "under baseline apply"
     (Stress.run bb ~during:(fun () ->
-         match baseline_apply mgrb update with
+         match Apply.apply mgrb ~engage:baseline update with
          | Ok a -> base_pause := a.Apply.pause_ns
          | Error e -> note "baseline apply failed: %s" (err_str e)));
   (match !apply_stats with
@@ -897,7 +892,7 @@ let run_tcell (cve : Cve.t) update =
          | Error e -> note "reverse transition failed: %s" (err_str e)));
   check_stress "under baseline undo"
     (Stress.run bb2 ~during:(fun () ->
-         match baseline_undo mgrb2 cve.id with
+         match Apply.undo mgrb2 ~engage:baseline cve.id with
          | Ok () -> ()
          | Error e -> note "baseline undo failed: %s" (err_str e)));
   (* the reverse transition must restore the entry bytes exactly *)
@@ -949,7 +944,7 @@ let run_tcell (cve : Cve.t) update =
      check_stress "under straggler baseline"
        (Stress.run bb3 ~during:(fun () ->
             straggle bb3.Boot.machine;
-            match baseline_apply mgrb3 update with
+            match Apply.apply mgrb3 ~engage:baseline update with
             | Ok _ -> ()
             | Error e ->
               note "straggler baseline apply failed: %s" (err_str e)));

@@ -129,8 +129,6 @@ type cell =
   | Violation of string list
       (** rollback or abort contract broken; the diagnostics *)
 
-val cell_char : cell -> char
-(** [R]olled-back, [B]enign, [-] not applicable, [!] violation. *)
 
 type row = {
   cve_id : string;
@@ -238,7 +236,8 @@ type trow = {
   t_threads : int;  (** threads alive when the transition began *)
   t_pause_ns : int;  (** per-thread apply pause (0 = pauseless) *)
   t_undo_pause_ns : int;  (** reverse-transition pause *)
-  t_base_pause_ns : int;  (** stop_machine baseline pause under load *)
+  t_base_pause_ns : int;
+      (** stop_machine twin under load: pauses summed over attempts *)
   t_migrated : (string * int) list;  (** safe-point class -> threads *)
   t_rounds : int;  (** migration rounds of the per-thread apply *)
   t_sched_steps : int;  (** instructions the machine ran meanwhile *)

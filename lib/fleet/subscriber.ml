@@ -11,26 +11,12 @@ type policy = {
 let default_policy =
   { retries = 5; backoff_base = 100; backoff_cap = 1600; jitter = 64; seed = 0 }
 
-(* the Manager's jitter hash, so fleet retries replay bit-identically
-   for a given (seed, id, attempt) just like manager retries do *)
-let jitter ~seed ~id ~attempt ~bound =
-  if bound <= 0 then 0
-  else begin
-    let h = ref (seed lxor 0x9e3779b9) in
-    let feed v =
-      h := !h lxor v;
-      h := !h * 0x85ebca6b land 0x3fffffff;
-      h := (!h lxor (!h lsr 13)) land 0x3fffffff
-    in
-    String.iter (fun c -> feed (Char.code c)) id;
-    feed (attempt * 0x27d4eb2f);
-    !h mod bound
-  end
-
+(* the Manager's schedule, so fleet retries replay bit-identically for
+   a given (seed, id, attempt) just like manager retries do *)
 let retry_delay pol ~id ~attempt =
-  let expo = pol.backoff_base * (1 lsl min (attempt - 1) 20) in
-  min pol.backoff_cap expo
-  + jitter ~seed:pol.seed ~id ~attempt ~bound:pol.jitter
+  Ksplice.Backoff.delay ~base:pol.backoff_base ~cap:pol.backoff_cap
+    (attempt - 1)
+  + Ksplice.Backoff.jitter ~seed:pol.seed ~id ~bound:pol.jitter attempt
 
 type error =
   | Transport of Transport.recv_error

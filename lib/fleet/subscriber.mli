@@ -14,9 +14,10 @@
     - {b resume, never re-download}: wants are computed by set
       difference against the local store, so blobs verified in an
       earlier attempt (even an aborted one) are never transferred again.
-    - {b bounded-exponential retry} with seeded jitter (the Manager's
-      backoff shape), and {b graceful degradation}: when the server is
-      unreachable the subscriber keeps serving its old chain head.
+    - {b bounded-exponential retry} with seeded jitter
+      ({!Ksplice.Backoff}, the Manager's schedule), and {b graceful
+      degradation}: when the server is unreachable the subscriber keeps
+      serving its old chain head.
 
     The local mirror uses the same layout as the server
     ({!Ksplice.Repository.entry_ref} refs over a store), so
@@ -25,8 +26,8 @@
     ["fleet:head"] ref and advances atomically with each entry. *)
 
 (** Retry schedule: bounded exponential backoff plus deterministic
-    seeded jitter, the {!Manager} shape — delays are abstract ticks
-    (the caller decides whether to sleep them). *)
+    seeded jitter ({!Ksplice.Backoff}, as in the Manager) — delays are
+    abstract ticks (the caller decides whether to sleep them). *)
 type policy = {
   retries : int;  (** maximum connection attempts *)
   backoff_base : int;

@@ -20,18 +20,6 @@ let all_fault_kinds = [ Disconnect; Torn; Corrupt; Stall; Duplicate ]
 
 type plan = { at : int; kind : fault_kind; seed : int }
 
-(* the Manager's splitmix-ish jitter hash: deterministic, spreads over
-   the low bits well enough to pick torn lengths and flipped bits *)
-let mix ~seed k =
-  let h = ref (seed lxor 0x9e3779b9) in
-  let feed v =
-    h := !h lxor v;
-    h := !h * 0x85ebca6b land 0x3fffffff;
-    h := (!h lxor (!h lsr 13)) land 0x3fffffff
-  in
-  feed (k * 0x27d4eb2f);
-  !h
-
 (* --- deterministic in-process simulation --- *)
 
 type sim_stats = {
@@ -57,14 +45,21 @@ let sim ?plan ~serve () =
         (match p.kind with
         | Disconnect -> closed := true
         | Torn ->
+          (* the retry schedule's seeded hash picks the torn length and
+             the flipped bit, so a plan replays bit-identically *)
           let n = String.length frame in
-          let keep = 1 + (mix ~seed:p.seed stats.frames mod max 1 (n - 1)) in
+          let keep =
+            1 + (Ksplice.Backoff.hash ~seed:p.seed ~id:"" stats.frames
+                 mod max 1 (n - 1))
+          in
           deliver (String.sub frame 0 keep);
           closed := true
         | Corrupt ->
           let n = String.length frame in
-          let i = mix ~seed:p.seed stats.frames mod n in
-          let bit = mix ~seed:p.seed (stats.frames + 1) mod 8 in
+          let i = Ksplice.Backoff.hash ~seed:p.seed ~id:"" stats.frames mod n in
+          let bit =
+            Ksplice.Backoff.hash ~seed:p.seed ~id:"" (stats.frames + 1) mod 8
+          in
           let b = Bytes.of_string frame in
           Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
           deliver (Bytes.to_string b)

@@ -45,10 +45,6 @@ type thread = {
 
 type safe_point = Sp_syscall | Sp_quantum
 
-let safe_point_name = function
-  | Sp_syscall -> "syscall"
-  | Sp_quantum -> "quantum"
-
 (* An active per-thread transition: dispatch stubs at patched function
    entries route a thread whose [patch_state] equals [tr_route_state] to
    the replacement code; everyone else falls through to the bytes at the
@@ -241,7 +237,6 @@ let lookup_name t name =
     Trace.count "kallsyms.hits" 1;
     entries
   | None -> []
-let privileged_ranges t = t.priv
 let add_privileged_range t r = t.priv <- r :: t.priv
 
 let remove_privileged_range t r =
@@ -265,7 +260,6 @@ let clear_injectors t =
   t.inj_alloc <- None;
   t.inj_write <- None;
   t.inj_call <- None
-let set_syscall_entry t a = t.syscall_entry_addr <- Some a
 let syscall_entry t = t.syscall_entry_addr
 
 (* --- per-thread transitions --- *)
@@ -395,8 +389,6 @@ let alloc_module t ~size ~align =
   addr
 
 (* --- threads --- *)
-
-let find_thread t tid = List.find_opt (fun th -> th.tid = tid) (threads t)
 
 let push_on th t v =
   let sp = Int32.to_int th.regs.(8) - 4 in

@@ -45,8 +45,6 @@ type thread = {
     scheduler quantum in {!run}. *)
 type safe_point = Sp_syscall | Sp_quantum
 
-val safe_point_name : safe_point -> string
-
 type t
 
 (** [create ?mem_size image] boots the image into fresh memory: copies
@@ -94,10 +92,8 @@ type index_stats = {
 
 val kallsyms_index_stats : unit -> index_stats
 
-(** [privileged_ranges t] are [start, end_) code ranges allowed to use
-    privileged escapes: kernel text plus registered module text. *)
-val privileged_ranges : t -> (int * int) list
-
+(** [add_privileged_range t r] allows code in the [start, end_) range
+    [r] to use privileged escapes (kernel text is allowed from boot). *)
 val add_privileged_range : t -> int * int -> unit
 
 (** Memory access (host side). @raise Invalid_argument out of range. *)
@@ -120,7 +116,6 @@ val alloc_module : t -> size:int -> align:int -> int
 val spawn : t -> name:string -> uid:int -> entry:int -> args:int32 list -> thread
 
 val threads : t -> thread list
-val find_thread : t -> int -> thread option
 
 (** [run t ~steps] executes up to [steps] instructions across runnable
     threads, round-robin with a small quantum. Returns the number of
@@ -152,8 +147,6 @@ val stop_machine : t -> (unit -> 'a) -> 'a * int
     function I want to patch, and where was it called from?"). *)
 val backtrace : t -> thread -> string list
 
-(** Wire the [INT 0x80] syscall gate to the given entry address. *)
-val set_syscall_entry : t -> int -> unit
 
 val syscall_entry : t -> int option
 

@@ -16,7 +16,6 @@ type health_check = {
 
 type policy = {
   deadline : int;
-  apply_attempts : int;
   retry_limit : int;
   backoff_base : int;
   backoff_cap : int;
@@ -29,7 +28,6 @@ type policy = {
 let default_policy =
   {
     deadline = 12_000;
-    apply_attempts = 10;
     retry_limit = 5;
     backoff_base = 500;
     backoff_cap = 8_000;
@@ -215,27 +213,14 @@ let emit t ?(attempt = 0) ?(steps = 0) ?(detail = "") update kind =
   Trace.instant ("manager." ^ Event.kind_name kind) ~fields:(event_fields ev);
   Log.debug (fun k -> k "%a" Event.pp ev)
 
-(* seeded jitter without Random: a splitmix-ish integer hash of
-   (seed, update id, attempt), so the retry schedule is a pure function
-   of the policy — replayable, yet updates don't thundering-herd *)
-let jitter ~seed ~id ~attempt ~bound =
-  if bound <= 0 then 0
-  else begin
-    let h = ref (seed lxor 0x9e3779b9) in
-    let mix v =
-      h := (!h lxor v) * 0x85ebca6b land 0x3fffffff;
-      h := (!h lxor (!h lsr 13)) land 0x3fffffff
-    in
-    String.iter (fun c -> mix (Char.code c)) id;
-    mix (attempt * 0x27d4eb2f);
-    !h mod bound
-  end
-
 (* exponential backoff for manager-level retry [attempt] (1-based):
-   min(cap, base * 2^(attempt-1)) + jitter *)
+   min(cap, base * 2^(attempt-1)) plus a jitter seeded by (seed, update
+   id, attempt), so the retry schedule is a pure function of the policy
+   — replayable, yet updates don't thundering-herd *)
 let retry_delay pol ~id ~attempt =
-  let expo = pol.backoff_base * (1 lsl min (attempt - 1) 20) in
-  min pol.backoff_cap expo + jitter ~seed:pol.seed ~id ~attempt ~bound:pol.jitter
+  Ksplice.Backoff.delay ~base:pol.backoff_base ~cap:pol.backoff_cap
+    (attempt - 1)
+  + Ksplice.Backoff.jitter ~seed:pol.seed ~id ~bound:pol.jitter attempt
 
 let submit_gen ~cumulative ~health ~inject t (update : Update.t) =
   let id = update.Update.update_id in
@@ -270,6 +255,10 @@ let submit_cumulative ?(health = []) ?(inject = fun ~attempt:_ -> None) t
       (Printf.sprintf "Manager.submit_cumulative: %s supersedes nothing"
          update.Update.update_id);
   submit_gen ~cumulative:true ~health ~inject t update
+
+(* every apply and undo runs the §5.2 loop under the policy's step
+   deadline *)
+let watchdog t = Apply.stop_machine ~deadline:t.pol.deadline ()
 
 (* --- rollback auditing --- *)
 
@@ -364,7 +353,7 @@ let health_gate t e (a : Apply.applied) =
         emit t id Event.Health_failed ~attempt:e.e_attempts
           ~detail:(name ^ ": " ^ msg))
       evidence;
-    (match Apply.undo t.ap ~deadline:t.pol.deadline id with
+    (match Apply.undo t.ap ~engage:(watchdog t) id with
      | Ok () ->
        audit_undo_bytes t id a.Apply.journal;
        emit t id Event.Reverted ~attempt:e.e_attempts;
@@ -391,14 +380,9 @@ let attempt t e =
      undoing a quarantined cumulative restores the displaced stack from
      its journal without re-applying anything *)
   let apply_once =
-    if e.e_cumulative then
-      Apply.apply_cumulative ~max_attempts:t.pol.apply_attempts
-        ~deadline:t.pol.deadline
-        ?inject:(e.e_inject ~attempt:e.e_attempts)
-    else
-      Apply.apply ~max_attempts:t.pol.apply_attempts
-        ~deadline:t.pol.deadline
-        ?inject:(e.e_inject ~attempt:e.e_attempts)
+    (if e.e_cumulative then Apply.apply_cumulative else Apply.apply)
+      ~engage:(watchdog t)
+      ?inject:(e.e_inject ~attempt:e.e_attempts)
   in
   match apply_once t.ap e.e_update with
   | Ok a -> health_gate t e a

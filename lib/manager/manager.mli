@@ -8,17 +8,17 @@
     operators who need graceful degradation instead of a wedge. The
     manager owns four mechanisms:
 
-    + a {b watchdog} — every apply runs under [policy.deadline], a hard
-      scheduler-step budget threaded into {!Ksplice.Apply.apply}; blowing
-      it aborts with [Deadline_exceeded] and the usual byte-identical
-      rollback;
+    + a {b watchdog} — every apply and auto-revert engages through
+      [Ksplice.Apply.stop_machine ~deadline:policy.deadline], a hard
+      scheduler-step budget on the quiescence backoff; blowing it aborts
+      with [Deadline_exceeded] and the usual byte-identical rollback;
     + a deterministic {b retry queue} — quiescence failures
       ([Not_quiescent], [Deadline_exceeded]) are retried under bounded
-      exponential backoff with seeded jitter. No wall clocks: time is
-      the manager's own step counter, advanced only by the scheduler
-      runs it performs, so a run is replayable from its seed. After
-      [retry_limit] attempts the update is parked with its blocker
-      diagnostics;
+      exponential backoff with seeded jitter ({!Ksplice.Backoff}). No
+      wall clocks: time is the manager's own step counter, advanced
+      only by the scheduler runs it performs, so a run is replayable
+      from its seed. After [retry_limit] attempts the update is parked
+      with its blocker diagnostics;
     + a {b health gate} — after a successful apply the manager runs
       {!Ksplice.Apply.verify} plus the caller's probes (exploit checks,
       stress smokes) {e inside a transaction}: if all pass, the probe
@@ -54,7 +54,6 @@ type health_check = {
 type policy = {
   deadline : int;
       (** watchdog: scheduler-step budget per apply (and per undo) *)
-  apply_attempts : int;  (** quiescence attempts within one apply *)
   retry_limit : int;  (** manager-level apply attempts per update *)
   backoff_base : int;  (** steps before retry 2 (doubles per retry) *)
   backoff_cap : int;  (** backoff ceiling, pre-jitter *)

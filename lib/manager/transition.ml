@@ -7,22 +7,9 @@ let src =
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type policy = {
-  slice : int;
-  budget : int;
-  fb_max_attempts : int;
-  fb_retry_base : int;
-  fb_retry_cap : int;
-  fb_retry_budget : int;
-}
+type policy = { slice : int; budget : int }
 
-let default_policy =
-  { slice = 400;
-    budget = 40_000;
-    fb_max_attempts = 10;
-    fb_retry_base = 250;
-    fb_retry_cap = 4_000;
-    fb_retry_budget = 20_000 }
+let default_policy = { slice = 400; budget = 40_000 }
 
 type sp_class = Scan | Syscall | Quantum | Forced
 
@@ -80,11 +67,10 @@ let pp_stats ppf s =
             else Some (Printf.sprintf "%s=%d" (sp_class_name c) n))
           (migrated_by_class s)))
 
-let backoff_steps ~base ~cap n = min cap (base * (1 lsl min n 20))
-
 (* The livepatch-style engagement: dispatch stubs + safe-point
-   migration, with §5.2 stop_machine demoted to a bounded fallback for
-   stragglers. Plugged into [Apply.apply]/[Apply.undo] via [?engage]. *)
+   migration, with the §5.2 loop ([Apply.stop_machine]) demoted to a
+   fallback for stragglers. Plugged into [Apply.apply]/[Apply.undo] via
+   [?engage]. *)
 let engage ?(policy = default_policy) ?on_stats () (e : Apply.engagement) =
   let m = e.Apply.e_machine in
   let migrations = ref [] in
@@ -164,8 +150,8 @@ let engage ?(policy = default_policy) ?on_stats () (e : Apply.engagement) =
       Ok 0
     end
     else begin
-      (* straggler fallback: the bounded stop_machine loop of §5.2,
-         force-migrating whoever is left once the guards quiesce *)
+      (* straggler fallback: the §5.2 loop, whose install step
+         force-migrates whoever is left once the guards quiesce *)
       Trace.count "transition.fallbacks" 1;
       Log.info (fun k ->
           k "%s: %d straggler(s) after %d sched steps; stop_machine \
@@ -176,51 +162,26 @@ let engage ?(policy = default_policy) ?on_stats () (e : Apply.engagement) =
                   (fun th -> not (Machine.thread_migrated th))
                   (Machine.threads m)))
             !sched_steps);
-      e.e_enter Txn.Quiesce;
-      let rec attempt n spent pause_acc =
-        let ok, pause =
-          Machine.stop_machine m (fun () ->
-              if Apply.quiescent m e.e_guard_ranges then begin
-                List.iter
-                  (fun th ->
-                    if not (Machine.thread_migrated th) then begin
-                      Machine.migrate_thread th;
-                      incr forced;
-                      record th Forced
-                    end)
-                  (Machine.threads m);
-                Machine.end_transition m;
-                e.e_enter Txn.Trampoline;
-                e.e_install ();
-                true
-              end
-              else false)
-        in
-        let pause_acc = pause_acc + pause in
-        if ok then Ok pause_acc
-        else begin
-          let delay =
-            min
-              (backoff_steps ~base:policy.fb_retry_base
-                 ~cap:policy.fb_retry_cap n)
-              (policy.fb_retry_budget - spent)
-          in
-          if n + 1 >= policy.fb_max_attempts || delay <= 0 then
-            fail
-              (Apply.Not_quiescent
-                 { Apply.nq_functions = e.e_functions;
-                   nq_attempts = n + 1;
-                   nq_steps_run = !sched_steps + spent;
-                   nq_blockers = Apply.blocking_threads m e.e_guard_ranges })
-          else begin
-            Trace.count "transition.fallback_retries" 1;
-            e.e_sched (fun () ->
-                ignore (Machine.run m ~steps:delay : int));
-            attempt (n + 1) (spent + delay) pause_acc
-          end
-        end
+      let force_migrate () =
+        List.iter
+          (fun th ->
+            if not (Machine.thread_migrated th) then begin
+              Machine.migrate_thread th;
+              incr forced;
+              record th Forced
+            end)
+          (Machine.threads m);
+        Machine.end_transition m;
+        e.e_install ()
       in
-      attempt 0 0 0
+      match Apply.stop_machine () { e with e_install = force_migrate } with
+      | Ok _ as ok -> ok
+      | Error (Apply.Not_quiescent nq) ->
+        (* the migration rounds count as backoff steps too *)
+        fail
+          (Apply.Not_quiescent
+             { nq with nq_steps_run = !sched_steps + nq.nq_steps_run })
+      | Error err -> fail err
     end
   in
   Result.map

@@ -18,10 +18,11 @@
     When every thread has migrated, the permanent trampolines land with
     {e zero pause} — the machine never stopped. Stragglers (threads
     sleeping with a guarded return address on their stack) demote the
-    engagement to the paper's bounded stop_machine loop, which
-    force-migrates whoever is left once the guards quiesce; exhausting
-    that fallback returns [Error (Apply.Not_quiescent _)] and the
-    transaction rolls back byte-identically.
+    engagement to the paper's loop, [Apply.stop_machine ()], whose
+    install step force-migrates whoever is left once the guards
+    quiesce; exhausting that fallback returns
+    [Error (Apply.Not_quiescent _)] (its [nq_steps_run] includes the
+    migration rounds) and the transaction rolls back byte-identically.
 
     The same engagement reverses an update: [Apply.undo ~engage] runs a
     {e reverse transition} (original entry bytes first, unmigrated
@@ -30,10 +31,6 @@
 type policy = {
   slice : int;  (** scheduler steps per migration round *)
   budget : int;  (** total scheduler steps before the fallback *)
-  fb_max_attempts : int;  (** fallback stop_machine attempts *)
-  fb_retry_base : int;  (** fallback backoff base (steps) *)
-  fb_retry_cap : int;  (** fallback backoff cap (steps) *)
-  fb_retry_budget : int;  (** fallback total backoff budget (steps) *)
 }
 
 val default_policy : policy
@@ -68,7 +65,6 @@ type stats = {
 }
 
 val migrated_by_class : stats -> (sp_class * int) list
-val pp_stats : Format.formatter -> stats -> unit
 
 (** [engage ?policy ?on_stats ()] builds the engagement, suitable for
     [Apply.apply ~engage] and [Apply.undo ~engage]. [on_stats] receives

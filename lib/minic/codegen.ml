@@ -13,6 +13,9 @@ type options = {
 let run_options = { function_sections = false; align_loops = true }
 let pre_options = { function_sections = true; align_loops = false }
 
+(* calling convention: arguments are pushed right to left; at function
+   entry [sp] points at the return address; after the prologue,
+   parameter [i] lives at [fp + param_offset i] *)
 let param_offset i = 8 + (4 * i)
 
 (* --- per-unit emission state --- *)

@@ -27,9 +27,3 @@ val pre_options : options
 (** [compile_unit ~options tunit] emits the object file for a checked
     unit. *)
 val compile_unit : options:options -> Tast.tunit -> Objfile.t
-
-(** Calling convention constants (used by the kernel simulator and by
-    tests): arguments are pushed right to left; at function entry
-    [sp] points at the return address; after the prologue, parameter [i]
-    lives at [fp + param_offset i]. *)
-val param_offset : int -> int

@@ -5,6 +5,8 @@ exception Error of string
 
 let err fmt = Format.kasprintf (fun m -> raise (Error m)) fmt
 
+(* the compiler builtins (host escapes): name, INT code, arity, and
+   whether they return a value in r0 *)
 let builtins =
   [
     { b_name = "__putc"; b_code = 0; b_args = 1; b_ret = false };

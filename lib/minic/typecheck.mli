@@ -3,10 +3,6 @@
 
 exception Error of string
 
-(** [builtins] lists the compiler builtins (host escapes): name, INT code,
-    arity, and whether they return a value in r0. *)
-val builtins : Tast.builtin list
-
 (** [sizeof structs ty] is the byte size of [ty] given struct layouts from
     the program being checked. Exposed for tests. *)
 val sizeof : (string * (Ast.ty * string) list) list -> Ast.ty -> int

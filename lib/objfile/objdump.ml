@@ -69,6 +69,8 @@ let pp_hexdump ppf (s : Section.t) =
   List.iter (fun (r : Reloc.t) -> Format.fprintf ppf "    %a@," Reloc.pp r)
     s.relocs
 
+(* one section: header, then either disassembly (text) or a hex dump
+   (data/rodata) or a size line (bss), with relocations *)
 let pp_section ppf (s : Section.t) =
   Format.fprintf ppf "@[<v>section %s (%s, %d bytes, align %d):@," s.name
     (match s.kind with

@@ -19,12 +19,5 @@ type line = {
     next offset. *)
 val disassemble : Section.t -> line list
 
-val pp_line : Format.formatter -> line -> unit
-
-(** [pp_section ppf s] dumps one section: header, then either
-    disassembly (text) or a hex dump (data/rodata) or a size line (bss),
-    with relocations. *)
-val pp_section : Format.formatter -> Section.t -> unit
-
 (** [pp ppf obj] dumps a whole object file, symbols included. *)
 val pp : Format.formatter -> Unitfile.t -> unit

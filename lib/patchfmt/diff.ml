@@ -46,6 +46,7 @@ let edit_script a b =
   in
   walk 0 0 []
 
+(* hunks between two line lists (LCS-based, like diff -u) *)
 let diff_lines ?(context = 3) a b =
   let script = Array.of_list (edit_script a b) in
   let n = Array.length script in

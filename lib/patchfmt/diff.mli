@@ -26,10 +26,6 @@ type file_diff = {
 
 type t = file_diff list
 
-(** [diff_lines ~context old new_] computes hunks between two line lists
-    (LCS-based, like diff -u). [context] defaults to 3. *)
-val diff_lines : ?context:int -> string list -> string list -> hunk list
-
 (** [diff_trees old new_] produces a patch transforming [old] into
     [new_], including file creations and deletions. *)
 val diff_trees : ?context:int -> Source_tree.t -> Source_tree.t -> t

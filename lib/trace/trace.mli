@@ -133,7 +133,6 @@ val records : unit -> record list
 val dropped : unit -> int
 
 val kind_name : kind -> string
-val value_json : value -> Report.Json.t
 
 (** The one record serializer: every trace export — and the manager's
     event log — goes through this, so the shapes cannot drift. *)

@@ -12,14 +12,9 @@ type reg = R0 | R1 | R2 | R3 | R4 | R5 | R6 | R7 | SP
 
 val reg_to_int : reg -> int
 val reg_of_int : int -> reg option
-val pp_reg : Format.formatter -> reg -> unit
 
 (** Condition codes for conditional jumps (signed comparisons). *)
 type cond = Eq | Ne | Lt | Ge | Gt | Le
-
-val cond_to_int : cond -> int
-val cond_of_int : int -> cond option
-val pp_cond : Format.formatter -> cond -> unit
 
 (** Memory access widths. 8- and 16-bit loads zero-extend; signedness is the
     compiler's job via {!Sext8}/{!Sext16}. *)

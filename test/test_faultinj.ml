@@ -1,7 +1,7 @@
 (* Transactional apply and fault injection: any injected fault at any
    pipeline step must roll the machine back byte-identically, undo must
    restore the image byte-identically, and the quiescence loop must use
-   bounded backoff with useful diagnostics. *)
+   bounded backoff with useful diagnostics and report every pause. *)
 
 module Tree = Patchfmt.Source_tree
 module Diff = Patchfmt.Diff
@@ -97,10 +97,16 @@ let test_backoff_reports_blockers () =
   let u = mk_update ~id:"fare" tree (patched_fare tree) in
   let mgr = Apply.init m in
   let snap = Machine.snapshot m in
-  match Apply.apply mgr ~max_attempts:6 ~retry_base:50 ~retry_cap:400 u with
+  match
+    Apply.apply mgr
+      ~engage:(Apply.stop_machine ~retry_cap:400 ~retry_budget:1850 ())
+      u
+  with
   | Ok _ -> Alcotest.fail "expected Not_quiescent"
   | Error (Apply.Not_quiescent nq) ->
-    Alcotest.(check int) "all attempts used" 6 nq.nq_attempts;
+    (* the step budget bounds the attempts: backoffs of 250 + 4 x 400
+       steps spend all 1850, so six attempts run *)
+    Alcotest.(check int) "attempts the budget allows" 6 nq.nq_attempts;
     Alcotest.(check bool) "backoff consumed scheduler steps" true
       (nq.nq_steps_run > 0);
     Alcotest.(check bool) "names the patched function" true
@@ -117,8 +123,8 @@ let test_backoff_reports_blockers () =
     check_identical "rollback after quiescence failure" m snap
   | Error e -> Alcotest.failf "unexpected error: %a" Apply.pp_error e
 
-let test_budget_caps_attempts () =
-  (* the step budget stops retries even when attempts remain *)
+let test_budget_caps_backoff () =
+  (* the step budget stops the retries *)
   let tree, img, m = boot base_src in
   let entry = (Option.get (Image.lookup_global img "fare")).addr in
   ignore (Machine.spawn m ~name:"churner" ~uid:0 ~entry ~args:[ 100000000l ]);
@@ -126,15 +132,42 @@ let test_budget_caps_attempts () =
   let u = mk_update ~id:"fare" tree (patched_fare tree) in
   let mgr = Apply.init m in
   match
-    Apply.apply mgr ~max_attempts:100 ~retry_base:64 ~retry_cap:1024
-      ~retry_budget:2000 u
+    Apply.apply mgr
+      ~engage:(Apply.stop_machine ~retry_cap:1024 ~retry_budget:2000 ())
+      u
   with
   | Ok _ -> Alcotest.fail "expected Not_quiescent"
   | Error (Apply.Not_quiescent nq) ->
-    Alcotest.(check bool) "budget exhausted before attempts" true
-      (nq.nq_attempts < 100);
     Alcotest.(check bool) "steps within budget" true (nq.nq_steps_run <= 2000)
   | Error e -> Alcotest.failf "unexpected error: %a" Apply.pp_error e
+
+let test_pause_counts_every_attempt () =
+  (* every attempt stops the machine, so a retried apply pauses for the
+     sum: 500 us + 50 us per live thread while the blocker still runs
+     fare(200), 500 us for the attempt that lands after it returned *)
+  let tree, img, m = boot base_src in
+  let entry = (Option.get (Image.lookup_global img "fare")).addr in
+  ignore (Machine.spawn m ~name:"blocker" ~uid:0 ~entry ~args:[ 200l ]);
+  let u = mk_update ~id:"fare" tree (patched_fare tree) in
+  let mgr = Apply.init m in
+  Trace.reset ();
+  Trace.set_enabled true;
+  let result, retries =
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.set_enabled false;
+        Trace.reset ())
+      (fun () ->
+        let r = Apply.apply mgr u in
+        (r, Trace.counter_value "apply.quiescence_retries"))
+  in
+  match result with
+  | Error e -> Alcotest.failf "apply: %a" Apply.pp_error e
+  | Ok a ->
+    Alcotest.(check bool) "the blocker forced retries" true (retries > 0);
+    Alcotest.(check int) "pause sums every attempt"
+      ((retries * 550_000) + 500_000)
+      a.Apply.pause_ns
 
 let fault_case ~step ~expect_err () =
   let tree, img, m = boot base_src in
@@ -375,7 +408,9 @@ let suite =
         t "undo restores bytes identically" test_undo_restores_bytes;
         t "backoff reports attempts and blockers"
           test_backoff_reports_blockers;
-        t "retry budget caps backoff" test_budget_caps_attempts;
+        t "retry budget caps backoff" test_budget_caps_backoff;
+        t "pause counts every stop_machine attempt"
+          test_pause_counts_every_attempt;
         t "oom at allocate rolls back" test_oom_rolls_back;
         t "corrupt relocation detected and rolled back"
           test_corrupt_reloc_detected;

@@ -52,7 +52,6 @@ let check_identical what m snap =
 let test_policy =
   { Manager.default_policy with
     deadline = 600;
-    apply_attempts = 50;
     retry_limit = 3;
     backoff_base = 100;
     backoff_cap = 400;
@@ -74,15 +73,17 @@ let test_deadline_exceeded_rolls_back () =
   let ap = Apply.init m in
   let snap = Machine.snapshot m in
   match
-    Apply.apply ap ~max_attempts:100 ~retry_base:64 ~retry_cap:1024
-      ~retry_budget:100000 ~deadline:500 u
+    Apply.apply ap
+      ~engage:
+        (Apply.stop_machine ~retry_cap:1024 ~retry_budget:100000
+           ~deadline:500 ())
+      u
   with
   | Ok _ -> Alcotest.fail "expected Deadline_exceeded"
   | Error (Apply.Deadline_exceeded { de_budget; de_diag }) ->
     Alcotest.(check int) "reported budget" 500 de_budget;
     Alcotest.(check bool) "backoff clamped to the deadline" true
       (de_diag.nq_steps_run > 0 && de_diag.nq_steps_run <= 500);
-    Alcotest.(check bool) "attempts remained" true (de_diag.nq_attempts < 100);
     Alcotest.(check bool) "blockers diagnosed" true
       (de_diag.nq_blockers <> []);
     check_identical "rollback after deadline" m snap

@@ -208,34 +208,36 @@ let test_reverse_transition_under_load () =
 
 (* --- a straggler demotes the engagement to the bounded fallback --- *)
 
-let test_forced_straggler_fallback () =
-  let straggler_apply () =
-    let tree, img, m = boot base_src in
-    let spinner =
-      Machine.spawn m ~name:"spinner" ~uid:1000
-        ~entry:(entry_of img "spin") ~args:[ 2_000_000l ]
-    in
-    ignore (spinner : Machine.thread);
-    (* parked asleep at fare's entry: pc inside the guard range, immune
-       to safe points until it wakes — long after the budget below *)
-    let straggler =
-      Machine.spawn m ~name:"straggler" ~uid:1000
-        ~entry:(entry_of img "fare") ~args:[ 1l ]
-    in
-    straggler.Machine.state <- Machine.Sleeping (Machine.tick m + 3_000);
-    let u = mk_update ~id:"fare" tree (patched_fare tree) in
-    let mgr = Apply.init m in
-    let stats = ref None in
-    let eng =
-      Transition.engage
-        ~policy:{ Transition.default_policy with budget = 2_000 }
-        ~on_stats:(fun s -> stats := Some s)
-        ()
-    in
-    ignore (apply_ok ~engage:eng mgr u : Apply.applied);
-    (Option.get !stats, straggler, mgr, img, m)
+(* a spinner keeps the clock honest while a straggler sleeps at fare's
+   entry: pc inside the guard range, immune to safe points until it
+   wakes — long after the migration budget of [straggler_policy] *)
+let straggler_machine () =
+  let tree, img, m = boot base_src in
+  ignore
+    (Machine.spawn m ~name:"spinner" ~uid:1000 ~entry:(entry_of img "spin")
+       ~args:[ 2_000_000l ]
+      : Machine.thread);
+  let straggler =
+    Machine.spawn m ~name:"straggler" ~uid:1000 ~entry:(entry_of img "fare")
+      ~args:[ 1l ]
   in
-  let s, straggler, mgr, img, m = straggler_apply () in
+  straggler.Machine.state <- Machine.Sleeping (Machine.tick m + 3_000);
+  (tree, img, m, straggler)
+
+let straggler_policy = { Transition.default_policy with budget = 2_000 }
+
+let test_forced_straggler_fallback () =
+  let tree, img, m, straggler = straggler_machine () in
+  let u = mk_update ~id:"fare" tree (patched_fare tree) in
+  let mgr = Apply.init m in
+  let stats = ref None in
+  let eng =
+    Transition.engage ~policy:straggler_policy
+      ~on_stats:(fun s -> stats := Some s)
+      ()
+  in
+  ignore (apply_ok ~engage:eng mgr u : Apply.applied);
+  let s = Option.get !stats in
   Alcotest.(check bool) "fallback engaged" true s.Transition.st_fallback;
   Alcotest.(check bool) "straggler was force-migrated" true
     (List.exists
@@ -262,6 +264,33 @@ let test_forced_straggler_fallback () =
    | _ -> Alcotest.fail "straggler never finished");
   Alcotest.(check int32) "patched afterwards" 24l (call m img "fare" [ 3l ])
 
+(* --- the fallback honours an injected quiescence veto --- *)
+
+let test_fallback_honours_veto () =
+  let tree, _, m, _ = straggler_machine () in
+  let u = mk_update ~id:"fare" tree (patched_fare tree) in
+  let mgr = Apply.init m in
+  let snap = Machine.snapshot m in
+  let session =
+    Ksplice.Faultinj.make m
+      { step = Ksplice.Txn.Quiesce;
+        kind = Ksplice.Faultinj.Forced_not_quiescent; seed = 0 }
+  in
+  (match
+     Apply.apply mgr ~inject:session
+       ~engage:(Transition.engage ~policy:straggler_policy ())
+       u
+   with
+   | Error (Apply.Not_quiescent _) -> ()
+   | Ok _ -> Alcotest.fail "the vetoed fallback landed the update"
+   | Error e -> Alcotest.failf "unexpected error: %a" Apply.pp_error e);
+  Alcotest.(check bool) "veto fired" true (Ksplice.Faultinj.fired session);
+  match Machine.diff_snapshot m snap with
+  | [] -> ()
+  | d ->
+    Alcotest.failf "vetoed fallback left the machine diverged:\n  %s"
+      (String.concat "\n  " d)
+
 (* --- a mid-transition failure rolls back byte-identically --- *)
 
 let test_mid_transition_rollback () =
@@ -277,10 +306,7 @@ let test_mid_transition_rollback () =
   let snap = Machine.snapshot m in
   let eng =
     Transition.engage
-      ~policy:
-        { Transition.default_policy with
-          budget = 1_000; fb_max_attempts = 3; fb_retry_base = 50;
-          fb_retry_cap = 200; fb_retry_budget = 1_000 }
+      ~policy:{ Transition.default_policy with budget = 1_000 }
       ()
   in
   (match Apply.apply mgr ~engage:eng u with
@@ -420,6 +446,7 @@ let suite =
         t "reverse transition under load" test_reverse_transition_under_load;
         t "forced straggler converges through the fallback"
           test_forced_straggler_fallback;
+        t "fallback honours the quiescence veto" test_fallback_honours_veto;
         t "mid-transition failure rolls back byte-identically"
           test_mid_transition_rollback;
         t "in-flight transition excludes other pipelines"
