@@ -20,8 +20,6 @@ type kind =
       (** the scheduler runs a seed-chosen burst of extra instructions;
           benign — apply must still succeed (via retries if needed) *)
 
-val kind_name : kind -> string
-
 (** The canonical fault for each pipeline step — the sweep matrix rows.
     [Hook_fault] appears at three steps (pre/apply/post hooks). *)
 val kind_for_step : Txn.step -> kind

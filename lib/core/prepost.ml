@@ -19,7 +19,6 @@ type unit_diff = Diffobj.unit_diff = {
 }
 
 let reason_to_string = Diffobj.reason_to_string
-let pp_reason = Diffobj.pp_reason
 let pp_unit_diff = Diffobj.pp_unit_diff
 let fname_of_section = Diffobj.fname_of_section
 let dataname_of_section = Diffobj.dataname_of_section

@@ -38,7 +38,6 @@ type unit_diff = Diffobj.unit_diff = {
 }
 
 val reason_to_string : reason -> string
-val pp_reason : Format.formatter -> reason -> unit
 val pp_unit_diff : Format.formatter -> unit_diff -> unit
 
 (** [fname_of_section s] extracts the function name from a [.text.<f>]

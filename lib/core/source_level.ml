@@ -12,22 +12,6 @@ type failure =
   | Static_local_lost of string list
   | Assembly_file of string
 
-let pp_failure ppf = function
-  | Missed_object_changes fns ->
-    Format.fprintf ppf "object code changed without a source change: %s"
-      (String.concat ", " fns)
-  | Inline_sites_missed sites ->
-    Format.fprintf ppf "stale inlined copies left running: %s"
-      (String.concat ", "
-         (List.map (fun (a, b) -> Printf.sprintf "%s in %s" b a) sites))
-  | Ambiguous_symbol syms ->
-    Format.fprintf ppf "symbol table cannot disambiguate: %s"
-      (String.concat ", " syms)
-  | Static_local_lost fns ->
-    Format.fprintf ppf "static local state would be lost: %s"
-      (String.concat ", " fns)
-  | Assembly_file f -> Format.fprintf ppf "pure assembly file: %s" f
-
 type verdict = {
   replaced_from_source : string list;
   failures : failure list;

@@ -30,8 +30,6 @@ type failure =
   | Assembly_file of string
       (** the patch touches a pure assembly unit (§6.3, CVE-2007-4573) *)
 
-val pp_failure : Format.formatter -> failure -> unit
-
 type verdict = {
   replaced_from_source : string list;  (** what the baseline would patch *)
   failures : failure list;  (** empty = the baseline happens to be safe *)

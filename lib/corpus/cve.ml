@@ -931,12 +931,15 @@ let find id =
 let replace_once ~what file old_s new_s content =
   let lo = String.length old_s in
   let n = String.length content in
+  let rec matches_at i k =
+    k = lo || (content.[i + k] = old_s.[k] && matches_at i (k + 1))
+  in
   let rec search i =
     if i + lo > n then
       failwith
         (Printf.sprintf "%s: snippet not found in %s: %s" what file
            (String.sub old_s 0 (min 60 lo)))
-    else if String.sub content i lo = old_s then i
+    else if matches_at i 0 then i
     else search (i + 1)
   in
   let i = search 0 in

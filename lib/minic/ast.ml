@@ -114,17 +114,6 @@ let hook_section = function
   | Hook_shadow_ctor -> ".ksplice.shadow_ctor"
   | Hook_shadow_dtor -> ".ksplice.shadow_dtor"
 
-let hook_of_keyword = function
-  | "ksplice_apply" -> Some Hook_apply
-  | "ksplice_pre_apply" -> Some Hook_pre_apply
-  | "ksplice_post_apply" -> Some Hook_post_apply
-  | "ksplice_reverse" -> Some Hook_reverse
-  | "ksplice_pre_reverse" -> Some Hook_pre_reverse
-  | "ksplice_post_reverse" -> Some Hook_post_reverse
-  | "ksplice_shadow_ctor" -> Some Hook_shadow_ctor
-  | "ksplice_shadow_dtor" -> Some Hook_shadow_dtor
-  | _ -> None
-
 type struct_def = {
   s_name : string;
   s_fields : (ty * string) list;

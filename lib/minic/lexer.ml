@@ -1,10 +1,29 @@
+type keyword =
+  | Kvoid | Kchar | Kshort | Kint | Kstruct
+  | Kif | Kelse | Kwhile | Kfor | Kdo | Kswitch | Kcase | Kdefault
+  | Kreturn | Kbreak | Kcontinue
+  | Kstatic | Kinline | Kextern | Ksizeof
+  | Khook of Ast.hook_kind
+
+type punct =
+  | Shl_eq | Shr_eq | Shl | Shr
+  | Le | Ge | Lt | Gt | Eq | Ne
+  | Land | Lor | Bang | Arrow
+  | Plus_eq | Minus_eq | Star_eq | Slash_eq
+  | Percent_eq | Amp_eq | Bar_eq | Caret_eq
+  | Incr | Decr | Assign | Tilde
+  | Plus | Minus | Star | Slash | Percent
+  | Amp | Bar | Caret
+  | Lparen | Rparen | Lbrace | Rbrace
+  | Lbracket | Rbracket | Semi | Comma | Dot | Colon
+
 type token =
   | INT of int32
   | CHARLIT of char
   | STRING of string
   | IDENT of string
-  | KW of string
-  | PUNCT of string
+  | KW of keyword
+  | PUNCT of punct
   | EOF
 
 type t = {
@@ -17,31 +36,170 @@ exception Error of { line : int; msg : string }
 let err line fmt =
   Format.kasprintf (fun msg -> raise (Error { line; msg })) fmt
 
-let keywords =
-  [ "void"; "char"; "short"; "int"; "struct"; "if"; "else"; "while"; "for";
-    "do"; "switch"; "case"; "default";
-    "return"; "break"; "continue"; "static"; "inline"; "extern"; "sizeof";
-    "ksplice_apply"; "ksplice_pre_apply"; "ksplice_post_apply";
-    "ksplice_reverse"; "ksplice_pre_reverse"; "ksplice_post_reverse";
-    "ksplice_shadow_ctor"; "ksplice_shadow_dtor" ]
+let keyword_to_string = function
+  | Kvoid -> "void"
+  | Kchar -> "char"
+  | Kshort -> "short"
+  | Kint -> "int"
+  | Kstruct -> "struct"
+  | Kif -> "if"
+  | Kelse -> "else"
+  | Kwhile -> "while"
+  | Kfor -> "for"
+  | Kdo -> "do"
+  | Kswitch -> "switch"
+  | Kcase -> "case"
+  | Kdefault -> "default"
+  | Kreturn -> "return"
+  | Kbreak -> "break"
+  | Kcontinue -> "continue"
+  | Kstatic -> "static"
+  | Kinline -> "inline"
+  | Kextern -> "extern"
+  | Ksizeof -> "sizeof"
+  | Khook Ast.Hook_apply -> "ksplice_apply"
+  | Khook Ast.Hook_pre_apply -> "ksplice_pre_apply"
+  | Khook Ast.Hook_post_apply -> "ksplice_post_apply"
+  | Khook Ast.Hook_reverse -> "ksplice_reverse"
+  | Khook Ast.Hook_pre_reverse -> "ksplice_pre_reverse"
+  | Khook Ast.Hook_post_reverse -> "ksplice_post_reverse"
+  | Khook Ast.Hook_shadow_ctor -> "ksplice_shadow_ctor"
+  | Khook Ast.Hook_shadow_dtor -> "ksplice_shadow_dtor"
 
-let is_ident_start = function
-  | 'a' .. 'z' | 'A' .. 'Z' | '_' -> true
-  | _ -> false
+(* The inverse of [keyword_to_string], or an identifier. Every token
+   here is a constant, so a keyword costs only its [String.sub]. *)
+let word = function
+  | "void" -> KW Kvoid
+  | "char" -> KW Kchar
+  | "short" -> KW Kshort
+  | "int" -> KW Kint
+  | "struct" -> KW Kstruct
+  | "if" -> KW Kif
+  | "else" -> KW Kelse
+  | "while" -> KW Kwhile
+  | "for" -> KW Kfor
+  | "do" -> KW Kdo
+  | "switch" -> KW Kswitch
+  | "case" -> KW Kcase
+  | "default" -> KW Kdefault
+  | "return" -> KW Kreturn
+  | "break" -> KW Kbreak
+  | "continue" -> KW Kcontinue
+  | "static" -> KW Kstatic
+  | "inline" -> KW Kinline
+  | "extern" -> KW Kextern
+  | "sizeof" -> KW Ksizeof
+  | "ksplice_apply" -> KW (Khook Ast.Hook_apply)
+  | "ksplice_pre_apply" -> KW (Khook Ast.Hook_pre_apply)
+  | "ksplice_post_apply" -> KW (Khook Ast.Hook_post_apply)
+  | "ksplice_reverse" -> KW (Khook Ast.Hook_reverse)
+  | "ksplice_pre_reverse" -> KW (Khook Ast.Hook_pre_reverse)
+  | "ksplice_post_reverse" -> KW (Khook Ast.Hook_post_reverse)
+  | "ksplice_shadow_ctor" -> KW (Khook Ast.Hook_shadow_ctor)
+  | "ksplice_shadow_dtor" -> KW (Khook Ast.Hook_shadow_dtor)
+  | s -> IDENT s
+
+let punct_to_string = function
+  | Shl_eq -> "<<="
+  | Shr_eq -> ">>="
+  | Shl -> "<<"
+  | Shr -> ">>"
+  | Le -> "<="
+  | Ge -> ">="
+  | Eq -> "=="
+  | Ne -> "!="
+  | Land -> "&&"
+  | Lor -> "||"
+  | Arrow -> "->"
+  | Plus_eq -> "+="
+  | Minus_eq -> "-="
+  | Star_eq -> "*="
+  | Slash_eq -> "/="
+  | Percent_eq -> "%="
+  | Amp_eq -> "&="
+  | Bar_eq -> "|="
+  | Caret_eq -> "^="
+  | Incr -> "++"
+  | Decr -> "--"
+  | Plus -> "+"
+  | Minus -> "-"
+  | Star -> "*"
+  | Slash -> "/"
+  | Percent -> "%"
+  | Amp -> "&"
+  | Bar -> "|"
+  | Caret -> "^"
+  | Bang -> "!"
+  | Tilde -> "~"
+  | Lt -> "<"
+  | Gt -> ">"
+  | Assign -> "="
+  | Lparen -> "("
+  | Rparen -> ")"
+  | Lbrace -> "{"
+  | Rbrace -> "}"
+  | Lbracket -> "["
+  | Rbracket -> "]"
+  | Semi -> ";"
+  | Comma -> ","
+  | Dot -> "."
+  | Colon -> ":"
+
+(* The longest punctuator that starts with [c], given the two characters
+   after it ('\000' past the end of the input), as a token and its
+   length. Both are constants: recognising a punctuator allocates
+   nothing. *)
+let punct line c c1 c2 =
+  match c with
+  | '<' ->
+    if c1 = '<' then if c2 = '=' then (PUNCT Shl_eq, 3) else (PUNCT Shl, 2)
+    else if c1 = '=' then (PUNCT Le, 2)
+    else (PUNCT Lt, 1)
+  | '>' ->
+    if c1 = '>' then if c2 = '=' then (PUNCT Shr_eq, 3) else (PUNCT Shr, 2)
+    else if c1 = '=' then (PUNCT Ge, 2)
+    else (PUNCT Gt, 1)
+  | '=' -> if c1 = '=' then (PUNCT Eq, 2) else (PUNCT Assign, 1)
+  | '!' -> if c1 = '=' then (PUNCT Ne, 2) else (PUNCT Bang, 1)
+  | '&' ->
+    if c1 = '&' then (PUNCT Land, 2)
+    else if c1 = '=' then (PUNCT Amp_eq, 2)
+    else (PUNCT Amp, 1)
+  | '|' ->
+    if c1 = '|' then (PUNCT Lor, 2)
+    else if c1 = '=' then (PUNCT Bar_eq, 2)
+    else (PUNCT Bar, 1)
+  | '-' ->
+    if c1 = '>' then (PUNCT Arrow, 2)
+    else if c1 = '=' then (PUNCT Minus_eq, 2)
+    else if c1 = '-' then (PUNCT Decr, 2)
+    else (PUNCT Minus, 1)
+  | '+' ->
+    if c1 = '=' then (PUNCT Plus_eq, 2)
+    else if c1 = '+' then (PUNCT Incr, 2)
+    else (PUNCT Plus, 1)
+  | '*' -> if c1 = '=' then (PUNCT Star_eq, 2) else (PUNCT Star, 1)
+  | '/' -> if c1 = '=' then (PUNCT Slash_eq, 2) else (PUNCT Slash, 1)
+  | '%' -> if c1 = '=' then (PUNCT Percent_eq, 2) else (PUNCT Percent, 1)
+  | '^' -> if c1 = '=' then (PUNCT Caret_eq, 2) else (PUNCT Caret, 1)
+  | '~' -> (PUNCT Tilde, 1)
+  | '(' -> (PUNCT Lparen, 1)
+  | ')' -> (PUNCT Rparen, 1)
+  | '{' -> (PUNCT Lbrace, 1)
+  | '}' -> (PUNCT Rbrace, 1)
+  | '[' -> (PUNCT Lbracket, 1)
+  | ']' -> (PUNCT Rbracket, 1)
+  | ';' -> (PUNCT Semi, 1)
+  | ',' -> (PUNCT Comma, 1)
+  | '.' -> (PUNCT Dot, 1)
+  | ':' -> (PUNCT Colon, 1)
+  | c -> err line "unexpected character %C" c
 
 let is_ident_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
   | _ -> false
 
 let is_digit = function '0' .. '9' -> true | _ -> false
-
-(* multi-char punctuation, longest first *)
-let puncts =
-  [ "<<="; ">>=";
-    "<<"; ">>"; "<="; ">="; "=="; "!="; "&&"; "||"; "->";
-    "+="; "-="; "*="; "/="; "%="; "&="; "|="; "^="; "++"; "--";
-    "+"; "-"; "*"; "/"; "%"; "&"; "|"; "^"; "!"; "~"; "<"; ">"; "=";
-    "("; ")"; "{"; "}"; "["; "]"; ";"; ","; "."; ":" ]
 
 let unescape_char line = function
   | 'n' -> '\n'
@@ -58,20 +216,19 @@ let tokenize src =
   let toks = ref [] in
   let line = ref 1 in
   let push tok = toks := { tok; line = !line } :: !toks in
+  let at k = if k < n then src.[k] else '\000' in
   let i = ref 0 in
   while !i < n do
-    let c = src.[!i] in
-    if c = '\n' then begin
+    match src.[!i] with
+    | '\n' ->
       incr line;
       incr i
-    end
-    else if c = ' ' || c = '\t' || c = '\r' then incr i
-    else if c = '/' && !i + 1 < n && src.[!i + 1] = '/' then begin
+    | ' ' | '\t' | '\r' -> incr i
+    | '/' when at (!i + 1) = '/' ->
       while !i < n && src.[!i] <> '\n' do
         incr i
       done
-    end
-    else if c = '/' && !i + 1 < n && src.[!i + 1] = '*' then begin
+    | '/' when at (!i + 1) = '*' ->
       i := !i + 2;
       let closed = ref false in
       while not !closed do
@@ -85,11 +242,9 @@ let tokenize src =
           incr i
         end
       done
-    end
-    else if is_digit c then begin
+    | '0' .. '9' as c -> (
       let start = !i in
-      if c = '0' && !i + 1 < n && (src.[!i + 1] = 'x' || src.[!i + 1] = 'X')
-      then begin
+      if c = '0' && (at (!i + 1) = 'x' || at (!i + 1) = 'X') then begin
         i := !i + 2;
         while
           !i < n
@@ -106,17 +261,14 @@ let tokenize src =
       let s = String.sub src start (!i - start) in
       match Int32.of_string_opt s with
       | Some v -> push (INT v)
-      | None -> err !line "bad integer literal %S" s
-    end
-    else if is_ident_start c then begin
+      | None -> err !line "bad integer literal %S" s)
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
       let start = !i in
       while !i < n && is_ident_char src.[!i] do
         incr i
       done;
-      let s = String.sub src start (!i - start) in
-      if List.mem s keywords then push (KW s) else push (IDENT s)
-    end
-    else if c = '"' then begin
+      push (word (String.sub src start (!i - start)))
+    | '"' ->
       incr i;
       let b = Buffer.create 16 in
       let closed = ref false in
@@ -138,8 +290,7 @@ let tokenize src =
         end
       done;
       push (STRING (Buffer.contents b))
-    end
-    else if c = '\'' then begin
+    | '\'' ->
       if !i + 2 >= n then err !line "bad char literal";
       if src.[!i + 1] = '\\' then begin
         if !i + 3 >= n || src.[!i + 3] <> '\'' then err !line "bad char literal";
@@ -151,21 +302,10 @@ let tokenize src =
         push (CHARLIT src.[!i + 1]);
         i := !i + 3
       end
-    end
-    else begin
-      let matched =
-        List.find_opt
-          (fun p ->
-            let l = String.length p in
-            !i + l <= n && String.sub src !i l = p)
-          puncts
-      in
-      match matched with
-      | Some p ->
-        push (PUNCT p);
-        i := !i + String.length p
-      | None -> err !line "unexpected character %C" c
-    end
+    | c ->
+      let tok, len = punct !line c (at (!i + 1)) (at (!i + 2)) in
+      push tok;
+      i := !i + len
   done;
   push EOF;
   List.rev !toks

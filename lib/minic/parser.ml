@@ -1,4 +1,5 @@
 open Ast
+open Lexer
 
 exception Error of { line : int; msg : string }
 
@@ -16,41 +17,41 @@ let err st fmt =
 let peek st = st.toks.(st.pos).tok
 let peek2 st =
   if st.pos + 1 < Array.length st.toks then st.toks.(st.pos + 1).tok
-  else Lexer.EOF
+  else EOF
 
 let advance st = st.pos <- st.pos + 1
 
 let eat_punct st p =
   match peek st with
-  | Lexer.PUNCT q when String.equal p q -> advance st
+  | PUNCT q when q = p -> advance st
   | t ->
-    err st "expected %S, got %s" p
+    err st "expected %S, got %s" (punct_to_string p)
       (match t with
-       | Lexer.IDENT s -> Printf.sprintf "identifier %S" s
-       | Lexer.KW s -> Printf.sprintf "keyword %S" s
-       | Lexer.PUNCT s -> Printf.sprintf "%S" s
-       | Lexer.INT v -> Printf.sprintf "integer %ld" v
-       | Lexer.CHARLIT c -> Printf.sprintf "char %C" c
-       | Lexer.STRING s -> Printf.sprintf "string %S" s
-       | Lexer.EOF -> "end of file")
+       | IDENT s -> Printf.sprintf "identifier %S" s
+       | KW k -> Printf.sprintf "keyword %S" (keyword_to_string k)
+       | PUNCT q -> Printf.sprintf "%S" (punct_to_string q)
+       | INT v -> Printf.sprintf "integer %ld" v
+       | CHARLIT c -> Printf.sprintf "char %C" c
+       | STRING s -> Printf.sprintf "string %S" s
+       | EOF -> "end of file")
 
 let accept_punct st p =
   match peek st with
-  | Lexer.PUNCT q when String.equal p q ->
+  | PUNCT q when q = p ->
     advance st;
     true
   | _ -> false
 
 let accept_kw st k =
   match peek st with
-  | Lexer.KW q when String.equal k q ->
+  | KW q when q = k ->
     advance st;
     true
   | _ -> false
 
 let expect_ident st =
   match peek st with
-  | Lexer.IDENT s ->
+  | IDENT s ->
     advance st;
     s
   | _ -> err st "expected identifier"
@@ -59,23 +60,23 @@ let expect_ident st =
 
 let is_type_start st =
   match peek st with
-  | Lexer.KW ("void" | "char" | "short" | "int" | "struct") -> true
+  | KW (Kvoid | Kchar | Kshort | Kint | Kstruct) -> true
   | _ -> false
 
 let parse_base_type st =
   match peek st with
-  | Lexer.KW "void" -> advance st; Void
-  | Lexer.KW "char" -> advance st; Char
-  | Lexer.KW "short" -> advance st; Short
-  | Lexer.KW "int" -> advance st; Int
-  | Lexer.KW "struct" ->
+  | KW Kvoid -> advance st; Void
+  | KW Kchar -> advance st; Char
+  | KW Kshort -> advance st; Short
+  | KW Kint -> advance st; Int
+  | KW Kstruct ->
     advance st;
     Struct (expect_ident st)
   | _ -> err st "expected type"
 
 let parse_type st =
   let t = ref (parse_base_type st) in
-  while accept_punct st "*" do
+  while accept_punct st Star do
     t := Ptr !t
   done;
   !t
@@ -86,22 +87,22 @@ let rec parse_expr st = parse_assign st
 
 and parse_assign st =
   let lhs = parse_lor st in
-  if accept_punct st "=" then
+  if accept_punct st Assign then
     let rhs = parse_assign st in
     Eassign (lhs, rhs)
   else
     let compound =
       match peek st with
-      | Lexer.PUNCT "+=" -> Some Badd
-      | Lexer.PUNCT "-=" -> Some Bsub
-      | Lexer.PUNCT "*=" -> Some Bmul
-      | Lexer.PUNCT "/=" -> Some Bdiv
-      | Lexer.PUNCT "%=" -> Some Bmod
-      | Lexer.PUNCT "&=" -> Some Band
-      | Lexer.PUNCT "|=" -> Some Bor
-      | Lexer.PUNCT "^=" -> Some Bxor
-      | Lexer.PUNCT "<<=" -> Some Bshl
-      | Lexer.PUNCT ">>=" -> Some Bshr
+      | PUNCT Plus_eq -> Some Badd
+      | PUNCT Minus_eq -> Some Bsub
+      | PUNCT Star_eq -> Some Bmul
+      | PUNCT Slash_eq -> Some Bdiv
+      | PUNCT Percent_eq -> Some Bmod
+      | PUNCT Amp_eq -> Some Band
+      | PUNCT Bar_eq -> Some Bor
+      | PUNCT Caret_eq -> Some Bxor
+      | PUNCT Shl_eq -> Some Bshl
+      | PUNCT Shr_eq -> Some Bshr
       | _ -> None
     in
     match compound with
@@ -116,72 +117,71 @@ and parse_binlevel st ops next =
   let continue = ref true in
   while !continue do
     match peek st with
-    | Lexer.PUNCT p when List.mem_assoc p ops ->
+    | PUNCT p when List.mem_assq p ops ->
       advance st;
       let rhs = next st in
-      lhs := Ebin (List.assoc p ops, !lhs, rhs)
+      lhs := Ebin (List.assq p ops, !lhs, rhs)
     | _ -> continue := false
   done;
   !lhs
 
-and parse_lor st = parse_binlevel st [ ("||", Blor) ] parse_land
-and parse_land st = parse_binlevel st [ ("&&", Bland) ] parse_bitor
-and parse_bitor st = parse_binlevel st [ ("|", Bor) ] parse_bitxor
-and parse_bitxor st = parse_binlevel st [ ("^", Bxor) ] parse_bitand
-and parse_bitand st = parse_binlevel st [ ("&", Band) ] parse_equality
+and parse_lor st = parse_binlevel st [ (Lor, Blor) ] parse_land
+and parse_land st = parse_binlevel st [ (Land, Bland) ] parse_bitor
+and parse_bitor st = parse_binlevel st [ (Bar, Bor) ] parse_bitxor
+and parse_bitxor st = parse_binlevel st [ (Caret, Bxor) ] parse_bitand
+and parse_bitand st = parse_binlevel st [ (Amp, Band) ] parse_equality
 
 and parse_equality st =
-  parse_binlevel st [ ("==", Beq); ("!=", Bne) ] parse_relational
+  parse_binlevel st [ (Eq, Beq); (Ne, Bne) ] parse_relational
 
 and parse_relational st =
   parse_binlevel st
-    [ ("<", Blt); ("<=", Ble); (">", Bgt); (">=", Bge) ]
+    [ (Lt, Blt); (Le, Ble); (Gt, Bgt); (Ge, Bge) ]
     parse_shift
 
-and parse_shift st = parse_binlevel st [ ("<<", Bshl); (">>", Bshr) ] parse_add
-and parse_add st = parse_binlevel st [ ("+", Badd); ("-", Bsub) ] parse_mul
+and parse_shift st = parse_binlevel st [ (Shl, Bshl); (Shr, Bshr) ] parse_add
+and parse_add st = parse_binlevel st [ (Plus, Badd); (Minus, Bsub) ] parse_mul
 
 and parse_mul st =
-  parse_binlevel st [ ("*", Bmul); ("/", Bdiv); ("%", Bmod) ] parse_unary
+  parse_binlevel st [ (Star, Bmul); (Slash, Bdiv); (Percent, Bmod) ] parse_unary
 
 and parse_unary st =
   match peek st with
-  | Lexer.PUNCT "++" ->
+  | PUNCT Incr ->
     advance st;
     let e = parse_unary st in
     Ecompound (Badd, e, Eint 1l)
-  | Lexer.PUNCT "--" ->
+  | PUNCT Decr ->
     advance st;
     let e = parse_unary st in
     Ecompound (Bsub, e, Eint 1l)
-  | Lexer.PUNCT "-" ->
+  | PUNCT Minus ->
     advance st;
     Eun (Uneg, parse_unary st)
-  | Lexer.PUNCT "!" ->
+  | PUNCT Bang ->
     advance st;
     Eun (Unot, parse_unary st)
-  | Lexer.PUNCT "~" ->
+  | PUNCT Tilde ->
     advance st;
     Eun (Ubnot, parse_unary st)
-  | Lexer.PUNCT "*" ->
+  | PUNCT Star ->
     advance st;
     Ederef (parse_unary st)
-  | Lexer.PUNCT "&" ->
+  | PUNCT Amp ->
     advance st;
     Eaddr (parse_unary st)
-  | Lexer.KW "sizeof" ->
+  | KW Ksizeof ->
     advance st;
-    eat_punct st "(";
+    eat_punct st Lparen;
     let t = parse_type st in
-    eat_punct st ")";
+    eat_punct st Rparen;
     Esizeof t
-  | Lexer.PUNCT "(" when (match peek2 st with
-                          | Lexer.KW ("void" | "char" | "short" | "int"
-                                     | "struct") -> true
-                          | _ -> false) ->
+  | PUNCT Lparen when (match peek2 st with
+                       | KW (Kvoid | Kchar | Kshort | Kint | Kstruct) -> true
+                       | _ -> false) ->
     advance st;
     let t = parse_type st in
-    eat_punct st ")";
+    eat_punct st Rparen;
     Ecast (t, parse_unary st)
   | _ -> parse_postfix st
 
@@ -190,28 +190,28 @@ and parse_postfix st =
   let continue = ref true in
   while !continue do
     match peek st with
-    | Lexer.PUNCT "(" ->
+    | PUNCT Lparen ->
       advance st;
       let args = parse_args st in
       (e :=
          match !e with
          | Eident f -> Ecall (f, args)
          | other -> Eicall (other, args))
-    | Lexer.PUNCT "[" ->
+    | PUNCT Lbracket ->
       advance st;
       let idx = parse_expr st in
-      eat_punct st "]";
+      eat_punct st Rbracket;
       e := Eindex (!e, idx)
-    | Lexer.PUNCT "++" ->
+    | PUNCT Incr ->
       advance st;
       e := Epostop (Badd, !e)
-    | Lexer.PUNCT "--" ->
+    | PUNCT Decr ->
       advance st;
       e := Epostop (Bsub, !e)
-    | Lexer.PUNCT "." ->
+    | PUNCT Dot ->
       advance st;
       e := Efield (!e, expect_ident st)
-    | Lexer.PUNCT "->" ->
+    | PUNCT Arrow ->
       advance st;
       e := Earrow (!e, expect_ident st)
     | _ -> continue := false
@@ -219,34 +219,34 @@ and parse_postfix st =
   !e
 
 and parse_args st =
-  if accept_punct st ")" then []
+  if accept_punct st Rparen then []
   else begin
     let args = ref [ parse_expr st ] in
-    while accept_punct st "," do
+    while accept_punct st Comma do
       args := parse_expr st :: !args
     done;
-    eat_punct st ")";
+    eat_punct st Rparen;
     List.rev !args
   end
 
 and parse_primary st =
   match peek st with
-  | Lexer.INT v ->
+  | INT v ->
     advance st;
     Eint v
-  | Lexer.CHARLIT c ->
+  | CHARLIT c ->
     advance st;
     Echar c
-  | Lexer.STRING s ->
+  | STRING s ->
     advance st;
     Estr s
-  | Lexer.IDENT s ->
+  | IDENT s ->
     advance st;
     Eident s
-  | Lexer.PUNCT "(" ->
+  | PUNCT Lparen ->
     advance st;
     let e = parse_expr st in
-    eat_punct st ")";
+    eat_punct st Rparen;
     e
   | _ -> err st "expected expression"
 
@@ -254,60 +254,60 @@ and parse_primary st =
 
 let rec parse_stmt st =
   match peek st with
-  | Lexer.PUNCT "{" -> Sblock (parse_block st)
-  | Lexer.PUNCT ";" ->
+  | PUNCT Lbrace -> Sblock (parse_block st)
+  | PUNCT Semi ->
     advance st;
     Sblock []
-  | Lexer.KW "if" ->
+  | KW Kif ->
     advance st;
-    eat_punct st "(";
+    eat_punct st Lparen;
     let cond = parse_expr st in
-    eat_punct st ")";
+    eat_punct st Rparen;
     let then_ = parse_stmt_as_list st in
-    let else_ = if accept_kw st "else" then parse_stmt_as_list st else [] in
+    let else_ = if accept_kw st Kelse then parse_stmt_as_list st else [] in
     Sif (cond, then_, else_)
-  | Lexer.KW "while" ->
+  | KW Kwhile ->
     advance st;
-    eat_punct st "(";
+    eat_punct st Lparen;
     let cond = parse_expr st in
-    eat_punct st ")";
+    eat_punct st Rparen;
     Swhile (cond, parse_stmt_as_list st)
-  | Lexer.KW "do" ->
+  | KW Kdo ->
     advance st;
     let body = parse_stmt_as_list st in
     (match peek st with
-     | Lexer.KW "while" -> advance st
+     | KW Kwhile -> advance st
      | _ -> err st "expected while after do body");
-    eat_punct st "(";
+    eat_punct st Lparen;
     let cond = parse_expr st in
-    eat_punct st ")";
-    eat_punct st ";";
+    eat_punct st Rparen;
+    eat_punct st Semi;
     Sdowhile (body, cond)
-  | Lexer.KW "switch" ->
+  | KW Kswitch ->
     advance st;
-    eat_punct st "(";
+    eat_punct st Lparen;
     let scrutinee = parse_expr st in
-    eat_punct st ")";
-    eat_punct st "{";
+    eat_punct st Rparen;
+    eat_punct st Lbrace;
     let cases = ref [] in
-    while not (accept_punct st "}") do
+    while not (accept_punct st Rbrace) do
       let const =
         match peek st with
-        | Lexer.KW "case" ->
+        | KW Kcase ->
           advance st;
           let c = parse_expr st in
-          eat_punct st ":";
+          eat_punct st Colon;
           Some c
-        | Lexer.KW "default" ->
+        | KW Kdefault ->
           advance st;
-          eat_punct st ":";
+          eat_punct st Colon;
           None
         | _ -> err st "expected case or default"
       in
       let body = ref [] in
       let stop () =
         match peek st with
-        | Lexer.KW ("case" | "default") | Lexer.PUNCT "}" -> true
+        | KW (Kcase | Kdefault) | PUNCT Rbrace -> true
         | _ -> false
       in
       while not (stop ()) do
@@ -316,51 +316,51 @@ let rec parse_stmt st =
       cases := { sc_const = const; sc_body = List.rev !body } :: !cases
     done;
     Sswitch (scrutinee, List.rev !cases)
-  | Lexer.KW "for" ->
+  | KW Kfor ->
     advance st;
-    eat_punct st "(";
+    eat_punct st Lparen;
     let init =
-      if accept_punct st ";" then None
+      if accept_punct st Semi then None
       else begin
         let e = parse_expr st in
-        eat_punct st ";";
+        eat_punct st Semi;
         Some e
       end
     in
     let cond =
-      if accept_punct st ";" then None
+      if accept_punct st Semi then None
       else begin
         let e = parse_expr st in
-        eat_punct st ";";
+        eat_punct st Semi;
         Some e
       end
     in
     let step =
-      if accept_punct st ")" then None
+      if accept_punct st Rparen then None
       else begin
         let e = parse_expr st in
-        eat_punct st ")";
+        eat_punct st Rparen;
         Some e
       end
     in
     Sfor (init, cond, step, parse_stmt_as_list st)
-  | Lexer.KW "return" ->
+  | KW Kreturn ->
     advance st;
-    if accept_punct st ";" then Sreturn None
+    if accept_punct st Semi then Sreturn None
     else begin
       let e = parse_expr st in
-      eat_punct st ";";
+      eat_punct st Semi;
       Sreturn (Some e)
     end
-  | Lexer.KW "break" ->
+  | KW Kbreak ->
     advance st;
-    eat_punct st ";";
+    eat_punct st Semi;
     Sbreak
-  | Lexer.KW "continue" ->
+  | KW Kcontinue ->
     advance st;
-    eat_punct st ";";
+    eat_punct st Semi;
     Scontinue
-  | Lexer.KW "static" ->
+  | KW Kstatic ->
     advance st;
     let d = parse_local_decl st ~static:true in
     Sdecl d
@@ -369,16 +369,16 @@ let rec parse_stmt st =
     Sdecl d
   | _ ->
     let e = parse_expr st in
-    eat_punct st ";";
+    eat_punct st Semi;
     Sexpr e
 
 and parse_stmt_as_list st =
   match parse_stmt st with Sblock l -> l | s -> [ s ]
 
 and parse_block st =
-  eat_punct st "{";
+  eat_punct st Lbrace;
   let stmts = ref [] in
-  while not (accept_punct st "}") do
+  while not (accept_punct st Rbrace) do
     stmts := parse_stmt st :: !stmts
   done;
   List.rev !stmts
@@ -387,50 +387,52 @@ and parse_local_decl st ~static =
   let ty = parse_type st in
   let name = expect_ident st in
   let ty =
-    if accept_punct st "[" then begin
+    if accept_punct st Lbracket then begin
       let n =
         match peek st with
-        | Lexer.INT v ->
+        | INT v ->
           advance st;
           Int32.to_int v
         | _ -> err st "expected array size"
       in
-      eat_punct st "]";
+      eat_punct st Rbracket;
       Array (ty, n)
     end
     else ty
   in
   let init =
-    if accept_punct st "=" then Some (parse_expr st) else None
+    if accept_punct st Assign then Some (parse_expr st) else None
   in
-  eat_punct st ";";
+  eat_punct st Semi;
   { d_static = static; d_ty = ty; d_name = name; d_init = init }
 
 (* --- top level --- *)
 
 let parse_initializer st =
-  if accept_punct st "{" then begin
+  if accept_punct st Lbrace then begin
     let items = ref [ parse_expr st ] in
-    while accept_punct st "," do
+    while accept_punct st Comma do
       items := parse_expr st :: !items
     done;
-    eat_punct st "}";
+    eat_punct st Rbrace;
     Init_list (List.rev !items)
   end
   else
     match peek st with
-    | Lexer.STRING s ->
+    | STRING s ->
       advance st;
       Init_string s
     | _ -> Init_scalar (parse_expr st)
 
 let parse_params st =
-  eat_punct st "(";
-  if accept_punct st ")" then []
-  else if (match peek st with Lexer.KW "void" -> peek2 st = Lexer.PUNCT ")" | _ -> false)
+  eat_punct st Lparen;
+  if accept_punct st Rparen then []
+  else if (match (peek st, peek2 st) with
+           | KW Kvoid, PUNCT Rparen -> true
+           | _ -> false)
   then begin
     advance st;
-    eat_punct st ")";
+    eat_punct st Rparen;
     []
   end
   else begin
@@ -438,7 +440,7 @@ let parse_params st =
       let ty = parse_type st in
       let name =
         match peek st with
-        | Lexer.IDENT s ->
+        | IDENT s ->
           advance st;
           s
         | _ -> err st "expected parameter name"
@@ -446,57 +448,52 @@ let parse_params st =
       (ty, name)
     in
     let ps = ref [ param () ] in
-    while accept_punct st "," do
+    while accept_punct st Comma do
       ps := param () :: !ps
     done;
-    eat_punct st ")";
+    eat_punct st Rparen;
     List.rev !ps
   end
 
 let parse_topdecl st =
   match peek st with
-  | Lexer.KW ("ksplice_apply" | "ksplice_pre_apply" | "ksplice_post_apply"
-             | "ksplice_reverse" | "ksplice_pre_reverse"
-             | "ksplice_post_reverse" | "ksplice_shadow_ctor"
-             | "ksplice_shadow_dtor" as kw) ->
+  | KW (Khook kind) ->
     advance st;
-    eat_punct st "(";
+    eat_punct st Lparen;
     let f = expect_ident st in
-    eat_punct st ")";
-    eat_punct st ";";
-    (match Ast.hook_of_keyword kw with
-     | Some k -> Thook (k, f)
-     | None -> assert false)
-  | Lexer.KW "struct" when peek2 st <> Lexer.EOF
-                           && (match st.toks.(st.pos + 2).tok with
-                               | Lexer.PUNCT "{" -> true
-                               | _ -> false) ->
+    eat_punct st Rparen;
+    eat_punct st Semi;
+    Thook (kind, f)
+  | KW Kstruct when st.pos + 2 < Array.length st.toks
+                    && (match st.toks.(st.pos + 2).tok with
+                        | PUNCT Lbrace -> true
+                        | _ -> false) ->
     advance st;
     let name = expect_ident st in
-    eat_punct st "{";
+    eat_punct st Lbrace;
     let fields = ref [] in
-    while not (accept_punct st "}") do
+    while not (accept_punct st Rbrace) do
       let ty = parse_type st in
       let fname = expect_ident st in
-      eat_punct st ";";
+      eat_punct st Semi;
       fields := (ty, fname) :: !fields
     done;
-    eat_punct st ";";
+    eat_punct st Semi;
     Tstruct { s_name = name; s_fields = List.rev !fields }
   | _ ->
     let static = ref false and inline = ref false and extern = ref false in
     let quals = ref true in
     while !quals do
-      if accept_kw st "static" then static := true
-      else if accept_kw st "inline" then inline := true
-      else if accept_kw st "extern" then extern := true
+      if accept_kw st Kstatic then static := true
+      else if accept_kw st Kinline then inline := true
+      else if accept_kw st Kextern then extern := true
       else quals := false
     done;
     let ty = parse_type st in
     let name = expect_ident st in
-    if (match peek st with Lexer.PUNCT "(" -> true | _ -> false) then begin
+    if (match peek st with PUNCT Lparen -> true | _ -> false) then begin
       let params = parse_params st in
-      if accept_punct st ";" then
+      if accept_punct st Semi then
         Tfunc
           { f_static = !static; f_inline = !inline; f_ret = ty; f_name = name;
             f_params = params; f_body = None }
@@ -507,23 +504,23 @@ let parse_topdecl st =
     end
     else begin
       let ty =
-        if accept_punct st "[" then begin
+        if accept_punct st Lbracket then begin
           let n =
             match peek st with
-            | Lexer.INT v ->
+            | INT v ->
               advance st;
               Int32.to_int v
             | _ -> err st "expected array size"
           in
-          eat_punct st "]";
+          eat_punct st Rbracket;
           Array (ty, n)
         end
         else ty
       in
       let init =
-        if accept_punct st "=" then Some (parse_initializer st) else None
+        if accept_punct st Assign then Some (parse_initializer st) else None
       in
-      eat_punct st ";";
+      eat_punct st Semi;
       if !extern && Option.is_some init then
         err st "extern declaration cannot have an initializer"
       else
@@ -533,10 +530,10 @@ let parse_topdecl st =
     end
 
 let parse src =
-  let toks = Array.of_list (Lexer.tokenize src) in
-  let st = { toks; pos = 0 } in
-  let decls = ref [] in
-  while peek st <> Lexer.EOF do
-    decls := parse_topdecl st :: !decls
-  done;
-  List.rev !decls
+  let st = { toks = Array.of_list (tokenize src); pos = 0 } in
+  let rec decls acc =
+    match peek st with
+    | EOF -> List.rev acc
+    | _ -> decls (parse_topdecl st :: acc)
+  in
+  decls []

@@ -25,6 +25,17 @@ type t = file_diff list
 type edit = Keep of string | Ins of string | Drop of string
 
 let edit_script a b =
+  (* The walk below keeps equal lines greedily, so it keeps a common
+     prefix whatever the table says: the table starts after it. A common
+     suffix is not trimmed: the walk may keep an earlier copy of a suffix
+     line instead ([s; x; s] to [y; s] keeps the first [s]), so trimming
+     would give a different script of the same length. *)
+  let rec prefix kept a b =
+    match (a, b) with
+    | x :: a', y :: b' when String.equal x y -> prefix (Keep x :: kept) a' b'
+    | _ -> (kept, a, b)
+  in
+  let kept, a, b = prefix [] a b in
   let a = Array.of_list a and b = Array.of_list b in
   let n = Array.length a and m = Array.length b in
   (* lcs.(i).(j) = LCS length of a[i..] and b[j..] *)
@@ -33,7 +44,9 @@ let edit_script a b =
     for j = m - 1 downto 0 do
       lcs.(i).(j) <-
         (if String.equal a.(i) b.(j) then 1 + lcs.(i + 1).(j + 1)
-         else max lcs.(i + 1).(j) lcs.(i).(j + 1))
+         else
+           let down = lcs.(i + 1).(j) and right = lcs.(i).(j + 1) in
+           if down >= right then down else right)
     done
   done;
   let rec walk i j acc =
@@ -44,7 +57,7 @@ let edit_script a b =
     else if i < n then walk (i + 1) j (Drop a.(i) :: acc)
     else List.rev acc
   in
-  walk 0 0 []
+  walk 0 0 kept
 
 (* hunks between two line lists (LCS-based, like diff -u) *)
 let diff_lines ?(context = 3) a b =

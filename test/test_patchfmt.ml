@@ -158,6 +158,41 @@ let prop_parse_roundtrip =
         | Ok tb' -> Tree.equal tb tb'
         | Error _ -> false))
 
+(* Reference LCS length: the textbook forward recurrence. *)
+let lcs_length a b =
+  let a = Array.of_list a and b = Array.of_list b in
+  let n = Array.length a and m = Array.length b in
+  let t = Array.make_matrix (n + 1) (m + 1) 0 in
+  for i = 1 to n do
+    for j = 1 to m do
+      t.(i).(j) <-
+        (if a.(i - 1) = b.(j - 1) then t.(i - 1).(j - 1) + 1
+         else max t.(i - 1).(j) t.(i).(j - 1))
+    done
+  done;
+  t.(n).(m)
+
+(* Property: the diff is minimal. It adds and removes
+   |a| + |b| - 2 LCS(a, b) lines, on line lists that share a prefix (the
+   part the LCS table skips). The round trips above only show that a
+   patch applies. *)
+let prop_diff_minimal =
+  let open QCheck2.Gen in
+  let lines = list_size (int_range 0 12) (oneofl [ "a"; "b"; "c"; "d" ]) in
+  QCheck2.Test.make ~name:"diff adds and removes the fewest lines" ~count:300
+    ~print:(fun (a, b) ->
+      Printf.sprintf "%s / %s" (String.concat "," a) (String.concat "," b))
+    (map3 (fun p a b -> (p @ a, p @ b)) lines lines lines)
+    (fun (a, b) ->
+      let file ls = String.concat "" (List.map (fun l -> l ^ "\n") ls) in
+      let d =
+        Diff.diff_trees
+          (Tree.of_list [ ("x.c", file a) ])
+          (Tree.of_list [ ("x.c", file b) ])
+      in
+      (Diff.stats d).changed
+      = List.length a + List.length b - (2 * lcs_length a b))
+
 let suite =
   [
     ( "patchfmt",
@@ -176,5 +211,6 @@ let suite =
         Alcotest.test_case "changed files" `Quick test_changed_files;
         QCheck_alcotest.to_alcotest prop_diff_apply;
         QCheck_alcotest.to_alcotest prop_parse_roundtrip;
+        QCheck_alcotest.to_alcotest prop_diff_minimal;
       ] );
   ]
