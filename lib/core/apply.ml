@@ -175,9 +175,8 @@ let thread_blocks m ranges (th : Machine.thread) =
   | Machine.Runnable | Machine.Sleeping _ ->
     in_ranges th.pc
     ||
-    let sp = Int32.to_int th.regs.(8) in
     let blocked = ref false in
-    let a = ref sp in
+    let a = ref th.regs.(8) in
     while (not !blocked) && !a + 4 <= th.stack_hi do
       let w = Int32.to_int (Machine.read_i32 m !a) in
       if in_ranges w then blocked := true;

@@ -27,7 +27,7 @@ type thread_state =
 type thread = {
   tid : int;
   name : string;
-  regs : int32 array;
+  regs : int array;
   mutable pc : int;
   stack_lo : int;
   stack_hi : int;
@@ -72,8 +72,9 @@ let page_size = 1 lsl page_bits
    up to [max_insn_len - 1] bytes before it *)
 let max_insn_len = 6
 
-(* stands for a page the interpreter has never fetched from *)
-let no_page : decoded array = [||]
+(* stands for every page the interpreter has never fetched from: all
+   its slots are empty, and it is never written *)
+let no_page = Array.make page_size empty_slot
 
 type t = {
   mem : Bytes.t;
@@ -302,13 +303,10 @@ let notify_safepoint t th sp =
 
 (* the dispatch stub: consulted before decoding — the analogue of an
    ftrace-style handler at the patched entry rewriting the saved ip *)
-let dispatch_redirect t th =
-  match t.transition with
-  | None -> ()
-  | Some tr -> (
-    match Hashtbl.find_opt tr.tr_dispatch th.pc with
-    | Some target when th.patch_state = tr.tr_route_state -> th.pc <- target
-    | _ -> ())
+let dispatch_redirect th tr =
+  match Hashtbl.find_opt tr.tr_dispatch th.pc with
+  | Some target when th.patch_state = tr.tr_route_state -> th.pc <- target
+  | _ -> ()
 
 let transition_bindings t =
   Option.map
@@ -321,7 +319,7 @@ let transition_bindings t =
 
 (* --- memory --- *)
 
-let check t addr size =
+let[@inline] check t addr size =
   if addr < 0x1000 || addr + size > t.mem_size then
     raise (Vm_fault (Memory_violation addr))
 
@@ -329,13 +327,16 @@ let check t addr size =
    [addr, addr + len): those starting in the range, and those starting up
    to [max_insn_len - 1] bytes before it (straddling the write or a page
    boundary). Pages never fetched from cost one load each. *)
+let imax (a : int) b = if a >= b then a else b
+let imin (a : int) b = if a <= b then a else b
+
 let invalidate t addr len =
-  let lo = max 0 (addr - (max_insn_len - 1)) and hi = addr + len in
+  let lo = imax 0 (addr - (max_insn_len - 1)) and hi = addr + len in
   for page = lo lsr page_bits to (hi - 1) lsr page_bits do
     let slots = t.icache.(page) in
     if slots != no_page then begin
       let base = page lsl page_bits in
-      let a = max lo base and b = min hi (base + page_size) in
+      let a = imax lo base and b = imin hi (base + page_size) in
       Array.fill slots (a - base) (b - a) empty_slot
     end
   done
@@ -343,7 +344,7 @@ let invalidate t addr len =
 (* every mutation of [t.mem] announces (addr, len) here *before* the
    bytes change, so the instruction cache drops stale decodes and a
    transaction journal can capture the old contents *)
-let observe t addr len =
+let[@inline] observe t addr len =
   invalidate t addr len;
   match t.write_observer with None -> () | Some f -> f addr len
 
@@ -390,13 +391,18 @@ let alloc_module t ~size ~align =
 
 (* --- threads --- *)
 
-let push_on th t v =
-  let sp = Int32.to_int th.regs.(8) - 4 in
+(* registers hold 32-bit values sign-extended into an int; [wrap] brings
+   the result of [+ - * /], negation and [lsl]/[lsr] back to that form
+   ([land lor lxor lnot asr mod] already keep it) *)
+let wrap x = (x lsl 31) asr 31
+
+let[@inline] push_on th t v =
+  let sp = th.regs.(8) - 4 in
   if sp < th.stack_lo then raise (Vm_fault (Memory_violation sp));
   check t sp 4;
   observe t sp 4;
-  Bytes.set_int32_le t.mem sp v;
-  th.regs.(8) <- Int32.of_int sp
+  Bytes.set_int32_le t.mem sp (Int32.of_int v);
+  th.regs.(8) <- sp
 
 let spawn t ~name ~uid ~entry ~args =
   let stack_hi = t.next_stack_top in
@@ -408,7 +414,7 @@ let spawn t ~name ~uid ~entry ~args =
     {
       tid = t.next_tid;
       name;
-      regs = Array.make 9 0l;
+      regs = Array.make 9 0;
       pc = entry;
       stack_lo;
       stack_hi;
@@ -422,20 +428,25 @@ let spawn t ~name ~uid ~entry ~args =
     }
   in
   t.next_tid <- t.next_tid + 1;
-  th.regs.(8) <- Int32.of_int stack_hi;
-  List.iter (fun v -> push_on th t v) (List.rev args);
-  push_on th t (Int32.of_int t.exit_gadget);
+  th.regs.(8) <- stack_hi;
+  List.iter (fun v -> push_on th t (Int32.to_int v)) (List.rev args);
+  push_on th t t.exit_gadget;
   t.threads_rev <- th :: t.threads_rev;
   th
 
-(* --- interpreter --- *)
+(* --- interpreter ---
+
+   An instruction allocates nothing and calls no C code and no other
+   module, except on slow paths: a cache refill, a trap, a dispatch stub
+   while a transition is active, a write observer, a fault. Dev builds
+   compile with -opaque, so nothing is inlined across modules and
+   little within one: the helpers [step] runs on every instruction are
+   marked [@inline], and [reg_index] is a local copy of
+   [Isa.reg_to_int]. *)
 
 let in_priv t pc = List.exists (fun (lo, hi) -> pc >= lo && pc < hi) t.priv
 
-let reg th r = th.regs.(Isa.reg_to_int r)
-let set_reg th r v = th.regs.(Isa.reg_to_int r) <- v
-
-let cond_holds th = function
+let[@inline] cond_holds th = function
   | Isa.Eq -> th.flag_eq
   | Isa.Ne -> not th.flag_eq
   | Isa.Lt -> th.flag_lt
@@ -443,82 +454,82 @@ let cond_holds th = function
   | Isa.Gt -> (not th.flag_lt) && not th.flag_eq
   | Isa.Le -> th.flag_lt || th.flag_eq
 
-let set_flags th a b =
-  th.flag_eq <- Int32.equal a b;
-  th.flag_lt <- Int32.compare a b < 0
+let set_flags th (a : int) b =
+  th.flag_eq <- a = b;
+  th.flag_lt <- a < b
 
-let load t width addr =
+let[@inline] load t width addr =
   match width with
-  | Isa.W8 -> Int32.of_int (read_u8 t addr)
+  | Isa.W8 ->
+    check t addr 1;
+    Bytes.get_uint8 t.mem addr
   | Isa.W16 ->
     check t addr 2;
-    Int32.of_int (Bytes.get_uint16_le t.mem addr)
-  | Isa.W32 -> read_i32 t addr
+    Bytes.get_uint16_le t.mem addr
+  | Isa.W32 ->
+    check t addr 4;
+    Int32.to_int (Bytes.get_int32_le t.mem addr)
 
-let store t width addr v =
+let[@inline] store t width addr v =
   match width with
-  | Isa.W8 -> write_u8 t addr (Int32.to_int v land 0xff)
+  | Isa.W8 ->
+    check t addr 1;
+    observe t addr 1;
+    Bytes.set_uint8 t.mem addr (v land 0xff)
   | Isa.W16 ->
     check t addr 2;
     observe t addr 2;
-    Bytes.set_uint16_le t.mem addr (Int32.to_int v land 0xffff)
-  | Isa.W32 -> write_i32 t addr v
+    Bytes.set_uint16_le t.mem addr (v land 0xffff)
+  | Isa.W32 ->
+    check t addr 4;
+    observe t addr 4;
+    Bytes.set_int32_le t.mem addr (Int32.of_int v)
 
-let sext8 v = Int32.shift_right (Int32.shift_left v 24) 24
-let sext16 v = Int32.shift_right (Int32.shift_left v 16) 16
-
-let do_int t th code =
+let do_int t th code next =
+  let regs = th.regs in
   match code with
   | 0 ->
-    Buffer.add_char t.console_buf
-      (Char.chr (Int32.to_int (reg th Isa.R1) land 0xff));
+    Buffer.add_char t.console_buf (Char.chr (regs.(1) land 0xff));
     `Ok
   | 1 ->
-    th.state <- Exited (reg th Isa.R1);
+    th.state <- Exited (Int32.of_int regs.(1));
     `Stop
   | 2 -> `Yield
   | 3 ->
-    set_reg th Isa.R0 (Int32.of_int t.tick_count);
+    regs.(0) <- wrap t.tick_count;
     `Ok
   | 4 ->
-    set_reg th Isa.R0 (Int32.of_int th.uid);
+    regs.(0) <- wrap th.uid;
     `Ok
   | 5 ->
     (* privileged: only kernel/module text may change credentials *)
     if not (in_priv t th.pc) then
       raise (Vm_fault (Privilege_violation th.pc));
-    th.uid <- Int32.to_int (reg th Isa.R1);
+    th.uid <- regs.(1);
     `Ok
   | 6 ->
-    th.state <-
-      Sleeping (t.tick_count + max 0 (Int32.to_int (reg th Isa.R1)));
+    th.state <- Sleeping (t.tick_count + imax 0 regs.(1));
     `Sleep
   | 8 ->
     (* shadow_attach(obj, key, size) -> addr; zero-filled, idempotent *)
-    let obj = Int32.to_int (reg th Isa.R1)
-    and key = Int32.to_int (reg th Isa.R2)
-    and size = Int32.to_int (reg th Isa.R3) in
+    let obj = regs.(1) and key = regs.(2) and size = regs.(3) in
     let addr =
       match Hashtbl.find_opt t.shadows (obj, key) with
       | Some a -> a
       | None ->
-        let a = alloc_module t ~size:(max 4 size) ~align:4 in
+        let a = alloc_module t ~size:(imax 4 size) ~align:4 in
         Hashtbl.replace t.shadows (obj, key) a;
         a
     in
-    set_reg th Isa.R0 (Int32.of_int addr);
+    regs.(0) <- wrap addr;
     `Ok
   | 9 ->
-    let obj = Int32.to_int (reg th Isa.R1)
-    and key = Int32.to_int (reg th Isa.R2) in
-    set_reg th Isa.R0
-      (Int32.of_int
-         (Option.value ~default:0 (Hashtbl.find_opt t.shadows (obj, key))));
+    let obj = regs.(1) and key = regs.(2) in
+    regs.(0) <-
+      wrap (Option.value ~default:0 (Hashtbl.find_opt t.shadows (obj, key)));
     `Ok
   | 10 ->
-    let obj = Int32.to_int (reg th Isa.R1)
-    and key = Int32.to_int (reg th Isa.R2) in
-    Hashtbl.remove t.shadows (obj, key);
+    Hashtbl.remove t.shadows (regs.(1), regs.(2));
     `Ok
   | 0x80 -> (
     match t.syscall_entry_addr with
@@ -528,8 +539,7 @@ let do_int t th code =
          user code, about to enter the kernel fresh *)
       notify_safepoint t th Sp_syscall;
       (* behaves like a call: push the return address, enter the kernel *)
-      let next = th.pc + Isa.length (Isa.Int 0x80) in
-      push_on th t (Int32.of_int next);
+      push_on th t next;
       th.pc <- entry;
       `Jumped)
   | _ -> raise (Vm_fault (Illegal_instruction th.pc))
@@ -539,9 +549,9 @@ let decode_at t pc =
   | insn, len -> { insn; len }
   | exception Isa.Decode_error _ -> raise (Vm_fault (Illegal_instruction pc))
 
-(* the instruction at [pc]: from the cache, or decoded and cached. A
-   decode failure is never cached, so it faults on every attempt. *)
-let fetch t pc =
+(* decode the instruction at [pc] into its cache slot. A decode failure
+   is never cached, so it faults on every attempt. *)
+let refill t pc =
   let page = pc lsr page_bits in
   (* outside memory decoding faults, leaving nothing to cache *)
   if pc < 0 || page >= Array.length t.icache then decode_at t pc
@@ -554,33 +564,43 @@ let fetch t pc =
         t.icache.(page) <- s;
         s
     in
-    let off = pc land (page_size - 1) in
-    let d = slots.(off) in
-    if d.len > 0 then d
-    else begin
-      let d = decode_at t pc in
-      slots.(off) <- d;
-      d
-    end
+    let d = decode_at t pc in
+    slots.(pc land (page_size - 1)) <- d;
+    d
   end
 
-(* [step]'s helpers take the thread and next pc as arguments rather than
-   closing over them, so a step builds no closures *)
-let jump_rel th next disp = th.pc <- next + disp
+(* the instruction at [pc]: a cache hit, or [refill] *)
+let[@inline] fetch t pc =
+  let page = pc lsr page_bits in
+  if pc >= 0 && page < Array.length t.icache then begin
+    let d = t.icache.(page).(pc land (page_size - 1)) in
+    if d.len > 0 then d else refill t pc
+  end
+  else refill t pc
 
-let alu th next f a b =
-  set_reg th a (f (reg th a) (reg th b));
+let[@inline] reg_index = function
+  | Isa.R0 -> 0 | Isa.R1 -> 1 | Isa.R2 -> 2 | Isa.R3 -> 3
+  | Isa.R4 -> 4 | Isa.R5 -> 5 | Isa.R6 -> 6 | Isa.R7 -> 7
+  | Isa.SP -> 8
+
+let[@inline] reg th r = th.regs.(reg_index r)
+let[@inline] set_reg th r v = th.regs.(reg_index r) <- v
+
+(* the tail of an instruction that writes a register: set [r] to [v] and
+   fall through to [next] *)
+let[@inline] write_reg th next r v =
+  set_reg th r v;
   th.pc <- next;
   `Ok
 
-let shift_amount v = Int32.to_int v land 31
-
-(* Execute one instruction. Returns [`Ok | `Yield | `Stop]. *)
+(* Execute one instruction. Returns [`Ok | `Yield | `Stop]; a fault
+   raises [Vm_fault], which the caller's loop catches. *)
 let step t th =
-  dispatch_redirect t th;
+  (match t.transition with None -> () | Some tr -> dispatch_redirect th tr);
   let pc = th.pc in
   let { insn; len } = fetch t pc in
   let next = pc + len in
+  let regs = th.regs in
   match insn with
   | Isa.Hlt ->
     th.state <- Exited 0l;
@@ -588,126 +608,92 @@ let step t th =
   | Isa.Nop _ ->
     th.pc <- next;
     `Ok
-  | Isa.Mov_rr (a, b) ->
-    set_reg th a (reg th b);
-    th.pc <- next;
-    `Ok
-  | Isa.Mov_ri (a, v) ->
-    set_reg th a v;
-    th.pc <- next;
-    `Ok
+  | Isa.Mov_rr (a, b) -> write_reg th next a (reg th b)
+  | Isa.Mov_ri (a, v) -> write_reg th next a (Int32.to_int v)
   | Isa.Load (w, rd, rb, off) ->
-    set_reg th rd (load t w (Int32.to_int (reg th rb) + off));
-    th.pc <- next;
-    `Ok
+    write_reg th next rd (load t w (reg th rb + off))
   | Isa.Store (w, rb, off, rs) ->
-    store t w (Int32.to_int (reg th rb) + off) (reg th rs);
+    store t w (reg th rb + off) (reg th rs);
     th.pc <- next;
     `Ok
-  | Isa.Load_abs (w, rd, a) ->
-    set_reg th rd (load t w (Int32.to_int a));
-    th.pc <- next;
-    `Ok
+  | Isa.Load_abs (w, rd, a) -> write_reg th next rd (load t w (Int32.to_int a))
   | Isa.Store_abs (w, a, rs) ->
     store t w (Int32.to_int a) (reg th rs);
     th.pc <- next;
     `Ok
-  | Isa.Add (a, b) -> alu th next Int32.add a b
-  | Isa.Sub (a, b) -> alu th next Int32.sub a b
-  | Isa.Mul (a, b) -> alu th next Int32.mul a b
+  | Isa.Add (a, b) -> write_reg th next a (wrap (reg th a + reg th b))
+  | Isa.Sub (a, b) -> write_reg th next a (wrap (reg th a - reg th b))
+  | Isa.Mul (a, b) -> write_reg th next a (wrap (reg th a * reg th b))
   | Isa.Div (a, b) ->
-    if Int32.equal (reg th b) 0l then raise (Vm_fault (Divide_by_zero pc));
-    alu th next Int32.div a b
+    let d = reg th b in
+    if d = 0 then raise (Vm_fault (Divide_by_zero pc));
+    write_reg th next a (wrap (reg th a / d))
   | Isa.Mod (a, b) ->
-    if Int32.equal (reg th b) 0l then raise (Vm_fault (Divide_by_zero pc));
-    alu th next Int32.rem a b
-  | Isa.And (a, b) -> alu th next Int32.logand a b
-  | Isa.Or (a, b) -> alu th next Int32.logor a b
-  | Isa.Xor (a, b) -> alu th next Int32.logxor a b
+    let d = reg th b in
+    if d = 0 then raise (Vm_fault (Divide_by_zero pc));
+    write_reg th next a (reg th a mod d)
+  | Isa.And (a, b) -> write_reg th next a (reg th a land reg th b)
+  | Isa.Or (a, b) -> write_reg th next a (reg th a lor reg th b)
+  | Isa.Xor (a, b) -> write_reg th next a (reg th a lxor reg th b)
   | Isa.Shl (a, b) ->
-    alu th next (fun x y -> Int32.shift_left x (shift_amount y)) a b
+    write_reg th next a (wrap (reg th a lsl (reg th b land 31)))
   | Isa.Shr (a, b) ->
-    alu th next (fun x y -> Int32.shift_right_logical x (shift_amount y)) a b
-  | Isa.Sar (a, b) ->
-    alu th next (fun x y -> Int32.shift_right x (shift_amount y)) a b
-  | Isa.Addi (a, v) ->
-    set_reg th a (Int32.add (reg th a) v);
-    th.pc <- next;
-    `Ok
+    write_reg th next a
+      (wrap ((reg th a land 0xffff_ffff) lsr (reg th b land 31)))
+  | Isa.Sar (a, b) -> write_reg th next a (reg th a asr (reg th b land 31))
+  | Isa.Addi (a, v) -> write_reg th next a (wrap (reg th a + Int32.to_int v))
   | Isa.Cmp (a, b) ->
     set_flags th (reg th a) (reg th b);
     th.pc <- next;
     `Ok
   | Isa.Cmpi (a, v) ->
-    set_flags th (reg th a) v;
+    set_flags th (reg th a) (Int32.to_int v);
     th.pc <- next;
     `Ok
-  | Isa.Neg a ->
-    set_reg th a (Int32.neg (reg th a));
-    th.pc <- next;
-    `Ok
-  | Isa.Not a ->
-    set_reg th a (Int32.lognot (reg th a));
-    th.pc <- next;
-    `Ok
-  | Isa.Setcc (c, a) ->
-    set_reg th a (if cond_holds th c then 1l else 0l);
-    th.pc <- next;
-    `Ok
+  | Isa.Neg a -> write_reg th next a (wrap (- reg th a))
+  | Isa.Not a -> write_reg th next a (lnot (reg th a))
+  | Isa.Setcc (c, a) -> write_reg th next a (if cond_holds th c then 1 else 0)
   | Isa.Jmp d ->
-    jump_rel th next (Int32.to_int d);
+    th.pc <- next + Int32.to_int d;
     `Ok
   | Isa.Jmp_s d ->
-    jump_rel th next d;
+    th.pc <- next + d;
     `Ok
   | Isa.Jcc (c, d) ->
-    if cond_holds th c then jump_rel th next (Int32.to_int d)
-    else th.pc <- next;
+    th.pc <- (if cond_holds th c then next + Int32.to_int d else next);
     `Ok
   | Isa.Jcc_s (c, d) ->
-    if cond_holds th c then jump_rel th next d else th.pc <- next;
+    th.pc <- (if cond_holds th c then next + d else next);
     `Ok
   | Isa.Call d ->
-    push_on th t (Int32.of_int next);
-    jump_rel th next (Int32.to_int d);
+    push_on th t next;
+    th.pc <- next + Int32.to_int d;
     `Ok
   | Isa.Call_r r ->
-    push_on th t (Int32.of_int next);
-    th.pc <- Int32.to_int (reg th r);
+    push_on th t next;
+    th.pc <- reg th r;
     `Ok
   | Isa.Ret ->
-    let sp = Int32.to_int th.regs.(8) in
-    th.pc <- Int32.to_int (read_i32 t sp);
-    th.regs.(8) <- Int32.of_int (sp + 4);
+    let sp = regs.(8) in
+    th.pc <- load t Isa.W32 sp;
+    regs.(8) <- sp + 4;
     `Ok
   | Isa.Push r ->
     push_on th t (reg th r);
     th.pc <- next;
     `Ok
   | Isa.Pop r ->
-    let sp = Int32.to_int th.regs.(8) in
-    set_reg th r (read_i32 t sp);
-    th.regs.(8) <- Int32.of_int (sp + 4);
+    let sp = regs.(8) in
+    set_reg th r (load t Isa.W32 sp);
+    regs.(8) <- sp + 4;
     th.pc <- next;
     `Ok
-  | Isa.Sext8 r ->
-    set_reg th r (sext8 (reg th r));
-    th.pc <- next;
-    `Ok
-  | Isa.Sext16 r ->
-    set_reg th r (sext16 (reg th r));
-    th.pc <- next;
-    `Ok
-  | Isa.Zext8 r ->
-    set_reg th r (Int32.logand (reg th r) 0xffl);
-    th.pc <- next;
-    `Ok
-  | Isa.Zext16 r ->
-    set_reg th r (Int32.logand (reg th r) 0xffffl);
-    th.pc <- next;
-    `Ok
+  | Isa.Sext8 r -> write_reg th next r ((reg th r lsl 55) asr 55)
+  | Isa.Sext16 r -> write_reg th next r ((reg th r lsl 47) asr 47)
+  | Isa.Zext8 r -> write_reg th next r (reg th r land 0xff)
+  | Isa.Zext16 r -> write_reg th next r (reg th r land 0xffff)
   | Isa.Int code -> (
-    match do_int t th code with
+    match do_int t th code next with
     | `Ok ->
       th.pc <- next;
       `Ok
@@ -721,24 +707,28 @@ let step t th =
     | `Jumped -> `Ok
     | `Stop -> `Stop)
 
-let step_catching t th =
-  try step t th
-  with Vm_fault f ->
-    th.state <- Faulted f;
-    `Stop
+let retire t =
+  t.tick_count <- t.tick_count + 1;
+  t.retired <- t.retired + 1
 
-(* Run [th] for up to [n] instructions; returns instructions executed. *)
+(* Run [th] for up to [n] instructions; returns instructions executed. A
+   faulting instruction counts as executed. The fault handler is
+   installed once per run, not per instruction. *)
 let run_thread t th n =
   let executed = ref 0 in
-  let continue = ref true in
-  while !continue && !executed < n do
-    (match step_catching t th with
-     | `Ok -> ()
-     | `Yield | `Stop -> continue := false);
-    incr executed;
-    t.tick_count <- t.tick_count + 1;
-    t.retired <- t.retired + 1
-  done;
+  let running = ref true in
+  (try
+     while !running && !executed < n do
+       (match step t th with
+        | `Ok -> ()
+        | `Yield | `Stop -> running := false);
+       incr executed;
+       retire t
+     done
+   with Vm_fault f ->
+     th.state <- Faulted f;
+     incr executed;
+     retire t);
   !executed
 
 let wake_sleepers t =
@@ -782,6 +772,22 @@ let run t ~steps =
   done;
   !executed
 
+(* the host-initiated call's loop: runs [th] until it returns into the
+   sentinel, stops, or uses up [step_limit] steps *)
+let rec call_loop t th steps step_limit =
+  if th.pc = t.sentinel then Ok (Int32.of_int th.regs.(0))
+  else if steps >= step_limit then Error Step_limit
+  else begin
+    let r = step t th in
+    t.retired <- t.retired + 1;
+    match r with
+    | `Ok | `Yield -> call_loop t th (steps + 1) step_limit
+    | `Stop -> (
+      match th.state with
+      | Exited v -> Ok v
+      | _ -> Ok (Int32.of_int th.regs.(0)))
+  end
+
 let call_function ?(step_limit = 2_000_000) ?(uid = 0) t ~addr ~args =
   if t.in_call_function then
     invalid_arg "Machine.call_function: reentrant call";
@@ -798,7 +804,7 @@ let call_function ?(step_limit = 2_000_000) ?(uid = 0) t ~addr ~args =
         {
           tid = 0;
           name = "<call>";
-          regs = Array.make 9 0l;
+          regs = Array.make 9 0;
           pc = addr;
           stack_lo = t.call_stack_lo;
           stack_hi = t.call_stack_hi;
@@ -811,27 +817,13 @@ let call_function ?(step_limit = 2_000_000) ?(uid = 0) t ~addr ~args =
           patch_state = true;
         }
       in
-      th.regs.(8) <- Int32.of_int t.call_stack_hi;
-      List.iter (fun v -> push_on th t v) (List.rev args);
-      push_on th t (Int32.of_int t.sentinel);
-      let steps = ref 0 in
-      let result = ref None in
-      while Option.is_none !result do
-        if th.pc = t.sentinel then result := Some (Ok th.regs.(0))
-        else if !steps >= step_limit then result := Some (Error Step_limit)
-        else begin
-          (match step_catching t th with
-           | `Ok | `Yield -> ()
-           | `Stop -> (
-             match th.state with
-             | Faulted f -> result := Some (Error f)
-             | Exited v -> result := Some (Ok v)
-             | _ -> result := Some (Ok th.regs.(0))));
-          incr steps;
-          t.retired <- t.retired + 1
-        end
-      done;
-      Option.get !result)
+      th.regs.(8) <- t.call_stack_hi;
+      List.iter (fun v -> push_on th t (Int32.to_int v)) (List.rev args);
+      push_on th t t.sentinel;
+      try call_loop t th 0 step_limit
+      with Vm_fault f ->
+        t.retired <- t.retired + 1;
+        Error f)
 
 let backtrace t th =
   let resolve addr =
@@ -853,8 +845,7 @@ let backtrace t th =
   (match resolve th.pc with
    | Some f -> frames := f :: !frames
    | None -> frames := Printf.sprintf "0x%x" th.pc :: !frames);
-  let sp = Int32.to_int th.regs.(8) in
-  let a = ref sp in
+  let a = ref th.regs.(8) in
   while !a + 4 <= th.stack_hi do
     (match resolve (Int32.to_int (read_i32 t !a)) with
      | Some f -> frames := f :: !frames
@@ -896,7 +887,7 @@ let shadow_reattach t ~obj ~key ~addr = Hashtbl.replace t.shadows (obj, key) add
 type thread_snap = {
   ts_thread : thread;
   ts_pc : int;
-  ts_regs : int32 array;
+  ts_regs : int array;
   ts_state : thread_state;
   ts_uid : int;
   ts_eq : bool;
@@ -985,7 +976,7 @@ type snapshot = {
   s_syms : Klink.Image.syminfo list;
   s_priv : (int * int) list;
   s_threads :
-    (int * string * int * int32 array * thread_state * int * bool * bool
+    (int * string * int * int array * thread_state * int * bool * bool
      * bool)
     list;
   s_tick : int;

@@ -26,7 +26,11 @@ type thread_state =
 type thread = {
   tid : int;
   name : string;
-  regs : int32 array;  (** r0..r7 at 0..7, sp at 8 *)
+  regs : int array;
+      (** r0..r7 at 0..7, sp at 8. Invariant: every element is a 32-bit
+          value sign-extended into an [int], from [-0x8000_0000] to
+          [0x7fff_ffff]: [Int32.to_int] of the register's bits. Code that
+          writes a register must keep that form. *)
   mutable pc : int;
   stack_lo : int;
   stack_hi : int;

@@ -244,7 +244,8 @@ let tokenize src =
       done
     | '0' .. '9' as c -> (
       let start = !i in
-      if c = '0' && (at (!i + 1) = 'x' || at (!i + 1) = 'X') then begin
+      let hex = c = '0' && (at (!i + 1) = 'x' || at (!i + 1) = 'X') in
+      if hex then begin
         i := !i + 2;
         while
           !i < n
@@ -259,7 +260,10 @@ let tokenize src =
           incr i
         done;
       let s = String.sub src start (!i - start) in
-      match Int32.of_string_opt s with
+      (* a decimal, like a hex literal, may reach 2^32 - 1 and wraps to 32
+         bits, so INT_MIN can be written; [0u] makes [Int32.of_string]
+         read it that way *)
+      match Int32.of_string_opt (if hex then s else "0u" ^ s) with
       | Some v -> push (INT v)
       | None -> err !line "bad integer literal %S" s)
     | 'a' .. 'z' | 'A' .. 'Z' | '_' ->

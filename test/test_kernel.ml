@@ -709,6 +709,182 @@ let prop_icache_matches_cold_machine =
           (String.concat "; " diffs);
       true)
 
+(* --- guest arithmetic against Int32 ---
+
+   Each operation is a guest function [f(x, y, want)]: its body computes
+   r0 from r0 = x and r1 = y, then the guest compares r0 with [want] and
+   stores the verdict at [verdict]. The value [call_function] returns is
+   cut to 32 bits on the way out, so the guest-side comparison is what
+   shows a register left holding more than its 32-bit value. *)
+
+type arith = {
+  fn : string;
+  body : string list;
+  (* [None]: the operation must fault with [Divide_by_zero] *)
+  oracle : int32 -> int32 -> int32 option;
+}
+
+let bool32 b = if b then 1l else 0l
+let shift_count y = Int32.to_int y land 31
+
+(* set<suffix> after a signed comparison *)
+let conds =
+  [ ("e", ( = )); ("ne", ( <> )); ("l", ( < )); ("ge", ( >= )); ("g", ( > ));
+    ("le", ( <= )) ]
+
+let arith_imms =
+  [ 0l; 1l; -1l; 0x7fffl; 0x8000l; Int32.max_int; Int32.min_int ]
+
+let arith_ops =
+  let op fn body oracle = { fn; body; oracle } in
+  let bin fn f = op fn [ fn ^ " r0, r1" ] (fun x y -> Some (f x y)) in
+  let un fn f = op fn [ fn ^ " r0" ] (fun x _ -> Some (f x)) in
+  (* Int32 wraps the one overflowing quotient: INT_MIN / -1 = INT_MIN,
+     and INT_MIN mod -1 = 0 *)
+  let divide fn f =
+    op fn [ fn ^ " r0, r1" ] (fun x y -> if y = 0l then None else Some (f x y))
+  in
+  let memory fn w off mask =
+    op fn
+      [ "mov r2, scratch"; Printf.sprintf "store%s [r2+%d], r0" w off;
+        Printf.sprintf "load%s r0, [r2+%d]" w off ]
+      (fun x _ -> Some (Int32.logand x mask))
+  in
+  (* the comparison [cmp] of x with [rhs y], then each set condition *)
+  let sets fn cmp rhs =
+    List.map
+      (fun (c, holds) ->
+        op (fn ^ "_" ^ c) [ cmp; "set" ^ c ^ " r0" ] (fun x y ->
+            Some (bool32 (holds (Int32.compare x (rhs y)) 0))))
+      conds
+  in
+  [ bin "add" Int32.add; bin "sub" Int32.sub; bin "mul" Int32.mul;
+    divide "div" Int32.div; divide "mod" Int32.rem; bin "and" Int32.logand;
+    bin "or" Int32.logor; bin "xor" Int32.logxor;
+    bin "shl" (fun x y -> Int32.shift_left x (shift_count y));
+    bin "shr" (fun x y -> Int32.shift_right_logical x (shift_count y));
+    bin "sar" (fun x y -> Int32.shift_right x (shift_count y));
+    un "neg" Int32.neg; un "not" Int32.lognot;
+    un "sext8" (fun x -> Int32.shift_right (Int32.shift_left x 24) 24);
+    un "sext16" (fun x -> Int32.shift_right (Int32.shift_left x 16) 16);
+    un "zext8" (fun x -> Int32.logand x 0xffl);
+    un "zext16" (fun x -> Int32.logand x 0xffffl);
+    memory "byte" "b" 1 0xffl; memory "half" "h" 2 0xffffl;
+    memory "word" "w" 4 (-1l) ]
+  @ sets "cmp" "cmp r0, r1" Fun.id
+  @ List.concat
+      (List.mapi
+         (fun i k ->
+           op (Printf.sprintf "addi_%d" i) [ Printf.sprintf "addi r0, %ld" k ]
+             (fun x _ -> Some (Int32.add x k))
+           :: sets (Printf.sprintf "cmpi_%d" i)
+                (Printf.sprintf "cmpi r0, %ld" k)
+                (fun _ -> k))
+         arith_imms)
+
+let arith_src =
+  String.concat "\n"
+    (".text"
+     :: List.concat_map
+          (fun op ->
+            [ ".global " ^ op.fn; op.fn ^ ":"; "  loadw r0, [sp+4]";
+              "  loadw r1, [sp+8]" ]
+            @ List.map (fun i -> "  " ^ i) op.body
+            @ [ "  loadw r2, [sp+12]"; "  cmp r0, r2"; "  sete r3";
+                "  mov r2, verdict"; "  storew [r2+0], r3"; "  ret" ])
+          arith_ops
+    @ [ ".bss"; ".global verdict"; "verdict:"; "  .space 4";
+        ".global scratch"; "scratch:"; "  .space 8" ])
+
+(* half the operands from the edges of the 32-bit range and of the
+   narrower widths and shift counts, half uniform *)
+let gen_operand =
+  let open QCheck2.Gen in
+  frequency
+    [ ( 1,
+        oneofl
+          [ 0l; 1l; -1l; Int32.min_int; Int32.max_int; 0x7fffl; 0x8000l;
+            0xffffl; 0x80l; 0xffl; 31l; 32l; 33l ] );
+      (1, int32) ]
+
+let prop_guest_arithmetic =
+  let img, m = boot_asm arith_src in
+  let verdict = addr img "verdict" in
+  let run op x y =
+    let want = op.oracle x y in
+    Machine.write_i32 m verdict 0l;
+    match
+      ( want,
+        Machine.call_function m ~addr:(addr img op.fn)
+          ~args:[ x; y; Option.value want ~default:0l ] )
+    with
+    | Some w, Ok v when Int32.equal v w && Machine.read_i32 m verdict = 1l ->
+      None
+    | None, Error (Machine.Divide_by_zero _) -> None
+    | _, got ->
+      Some
+        (Printf.sprintf "%s %ld %ld: want %s, got %s (register %s)" op.fn x y
+           (match want with
+            | Some w -> Int32.to_string w
+            | None -> "divide by zero")
+           (match got with
+            | Ok v -> Int32.to_string v
+            | Error f -> Format.asprintf "%a" Machine.pp_fault f)
+           (if Machine.read_i32 m verdict = 1l then "as wanted"
+            else "differs"))
+  in
+  QCheck2.Test.make ~name:"guest arithmetic agrees with Int32" ~count:300
+    ~print:(fun (x, y) -> Printf.sprintf "x = %ld, y = %ld" x y)
+    (QCheck2.Gen.pair gen_operand gen_operand)
+    (fun (x, y) ->
+      match List.filter_map (fun op -> run op x y) arith_ops with
+      | [] -> true
+      | failures ->
+        QCheck2.Test.fail_reportf "%s" (String.concat "; " failures))
+
+(* the interpreter allocates nothing per instruction: a loop of ALU
+   work, a call, pushes and pops and a stack store and load *)
+let test_loop_allocates_nothing () =
+  let img, m =
+    boot_asm
+      {|
+.text
+.global spin
+spin:
+  loadw r1, [sp+4]
+  mov r0, 0
+  mov r2, 7
+.Lloop:
+  push r1
+  call mix
+  pop r1
+  addi r1, -1
+  cmpi r1, 0
+  jg .Lloop
+  ret
+mix:
+  add r0, r1
+  xor r0, r2
+  mov r3, r0
+  shl r3, r2
+  sub r0, r3
+  storew [sp-4], r0
+  loadw r3, [sp-4]
+  mul r0, r3
+  ret
+|}
+  in
+  (* decode the loop before measuring *)
+  ignore (call m img "spin" [ 2l ] : int32);
+  let insns = Machine.instructions_retired m in
+  let words = Gc.minor_words () in
+  ignore (call m img "spin" [ 10_000l ] : int32);
+  let words = Gc.minor_words () -. words in
+  let insns = Machine.instructions_retired m - insns in
+  Alcotest.(check bool) "at least 100 000 instructions" true (insns >= 100_000);
+  if words >= 1000. then
+    Alcotest.failf "%d instructions allocated %.0f minor words" insns words
+
 let suite =
   [
     ( "machine",
@@ -741,5 +917,7 @@ let suite =
         t "icache: illegal opcode over cached code"
           test_icache_illegal_opcode;
         QCheck_alcotest.to_alcotest prop_icache_matches_cold_machine;
+        QCheck_alcotest.to_alcotest prop_guest_arithmetic;
+        t "no allocation per instruction" test_loop_allocates_nothing;
       ] );
   ]

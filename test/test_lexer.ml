@@ -79,6 +79,10 @@ let test_literals () =
     [ "integer 31"; "integer 42"; "integer 0"; "integer -1"; "integer 255";
       "integer 7"; "integer 123"; "identifier \"abc\""; eof ]
     (lex "0x1F 42 0 0xFFFFFFFF 0Xff 07 123abc");
+  (* decimals wrap to 32 bits like hex, so INT_MIN can be written *)
+  Alcotest.check strings "decimal INT_MIN and UINT_MAX"
+    [ "integer 2147483647"; "integer -2147483648"; "integer -1"; eof ]
+    (lex "2147483647 2147483648 4294967295");
   Alcotest.check strings "chars"
     [ "char 'a'"; "char '\\n'"; "char '\\''"; "char '\\\\'"; "char '\\000'";
       "char '\"'"; eof ]
@@ -124,6 +128,7 @@ let test_lexer_errors () =
       ("int c = '\\z';", "t.c:1: bad escape \\z");
       ("int x = 0x;", "t.c:1: bad integer literal \"0x\"");
       ("int x =\n 99999999999;", "t.c:2: bad integer literal \"99999999999\"");
+      ("int x = 4294967296;", "t.c:1: bad integer literal \"4294967296\"");
     ]
 
 let test_parser_errors () =

@@ -259,6 +259,20 @@ let test_div_mod () =
   check int32_c "div/mod" 302l (exec src "f" [ 17l; 5l ]);
   check int32_c "negative div" (-302l) (exec src "f" [ -17l; 5l ])
 
+(* INT_MIN written as a decimal literal, divided by a parameter: the
+   quotient by -1 wraps to INT_MIN and the remainder is 0 *)
+let test_int_min_division () =
+  let src =
+    {|
+int quo(int d) { int m = -2147483648; return m / d; }
+int rem(int d) { int m = -2147483648; return m % d; }
+|}
+  in
+  check int32_c "INT_MIN / -1" Int32.min_int (exec src "quo" [ -1l ]);
+  check int32_c "INT_MIN % -1" 0l (exec src "rem" [ -1l ]);
+  check int32_c "INT_MIN / 2" (-1073741824l) (exec src "quo" [ 2l ]);
+  check int32_c "INT_MIN % 3" (-2l) (exec src "rem" [ 3l ])
+
 let test_comparisons () =
   let src =
     {|
@@ -728,6 +742,7 @@ let suite =
         t "short circuit" test_short_circuit;
         t "shifts and bits" test_shifts_and_bits;
         t "div mod" test_div_mod;
+        t "INT_MIN division" test_int_min_division;
         t "comparisons" test_comparisons;
         t "function pointer" test_function_pointer;
         t "inlining semantics" test_inlining_semantics;
