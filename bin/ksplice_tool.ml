@@ -322,7 +322,8 @@ let traced_cve_run ~sabotage cve_id =
        | Error (Apply.Code_mismatch m), true ->
          Printf.printf
            "run-pre rejected %s %s at pre+%#x / run %#x: %s\n" m.unit_name
-           m.section m.pre_off m.run_addr m.reason
+           m.section m.pre_off m.run_addr
+           (Ksplice.Runpre.divergence_to_string m.reason)
        | Ok _, true ->
          Printf.eprintf
            "error: sabotage did not provoke a run-pre mismatch\n";

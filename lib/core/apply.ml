@@ -66,7 +66,8 @@ let pp_error ppf = function
   | Code_mismatch m ->
     Format.fprintf ppf
       "run-pre mismatch in %s %s at pre+%#x / run %#x: %s" m.unit_name
-      m.section m.pre_off m.run_addr m.reason
+      m.section m.pre_off m.run_addr
+      (Runpre.divergence_to_string m.reason)
   | Ambiguous_symbol (u, s, n) ->
     if n = 0 then
       Format.fprintf ppf "no matching code found for %s (%s)" s u
@@ -200,19 +201,6 @@ let blocking_threads m ranges =
       else None)
     (Machine.threads m)
 
-(* hook sections of the primary: (kind, reloc syms in order) *)
-let hook_syms (primary : Objfile.t) kind =
-  let prefix = Ast.hook_section kind in
-  List.concat_map
-    (fun (s : Section.t) ->
-      let matches =
-        String.starts_with ~prefix s.name && s.kind = Section.Note
-      in
-      if matches then
-        List.map (fun (r : Objfile.Reloc.t) -> r.sym) s.relocs
-      else [])
-    primary.sections
-
 exception Fail of error
 
 (* --- engagement: how trampolines land ---
@@ -332,7 +320,7 @@ let run_named_hooks t ~resolve names =
     names
 
 let run_hooks t ~resolve (update : Update.t) kind =
-  run_named_hooks t ~resolve (hook_syms update.primary kind)
+  run_named_hooks t ~resolve (Update.hook_fns update.primary kind)
 
 (* The apply pipeline body — duplicate check through the engagement and
    commit hooks. Runs inside [txn], which the caller begins, commits and

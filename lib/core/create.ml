@@ -97,17 +97,6 @@ let diff_unit_incremental store ~unit_name ~(pre : Objfile.t)
       d
   end
 
-(* name -> binding of the first defined symbol bearing it, so [rename]
-   below is O(1) per relocation instead of a scan of the unit's symbols *)
-let binding_table (o : Objfile.t) =
-  let tbl = Hashtbl.create (List.length o.symbols) in
-  List.iter
-    (fun (sym : Symbol.t) ->
-      if Symbol.is_defined sym && not (Hashtbl.mem tbl sym.name) then
-        Hashtbl.add tbl sym.name sym.binding)
-    o.symbols;
-  tbl
-
 (* --- carving: which post sections and symbols ship ---
 
    Minimal mode ships exactly the diff's inclusion set: whole sections
@@ -126,7 +115,7 @@ let alias_of (d : Prepost.unit_diff) name =
   match List.assoc_opt name d.renames with
   | Some pre_name -> pre_name
   | None ->
-    if Diffobj.is_temp name && List.mem name d.changed_rodata then
+    if Prepost.is_temp name && List.mem name d.changed_rodata then
       name ^ ".post"
     else name
 
@@ -153,14 +142,14 @@ let carve_minimal (post : Objfile.t) (d : Prepost.unit_diff) =
           | None -> ()
           | Some sec ->
             if sec.kind = Section.Rodata then begin
-              match Diffobj.slice_of post sym with
+              match Prepost.slice_of post sym with
               | None -> ()
               | Some sl ->
                 let alias = alias_of d name in
                 let s' =
                   Section.make ~name:(".rodata." ^ alias)
                     ~kind:Section.Rodata ~align:sec.align
-                    (Diffobj.slice_bytes sl) (Diffobj.slice_relocs sl)
+                    (Prepost.slice_bytes sl) (Prepost.slice_relocs sl)
                 in
                 let sym' =
                   { sym with def = Some { section = s'.name; value = 0 } }
@@ -202,16 +191,6 @@ let carve_whole (post : Objfile.t) (d : Prepost.unit_diff) =
    only those text sections (and the full symbol table, which carries
    the bindings and sizes matching needs). *)
 
-let text_anchor (o : Objfile.t) (s : Section.t) =
-  if s.kind <> Section.Text then None
-  else
-    List.find_opt
-      (fun (sym : Symbol.t) ->
-        match sym.def with
-        | Some d -> String.equal d.section s.name && d.value = 0
-        | None -> false)
-      o.symbols
-
 let minimal_helper ~multi_defined (pre : Objfile.t) ~replaced_raw
     ~needed_locals =
   let texts =
@@ -224,7 +203,7 @@ let minimal_helper ~multi_defined (pre : Objfile.t) ~replaced_raw
     List.exists (fun (r : Reloc.t) -> String.equal r.sym name) s.relocs
   in
   let anchor_name s =
-    Option.map (fun (a : Symbol.t) -> a.name) (text_anchor pre s)
+    Option.map (fun (a : Symbol.t) -> a.name) (Objfile.text_anchor pre s)
   in
   (* (a) replaced functions *)
   List.iter
@@ -261,7 +240,7 @@ let minimal_helper ~multi_defined (pre : Objfile.t) ~replaced_raw
     List.iter
       (fun s ->
         if is_kept s then
-          match text_anchor pre s with
+          match Objfile.text_anchor pre s with
           | Some a when a.binding = Symbol.Local && multi_defined a.name ->
             let pinned =
               List.exists
@@ -288,20 +267,6 @@ let minimal_helper ~multi_defined (pre : Objfile.t) ~replaced_raw
       texts
   done;
   { pre with sections = List.filter is_kept pre.sections }
-
-(* canonical hook-function names planted in the primary's
-   [.ksplice.<kind>@unit] Note sections, in section order: how the
-   update records its shadow-variable constructors and destructors as
-   plain data (the object-level view of the [ksplice_shadow_ctor]/
-   [ksplice_shadow_dtor] registrations) *)
-let hook_fn_names sections kind =
-  let prefix = Minic.Ast.hook_section kind in
-  List.concat_map
-    (fun (s : Section.t) ->
-      if s.kind = Section.Note && String.starts_with ~prefix s.name then
-        List.map (fun (r : Reloc.t) -> r.sym) s.relocs
-      else [])
-    sections
 
 let create ?(build_options = Minic.Driver.pre_build) ?(minimal = true) ?store
     ?(supersedes = []) req =
@@ -356,7 +321,7 @@ let create ?(build_options = Minic.Driver.pre_build) ?(minimal = true) ?store
           (fun (u : Kbuild.unit_build) ->
             List.iter
               (fun (s : Section.t) ->
-                match text_anchor u.obj s with
+                match Objfile.text_anchor u.obj s with
                 | Some a ->
                   Hashtbl.replace fn_def_counts a.name
                     (1
@@ -389,7 +354,7 @@ let create ?(build_options = Minic.Driver.pre_build) ?(minimal = true) ?store
                  primary) or not (run-pre inference will resolve it).
                  References to correlated temps use their pre-side names
                  — those resolve against the unpatched running kernel. *)
-              let bindings = binding_table post in
+              let bindings = Objfile.bindings post in
               let rename name =
                 let binding =
                   match Hashtbl.find_opt bindings name with
@@ -511,9 +476,9 @@ let create ?(build_options = Minic.Driver.pre_build) ?(minimal = true) ?store
               primary_sym_units = List.rev !sym_units;
               supersedes;
               shadow_ctors =
-                hook_fn_names primary.sections Minic.Ast.Hook_shadow_ctor;
+                Update.hook_fns primary Minic.Ast.Hook_shadow_ctor;
               shadow_dtors =
-                hook_fn_names primary.sections Minic.Ast.Hook_shadow_dtor;
+                Update.hook_fns primary Minic.Ast.Hook_shadow_dtor;
             }
           in
           let provenance =

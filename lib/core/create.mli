@@ -7,7 +7,7 @@
 
     Differencing itself (symbol correlation, per-function code
     comparison, dependency closure, data classification) lives in
-    {!Diffobj}, re-exported through {!Prepost}; this module turns a
+    {!Prepost}; this module turns a
     unit's diff into the shipped update: it {e carves} exactly the
     included symbols out of the post object into the primary (rodata
     ships as per-symbol slices, not whole pools), rewrites relocations

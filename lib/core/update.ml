@@ -26,6 +26,15 @@ let split_canonical n =
     (String.sub n 0 i, Some (String.sub n (i + 1) (String.length n - i - 1)))
   | None -> (n, None)
 
+let hook_fns (primary : Objfile.t) kind =
+  let prefix = Minic.Ast.hook_section kind in
+  List.concat_map
+    (fun (s : Objfile.Section.t) ->
+      if s.kind = Objfile.Section.Note && String.starts_with ~prefix s.name
+      then List.map (fun (r : Objfile.Reloc.t) -> r.sym) s.relocs
+      else [])
+    primary.sections
+
 (* --- serialisation ---
 
    One layout, one magic, on {!Codec}. The header carries every field in

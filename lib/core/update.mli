@@ -54,6 +54,11 @@ val canonical :
 (** [split_canonical n] recovers [(original_name, unit option)]. *)
 val split_canonical : string -> string * string option
 
+(** [hook_fns primary kind] names the functions registered as [kind]
+    hooks, in section order: the relocation targets of the primary's
+    [.ksplice.<kind>@unit] note sections. *)
+val hook_fns : Objfile.t -> Minic.Ast.hook_kind -> string list
+
 (** {2 Serialisation}
 
     One layout on {!Codec}, magic [KSPL4]: a header carrying every

@@ -358,8 +358,7 @@ let health_checks (b : Boot.booted) (cve : Cve.t) =
    adversarial and forced-not-quiescent cells, loose enough that a
    drainable blocker still converges *)
 let manager_policy ~seed =
-  { Manager.default_policy with
-    seed; deadline = 12_000; retry_limit = 4; backoff_base = 300;
+  { Manager.seed; deadline = 12_000; retry_limit = 4; backoff_base = 300;
     backoff_cap = 2_000; jitter = 100 }
 
 (* the entry address of the first replaced function — where the

@@ -56,9 +56,8 @@ let cache_stats () =
 let reset_cache () = Store.reset the_store
 
 let options_fingerprint (o : Minic.Driver.options) =
-  Printf.sprintf "fs=%b;al=%b;inl=%b;%d;%d" o.codegen.function_sections
-    o.codegen.align_loops o.inline_enabled o.auto_inline_max
-    o.explicit_inline_max
+  Printf.sprintf "fs=%b;al=%b" o.codegen.function_sections
+    o.codegen.align_loops
 
 (* the unit codec on {!Codec}, led by its codec id; a blob that fails to
    decode is a cache miss *)

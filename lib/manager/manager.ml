@@ -21,8 +21,6 @@ type policy = {
   backoff_cap : int;
   jitter : int;
   seed : int;
-  audit_rollback : bool;
-  run_budget : int option;
 }
 
 let default_policy =
@@ -33,14 +31,11 @@ let default_policy =
     backoff_cap = 8_000;
     jitter = 250;
     seed = 0;
-    audit_rollback = true;
-    run_budget = None;
   }
 
 type park_reason =
   | Exhausted_retries of Apply.not_quiescent
   | Rejected of string
-  | Budget_exhausted
 
 type status =
   | Waiting
@@ -65,8 +60,6 @@ let pp_status ppf = function
       nq.Apply.nq_attempts
       (String.concat ", " nq.Apply.nq_functions)
   | Parked (Rejected msg) -> Format.fprintf ppf "parked: %s" msg
-  | Parked Budget_exhausted ->
-    Format.pp_print_string ppf "parked: manager run budget exhausted"
   | Quarantined { evidence; reverted } ->
     Format.fprintf ppf "quarantined (%s): %s"
       (if reverted then "reverted" else "REVERT FAILED, still live")
@@ -147,7 +140,6 @@ let create ?(policy = default_policy) ap =
     violation_count = 0;
   }
 
-let policy t = t.pol
 let apply_state t = t.ap
 let now t = t.clock
 let events t = List.rev t.events
@@ -263,17 +255,14 @@ let watchdog t = Apply.stop_machine ~deadline:t.pol.deadline ()
 (* --- rollback auditing --- *)
 
 let audit_clean t id ~what snap =
-  match snap with
-  | None -> ()
-  | Some s ->
-    let diff = Machine.diff_snapshot (Apply.machine t.ap) s in
-    if diff <> [] then begin
-      t.violation_count <- t.violation_count + 1;
-      emit t id Event.Violation
-        ~detail:
-          (Printf.sprintf "%s left the machine diverged: %s" what
-             (String.concat " | " diff))
-    end
+  let diff = Machine.diff_snapshot (Apply.machine t.ap) snap in
+  if diff <> [] then begin
+    t.violation_count <- t.violation_count + 1;
+    emit t id Event.Violation
+      ~detail:
+        (Printf.sprintf "%s left the machine diverged: %s" what
+           (String.concat " | " diff))
+  end
 
 (* After a successful undo, every journaled address must hold its
    pre-apply byte. Unlike a whole-machine diff this stays sound when
@@ -281,29 +270,27 @@ let audit_clean t id ~what snap =
    one-way hook migrations): the §5.2 contract is about the journaled
    image bytes, and those are exactly what we check. *)
 let audit_undo_bytes t id journal =
-  if t.pol.audit_rollback then begin
-    let m = Apply.machine t.ap in
-    let expected = Hashtbl.create 64 in
-    List.iter
-      (fun (addr, old) ->
-        Bytes.iteri (fun i c -> Hashtbl.replace expected (addr + i) c) old)
-      (* replay order: later writes in the list land last and win *)
-      (Txn.journal_writes journal);
-    let bad = ref None in
-    Hashtbl.iter
-      (fun addr c ->
-        if !bad = None && Char.chr (Machine.read_u8 m addr) <> c then
-          bad := Some addr)
-      expected;
-    match !bad with
-    | None -> ()
-    | Some addr ->
-      t.violation_count <- t.violation_count + 1;
-      emit t id Event.Violation
-        ~detail:
-          (Printf.sprintf
-             "auto-revert left journaled byte at %#x diverged" addr)
-  end
+  let m = Apply.machine t.ap in
+  let expected = Hashtbl.create 64 in
+  List.iter
+    (fun (addr, old) ->
+      Bytes.iteri (fun i c -> Hashtbl.replace expected (addr + i) c) old)
+    (* replay order: later writes in the list land last and win *)
+    (Txn.journal_writes journal);
+  let bad = ref None in
+  Hashtbl.iter
+    (fun addr c ->
+      if !bad = None && Char.chr (Machine.read_u8 m addr) <> c then
+        bad := Some addr)
+    expected;
+  match !bad with
+  | None -> ()
+  | Some addr ->
+    t.violation_count <- t.violation_count + 1;
+    emit t id Event.Violation
+      ~detail:
+        (Printf.sprintf "auto-revert left journaled byte at %#x diverged"
+           addr)
 
 (* --- the supervision loop --- *)
 
@@ -321,9 +308,7 @@ let park t e reason ~detail =
 let health_gate t e (a : Apply.applied) =
   let id = e.e_update.Update.update_id in
   let m = Apply.machine t.ap in
-  let snap_commit =
-    if t.pol.audit_rollback then Some (Machine.snapshot m) else None
-  in
+  let snap_commit = Machine.snapshot m in
   let txn = Txn.begin_ m in
   let evidence =
     let failures = ref [] in
@@ -371,9 +356,7 @@ let health_gate t e (a : Apply.applied) =
 let attempt t e =
   let id = e.e_update.Update.update_id in
   let m = Apply.machine t.ap in
-  let snap =
-    if t.pol.audit_rollback then Some (Machine.snapshot m) else None
-  in
+  let snap = Machine.snapshot m in
   e.e_attempts <- e.e_attempts + 1;
   (* a cumulative entry goes through atomic replace; everything after
      the apply — health gate, auto-revert, auditing — is identical, and
@@ -441,21 +424,9 @@ let run t =
           None ws
       in
       let e = Option.get next in
-      (match t.pol.run_budget with
-       | Some budget when max e.e_due t.clock >= budget ->
-         (* out of supervision budget: park everything still waiting,
-            in submission order — degrade, don't wedge *)
-         List.iter
-           (fun e ->
-             park t e Budget_exhausted
-               ~detail:
-                 (Printf.sprintf "run budget %d exhausted at t=%d" budget
-                    t.clock))
-           ws
-       | _ ->
-         wait_until t e.e_due;
-         attempt t e;
-         loop ())
+      wait_until t e.e_due;
+      attempt t e;
+      loop ()
   in
   loop ()
 
@@ -485,7 +456,6 @@ let park_reason_json = function
       ]
   | Rejected msg ->
     J.Obj [ ("reason", J.Str "rejected"); ("error", J.Str msg) ]
-  | Budget_exhausted -> J.Obj [ ("reason", J.Str "budget-exhausted") ]
 
 let status_json = function
   | Waiting -> J.Obj [ ("state", J.Str "waiting") ]

@@ -30,9 +30,8 @@
       machine's monotone instruction odometer, serializable through
       {!Report.Json}.
 
-    With [audit_rollback] on, the manager snapshots the machine before
-    every apply attempt and diffs after every abort and auto-revert —
-    any divergence is counted in {!violations} and logged as a
+    The manager snapshots the machine before every apply attempt and
+    diffs after every abort and auto-revert — any divergence is counted in {!violations} and logged as a
     [Violation] event, so a sweep can assert the §5.2 contract end to
     end. *)
 
@@ -59,11 +58,6 @@ type policy = {
   backoff_cap : int;  (** backoff ceiling, pre-jitter *)
   jitter : int;  (** deterministic jitter bound added to each backoff *)
   seed : int;  (** jitter seed; same seed => same schedule *)
-  audit_rollback : bool;
-      (** snapshot before each attempt, diff after aborts/auto-reverts *)
-  run_budget : int option;
-      (** optional cap on the manager clock; entries still waiting when
-          it runs out are parked as [Budget_exhausted], never wedged *)
 }
 
 val default_policy : policy
@@ -73,7 +67,6 @@ type park_reason =
       (** all [retry_limit] attempts failed to quiesce; the last
           attempt's blocker diagnostics *)
   | Rejected of string  (** a non-retryable apply error, rendered *)
-  | Budget_exhausted  (** the manager's [run_budget] ran out first *)
 
 type status =
   | Waiting  (** queued: not yet attempted, or awaiting a retry slot *)
@@ -126,7 +119,6 @@ end
 type t
 
 val create : ?policy:policy -> Ksplice.Apply.t -> t
-val policy : t -> policy
 val apply_state : t -> Ksplice.Apply.t
 
 (** [submit ?health ?inject t update] queues [update] for supervised
@@ -178,8 +170,7 @@ val events : t -> Event.t list
 (** In emission order. *)
 
 val violations : t -> int
-(** Rollback-audit failures observed (0 when the §5.2 contract held,
-    or when [audit_rollback] is off). *)
+(** Rollback-audit failures observed (0 when the §5.2 contract held). *)
 
 (** One event as JSON, rendered through {!Trace.record_json} — the
     manager has a single serializer shared with the trace layer, so the
@@ -187,6 +178,5 @@ val violations : t -> int
 val event_json : Event.t -> Report.Json.t
 
 (** The event log and terminal statuses as a JSON document
-    ([ksplice-manager/1] schema), for [ksplice-tool manager-run
-    --out] / [manager-report]. *)
+    ([ksplice-manager/1] schema): each manager-sweep row carries one. *)
 val report : t -> Report.Json.t

@@ -1,15 +1,7 @@
-type options = {
-  codegen : Codegen.options;
-  inline_enabled : bool;
-  auto_inline_max : int;
-  explicit_inline_max : int;
-}
+type options = { codegen : Codegen.options }
 
-let run_build =
-  { codegen = Codegen.run_options; inline_enabled = true; auto_inline_max = 3;
-    explicit_inline_max = 12 }
-
-let pre_build = { run_build with codegen = Codegen.pre_options }
+let run_build = { codegen = Codegen.run_options }
+let pre_build = { codegen = Codegen.pre_options }
 
 type compiled = {
   obj : Objfile.t;
@@ -36,12 +28,7 @@ let compile ~options ~unit_name src =
   with
   | Error e -> Error e
   | Ok ast -> (
-    let inlined =
-      if options.inline_enabled then
-        Inline.run ~auto_max:options.auto_inline_max
-          ~explicit_max:options.explicit_inline_max ast
-      else { Inline.program = ast; decisions = [] }
-    in
+    let inlined = Inline.run ast in
     match Typecheck.check ~unit_name inlined.program with
     | exception Typecheck.Error msg -> Error (Type_error { unit_name; msg })
     | tunit ->

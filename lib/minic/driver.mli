@@ -1,11 +1,8 @@
 (** MiniC compiler driver: source text to object file. *)
 
-type options = {
-  codegen : Codegen.options;
-  inline_enabled : bool;
-  auto_inline_max : int;  (** weight bound for un-annotated functions *)
-  explicit_inline_max : int;  (** weight bound for [inline] functions *)
-}
+(** Every build inlines with {!Inline}'s fixed bounds; the builds
+    differ only in code generation. *)
+type options = { codegen : Codegen.options }
 
 (** Distro-kernel-style build (the "run" kernel): single text section per
     unit, aligned loops, inlining on. *)

@@ -90,7 +90,11 @@ let spliceable_body body ~ret_void =
   in
   body_ok body
 
-let eligible ~auto_max ~explicit_max (f : func) =
+(* statement-weight bounds: without and with the [inline] keyword *)
+let auto_max = 3
+let explicit_max = 12
+
+let eligible (f : func) =
   match f.f_body with
   | None -> false
   | Some body ->
@@ -294,11 +298,11 @@ and transform_stmt ctx depth (s : stmt) : stmt list =
   | Sdecl _ -> [ s ]
   | Sblock b -> [ Sblock (List.concat_map (transform_stmt ctx depth) b) ]
 
-let run ?(auto_max = 3) ?(explicit_max = 12) (prog : program) : result =
+let run (prog : program) : result =
   let inlinable = Hashtbl.create 16 in
   List.iter
     (function
-      | Tfunc f when eligible ~auto_max ~explicit_max f ->
+      | Tfunc f when eligible f ->
         Hashtbl.replace inlinable f.f_name f
       | _ -> ())
     prog;

@@ -25,8 +25,6 @@ type result = {
   decisions : decision list;
 }
 
-(** [run ?auto_max ?explicit_max program] inlines eligible calls.
-    [auto_max] (default 3) bounds the statement weight of functions inlined
-    without the [inline] keyword; [explicit_max] (default 12) bounds
-    [inline]-declared functions. *)
-val run : ?auto_max:int -> ?explicit_max:int -> Ast.program -> result
+(** [run program] inlines eligible calls: functions of statement weight
+    at most 3, or at most 12 when declared [inline]. *)
+val run : Ast.program -> result

@@ -33,6 +33,25 @@ let defined_symbols_in o section =
        | Some da, Some db -> compare da.value db.value
        | _ -> 0)
 
+let bindings o =
+  let tbl = Hashtbl.create (List.length o.symbols) in
+  List.iter
+    (fun (s : Symbol.t) ->
+      if Symbol.is_defined s && not (Hashtbl.mem tbl s.name) then
+        Hashtbl.add tbl s.name s.binding)
+    o.symbols;
+  tbl
+
+let text_anchor o (s : Section.t) =
+  if s.kind <> Section.Text then None
+  else
+    List.find_opt
+      (fun (sym : Symbol.t) ->
+        match sym.def with
+        | Some d -> String.equal d.section s.name && d.value = 0
+        | None -> false)
+      o.symbols
+
 let undefined_symbols o =
   let defined =
     List.filter_map

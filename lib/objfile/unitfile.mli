@@ -32,6 +32,16 @@ val symbols_named : t -> string -> Symbol.t list
     sorted by offset. *)
 val defined_symbols_in : t -> string -> Symbol.t list
 
+(** [bindings o] maps each defined symbol name to the binding of its
+    first definition, so canonicalising a relocation's symbol (see
+    [Update.canonical]) costs O(1) instead of a scan of the symbols. *)
+val bindings : t -> (string, Symbol.binding) Hashtbl.t
+
+(** [text_anchor o s] is the symbol defined at offset 0 of text section
+    [s]: the function a [.text.<f>] section holds. [None] for other
+    section kinds. *)
+val text_anchor : t -> Section.t -> Symbol.t option
+
 (** [undefined_symbols o] lists names referenced by relocations but not
     defined by any symbol of [o]. *)
 val undefined_symbols : t -> string list

@@ -337,7 +337,10 @@ let dir_identity d =
   | rp, st -> Some (rp, st.Unix.st_dev, st.Unix.st_ino)
   | exception Unix.Unix_error _ -> None
 
-let create ?(name = "store") ?(capacity = 1024) ?dir ?(vfs = Vfs.real)
+(* without a bound the memory tier never evicts: a memory-only store
+   created that way is a repository or a fleet mirror, whose refs an
+   eviction would drop *)
+let create ?(name = "store") ?(capacity = max_int) ?dir ?(vfs = Vfs.real)
     ?(recover = true) ?(share = true) () =
   (match dir with
   | None -> ()

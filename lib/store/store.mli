@@ -57,8 +57,10 @@ val digest_of_string : string -> digest
 
 (** [create ?name ?capacity ?dir ?vfs ?recover ()] makes a store.
     [name] labels the trace counters (default ["store"]); [capacity]
-    bounds the in-memory tier (default 1024, clamped to at least 1);
-    [dir] roots the persistent tier (created if missing, with [blobs/],
+    bounds the in-memory tier (clamped to at least 1). Without
+    [capacity] the memory tier never evicts, so a memory-only store
+    keeps every blob and ref: a repository or fleet mirror held in
+    memory loses nothing (caches pass their bound). [dir] roots the persistent tier (created if missing, with [blobs/],
     [refs/] and a [journal] underneath). [vfs] (default {!Vfs.real})
     carries all disk I/O — inject a fault plan to simulate crashes.
     Unless [recover] is [false] (read-only inspection, e.g. fsck),

@@ -59,3 +59,33 @@ let mk_update ?supersedes ~id tree tree' =
            update_id = id; description = id })
   in
   c.update
+
+(* --- damaged encodings, for the decoders' totality tests --- *)
+
+type damage =
+  | Prefix of int  (* the first [n] bytes: a strict prefix *)
+  | Flip of { pos : int; mask : int }  (* byte [pos] xor [mask] *)
+
+(* [good] with damage [d]; a flip's position is taken modulo the length,
+   so a property may draw any position *)
+let damage good = function
+  | Prefix n -> String.sub good 0 n
+  | Flip { pos; mask } ->
+    let b = Bytes.of_string good in
+    let pos = pos mod Bytes.length b in
+    Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor mask);
+    Bytes.to_string b
+
+let describe = function
+  | Prefix n -> Printf.sprintf "prefix of %d bytes" n
+  | Flip { pos; mask } -> Printf.sprintf "flip %#x of byte %d" mask pos
+
+let every_bit = List.init 8 (fun bit -> 1 lsl bit)
+
+(* every strict prefix of [good], shortest first (unless [prefixes] is
+   false), then for each byte in order one flip by each of [masks] *)
+let damages ?(prefixes = true) ?(masks = []) good =
+  let n = String.length good in
+  (if prefixes then List.init n (fun k -> Prefix k) else [])
+  @ List.concat
+      (List.init n (fun pos -> List.map (fun mask -> Flip { pos; mask }) masks))

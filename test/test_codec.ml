@@ -91,35 +91,33 @@ let test_frame_roundtrip () =
   | Error _ -> Alcotest.fail "unframe refused a good frame"
 
 let test_frame_prefixes_incomplete () =
-  for n = 0 to String.length sample_frame - 1 do
-    match Codec.unframe ~magic:"FRM1" (String.sub sample_frame 0 n) ~pos:0 with
-    | Error `Incomplete -> ()
-    | Error (`Fail e) ->
-      Alcotest.failf "prefix of %d bytes failed: %a" n Codec.pp_error e
-    | Ok _ -> Alcotest.failf "prefix of %d bytes unframed" n
-  done
+  List.iter
+    (fun d ->
+      match Codec.unframe ~magic:"FRM1" (Fixture.damage sample_frame d) ~pos:0
+      with
+      | Error `Incomplete -> ()
+      | Error (`Fail e) ->
+        Alcotest.failf "%s failed: %a" (Fixture.describe d) Codec.pp_error e
+      | Ok _ -> Alcotest.failf "%s unframed" (Fixture.describe d))
+    (Fixture.damages sample_frame)
 
 let test_frame_bit_flips_never_ok () =
-  let b = Bytes.of_string sample_frame in
-  for i = 0 to Bytes.length b - 1 do
-    for bit = 0 to 7 do
-      let orig = Bytes.get b i in
-      Bytes.set b i (Char.chr (Char.code orig lxor (1 lsl bit)));
-      (match Codec.unframe ~magic:"FRM1" (Bytes.to_string b) ~pos:0 with
-      | Ok _ -> Alcotest.failf "flip of bit %d in byte %d unframed" bit i
-      | Error (`Incomplete | `Fail _) -> ());
-      Bytes.set b i orig
-    done
-  done
+  List.iter
+    (fun d ->
+      let b = Fixture.damage sample_frame d in
+      match Codec.unframe ~magic:"FRM1" b ~pos:0 with
+      | Ok _ -> Alcotest.failf "%s unframed" (Fixture.describe d)
+      | Error (`Incomplete | `Fail _) -> ())
+    (Fixture.damages ~prefixes:false ~masks:Fixture.every_bit sample_frame)
 
 (* --- every prefix and byte flip of a real blob --- *)
 
 let damaged good =
-  List.init (String.length good) (fun n -> (`Prefix, String.sub good 0 n))
-  @ List.init (String.length good) (fun i ->
-        let b = Bytes.of_string good in
-        Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor 0x5a);
-        (`Flip, Bytes.to_string b))
+  List.map
+    (fun d -> (d, Fixture.damage good d))
+    (Fixture.damages ~masks:[ 0x5a ] good)
+
+let is_prefix = function Fixture.Prefix _ -> true | Flip _ -> false
 
 (* compile-cache units: a damaged blob is a cache miss — the build
    recompiles and points the key back at the good blob — never an
@@ -152,7 +150,7 @@ let test_kbuild_unit_damage_is_a_miss () =
         | exception e ->
           Alcotest.failf "damaged unit blob raised %s" (Printexc.to_string e)
       in
-      if kind = `Prefix then begin
+      if is_prefix kind then begin
         Alcotest.(check (option string)) "recompiled into the good blob"
           (Some good_d) (Store.find_ref store key);
         Alcotest.(check string) "same object" want (unit_object b)
@@ -206,7 +204,7 @@ let test_entry_damage_total () =
       match Repo.links ~digest blob with
       | Error (Repo.Corrupt_entry _) -> ()
       | Error e -> Alcotest.failf "untyped refusal: %a" Repo.pp_error e
-      | Ok _ when kind = `Prefix ->
+      | Ok _ when is_prefix kind ->
         Alcotest.failf "a %d-byte prefix decoded" (String.length blob)
       | Ok _ -> ()
       | exception e ->
@@ -256,7 +254,7 @@ let test_journal_damage_total () =
           let what = Printf.sprintf "damaged journal %d" i in
           if reopen_moves_together dir ~what d1 d2 = `Whole then
             Alcotest.failf "%s (%s): a damaged record rolled forward" what
-              (match kind with `Prefix -> "prefix" | `Flip -> "flip"))
+              (Fixture.describe kind))
         (damaged good))
 
 let test_old_journal_record_is_torn () =

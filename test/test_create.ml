@@ -1,4 +1,4 @@
-(* The minimal-differencing engine (Diffobj/Prepost/Create): benign
+(* The minimal-differencing engine (Prepost/Create): benign
    rebuild noise must produce empty diffs, genuinely changed functions
    ship alone, data referents and closure inclusions are detected, every
    shipped symbol carries a reason, and the unit-diff store codec is
@@ -63,9 +63,8 @@ int sum(int n) {
 |}
   in
   let aligned =
-    { Minic.Driver.pre_build with
-      codegen = { Minic.Codegen.function_sections = true; align_loops = true }
-    }
+    { Minic.Driver.codegen =
+        { Minic.Codegen.function_sections = true; align_loops = true } }
   in
   let d = diff ~options_post:aligned src src in
   Alcotest.(check bool) "alignment padding is noise" true (Prepost.is_empty d)
@@ -301,14 +300,15 @@ let decode_total s =
 
 let test_codec_every_prefix_rejected () =
   let good = Prepost.encode (sample_diff ()) in
-  for n = 0 to String.length good - 1 do
-    let p = String.sub good 0 n in
-    (match Prepost.decode p with
-     | Ok _ -> Alcotest.failf "prefix of %d bytes parsed" n
-     | Error _ -> ()
-     | exception e ->
-       Alcotest.failf "prefix of %d bytes raised %s" n (Printexc.to_string e))
-  done
+  List.iter
+    (fun d ->
+      match Prepost.decode (Fixture.damage good d) with
+      | Ok _ -> Alcotest.failf "%s parsed" (Fixture.describe d)
+      | Error _ -> ()
+      | exception e ->
+        Alcotest.failf "%s raised %s" (Fixture.describe d)
+          (Printexc.to_string e))
+    (Fixture.damages good)
 
 let prop_codec_byte_flip_total =
   let open QCheck2.Gen in
@@ -316,10 +316,8 @@ let prop_codec_byte_flip_total =
     ~count:500
     (tup2 (int_range 0 100_000) (int_range 1 255))
     (fun (pos, flip) ->
-      let good = Bytes.of_string (Prepost.encode (sample_diff ())) in
-      let pos = pos mod Bytes.length good in
-      Bytes.set_uint8 good pos (Bytes.get_uint8 good pos lxor flip);
-      decode_total (Bytes.to_string good))
+      let good = Prepost.encode (sample_diff ()) in
+      decode_total (Fixture.damage good (Flip { pos; mask = flip })))
 
 let suite =
   [

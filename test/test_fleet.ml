@@ -138,33 +138,26 @@ let prop_truncation_total =
     ~name:"wire: every truncated prefix is Incomplete or a typed error"
     ~count:200 arb_frame (fun f ->
       let full = Wire.encode f in
-      let ok = ref true in
-      for n = 0 to String.length full - 1 do
-        match Wire.decode (String.sub full 0 n) ~pos:0 with
-        | Ok _ -> ok := false (* a strict prefix can never be a whole frame *)
-        | Error (`Incomplete | `Fail _) -> ()
-        | exception _ -> ok := false
-      done;
-      !ok)
+      List.for_all
+        (fun d ->
+          match Wire.decode (Fixture.damage full d) ~pos:0 with
+          | Ok _ -> false (* a strict prefix can never be a whole frame *)
+          | Error (`Incomplete | `Fail _) -> true
+          | exception _ -> false)
+        (Fixture.damages full))
 
 let prop_bitflip_total =
   QCheck.Test.make
     ~name:"wire: every bit-flipped frame is a typed error, never Ok"
     ~count:60 arb_frame (fun f ->
-      let full = Bytes.of_string (Wire.encode f) in
-      let ok = ref true in
-      for i = 0 to Bytes.length full - 1 do
-        for bit = 0 to 7 do
-          let orig = Bytes.get full i in
-          Bytes.set full i (Char.chr (Char.code orig lxor (1 lsl bit)));
-          (match Wire.decode (Bytes.to_string full) ~pos:0 with
-          | Ok _ -> ok := false
-          | Error (`Incomplete | `Fail _) -> ()
-          | exception _ -> ok := false);
-          Bytes.set full i orig
-        done
-      done;
-      !ok)
+      let full = Wire.encode f in
+      List.for_all
+        (fun d ->
+          match Wire.decode (Fixture.damage full d) ~pos:0 with
+          | Ok _ -> false
+          | Error (`Incomplete | `Fail _) -> true
+          | exception _ -> false)
+        (Fixture.damages ~prefixes:false ~masks:Fixture.every_bit full))
 
 (* --- end-to-end sync over the simulated transport --- *)
 

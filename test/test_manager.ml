@@ -50,8 +50,7 @@ let check_identical what m snap =
       (String.concat "\n  " diffs)
 
 let test_policy =
-  { Manager.default_policy with
-    deadline = 600;
+  { Manager.deadline = 600;
     retry_limit = 3;
     backoff_base = 100;
     backoff_cap = 400;

@@ -174,14 +174,16 @@ let prop_of_bytes_total =
 (* Every truncated prefix of a valid image is an [Error] (the full image
    is the only prefix that parses), with no exception escaping. *)
 let test_every_prefix_rejected () =
-  let b = Objfile.to_bytes (sample_object ()) in
-  for n = 0 to Bytes.length b - 1 do
-    match Objfile.of_bytes (Bytes.sub b 0 n) with
-    | Ok _ -> Alcotest.failf "prefix of %d bytes parsed" n
-    | Error _ -> ()
-    | exception e ->
-      Alcotest.failf "prefix of %d bytes raised %s" n (Printexc.to_string e)
-  done
+  let good = Bytes.to_string (Objfile.to_bytes (sample_object ())) in
+  List.iter
+    (fun d ->
+      match Objfile.of_bytes (Bytes.of_string (Fixture.damage good d)) with
+      | Ok _ -> Alcotest.failf "%s parsed" (Fixture.describe d)
+      | Error _ -> ()
+      | exception e ->
+        Alcotest.failf "%s raised %s" (Fixture.describe d)
+          (Printexc.to_string e))
+    (Fixture.damages good)
 
 (* Fuzz: bit-flipping a valid image is either rejected or parses into
    *some* object (never raises). *)
@@ -190,10 +192,9 @@ let prop_bitflip_total =
   QCheck2.Test.make ~name:"of_bytes is total under bit flips" ~count:300
     (tup2 (int_range 0 10_000) (int_range 0 7))
     (fun (pos, bit) ->
-      let b = Objfile.to_bytes (sample_object ()) in
-      let pos = pos mod Bytes.length b in
-      Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor (1 lsl bit));
-      match Objfile.of_bytes b with
+      let good = Bytes.to_string (Objfile.to_bytes (sample_object ())) in
+      let b = Fixture.damage good (Flip { pos; mask = 1 lsl bit }) in
+      match Objfile.of_bytes (Bytes.of_string b) with
       | Ok _ | Error _ -> true
       | exception _ -> false)
 

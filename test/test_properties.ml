@@ -6,7 +6,10 @@
    2. hot-update equivalence: patching a running kernel gives the same
       observable behaviour as booting the patched source from scratch;
    3. objdump totality: every generated text section disassembles without
-      resynchronisation. *)
+      resynchronisation;
+   4. mutated run code is never silently accepted;
+   5. every function the differencer keeps run-pre matches the kernel
+      built from the unedited source (§5.4). *)
 
 module Tree = Patchfmt.Source_tree
 module Diff = Patchfmt.Diff
@@ -393,6 +396,105 @@ let prop_mutation_detected =
             inference false
         end)
 
+(* property 5: the §5.4 precondition. A function the differencer does
+   not list as changed ships nowhere, so its post code must still be
+   the code running in the kernel built from the unedited source. *)
+
+type redit =
+  | Bump of int * int  (* function, delta added to every constant *)
+  | Reop of int * string  (* function, every operator becomes this one *)
+  | Ret of int * rexpr  (* function, a new return expression *)
+  | Extra of int * int * rexpr  (* function, a leading [g<k> = e;] *)
+
+let gen_edit =
+  let open QCheck2.Gen in
+  let fn = int_range 0 2 in
+  let leaf =
+    oneof
+      [ map (fun v -> Cst v) (int_range (-20) 20); return Param;
+        map (fun i -> Glob i) (int_range 0 2) ]
+  in
+  let expr =
+    oneof
+      [ leaf;
+        map3 (fun op a b -> Bin (op, a, b))
+          (oneofl [ "+"; "-"; "*"; "&"; "|"; "^" ])
+          leaf leaf ]
+  in
+  oneof
+    [ map2 (fun f d -> Bump (f, d)) fn (int_range 1 5);
+      map2 (fun f op -> Reop (f, op)) fn (oneofl [ "+"; "-"; "^" ]);
+      map2 (fun f e -> Ret (f, e)) fn expr;
+      map3 (fun f g e -> Extra (f, g, e)) fn (int_range 0 2) expr ]
+
+let apply_edit edit (p : rprog) =
+  let rec map_expr fe = function
+    | Bin (op, a, b) -> fe (Bin (op, map_expr fe a, map_expr fe b))
+    | e -> fe e
+  in
+  let rec map_stmt fe = function
+    | Assign (g, e) -> Assign (g, map_expr fe e)
+    | If (c, body) -> If (map_expr fe c, List.map (map_stmt fe) body)
+    | Loop (n, body) -> Loop (n, List.map (map_stmt fe) body)
+  in
+  let rewrite fe f =
+    { f with body = List.map (map_stmt fe) f.body; ret = map_expr fe f.ret }
+  in
+  let victim, change =
+    match edit with
+    | Bump (i, d) ->
+      (i, rewrite (function Cst v -> Cst (v + d) | e -> e))
+    | Reop (i, op) ->
+      (i, rewrite (function Bin (_, a, b) -> Bin (op, a, b) | e -> e))
+    | Ret (i, e) -> (i, fun f -> { f with ret = e })
+    | Extra (i, g, e) ->
+      (i, fun f -> { f with body = Assign (g, e) :: f.body })
+  in
+  { p with
+    funcs = List.mapi (fun i f -> if i = victim then change f else f) p.funcs }
+
+let prop_unchanged_functions_match_run =
+  QCheck2.Test.make
+    ~name:"functions the differencer keeps run-pre match the old kernel"
+    ~count:40
+    QCheck2.Gen.(pair gen_prog gen_edit)
+    (fun (p, edit) ->
+      let tree = Tree.of_list [ ("kernel/r.c", prog_to_c p) ] in
+      let tree' =
+        Tree.of_list [ ("kernel/r.c", prog_to_c (apply_edit edit p)) ]
+      in
+      let obj t =
+        List.hd
+          (Kbuild.objects (Fixture.build ~options:Minic.Driver.pre_build t))
+      in
+      let pre = obj tree and post = obj tree' in
+      let d = Ksplice.Prepost.diff_unit ~pre ~post in
+      let kept =
+        List.filter
+          (fun (s : Objfile.Section.t) ->
+            match Ksplice.Prepost.fname_of_section s with
+            | Some f ->
+              not (List.mem f d.changed_functions || List.mem f d.new_functions)
+            | None -> false)
+          post.sections
+      in
+      let _, m = boot_tree tree in
+      match
+        Ksplice.Runpre.match_helper
+          ~read_run:(fun a -> Machine.read_u8 m a)
+          ~candidates:(fun name ->
+            Machine.kallsyms m
+            |> List.filter_map (fun (s : Image.syminfo) ->
+                 if String.equal s.name name && s.kind = `Func then
+                   Some s.addr
+                 else None))
+          ~already:(fun _ -> None)
+          ~inference:(Ksplice.Runpre.create_inference ())
+          { post with sections = kept }
+      with
+      | Ok anchors -> List.length anchors = List.length kept
+      | Error _ -> false)
+
 let suite =
   [
     ( "properties",
@@ -401,5 +503,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_hot_update_equivalence;
         QCheck_alcotest.to_alcotest prop_objdump_total;
         QCheck_alcotest.to_alcotest prop_mutation_detected;
+        QCheck_alcotest.to_alcotest prop_unchanged_functions_match_run;
       ] );
   ]

@@ -95,6 +95,27 @@ let test_publish_and_pending () =
         "up to date at tree2" 0
         (List.length (pending repo ~digest:(Tree.digest tree2))))
 
+(* A memory-only store is a supported home for a repository (a fleet
+   subscriber's mirror): however many blobs it comes to hold, a
+   published entry stays pending. *)
+let test_memory_only_keeps_entries () =
+  let repo = Repo.of_store (Store.create ~name:"memory-repo" ()) in
+  let u = mk_update ~id:"hop-1" ~from:base_tree ~to_:tree1 in
+  ignore
+    (ok "publish"
+       (Repo.publish repo ~source:base_tree
+          ~patch:(Diff.diff_trees base_tree tree1) ~update:u)
+      : Repo.entry);
+  for i = 1 to 1024 do
+    ignore (Store.put (Repo.store repo) (Printf.sprintf "blob %d" i)
+      : Store.digest)
+  done;
+  Alcotest.(check (list string))
+    "entry still pending" [ "hop-1" ]
+    (List.map
+       (fun (e : Repo.entry) -> e.update.Ksplice.Update.update_id)
+       (pending repo ~digest:(Tree.digest base_tree)))
+
 let test_duplicate_publish_rejected () =
   with_repo (fun _dir repo ->
       let _ = publish_chain repo in
@@ -300,6 +321,8 @@ let suite =
     ( "repository",
       [
         t "publish and pending" test_publish_and_pending;
+        t "memory-only repository keeps its entries"
+          test_memory_only_keeps_entries;
         t "duplicate publish rejected" test_duplicate_publish_rejected;
         t "subscriber sync" test_subscriber_sync;
         t "entry roundtrip" test_entry_roundtrip_on_disk;

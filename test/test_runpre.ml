@@ -221,7 +221,7 @@ let test_jump_target_divergence_rejected () =
   let m = mismatch mem h ~candidates:(fun _ -> [ base ]) in
   Alcotest.(check bool)
     "reason mentions target" true
-    (String.length m.reason > 0)
+    (match m.reason with Runpre.Jump_target _ -> true | _ -> false)
 
 let test_instruction_divergence_rejected () =
   let pre f =
@@ -251,7 +251,9 @@ let test_inference_conflict_rejected () =
   let h = helper pre in
   let mem, _ = run_memory ~base run in
   let m = mismatch mem h ~candidates:(fun _ -> [ base ]) in
-  Alcotest.(check bool) "conflict reported" true (String.length m.reason > 0)
+  Alcotest.(check bool) "conflict reported" true
+    (m.reason
+    = Runpre.Symbol_conflict { symbol = "g"; inferred = 0x200; previous = 0x100 })
 
 let test_candidate_trial_selects_matching () =
   (* two candidate addresses with different code: the matching one wins *)

@@ -267,24 +267,26 @@ let decode_total read (b : Bytes.t) =
 let test_every_prefix_rejected () =
   List.iter
     (fun (fmt, b, store) ->
+      let good = Bytes.to_string b in
       List.iter
-        (fun (reader, read) ->
-          for n = 0 to Bytes.length b - 1 do
-            match decode_total read (Bytes.sub b 0 n) with
-            | `Error -> ()
-            | `Ok ->
-              Alcotest.failf "%s %s: prefix of %d bytes parsed" fmt reader n
-            | `Raised e ->
-              Alcotest.failf "%s %s: prefix of %d bytes raised %s" fmt reader
-                n (Printexc.to_string e)
-          done)
-        (readers store);
-      (* supersedes_of_bytes shares the totality guarantee *)
-      for n = 0 to Bytes.length b - 1 do
-        ignore
-          (Update.supersedes_of_bytes (Bytes.sub b 0 n)
-            : (string list, Update.decode_error) result)
-      done)
+        (fun d ->
+          let p = Bytes.of_string (Fixture.damage good d) in
+          List.iter
+            (fun (reader, read) ->
+              match decode_total read p with
+              | `Error -> ()
+              | `Ok ->
+                Alcotest.failf "%s %s: %s parsed" fmt reader
+                  (Fixture.describe d)
+              | `Raised e ->
+                Alcotest.failf "%s %s: %s raised %s" fmt reader
+                  (Fixture.describe d) (Printexc.to_string e))
+            (readers store);
+          (* supersedes_of_bytes shares the totality guarantee *)
+          ignore
+            (Update.supersedes_of_bytes p
+              : (string list, Update.decode_error) result))
+        (Fixture.damages good))
     (Lazy.force blobs)
 
 let prop_byte_flip_total =
@@ -293,10 +295,11 @@ let prop_byte_flip_total =
     ~count:600
     (tup3 (int_range 0 2) (int_range 0 100_000) (int_range 1 255))
     (fun (which, pos, flip) ->
-      let _, b, store = List.nth (Lazy.force blobs) which in
-      let b = Bytes.copy b in
-      let pos = pos mod Bytes.length b in
-      Bytes.set_uint8 b pos (Bytes.get_uint8 b pos lxor flip);
+      let _, good, store = List.nth (Lazy.force blobs) which in
+      let b =
+        Bytes.of_string
+          (Fixture.damage (Bytes.to_string good) (Flip { pos; mask = flip }))
+      in
       List.for_all
         (fun (_, read) ->
           match decode_total read b with
