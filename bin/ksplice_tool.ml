@@ -471,13 +471,12 @@ let cmd_store_stats cve_id out =
 
 (* --- corpus sweeps and their reports: sweep / report --- *)
 
-(* Run one sweep — on its gate rows, on the rows named by [ids]
-   (resolved by the sweep itself), or on its default rows — print its
-   report, and return its export and verdict. *)
-let run_sweep ~seed ~jobs ~gate ids (Corpus.Sweep.Sweep (module M)) =
+(* Run one sweep — on the rows named by [ids] (resolved by the sweep
+   itself), or on its default rows — print its report, and return its
+   export and verdict. *)
+let run_sweep ~seed ~jobs ids (Corpus.Sweep.Sweep (module M)) =
   let rows =
-    if gate then Some (M.gate_rows ())
-    else if ids = [] then None
+    if ids = [] then None
     else
       Some
         (List.map
@@ -503,10 +502,10 @@ let cmd_sweep name ids seed jobs out =
   (* most cells abort an apply on purpose; the per-abort warnings are
      noise here (-v restores them) *)
   if Logs.level () = Some Logs.Warning then Logs.set_level (Some Logs.Error);
-  let gate, sweeps =
+  let sweeps =
     match (Corpus.Sweep.find name, name) with
-    | Some s, _ -> (false, [ s ])
-    | None, "gate" when ids = [] -> (true, Corpus.Sweep.all)
+    | Some s, _ -> [ s ]
+    | None, "gate" when ids = [] -> Corpus.Sweep.all
     | None, _ ->
       Printf.eprintf "error: unknown sweep %s (%s, or gate without --row)\n"
         name
@@ -516,7 +515,7 @@ let cmd_sweep name ids seed jobs out =
               Corpus.Sweep.all));
       exit 1
   in
-  let results = List.map (run_sweep ~seed ~jobs ~gate ids) sweeps in
+  let results = List.map (run_sweep ~seed ~jobs ids) sweeps in
   if out <> None then
     write_json_or_die ~what:"sweep report" out
       (Report.Json.Obj
@@ -785,8 +784,8 @@ let sweep_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"NAME"
-          ~doc:"The sweep to run, or $(b,gate) for every sweep on its CI \
-                gate rows.")
+          ~doc:"The sweep to run, or $(b,gate) for every sweep on its \
+                default rows.")
   in
   let rows =
     Arg.(

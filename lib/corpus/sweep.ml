@@ -13,7 +13,6 @@ module type S = sig
 
   val name : string
   val default_rows : unit -> key list
-  val gate_rows : unit -> key list
   val key_of_string : string -> key option
   val key_name : key -> string
   val run_row : seed:int -> index:int -> key -> row
@@ -99,7 +98,6 @@ module By_cve = struct
   let key_name (c : Cve.t) = c.id
 end
 
-let cves_named ids = List.map (fun id -> Option.get (Cve.find id)) ids
 let sum f rows = List.fold_left (fun acc r -> acc + f r) 0 rows
 let count p l = List.length (List.filter p l)
 let tag notes = if notes = [] then "" else "  VIOLATION"
@@ -258,9 +256,6 @@ let cell_totals cells =
     ("violations", n (function Violation _ -> true | _ -> false));
   ]
 
-let small_gate =
-  [ "CVE-2006-2451"; "CVE-2006-3626"; "CVE-2007-4573"; "CVE-2008-0600" ]
-
 let fault : (module S with type key = Cve.t and type row = row) =
   (module struct
     include By_cve
@@ -269,7 +264,6 @@ let fault : (module S with type key = Cve.t and type row = row) =
 
     let name = "fault"
     let default_rows () = Cve.all
-    let gate_rows () = cves_named small_gate
 
     let run_row ~seed ~index cve =
       sweep_cve ~seed index cve (Base_kernel.tree ())
@@ -495,7 +489,6 @@ let manager : (module S with type key = Cve.t and type row = mrow) =
 
     let name = "manager"
     let default_rows () = Cve.all
-    let gate_rows () = cves_named small_gate
 
     let run_row ~seed ~index (cve : Cve.t) =
       let update = create_update cve (Base_kernel.tree ()) in
@@ -747,7 +740,6 @@ let crash : (module S with type key = Cve.t and type row = crow) =
 
     let name = "crash"
     let default_rows = corpus_sample
-    let gate_rows () = cves_named [ "CVE-2006-2451"; "CVE-2008-0600" ]
 
     let run_row ~seed ~index cve =
       crash_cve ~seed:(seed + (1009 * index)) cve (Base_kernel.tree ())
@@ -1047,7 +1039,6 @@ let transition : (module S with type key = Cve.t and type row = trow) =
     (* the same sample as the crash sweep: each row costs six stress runs
        across its twin machines *)
     let default_rows = corpus_sample
-    let gate_rows () = cves_named [ "CVE-2006-2451"; "CVE-2007-4573" ]
 
     (* deterministic without a seed: the machines are *)
     let run_row ~seed:_ ~index:_ cve =
@@ -1282,7 +1273,6 @@ let fleet : (module S with type key = Cve.t and type row = frow) =
 
     let name = "fleet"
     let default_rows = corpus_sample
-    let gate_rows () = cves_named [ "CVE-2006-2451"; "CVE-2008-0600" ]
 
     let run_row ~seed ~index cve =
       fleet_cve ~seed:(seed + (2003 * index)) cve (Base_kernel.tree ())
@@ -1575,7 +1565,6 @@ let cumulative :
     let name = "cumulative"
     let shadows = List.map (fun c -> Shadow c) Cve.shadow_extras
     let default_rows () = List.map (fun d -> Depth d) [ 1; 8; 32 ] @ shadows
-    let gate_rows () = [ Depth 1; Depth 4 ] @ shadows
 
     let key_of_string s =
       match int_of_string_opt s with
@@ -1836,9 +1825,6 @@ let diffmin : (module S with type key = Cve.t and type row = dmrow) =
 
     let name = "diffmin"
     let default_rows () = Cve.all @ Cve.shadow_extras @ Cve.diff_extras
-
-    let gate_rows () =
-      cves_named [ "CVE-2006-2451"; "CVE-2008-0600"; "DIFF-2009-0001" ]
 
     let run_row ~seed:_ ~index:_ cve = run_dmrow cve (Base_kernel.tree ())
 

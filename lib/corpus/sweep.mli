@@ -26,9 +26,6 @@ module type S = sig
   val name : string
   val default_rows : unit -> key list
 
-  val gate_rows : unit -> key list
-  (** The small slice [dune build @sweep] holds to the oracle. *)
-
   val key_of_string : string -> key option
   (** The row resolver behind [ksplice-tool sweep NAME --row ID]. *)
 

@@ -76,8 +76,15 @@ let max_insn_len = 6
    its slots are empty, and it is never written *)
 let no_page = Array.make page_size empty_slot
 
+(* stands for every page of guest memory that has never been written:
+   all zeros, shared by every machine, and never written itself *)
+let zero_page = Bytes.make page_size '\000'
+
 type t = {
-  mem : Bytes.t;
+  (* guest memory, one 4 KiB page per [page_size] bytes of address
+     space; a page the guest or host has never written is [zero_page]
+     until its first write gives it its own copy *)
+  pages : Bytes.t array;
   mem_size : int;
   (* predecoded instruction cache: per 4 KiB page, one slot per byte
      offset, allocated on the first fetch from the page. [observe]
@@ -158,24 +165,141 @@ let quantum = 64
 let stack_size = 64 * 1024
 let stack_guard = 4096
 
+(* --- guest memory pages ---
+
+   A load or store finds its page and reads or writes inside it; only a
+   half-word or word that straddles a page boundary goes byte by byte.
+   The first write to a page that still shares [zero_page] gives it its
+   own zeroed copy, a slow path like a cache refill. *)
+
+let page_mask = page_size - 1
+let imax (a : int) b = if a >= b then a else b
+let imin (a : int) b = if a <= b then a else b
+
+let materialise pages page =
+  let p = Bytes.make page_size '\000' in
+  pages.(page) <- p;
+  p
+
+(* page number [page], ready to be written *)
+let writable pages page =
+  let p = pages.(page) in
+  if p != zero_page then p else materialise pages page
+
+(* the little-endian value of the [n] bytes at [addr], which straddle a
+   page boundary *)
+let get_straddling pages addr n =
+  let v = ref 0 in
+  for i = n - 1 downto 0 do
+    let a = addr + i in
+    v := (!v lsl 8) lor Bytes.get_uint8 pages.(a lsr page_bits) (a land page_mask)
+  done;
+  !v
+
+let set_straddling pages addr n v =
+  for i = 0 to n - 1 do
+    let a = addr + i in
+    Bytes.set_uint8 (writable pages (a lsr page_bits)) (a land page_mask)
+      ((v lsr (8 * i)) land 0xff)
+  done
+
+(* The accessors of single values skip the bounds tests of [Array] and
+   [Bytes]: every caller has passed [check], which keeps the page number
+   inside [pages], and the straddle test keeps the access inside its
+   page, so those tests could never fail, yet would cost every guest
+   load and store about ten instructions. *)
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external swap16 : int -> int = "%bswap16"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+let[@inline] load_page (pages : Bytes.t array) addr =
+  Array.unsafe_get pages (addr lsr page_bits)
+
+let[@inline] store_page (pages : Bytes.t array) addr =
+  let page = addr lsr page_bits in
+  let p = Array.unsafe_get pages page in
+  if p != zero_page then p else materialise pages page
+
+let[@inline] get_u8 pages addr =
+  Char.code (Bytes.unsafe_get (load_page pages addr) (addr land page_mask))
+
+let[@inline] get_u16 pages addr =
+  let off = addr land page_mask in
+  if off <= page_size - 2 then begin
+    let v = get16u (load_page pages addr) off in
+    if Sys.big_endian then swap16 v else v
+  end
+  else get_straddling pages addr 2
+
+(* a word, sign-extended into an [int] *)
+let[@inline] get_i32 pages addr =
+  let off = addr land page_mask in
+  if off <= page_size - 4 then begin
+    let v = get32u (load_page pages addr) off in
+    Int32.to_int (if Sys.big_endian then swap32 v else v)
+  end
+  else (get_straddling pages addr 4 lsl 31) asr 31
+
+let[@inline] set_u8 pages addr v =
+  Bytes.unsafe_set (store_page pages addr) (addr land page_mask)
+    (Char.unsafe_chr (v land 0xff))
+
+let[@inline] set_u16 pages addr v =
+  let off = addr land page_mask in
+  if off <= page_size - 2 then begin
+    let v = v land 0xffff in
+    set16u (store_page pages addr) off (if Sys.big_endian then swap16 v else v)
+  end
+  else set_straddling pages addr 2 v
+
+let[@inline] set_i32 pages addr v =
+  let off = addr land page_mask in
+  if off <= page_size - 4 then begin
+    let v = Int32.of_int v in
+    set32u (store_page pages addr) off (if Sys.big_endian then swap32 v else v)
+  end
+  else set_straddling pages addr 4 v
+
+(* [f page off pos len] for each page's share of [addr, addr + n):
+   [len] bytes at offset [off] of page number [page], which are bytes
+   [pos] to [pos + len - 1] of the range *)
+let iter_pages addr n f =
+  let pos = ref 0 in
+  while !pos < n do
+    let a = addr + !pos in
+    let off = a land page_mask in
+    let len = imin (n - !pos) (page_size - off) in
+    f (a lsr page_bits) off !pos len;
+    pos := !pos + len
+  done
+
+(* the write path of [write_bytes] and [create] *)
+let blit_in pages addr b =
+  iter_pages addr (Bytes.length b) (fun page off pos len ->
+      Bytes.blit b pos (writable pages page) off len)
+
 let create ?(mem_size = 0x0200_0000) (img : Klink.Image.t) =
-  let mem = Bytes.make mem_size '\000' in
   if img.base + img.size > mem_size - 0x10000 then
     invalid_arg "Machine.create: image does not fit";
-  Bytes.blit img.data 0 mem img.base (Bytes.length img.data);
+  let n_pages = (mem_size + page_size - 1) / page_size in
+  let pages = Array.make n_pages zero_page in
+  blit_in pages img.base img.data;
   let exit_gadget = mem_size - 0x10 in
   let sentinel = mem_size - 0x20 in
   (* exit gadget: mov r1, r0; int 1 — lets spawned entries simply return *)
-  let pos = ref exit_gadget in
-  List.iter
-    (fun i -> pos := !pos + Isa.encode mem !pos i)
-    [ Isa.Mov_rr (Isa.R1, Isa.R0); Isa.Int 1 ];
-  ignore (Isa.encode mem sentinel Isa.Hlt : int);
+  blit_in pages exit_gadget
+    (Bytes.concat Bytes.empty
+       (List.map Isa.encode_to_bytes
+          [ Isa.Mov_rr (Isa.R1, Isa.R0); Isa.Int 1 ]));
+  blit_in pages sentinel (Isa.encode_to_bytes Isa.Hlt);
   let t =
     {
-      mem;
+      pages;
       mem_size;
-      icache = Array.make ((mem_size + page_size - 1) / page_size) no_page;
+      icache = Array.make n_pages no_page;
       img;
       syms = img.kallsyms;
       sym_index =
@@ -327,9 +451,6 @@ let[@inline] check t addr size =
    [addr, addr + len): those starting in the range, and those starting up
    to [max_insn_len - 1] bytes before it (straddling the write or a page
    boundary). Pages never fetched from cost one load each. *)
-let imax (a : int) b = if a >= b then a else b
-let imin (a : int) b = if a <= b then a else b
-
 let invalidate t addr len =
   let lo = imax 0 (addr - (max_insn_len - 1)) and hi = addr + len in
   for page = lo lsr page_bits to (hi - 1) lsr page_bits do
@@ -341,7 +462,7 @@ let invalidate t addr len =
     end
   done
 
-(* every mutation of [t.mem] announces (addr, len) here *before* the
+(* every mutation of guest memory announces (addr, len) here *before* the
    bytes change, so the instruction cache drops stale decodes and a
    transaction journal can capture the old contents *)
 let[@inline] observe t addr len =
@@ -350,31 +471,34 @@ let[@inline] observe t addr len =
 
 let read_u8 t a =
   check t a 1;
-  Bytes.get_uint8 t.mem a
+  get_u8 t.pages a
 
 let read_i32 t a =
   check t a 4;
-  Bytes.get_int32_le t.mem a
+  Int32.of_int (get_i32 t.pages a)
 
 let read_bytes t a n =
   check t a (max n 1);
-  Bytes.sub t.mem a n
+  let b = Bytes.create n in
+  iter_pages a n (fun page off pos len ->
+      Bytes.blit t.pages.(page) off b pos len);
+  b
 
 let write_u8 t a v =
   check t a 1;
   observe t a 1;
-  Bytes.set_uint8 t.mem a (v land 0xff)
+  set_u8 t.pages a v
 
 let write_i32 t a v =
   check t a 4;
   observe t a 4;
-  Bytes.set_int32_le t.mem a v
+  set_i32 t.pages a (Int32.to_int v)
 
 let write_bytes t a b =
   check t a (max (Bytes.length b) 1);
   observe t a (Bytes.length b);
   let b = match t.inj_write with None -> b | Some f -> f a b in
-  Bytes.blit b 0 t.mem a (Bytes.length b)
+  blit_in t.pages a b
 
 let alloc_module t ~size ~align =
   (match t.inj_alloc with
@@ -401,7 +525,7 @@ let[@inline] push_on th t v =
   if sp < th.stack_lo then raise (Vm_fault (Memory_violation sp));
   check t sp 4;
   observe t sp 4;
-  Bytes.set_int32_le t.mem sp (Int32.of_int v);
+  set_i32 t.pages sp v;
   th.regs.(8) <- sp
 
 let spawn t ~name ~uid ~entry ~args =
@@ -462,28 +586,28 @@ let[@inline] load t width addr =
   match width with
   | Isa.W8 ->
     check t addr 1;
-    Bytes.get_uint8 t.mem addr
+    get_u8 t.pages addr
   | Isa.W16 ->
     check t addr 2;
-    Bytes.get_uint16_le t.mem addr
+    get_u16 t.pages addr
   | Isa.W32 ->
     check t addr 4;
-    Int32.to_int (Bytes.get_int32_le t.mem addr)
+    get_i32 t.pages addr
 
 let[@inline] store t width addr v =
   match width with
   | Isa.W8 ->
     check t addr 1;
     observe t addr 1;
-    Bytes.set_uint8 t.mem addr (v land 0xff)
+    set_u8 t.pages addr v
   | Isa.W16 ->
     check t addr 2;
     observe t addr 2;
-    Bytes.set_uint16_le t.mem addr (v land 0xffff)
+    set_u16 t.pages addr v
   | Isa.W32 ->
     check t addr 4;
     observe t addr 4;
-    Bytes.set_int32_le t.mem addr (Int32.of_int v)
+    set_i32 t.pages addr v
 
 let do_int t th code next =
   let regs = th.regs in
@@ -545,7 +669,7 @@ let do_int t th code next =
   | _ -> raise (Vm_fault (Illegal_instruction th.pc))
 
 let decode_at t pc =
-  match Isa.decode (fun a -> check t a 1; Bytes.get_uint8 t.mem a) pc with
+  match Isa.decode (fun a -> check t a 1; get_u8 t.pages a) pc with
   | insn, len -> { insn; len }
   | exception Isa.Decode_error _ -> raise (Vm_fault (Illegal_instruction pc))
 
@@ -972,7 +1096,8 @@ let restore_volatile t v =
 (* --- byte-identity snapshots (rollback verification) --- *)
 
 type snapshot = {
-  s_mem : Bytes.t;
+  (* a copy of every page but [zero_page], which is shared *)
+  s_pages : Bytes.t array;
   s_syms : Klink.Image.syminfo list;
   s_priv : (int * int) list;
   s_threads :
@@ -997,7 +1122,8 @@ let shadow_bindings t =
 
 let snapshot t =
   {
-    s_mem = Bytes.copy t.mem;
+    s_pages =
+      Array.map (fun p -> if p == zero_page then p else Bytes.copy p) t.pages;
     s_syms = t.syms;
     s_priv = t.priv;
     s_threads = thread_tuples t;
@@ -1010,22 +1136,24 @@ let snapshot t =
 let diff_snapshot t s =
   let out = ref [] in
   let add fmt = Printf.ksprintf (fun m -> out := m :: !out) fmt in
-  if not (Bytes.equal t.mem s.s_mem) then begin
-    let shown = ref 0 in
-    let i = ref 0 in
-    let n = min (Bytes.length t.mem) (Bytes.length s.s_mem) in
-    while !i < n && !shown < 4 do
-      if Bytes.get t.mem !i <> Bytes.get s.s_mem !i then begin
-        add "memory differs at %#x: now %#x, snapshot %#x" !i
-          (Bytes.get_uint8 t.mem !i)
-          (Bytes.get_uint8 s.s_mem !i);
-        incr shown;
-        (* jump past this word to avoid flooding the report *)
-        i := ((!i / 16) + 1) * 16
-      end
-      else incr i
-    done
-  end;
+  let shown = ref 0 in
+  for page = 0 to imin (Array.length t.pages) (Array.length s.s_pages) - 1 do
+    let now = t.pages.(page) and was = s.s_pages.(page) in
+    if !shown < 4 && now != was && not (Bytes.equal now was) then begin
+      let i = ref 0 in
+      while !i < page_size && !shown < 4 do
+        if Bytes.get now !i <> Bytes.get was !i then begin
+          add "memory differs at %#x: now %#x, snapshot %#x"
+            ((page lsl page_bits) + !i)
+            (Bytes.get_uint8 now !i) (Bytes.get_uint8 was !i);
+          incr shown;
+          (* jump past this word to avoid flooding the report *)
+          i := ((!i / 16) + 1) * 16
+        end
+        else incr i
+      done
+    end
+  done;
   if List.sort compare t.syms <> List.sort compare s.s_syms then
     add "kallsyms differ: %d entries now, %d in snapshot"
       (List.length t.syms) (List.length s.s_syms);

@@ -54,7 +54,9 @@ type t
 (** [create ?mem_size image] boots the image into fresh memory: copies
     text/data, zeroes bss, seeds kallsyms, and registers the kernel text
     as privileged. If the image defines [syscall_entry], [INT 0x80] is
-    wired to it. *)
+    wired to it. Memory the image does not cover reads as zero and costs
+    nothing until it is first written: a machine holds only the 4 KiB
+    pages written so far, whatever [mem_size] (default 32 MiB). *)
 val create : ?mem_size:int -> Klink.Image.t -> t
 
 val image : t -> Klink.Image.t
@@ -269,7 +271,8 @@ val restore_volatile : t -> volatile_state -> unit
 
     A full copy of machine state for mechanical rollback verification:
     a faulted apply must leave the machine with an empty
-    {!diff_snapshot}. *)
+    {!diff_snapshot}. Memory never written reads as zero and costs
+    nothing to snapshot or compare: only written pages are copied. *)
 
 type snapshot
 

@@ -91,7 +91,12 @@ let context_key : int list ref Domain.DLS.key =
 
 let reset () =
   locked (fun () ->
-      ring := Array.make (Array.length !ring) None;
+      (* clear the used slots in place: a ring sized for a long traced
+         run is far larger than what one reset-to-reset stretch fills *)
+      let cap = Array.length !ring in
+      for i = 1 to !ring_len do
+        !ring.((!ring_head - i + cap) mod cap) <- None
+      done;
       ring_head := 0;
       ring_len := 0;
       dropped_count := 0;

@@ -885,6 +885,262 @@ mix:
   if words >= 1000. then
     Alcotest.failf "%d instructions allocated %.0f minor words" insns words
 
+(* --- guest memory against a flat model ---
+
+   Guest memory is paged: every page never written shares one zero page,
+   and a page gets its own copy on its first write. A flat [Bytes] model,
+   started from the bytes [create] lays down (zeros, the image, the exit
+   gadget and the sentinel), follows the same writes, so every read must
+   agree with it, and a range never written must read as zeros. Addresses
+   cluster at page boundaries and at the top of memory, where writes
+   straddle pages and materialise them. *)
+
+type mem_op =
+  | Put_u8 of int * int
+  | Put_i32 of int * int32
+  | Put_bytes of int * int * int  (* addr, length, pattern seed *)
+  | Get_u8 of int
+  | Get_i32 of int
+  | Get_bytes of int * int
+
+let pattern len seed =
+  Bytes.init len (fun i -> Char.unsafe_chr ((seed + (i * 31)) land 0xff))
+
+(* the memory a flat [create] laid down *)
+let flat_memory (img : Image.t) mem_size =
+  let b = Bytes.make mem_size '\000' in
+  Bytes.blit img.data 0 b img.base (Bytes.length img.data);
+  let pos = ref (mem_size - 0x10) in
+  List.iter
+    (fun i -> pos := !pos + Isa.encode b !pos i)
+    [ Isa.Mov_rr (Isa.R1, Isa.R0); Isa.Int 1 ];
+  ignore (Isa.encode b (mem_size - 0x20) Isa.Hlt : int);
+  b
+
+(* the loop [diff_snapshot] ran over a flat memory and its flat copy *)
+let flat_diff now snap =
+  let out = ref [] in
+  let add fmt = Printf.ksprintf (fun m -> out := m :: !out) fmt in
+  if not (Bytes.equal now snap) then begin
+    let shown = ref 0 in
+    let i = ref 0 in
+    let n = min (Bytes.length now) (Bytes.length snap) in
+    while !i < n && !shown < 4 do
+      if Bytes.get now !i <> Bytes.get snap !i then begin
+        add "memory differs at %#x: now %#x, snapshot %#x" !i
+          (Bytes.get_uint8 now !i)
+          (Bytes.get_uint8 snap !i);
+        incr shown;
+        i := ((!i / 16) + 1) * 16
+      end
+      else incr i
+    done
+  end;
+  List.rev !out
+
+let gen_mem_ops mem_size =
+  let open QCheck2.Gen in
+  let n_pages = mem_size / 4096 in
+  (* half uniform; half at page offsets 4093-4095 and 0-2 of a few pages,
+     or in the last bytes below [mem_size] *)
+  let addr len =
+    let fit a = max 0x1000 (min a (mem_size - len)) in
+    map fit
+      (frequency
+         [ (2, int_range 0x1000 (mem_size - len));
+           ( 1,
+             map2
+               (fun page off -> (page * 4096) + off)
+               (oneofl [ 2; 3; n_pages / 2; (n_pages / 2) + 1; n_pages - 1 ])
+               (int_range (-3) 2) );
+           (1, map (fun k -> mem_size - len - k) (int_range 0 8)) ])
+  in
+  let len = int_range 1 9000 in
+  let op =
+    frequency
+      [ (1, map2 (fun a v -> Put_u8 (a, v)) (addr 1) (int_range 0 255));
+        (1, map2 (fun a v -> Put_i32 (a, v)) (addr 4) int32);
+        ( 1,
+          let* n = len in
+          map2 (fun a seed -> Put_bytes (a, n, seed)) (addr n) (int_range 0 255)
+        );
+        (1, map (fun a -> Get_u8 a) (addr 1));
+        (1, map (fun a -> Get_i32 a) (addr 4));
+        (1, let* n = len in map (fun a -> Get_bytes (a, n)) (addr n)) ]
+  in
+  list_size (int_range 1 40) op
+
+let print_mem_op = function
+  | Put_u8 (a, v) -> Printf.sprintf "u8 %#x <- %d" a v
+  | Put_i32 (a, v) -> Printf.sprintf "i32 %#x <- %ld" a v
+  | Put_bytes (a, n, seed) -> Printf.sprintf "bytes %#x <- %d (seed %d)" a n seed
+  | Get_u8 a -> Printf.sprintf "u8 %#x?" a
+  | Get_i32 a -> Printf.sprintf "i32 %#x?" a
+  | Get_bytes (a, n) -> Printf.sprintf "bytes %#x %d?" a n
+
+let prop_memory_matches_flat ~count mem_size =
+  (* the image, its flat memory, and one model and one model snapshot,
+     made on the first case and reused by the others *)
+  let setup =
+    lazy
+      (let img =
+         Fixture.link ~base:0x100000
+           [ Asm.Assembler.assemble ~unit_name:"k.s" ~function_sections:false
+               ".text\n.global f\nf:\n  ret\n" ]
+       in
+       (img, flat_memory img mem_size, Bytes.create mem_size,
+        Bytes.create mem_size))
+  in
+  QCheck2.Test.make
+    ~name:(Printf.sprintf "memory agrees with a flat model (%#x bytes)" mem_size)
+    ~count
+    ~print:(fun ops -> String.concat "; " (List.map print_mem_op ops))
+    (gen_mem_ops mem_size)
+    (fun ops ->
+      let img, initial, model, model_snap = Lazy.force setup in
+      let m = Machine.create ~mem_size img in
+      Bytes.blit initial 0 model 0 mem_size;
+      let agree what a got want =
+        if not (Bytes.equal got want) then
+          QCheck2.Test.fail_reportf "%s at %#x: machine %S, model %S" what a
+            (Bytes.to_string got) (Bytes.to_string want)
+      in
+      let half = List.length ops / 2 in
+      let snap = ref None in
+      List.iteri
+        (fun i op ->
+          if i = half then begin
+            snap := Some (Machine.snapshot m);
+            Bytes.blit model 0 model_snap 0 mem_size
+          end;
+          match op with
+          | Put_u8 (a, v) ->
+            Machine.write_u8 m a v;
+            Bytes.set_uint8 model a v
+          | Put_i32 (a, v) ->
+            Machine.write_i32 m a v;
+            Bytes.set_int32_le model a v
+          | Put_bytes (a, n, seed) ->
+            let b = pattern n seed in
+            Machine.write_bytes m a b;
+            Bytes.blit b 0 model a n
+          | Get_u8 a ->
+            agree "u8" a
+              (Bytes.make 1 (Char.chr (Machine.read_u8 m a)))
+              (Bytes.sub model a 1)
+          | Get_i32 a ->
+            let got = Bytes.create 4 in
+            Bytes.set_int32_le got 0 (Machine.read_i32 m a);
+            agree "i32" a got (Bytes.sub model a 4)
+          | Get_bytes (a, n) ->
+            agree "bytes" a (Machine.read_bytes m a n) (Bytes.sub model a n))
+        ops;
+      (* every written range reads back as the model has it *)
+      let read_back a n =
+        agree "written range" a (Machine.read_bytes m a n) (Bytes.sub model a n)
+      in
+      List.iter
+        (function
+          | Put_u8 (a, _) -> read_back a 1
+          | Put_i32 (a, _) -> read_back a 4
+          | Put_bytes (a, n, _) -> read_back a n
+          | Get_u8 _ | Get_i32 _ | Get_bytes _ -> ())
+        ops;
+      let got =
+        List.filter
+          (String.starts_with ~prefix:"memory differs ")
+          (Machine.diff_snapshot m (Option.get !snap))
+      in
+      let want = flat_diff model model_snap in
+      if got <> want then
+        QCheck2.Test.fail_reportf "diff_snapshot: [%s], flat: [%s]"
+          (String.concat "; " got) (String.concat "; " want);
+      true)
+
+(* guest stores and loads that straddle a page boundary: a half-word at
+   offset 4095, a word at 4093-4095. [pokew] compares the word it loads
+   back with the one it stored, so a load that lost the sign shows. *)
+let test_guest_straddling_access () =
+  let src =
+    {|
+.text
+.global pokew
+pokew:
+  loadw r1, [sp+4]
+  loadw r2, [sp+8]
+  storew [r1+0], r2
+  loadw r0, [r1+0]
+  cmp r0, r2
+  sete r0
+  ret
+.global pokeh
+pokeh:
+  loadw r1, [sp+4]
+  loadw r2, [sp+8]
+  storeh [r1+0], r2
+  loadh r0, [r1+0]
+  ret
+|}
+  in
+  let around m a n = Machine.read_bytes m (a - 1) (n + 2) in
+  List.iter
+    (fun off ->
+      let img, m = boot_asm src in
+      let a = Machine.alloc_module m ~size:8192 ~align:4096 + off in
+      check Alcotest.int32
+        (Printf.sprintf "word at offset %d loads back" off)
+        1l
+        (call m img "pokew" [ Int32.of_int a; 0x80c0e0f1l ]);
+      check Alcotest.string
+        (Printf.sprintf "word bytes at offset %d" off)
+        "\000\xf1\xe0\xc0\x80\000"
+        (Bytes.to_string (around m a 4)))
+    [ 4093; 4094; 4095 ];
+  let img, m = boot_asm src in
+  let a = Machine.alloc_module m ~size:8192 ~align:4096 + 4095 in
+  check Alcotest.int32 "half-word at offset 4095 loads back" 0xbeefl
+    (call m img "pokeh" [ Int32.of_int a; 0x1234beefl ]);
+  check Alcotest.string "half-word bytes at offset 4095" "\000\xef\xbe\000"
+    (Bytes.to_string (around m a 2))
+
+(* --- allocation guards: a boot, a snapshot and a trace reset cost what
+   the kernel uses, not what the address space or the ring could hold --- *)
+
+let allocated f =
+  let before = Gc.allocated_bytes () in
+  let v = f () in
+  (v, Gc.allocated_bytes () -. before)
+
+let test_boot_and_snapshot_allocation () =
+  (* the first boot compiles the base kernel; later ones hit the cache *)
+  ignore (Corpus.Boot.boot () : Corpus.Boot.booted);
+  let b, boot_bytes = allocated (fun () -> Corpus.Boot.boot ()) in
+  let _, snap_bytes = allocated (fun () -> Machine.snapshot b.machine) in
+  let over what bytes bound =
+    if bytes < bound then []
+    else [ Printf.sprintf "%s allocated %.2f MB (bound %.0f MB)" what
+             (bytes /. 1e6) (bound /. 1e6) ]
+  in
+  match over "a boot" boot_bytes 4e6 @ over "a snapshot" snap_bytes 1e6 with
+  | [] -> ()
+  | over -> Alcotest.fail (String.concat "; " over)
+
+let test_trace_reset_allocation () =
+  let capacity = Trace.capacity () and enabled = Trace.is_enabled () in
+  Trace.set_capacity (1 lsl 20);
+  Trace.set_enabled true;
+  for _ = 1 to 1000 do
+    Trace.instant "tick"
+  done;
+  let (), bytes = allocated Trace.reset in
+  let left = List.length (Trace.records ()) in
+  Trace.set_enabled enabled;
+  Trace.set_capacity capacity;
+  check Alcotest.int "reset empties the ring" 0 left;
+  if bytes >= 65536. then
+    Alcotest.failf "a reset at capacity 2^20 allocated %.0f bytes (bound 64 KB)"
+      bytes
+
 let suite =
   [
     ( "machine",
@@ -919,5 +1175,14 @@ let suite =
         QCheck_alcotest.to_alcotest prop_icache_matches_cold_machine;
         QCheck_alcotest.to_alcotest prop_guest_arithmetic;
         t "no allocation per instruction" test_loop_allocates_nothing;
+        QCheck_alcotest.to_alcotest
+          (prop_memory_matches_flat ~count:100 0x40_0000);
+        QCheck_alcotest.to_alcotest
+          (prop_memory_matches_flat ~count:10 0x200_0000);
+        t "guest stores and loads straddling a page"
+          test_guest_straddling_access;
+        t "a boot and a snapshot allocate what the kernel uses"
+          test_boot_and_snapshot_allocation;
+        t "a trace reset allocates no ring" test_trace_reset_allocation;
       ] );
   ]

@@ -16,7 +16,6 @@ let fake ?(check = fun _ -> []) () :
 
     let name = "fake"
     let default_rows () = List.init 12 Fun.id
-    let gate_rows () = [ 0; 1 ]
     let key_of_string = int_of_string_opt
     let key_name = string_of_int
 
