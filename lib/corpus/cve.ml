@@ -946,44 +946,48 @@ let replace_once ~what file old_s new_s content =
   String.sub content 0 i ^ new_s
   ^ String.sub content (i + lo) (n - i - lo)
 
-let fixed_tree cve base =
-  List.fold_left
-    (fun tree (file, old_s, new_s) ->
+(* The files the fix edits, each with its final contents (and with the
+   custom code appended to the CVE's file when [hot]). The edits run on
+   strings, so each edited file enters a tree once and is hashed once.
+   @raise Failure when a file or snippet is missing *)
+let edited_files ~hot cve tree =
+  let contents files file =
+    match List.assoc_opt file files with
+    | Some content -> content
+    | None -> (
       match Patchfmt.Source_tree.find tree file with
-      | None -> failwith (Printf.sprintf "%s: no file %s" cve.id file)
-      | Some content ->
-        Patchfmt.Source_tree.add tree file
-          (replace_once ~what:cve.id file old_s new_s content))
-    base cve.fix
-
-let hot_tree cve base =
-  let t = fixed_tree cve base in
+      | Some content -> content
+      | None -> failwith (Printf.sprintf "%s: no file %s" cve.id file))
+  in
+  let set files file content =
+    (file, content) :: List.remove_assoc file files
+  in
+  let files =
+    List.fold_left
+      (fun files (file, old_s, new_s) ->
+        set files file
+          (replace_once ~what:cve.id file old_s new_s (contents files file)))
+      [] cve.fix
+  in
   match cve.custom with
-  | None -> t
-  | Some (_, code) -> (
-    match Patchfmt.Source_tree.find t cve.file with
-    | None -> failwith (Printf.sprintf "%s: no file %s" cve.id cve.file)
-    | Some content ->
-      Patchfmt.Source_tree.add t cve.file (content ^ code))
+  | Some (_, code) when hot ->
+    set files cve.file (contents files cve.file ^ code)
+  | _ -> files
 
-let fixed_tree_opt cve tree =
-  match fixed_tree cve tree with
-  | t -> Some t
-  | exception Failure _ -> None
+let with_edits ~hot cve base =
+  List.fold_left
+    (fun tree (file, content) -> Patchfmt.Source_tree.add tree file content)
+    base (edited_files ~hot cve base)
 
-let applies_to cve tree = Option.is_some (fixed_tree_opt cve tree)
+let fixed_tree = with_edits ~hot:false
+let hot_tree = with_edits ~hot:true
 
-let hot_tree_opt cve tree =
-  match fixed_tree_opt cve tree with
-  | None -> None
-  | Some t -> (
-    match cve.custom with
-    | None -> Some t
-    | Some (_, code) -> (
-      match Patchfmt.Source_tree.find t cve.file with
-      | None -> None
-      | Some content ->
-        Some (Patchfmt.Source_tree.add t cve.file (content ^ code))))
+let fails_soft f = match f () with v -> Some v | exception Failure _ -> None
+let fixed_tree_opt cve tree = fails_soft (fun () -> fixed_tree cve tree)
+let hot_tree_opt cve tree = fails_soft (fun () -> hot_tree cve tree)
+
+let applies_to cve tree =
+  Option.is_some (fails_soft (fun () -> edited_files ~hot:false cve tree))
 
 let mainline_patch cve base = Patchfmt.Diff.diff_trees base (fixed_tree cve base)
 let hot_patch cve base = Patchfmt.Diff.diff_trees base (hot_tree cve base)

@@ -96,11 +96,8 @@ module Unit_codec = Store.Typed (struct
         { source_name; obj; inline_decisions })
 end)
 
-let compile_one ~options path contents =
-  let key =
-    Digest.to_hex (Digest.string contents)
-    ^ "|" ^ path ^ "|" ^ options_fingerprint options
-  in
+let compile_one ~options ~fingerprint path contents digest =
+  let key = String.concat "|" [ Digest.to_hex digest; path; fingerprint ] in
   match Unit_codec.lookup the_store key with
   | Some u -> Ok u
   | None ->
@@ -132,14 +129,16 @@ let is_source path =
   String.ends_with ~suffix:".c" path || String.ends_with ~suffix:".s" path
 
 let build_tree ~options tree =
-  Patchfmt.Source_tree.bindings tree
-  |> List.fold_left
-       (fun acc (path, contents) ->
-         match acc with
-         | Ok units when is_source path ->
-           Result.map (fun u -> u :: units) (compile_one ~options path contents)
-         | acc -> acc)
-       (Ok [])
+  let fingerprint = options_fingerprint options in
+  Patchfmt.Source_tree.fold
+    (fun path contents digest acc ->
+      match acc with
+      | Ok units when is_source path ->
+        Result.map
+          (fun u -> u :: units)
+          (compile_one ~options ~fingerprint path contents digest)
+      | acc -> acc)
+    tree (Ok [])
   |> Result.map (fun units -> { units = List.rev units; options })
 
 let objects b = List.map (fun u -> u.obj) b.units

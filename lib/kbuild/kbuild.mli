@@ -57,7 +57,9 @@ val inlined_callees : build -> (string * string * string) list
     a versioned codec, the cache key (source digest + path + options
     fingerprint) is a store ref, and the store supplies the mutex-guarded
     LRU bound and the statistics below (also mirrored as
-    [store.kbuild.*] {!Trace} counters). *)
+    [store.kbuild.*] {!Trace} counters). The source digest is the one
+    the tree took when the file entered it ({!Patchfmt.Source_tree.fold}),
+    so a warm build hashes no source. *)
 
 (** The artifact store backing the compile cache. *)
 val store : unit -> Store.t

@@ -46,6 +46,52 @@ let test_cache_physical_reuse () =
     "a.c recompiled" true
     (not (find b1 "a.c" == find b2 "a.c"))
 
+(* The cache key reads the digest the tree stored for the file: a unit
+   misses exactly when its contents are new, whatever happened to the
+   path before. *)
+let test_cache_follows_contents () =
+  let build tree = Fixture.build ~options:Minic.Driver.run_build tree in
+  let find b n = Option.get (Kbuild.find_unit b n) in
+  let misses () = (Kbuild.cache_stats ()).misses in
+  let same_units b1 b2 =
+    List.for_all2 ( == ) b1.Kbuild.units b2.Kbuild.units
+  in
+  let b1 = build tree1 in
+  let key =
+    Digest.to_hex (Digest.string (Option.get (Tree.find tree1 "a.c")))
+    ^ "|a.c|fs=false;al=true"
+  in
+  check Alcotest.bool "key: source digest, path, options" true
+    (List.mem_assoc key (Store.refs (Kbuild.store ())));
+  let m0 = misses () in
+  let edited =
+    Tree.add tree1 "a.c" "int x = 1;\nint get_x() { return x + 25; }\n"
+  in
+  let b2 = build edited in
+  check Alcotest.int "new contents: one miss" (m0 + 1) (misses ());
+  check Alcotest.bool "new contents: new artifact" false
+    (find b1 "a.c" == find b2 "a.c");
+  List.iter
+    (fun n ->
+      check Alcotest.bool (n ^ " is the same artifact") true
+        (find b1 n == find b2 n))
+    [ "b.c"; "e.s" ];
+  let restored =
+    Tree.add edited "a.c" (Option.get (Tree.find tree1 "a.c"))
+  in
+  let b3 = build restored in
+  check Alcotest.int "old contents again: a hit" (m0 + 1) (misses ());
+  check Alcotest.bool "old contents again: the first artifacts" true
+    (same_units b1 b3);
+  let readded =
+    Tree.add (Tree.remove tree1 "b.c") "b.c"
+      (Option.get (Tree.find tree1 "b.c"))
+  in
+  let b4 = build readded in
+  check Alcotest.int "remove then add identical: a hit" (m0 + 1) (misses ());
+  check Alcotest.bool "remove then add identical: the first artifacts" true
+    (same_units b1 b4)
+
 let test_options_invalidate_cache () =
   let run = Fixture.build ~options:Minic.Driver.run_build tree1 in
   let pre = Fixture.build ~options:Minic.Driver.pre_build tree1 in
@@ -91,6 +137,7 @@ let suite =
         t "builds only sources" test_builds_only_sources;
         t "determinism" test_determinism;
         t "cache reuse" test_cache_physical_reuse;
+        t "cache follows contents" test_cache_follows_contents;
         t "options invalidate cache" test_options_invalidate_cache;
         t "inline metadata" test_inline_metadata;
         t "build error names unit" test_build_error_names_unit;

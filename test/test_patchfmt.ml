@@ -39,7 +39,93 @@ let test_tree_digest () =
   let t2 = Tree.add tree1 "kernel/sched.c" "changed\n" in
   check bool_c "digest changes" false
     (String.equal (Tree.digest tree1) (Tree.digest t2));
-  check string_c "digest stable" (Tree.digest tree1) (Tree.digest tree1)
+  check string_c "digest stable" (Tree.digest tree1) (Tree.digest tree1);
+  (* repository entries are keyed by these values ([entry:<digest>],
+     [sync --base]), so they must never move *)
+  check string_c "base kernel" "6df66c09107904aac459ba55ff634b56"
+    (Tree.digest (Corpus.Base_kernel.tree ()));
+  check string_c "empty tree" "d41d8cd98f00b204e9800998ecf8427e"
+    (Tree.digest Tree.empty);
+  check string_c "two files" "2c504097973308bc9c3baa44cd5d4a45"
+    (Tree.digest (Tree.of_list [ ("a.c", "int x = 1;\n"); ("README", "") ]))
+
+(* The tree digest hashing every file's contents on each call, over
+   [Tree.bindings]: the reference the stored file digests must match. *)
+let reference_digest t =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun (k, v) ->
+      Buffer.add_string b k;
+      Buffer.add_char b '\000';
+      Buffer.add_string b (Digest.string v);
+      Buffer.add_char b '\000')
+    (Tree.bindings t);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+type tree_op =
+  | Of_list of (string * string) list
+  | Add of string * string
+  | Readd of string  (* add a path again with the contents it has *)
+  | Remove of string
+
+let show_op = function
+  | Of_list l ->
+    let file (p, c) = Printf.sprintf "%s=%S" p c in
+    "of_list [" ^ String.concat "; " (List.map file l) ^ "]"
+  | Add (p, c) -> Printf.sprintf "add %s %S" p c
+  | Readd p -> "readd " ^ p
+  | Remove p -> "remove " ^ p
+
+(* Property: after every step of a random sequence of [of_list], [add]
+   and [remove] (re-adding paths with new and with identical contents),
+   the tree holds what a plain association list holds, each stored file
+   digest is the MD5 of the file's contents, and the tree digest equals
+   the reference. *)
+let prop_stored_digests =
+  let open QCheck2.Gen in
+  let path = oneofl [ "a.c"; "b.c"; "k/c.s"; "README" ] in
+  let contents = oneofl [ ""; "x\n"; "y\n"; "int x = 1;\n" ] in
+  let op =
+    frequency
+      [
+        ( 1,
+          map (fun l -> Of_list l)
+            (list_size (int_range 0 5) (pair path contents)) );
+        (4, map2 (fun p c -> Add (p, c)) path contents);
+        (2, map (fun p -> Readd p) path);
+        (2, map (fun p -> Remove p) path);
+      ]
+  in
+  QCheck2.Test.make ~name:"stored file digests follow the contents" ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    (list_size (int_range 1 20) op)
+    (fun ops ->
+      let set model (p, c) = (p, c) :: List.remove_assoc p model in
+      let step (t, model) = function
+        | Of_list l -> (Tree.of_list l, List.fold_left set [] l)
+        | Add (p, c) -> (Tree.add t p c, set model (p, c))
+        | Readd p -> (
+          match Tree.find t p with
+          | Some c -> (Tree.add t p c, model)
+          | None -> (t, model))
+        | Remove p -> (Tree.remove t p, List.remove_assoc p model)
+      in
+      let holds (t, model) =
+        Tree.bindings t = List.sort compare model
+        && Tree.fold
+             (fun p _ d ok ->
+               ok
+               && Digest.equal d (Digest.string (Option.get (Tree.find t p))))
+             t true
+        && String.equal (Tree.digest t) (reference_digest t)
+      in
+      let rec run state = function
+        | [] -> true
+        | op :: rest ->
+          let state = step state op in
+          holds state && run state rest
+      in
+      run (Tree.empty, []) ops)
 
 let test_diff_empty () =
   check int_c "no self-diff" 0 (List.length (Diff.diff_trees tree1 tree1))
@@ -212,5 +298,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_diff_apply;
         QCheck_alcotest.to_alcotest prop_parse_roundtrip;
         QCheck_alcotest.to_alcotest prop_diff_minimal;
+        QCheck_alcotest.to_alcotest prop_stored_digests;
       ] );
   ]
