@@ -619,33 +619,40 @@ let cmd_serve dir socket max_sessions =
       exit 1)
 
 let cmd_sync socket dir base =
-  let store = Store.create ~name:"mirror" ~dir () in
-  let connect _attempt =
-    match Fleet.Transport.connect_unix socket with
-    | tr -> Some tr
-    | exception Unix.Unix_error _ -> None
-  in
-  let r =
-    Fleet.Subscriber.sync
-      ~sleep:(fun ticks -> Unix.sleepf (float_of_int ticks /. 1000.0))
-      ~id:(Filename.basename dir) ~store ~base ~connect ()
-  in
-  List.iter (fun line -> Printf.printf "  %s\n" line) r.Fleet.Subscriber.r_log;
-  Printf.printf
-    "%s: %d entr%s committed, %d blob(s) / %d byte(s) fetched, %d byte(s) \
-     already local\n"
-    dir r.r_committed
-    (if r.r_committed = 1 then "y" else "ies")
-    r.r_blobs_fetched r.r_bytes_fetched r.r_bytes_saved;
-  if r.r_synced then
-    Printf.printf "synced to chain head %s in %d attempt(s)\n" r.r_head
-      r.r_attempts
-  else begin
+  match Repo.open_dir dir with
+  | Error e ->
+    Format.eprintf "error: cannot open %s: %a@." dir Repo.pp_error e;
+    exit 2
+  | Ok mirror ->
+    let connect _attempt =
+      match Fleet.Transport.connect_unix socket with
+      | tr -> Some tr
+      | exception Unix.Unix_error _ -> None
+    in
+    let r =
+      Fleet.Subscriber.sync
+        ~sleep:(fun ticks -> Unix.sleepf (float_of_int ticks /. 1000.0))
+        ~id:(Filename.basename dir) ~store:(Repo.store mirror) ~base ~connect
+        ()
+    in
+    List.iter
+      (fun line -> Printf.printf "  %s\n" line)
+      r.Fleet.Subscriber.r_log;
     Printf.printf
-      "server unreachable after %d attempt(s); still serving head %s\n"
-      r.r_attempts r.r_head;
-    exit 1
-  end
+      "%s: %d entr%s committed, %d blob(s) / %d byte(s) fetched, %d byte(s) \
+       already local\n"
+      dir r.r_committed
+      (if r.r_committed = 1 then "y" else "ies")
+      r.r_blobs_fetched r.r_bytes_fetched r.r_bytes_saved;
+    if r.r_synced then
+      Printf.printf "synced to chain head %s in %d attempt(s)\n" r.r_head
+        r.r_attempts
+    else begin
+      Printf.printf
+        "server unreachable after %d attempt(s); still serving head %s\n"
+        r.r_attempts r.r_head;
+      exit 1
+    end
 
 (* --- cumulative updates: collapse --- *)
 

@@ -10,5 +10,6 @@ let hash ~seed ~id n =
   feed (n * 0x27d4eb2f);
   !h
 
-let jitter ~seed ~id ~bound n =
-  if bound <= 0 then 0 else hash ~seed ~id n mod bound
+let retry_delay ~base ~cap ~bound ~seed ~id ~attempt =
+  delay ~base ~cap (attempt - 1)
+  + (if bound <= 0 then 0 else hash ~seed ~id attempt mod bound)

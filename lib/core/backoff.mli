@@ -13,6 +13,13 @@ val delay : base:int -> cap:int -> int -> int
     same value. *)
 val hash : seed:int -> id:string -> int -> int
 
-(** [jitter ~seed ~id ~bound n] is [hash ~seed ~id n mod bound], or 0
-    when [bound <= 0]. *)
-val jitter : seed:int -> id:string -> bound:int -> int -> int
+(** [retry_delay ~base ~cap ~bound ~seed ~id ~attempt] is the wait after
+    failed attempt [attempt] (1-based) of the retrier named [id]:
+    [delay ~base ~cap (attempt - 1)] plus a jitter [hash ~seed ~id
+    attempt mod bound] (0 when [bound <= 0]). The manager's retry queue
+    and the fleet subscriber both use it, each with its own constants,
+    so a retry schedule replays bit-identically for a given (seed, id,
+    attempt). *)
+val retry_delay :
+  base:int -> cap:int -> bound:int -> seed:int -> id:string -> attempt:int ->
+  int

@@ -268,8 +268,7 @@ let minimal_helper ~multi_defined (pre : Objfile.t) ~replaced_raw
   done;
   { pre with sections = List.filter is_kept pre.sections }
 
-let create ?(build_options = Minic.Driver.pre_build) ?(minimal = true) ?store
-    ?(supersedes = []) req =
+let create ?(minimal = true) ?store ?(supersedes = []) req =
   let store = match store with Some s -> s | None -> Store.default () in
   Trace.with_span "create"
     ~fields:[ ("update", Trace.Str req.update_id) ]
@@ -280,10 +279,10 @@ let create ?(build_options = Minic.Driver.pre_build) ?(minimal = true) ?store
     match
       (* pre before post, sequentially: the post build then recompiles
          only patched units, everything else hits the compile cache *)
-      match Kbuild.build_tree ~options:build_options req.source with
+      match Kbuild.build_tree ~options:Minic.Driver.pre_build req.source with
       | Error e -> Error e
       | Ok pre_build -> (
-        match Kbuild.build_tree ~options:build_options post_tree with
+        match Kbuild.build_tree ~options:Minic.Driver.pre_build post_tree with
         | Error e -> Error e
         | Ok post_build -> Ok (pre_build, post_build))
     with

@@ -57,9 +57,9 @@ type created = {
     [update.primary] appears exactly once. *)
 val shipped_symbols : created -> (string * (string * Prepost.reason)) list
 
-(** [create ?build_options ?minimal ?store request] builds the update.
-    [build_options] defaults to {!Minic.Driver.pre_build} (function
-    sections on — required for the differencing to be per-function).
+(** [create ?minimal ?store request] builds the update. Both trees
+    build with {!Minic.Driver.pre_build} (function sections on —
+    required for the differencing to be per-function).
 
     [minimal] (default [true]) selects function-granular carving: the
     primary ships only the diff's inclusion set and each helper keeps
@@ -87,7 +87,6 @@ val shipped_symbols : created -> (string * (string * Prepost.reason)) list
     the primary's Note sections into [update.shadow_ctors] /
     [update.shadow_dtors] automatically. *)
 val create :
-  ?build_options:Minic.Driver.options ->
   ?minimal:bool ->
   ?store:Store.t ->
   ?supersedes:string list ->

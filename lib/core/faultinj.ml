@@ -33,12 +33,11 @@ let expect_abort = function Sched_perturb -> false | _ -> true
 
 type plan = {
   step : Txn.step;
-  kind : kind;
   seed : int;
 }
 
 let pp_plan ppf p =
-  Format.fprintf ppf "%s@%s (seed %d)" (kind_name p.kind)
+  Format.fprintf ppf "%s@%s (seed %d)" (kind_name (kind_for_step p.step))
     (Txn.step_name p.step) p.seed
 
 type session = {
@@ -60,7 +59,7 @@ let disarm s =
 
 let arm s =
   s.active <- true;
-  match s.p.kind with
+  match kind_for_step s.p.step with
   | Oom ->
     Machine.set_alloc_injector s.m
       (Some
@@ -106,14 +105,14 @@ let on_step s step =
   else disarm s
 
 let veto_quiescence s =
-  if s.active && s.p.kind = Forced_not_quiescent then begin
+  if s.active && kind_for_step s.p.step = Forced_not_quiescent then begin
     s.fired <- true;
     true
   end
   else false
 
 let sabotage_resolve s resolve name =
-  if s.active && s.p.kind = Unresolved && not s.fired then begin
+  if s.active && kind_for_step s.p.step = Unresolved && not s.fired then begin
     s.fired <- true;
     None
   end

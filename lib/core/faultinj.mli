@@ -1,7 +1,8 @@
 (** Deterministic, seedable fault injection for the apply pipeline.
 
-    A {!plan} names one pipeline step and the fault to inject there; a
-    {!session} arms the corresponding machine-level injection hook
+    A {!plan} names one pipeline step, and the fault injected there is
+    that step's canonical kind ({!kind_for_step}); a {!session} arms the
+    corresponding machine-level injection hook
     ([Kernel.Machine.set_alloc_injector] & co.) exactly while the apply
     pipeline is inside that step, and disarms it on leaving. Pass the
     session to [Apply.apply ~inject] and check {!fired} afterwards.
@@ -28,9 +29,11 @@ val kind_for_step : Txn.step -> kind
     ([Sched_perturb] is the one benign kind). *)
 val expect_abort : kind -> bool
 
+(** A fault at [step] of kind [kind_for_step step]; [seed] picks the
+    flipped bit of a [Corrupt_reloc] and the length of a
+    [Sched_perturb] burst. *)
 type plan = {
   step : Txn.step;
-  kind : kind;
   seed : int;
 }
 

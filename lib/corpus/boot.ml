@@ -23,7 +23,7 @@ let or_fail what pp = function
   | Ok v -> v
   | Error e -> failwith (Format.asprintf "boot: %s: %a" what pp e)
 
-let boot ?(workers = 0) ?tree () =
+let boot ?tree () =
   let tree = match tree with Some t -> t | None -> Base_kernel.tree () in
   let build =
     or_fail "build" Kbuild.pp_error
@@ -40,16 +40,6 @@ let boot ?(workers = 0) ?tree () =
   call_if_present b "task_init" [ 1l; 0l ];
   call_if_present b "task_init" [ 2l; 1000l ];
   call_if_present b "task_init" [ 3l; 1001l ];
-  (match Image.lookup_global image "worker_loop" with
-   | Some s ->
-     for i = 1 to workers do
-       ignore
-         (Machine.spawn machine
-            ~name:(Printf.sprintf "kworker/%d" i)
-            ~uid:0 ~entry:s.addr ~args:[])
-     done;
-     if workers > 0 then ignore (Machine.run machine ~steps:200 : int)
-   | None -> ());
   b
 
 let syscall b ~uid nr args =

@@ -1,7 +1,7 @@
 (** Booting the base kernel into a machine: build (distro-style, no
-    function sections), link, create the VM, run the init functions, seed
-    the task table, and optionally start kernel worker threads (which make
-    [worker_loop] non-quiescent, as §5.2 describes for [schedule]). *)
+    function sections), link, create the VM, run the init functions and
+    seed the task table. No thread runs yet: callers spawn their own
+    (the stress workload, exploits, a test's blocker). *)
 
 type booted = {
   build : Kbuild.build;
@@ -9,11 +9,10 @@ type booted = {
   machine : Kernel.Machine.t;
 }
 
-(** [boot ?workers ?tree ()] boots [tree] (default {!Base_kernel.tree}).
-    [workers] (default 0) kernel worker threads are spawned.
+(** [boot ?tree ()] boots [tree] (default {!Base_kernel.tree}).
     @raise Failure if [tree] does not build or link, or an init function
     faults. *)
-val boot : ?workers:int -> ?tree:Patchfmt.Source_tree.t -> unit -> booted
+val boot : ?tree:Patchfmt.Source_tree.t -> unit -> booted
 
 (** [syscall b ~uid nr args] invokes a syscall through the entry path the
     way a user thread would (for host-side checks). *)

@@ -145,7 +145,7 @@ let create_update (cve : Cve.t) base =
 let faulted_cell mgr ~what ~undo ~undo_id ~apply step ~seed =
   let m = Apply.machine mgr in
   let snap = Machine.snapshot m in
-  let plan = { Faultinj.step; kind = Faultinj.kind_for_step step; seed } in
+  let plan = { Faultinj.step; seed } in
   let session = Faultinj.make m plan in
   let result = apply session in
   Faultinj.disarm session;
@@ -168,7 +168,7 @@ let faulted_cell mgr ~what ~undo ~undo_id ~apply step ~seed =
     (* it went through; it must be a benign or unfired fault, and the
        update must verify and undo cleanly for the next cell *)
     let verdict =
-      if fired && Faultinj.expect_abort plan.kind then
+      if fired && Faultinj.expect_abort (Faultinj.kind_for_step step) then
         Violation
           [ Format.asprintf "%a fired but %s succeeded"
               Faultinj.pp_plan plan what ]
@@ -348,13 +348,6 @@ let health_checks (b : Boot.booted) (cve : Cve.t) =
             if r.ok then Ok ()
             else Error (String.concat "; " r.failures)) } ]
 
-(* tight enough that the watchdog and retry queue actually trip in the
-   adversarial and forced-not-quiescent cells, loose enough that a
-   drainable blocker still converges *)
-let manager_policy ~seed =
-  { Manager.seed; deadline = 12_000; retry_limit = 4; backoff_base = 300;
-    backoff_cap = 2_000; jitter = 100 }
-
 (* the entry address of the first replaced function — where the
    manager sweep's adversarial churner runs and the transition sweep's
    straggler sleeps *)
@@ -373,7 +366,7 @@ let replaced_entry machine (update : Ksplice.Update.t) =
 let run_mcell ~seed scenario (cve : Cve.t) update =
   let b = Boot.boot () in
   let ap = Apply.init b.machine in
-  let mgr = Manager.create ~policy:(manager_policy ~seed) ap in
+  let mgr = Manager.create ~seed ap in
   let health = health_checks b cve in
   let notes = ref [] in
   let note fmt = Format.kasprintf (fun s -> notes := s :: !notes) fmt in
@@ -386,9 +379,7 @@ let run_mcell ~seed scenario (cve : Cve.t) update =
      let steps = Txn.all_steps in
      let si = abs (Hashtbl.hash (seed, cve.id)) mod List.length steps in
      let step = List.nth steps si in
-     let plan =
-       { Faultinj.step; kind = Faultinj.kind_for_step step; seed }
-     in
+     let plan = { Faultinj.step; seed } in
      let s = Faultinj.make b.machine plan in
      session := Some (plan, s);
      Manager.submit mgr update ~health
@@ -433,17 +424,18 @@ let run_mcell ~seed scenario (cve : Cve.t) update =
    | Injected ->
      let plan, s = Option.get !session in
      let fired = Faultinj.fired s in
+     let kind = Faultinj.kind_for_step plan.Faultinj.step in
      (match st with
       | Manager.Applied_healthy ->
-        if fired && Faultinj.expect_abort plan.kind then begin
+        if fired && Faultinj.expect_abort kind then begin
           (* only a transient quiescence fault may heal on retry *)
-          if plan.kind <> Faultinj.Forced_not_quiescent then
+          if kind <> Faultinj.Forced_not_quiescent then
             note "%a fired yet update went healthy" Faultinj.pp_plan plan
           else if attempts < 2 then
             note "healed %a without a retry" Faultinj.pp_plan plan
         end
       | Manager.Parked (Manager.Rejected _) ->
-        if not (fired && Faultinj.expect_abort plan.kind) then
+        if not (fired && Faultinj.expect_abort kind) then
           note "parked though %a never fired" Faultinj.pp_plan plan
       | Manager.Parked _ ->
         (* a quiescence park can't happen here: the machine is at rest
@@ -921,8 +913,7 @@ let run_tcell (cve : Cve.t) update =
        th.Machine.state <- Machine.Sleeping (Machine.tick machine + 3_000)
      in
      let eng =
-       Transition.engage
-         ~policy:{ Transition.default_policy with budget = 2_000 }
+       Transition.engage ~budget:2_000
          ~on_stats:(fun s -> straggler_stats := Some s)
          ()
      in
@@ -1241,9 +1232,7 @@ let fleet_cve ~seed (cve : Cve.t) base =
   (let sub = Store.create ~name:"fleet-degraded" () in
    incr cells;
    let r =
-     Subscriber.sync
-       ~policy:{ Subscriber.default_policy with retries = 3 }
-       ~store:sub ~base:base_digest
+     Subscriber.sync ~retries:3 ~store:sub ~base:base_digest
        ~connect:(fun _ -> None)
        ()
    in

@@ -28,7 +28,7 @@ let load machine ~name ~src =
   | Some s -> s.addr
   | None -> err "%s: no main function" name
 
-let run ?(max_steps = 2_000_000) ?(uid = 1000) machine ~name ~src ~args () =
+let run ?(uid = 1000) machine ~name ~src ~args () =
   let entry = load machine ~name ~src in
   let th = Machine.spawn machine ~name ~uid ~entry ~args in
   let result = ref None in
@@ -37,7 +37,7 @@ let run ?(max_steps = 2_000_000) ?(uid = 1000) machine ~name ~src ~args () =
     (match th.state with
      | Machine.Exited v -> result := Some (Ok v)
      | Machine.Faulted f -> result := Some (Error f)
-     | _ when !spent >= max_steps -> result := Some (Error Machine.Step_limit)
+     | _ when !spent >= 2_000_000 -> result := Some (Error Machine.Step_limit)
      | _ ->
        let n = Machine.run machine ~steps:10_000 in
        spent := !spent + n;

@@ -10,11 +10,11 @@ exception Error of string
 val load : Kernel.Machine.t -> name:string -> src:string -> int
 
 (** [run machine ~name ~src ~uid ~args ()] loads the program, spawns a
-    thread on [main] with [args], and drives the scheduler until it exits
-    or faults (or [max_steps] elapse). Returns the outcome and the thread
-    (whose [uid] field shows any privilege escalation). *)
+    thread on [main] with [args] ([uid] defaults to 1000), and drives the
+    scheduler until it exits or faults (or 2 000 000 steps elapse).
+    Returns the outcome and the thread (whose [uid] field shows any
+    privilege escalation). *)
 val run :
-  ?max_steps:int ->
   ?uid:int ->
   Kernel.Machine.t ->
   name:string ->

@@ -18,17 +18,15 @@ type state =
 
 type session = {
   repo : Repo.t;
-  id : string;
   st : stats;
   mutable state : state;
   mutable buf : string;
   mutable pos : int;
 }
 
-let session ?(id = "fleet-server") repo =
+let session repo =
   {
     repo;
-    id;
     st = { frames_in = 0; blobs_sent = 0; bytes_sent = 0; errors = 0 };
     state = Expect_hello;
     buf = "";
@@ -67,7 +65,7 @@ let step s frame =
         version
     else begin
       s.state <- Expect_head;
-      [ Wire.Hello_ack { version = Wire.version; peer = s.id } ]
+      [ Wire.Hello_ack { version = Wire.version; peer = "fleet-server" } ]
     end
   | Expect_head, Wire.Head { digest } -> (
     match Repo.manifest s.repo ~digest with
@@ -130,8 +128,8 @@ let handle s bytes =
     List.map Wire.encode !out
   end
 
-let serve_connection ?id repo (tr : Transport.t) =
-  let s = session ?id repo in
+let serve_connection repo (tr : Transport.t) =
+  let s = session repo in
   let rec loop () =
     match tr.recv () with
     | chunk ->

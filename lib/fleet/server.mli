@@ -20,9 +20,9 @@ type stats = {
 
 type session
 
-(** [session ?id repo] starts a session serving [repo]'s chains. [id]
-    names the server in [Hello_ack] (default ["fleet-server"]). *)
-val session : ?id:string -> Ksplice.Repository.t -> session
+(** [session repo] starts a session serving [repo]'s chains; the server
+    names itself ["fleet-server"] in [Hello_ack]. *)
+val session : Ksplice.Repository.t -> session
 
 (** [handle s bytes] feeds received bytes (any chunking — partial frames
     are buffered) and returns the encoded response frames to send.
@@ -36,7 +36,7 @@ val finished : session -> bool
 
 (** [serve_connection repo tr] runs one full session over a transport,
     returning its stats when the peer disconnects or the session ends. *)
-val serve_connection : ?id:string -> Ksplice.Repository.t -> Transport.t -> stats
+val serve_connection : Ksplice.Repository.t -> Transport.t -> stats
 
 (** [listen ~socket_path ?max_sessions repo] binds a Unix-domain socket
     and serves connections sequentially — [max_sessions] bounds the

@@ -1,23 +1,5 @@
 module Repo = Ksplice.Repository
 
-type policy = {
-  retries : int;
-  backoff_base : int;
-  backoff_cap : int;
-  jitter : int;
-  seed : int;
-}
-
-let default_policy =
-  { retries = 5; backoff_base = 100; backoff_cap = 1600; jitter = 64; seed = 0 }
-
-(* the Manager's schedule, so fleet retries replay bit-identically for
-   a given (seed, id, attempt) just like manager retries do *)
-let retry_delay pol ~id ~attempt =
-  Ksplice.Backoff.delay ~base:pol.backoff_base ~cap:pol.backoff_cap
-    (attempt - 1)
-  + Ksplice.Backoff.jitter ~seed:pol.seed ~id ~bound:pol.jitter attempt
-
 type error =
   | Transport of Transport.recv_error
   | Protocol of string
@@ -213,8 +195,8 @@ type report = {
   r_log : string list;
 }
 
-let sync ?(policy = default_policy) ?(sleep = fun _ -> ()) ?(id = "subscriber")
-    ~store ~base ~connect () =
+let sync ?(retries = 5) ?(sleep = fun _ -> ()) ?(id = "subscriber") ~store
+    ~base ~connect () =
   let totals =
     { committed = 0; blobs_fetched = 0; bytes_fetched = 0; bytes_saved = 0;
       redundant = 0; dups = 0 }
@@ -235,7 +217,7 @@ let sync ?(policy = default_policy) ?(sleep = fun _ -> ()) ?(id = "subscriber")
     }
   in
   let rec attempt n delays log =
-    if n > policy.retries then
+    if n > retries then
       (* graceful degradation: every attempt failed — keep serving the
          old chain head; everything durably committed so far stays *)
       finish ~head:(head store ~base) ~synced:false ~attempts:(n - 1) ~delays
@@ -253,11 +235,17 @@ let sync ?(policy = default_policy) ?(sleep = fun _ -> ()) ?(id = "subscriber")
       | Ok h -> finish ~head:h ~synced:true ~attempts:n ~delays ~log
       | Error e ->
         let log = Printf.sprintf "attempt %d: %s" n e :: log in
-        if n >= policy.retries then
+        if n >= retries then
           finish ~head:(head store ~base) ~synced:false ~attempts:n ~delays
             ~log
         else begin
-          let d = retry_delay policy ~id ~attempt:n in
+          (* the Manager's schedule with the subscriber's constants, so
+             fleet retries replay bit-identically for a given (id,
+             attempt) just like manager retries do *)
+          let d =
+            Ksplice.Backoff.retry_delay ~base:100 ~cap:1600 ~bound:64 ~seed:0
+              ~id ~attempt:n
+          in
           sleep d;
           attempt (n + 1) (d :: delays) log
         end

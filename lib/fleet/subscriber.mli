@@ -14,32 +14,18 @@
     - {b resume, never re-download}: wants are computed by set
       difference against the local store, so blobs verified in an
       earlier attempt (even an aborted one) are never transferred again.
-    - {b bounded-exponential retry} with seeded jitter
-      ({!Ksplice.Backoff}, the Manager's schedule), and {b graceful
-      degradation}: when the server is unreachable the subscriber keeps
-      serving its old chain head.
+    - {b bounded-exponential retry}: after failed attempt [n] the
+      subscriber waits [min(1600, 100·2{^n-1})] ticks plus a jitter
+      below 64 seeded by (id, attempt) ({!Ksplice.Backoff.retry_delay},
+      the Manager's schedule), and {b graceful degradation}: when the
+      server is unreachable the subscriber keeps serving its old chain
+      head.
 
     The local mirror uses the same layout as the server
     ({!Ksplice.Repository.entry_ref} refs over a store), so
     {!Ksplice.Repository.of_store} gives pending/sync/fsck/gc over it
     directly. The subscriber's own position lives under the
     ["fleet:head"] ref and advances atomically with each entry. *)
-
-(** Retry schedule: bounded exponential backoff plus deterministic
-    seeded jitter ({!Ksplice.Backoff}, as in the Manager) — delays are
-    abstract ticks (the caller decides whether to sleep them). *)
-type policy = {
-  retries : int;  (** maximum connection attempts *)
-  backoff_base : int;
-  backoff_cap : int;  (** ceiling, pre-jitter *)
-  jitter : int;  (** jitter bound; same seed and id => same schedule *)
-  seed : int;
-}
-
-val default_policy : policy
-
-(** [retry_delay pol ~id ~attempt] — exposed for tests and the sweep. *)
-val retry_delay : policy -> id:string -> attempt:int -> int
 
 type error =
   | Transport of Transport.recv_error
@@ -75,11 +61,13 @@ type report = {
 }
 
 (** [sync ~store ~base ~connect ()] brings the local mirror up to the
-    server's chain head. [connect attempt] opens a fresh transport for
-    each attempt ([None] = connection refused; counted and retried).
-    [sleep] is called with each backoff delay (default: ignore — the
-    simulation has no clock). Total: degradation is a report, not an
+    server's chain head in at most [retries] attempts (default 5).
+    [connect attempt] opens a fresh transport for each attempt ([None] =
+    connection refused; counted and retried). [sleep] is called with
+    each backoff delay, in abstract ticks (default: ignore — the
+    simulation has no clock). [id] names the subscriber to the server
+    and seeds its retry jitter. Total: degradation is a report, not an
     error. *)
 val sync :
-  ?policy:policy -> ?sleep:(int -> unit) -> ?id:string -> store:Store.t ->
+  ?retries:int -> ?sleep:(int -> unit) -> ?id:string -> store:Store.t ->
   base:string -> connect:(int -> Transport.t option) -> unit -> report

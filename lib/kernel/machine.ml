@@ -912,7 +912,7 @@ let rec call_loop t th steps step_limit =
       | _ -> Ok (Int32.of_int th.regs.(0)))
   end
 
-let call_function ?(step_limit = 2_000_000) ?(uid = 0) t ~addr ~args =
+let call_function ?(step_limit = 2_000_000) t ~addr ~args =
   if t.in_call_function then
     invalid_arg "Machine.call_function: reentrant call";
   t.in_call_function <- true;
@@ -933,7 +933,7 @@ let call_function ?(step_limit = 2_000_000) ?(uid = 0) t ~addr ~args =
           stack_lo = t.call_stack_lo;
           stack_hi = t.call_stack_hi;
           state = Runnable;
-          uid;
+          uid = 0;
           flag_eq = false;
           flag_lt = false;
           (* host-initiated calls run on the goal side of any active

@@ -129,12 +129,12 @@ val threads : t -> thread list
     exited and nothing is sleeping). *)
 val run : t -> steps:int -> int
 
-(** [call_function t ~uid ~addr ~args] synchronously executes the function
-    at [addr] on a dedicated internal thread context (its own stack) until
-    it returns; used for boot-time init, Ksplice hooks, and tests. *)
+(** [call_function t ~addr ~args] synchronously executes the function
+    at [addr] on a dedicated internal thread context (its own stack, uid
+    0) until it returns or [step_limit] steps (default 2 000 000) run;
+    used for boot-time init, Ksplice hooks, and tests. *)
 val call_function :
   ?step_limit:int ->
-  ?uid:int ->
   t ->
   addr:int ->
   args:int32 list ->

@@ -14,24 +14,18 @@ type health_check = {
   hc_probe : unit -> (unit, string) result;
 }
 
-type policy = {
-  deadline : int;
-  retry_limit : int;
-  backoff_base : int;
-  backoff_cap : int;
-  jitter : int;
-  seed : int;
-}
-
-let default_policy =
-  {
-    deadline = 12_000;
-    retry_limit = 5;
-    backoff_base = 500;
-    backoff_cap = 8_000;
-    jitter = 250;
-    seed = 0;
-  }
+(* tight enough that the watchdog and retry queue actually trip in the
+   manager sweep's adversarial and forced-not-quiescent cells, loose
+   enough that a drainable blocker still converges: [deadline] is each
+   apply's and undo's scheduler-step budget, an update gets
+   [retry_limit] attempts, and the wait after attempt n is
+   min(backoff_cap, backoff_base * 2^(n-1)) plus a jitter below
+   [jitter] *)
+let deadline = 12_000
+let retry_limit = 4
+let backoff_base = 300
+let backoff_cap = 2_000
+let jitter = 100
 
 type park_reason =
   | Exhausted_retries of Apply.not_quiescent
@@ -121,7 +115,7 @@ type entry = {
 
 type t = {
   ap : Apply.t;
-  pol : policy;
+  seed : int;  (* the retry jitter's seed *)
   mutable entries : entry list;  (* submission order *)
   mutable clock : int;
   mutable events : Event.t list;  (* most recent first *)
@@ -129,10 +123,10 @@ type t = {
   mutable violation_count : int;
 }
 
-let create ?(policy = default_policy) ap =
+let create ~seed ap =
   {
     ap;
-    pol = policy;
+    seed;
     entries = [];
     clock = 0;
     events = [];
@@ -205,15 +199,6 @@ let emit t ?(attempt = 0) ?(steps = 0) ?(detail = "") update kind =
   Trace.instant ("manager." ^ Event.kind_name kind) ~fields:(event_fields ev);
   Log.debug (fun k -> k "%a" Event.pp ev)
 
-(* exponential backoff for manager-level retry [attempt] (1-based):
-   min(cap, base * 2^(attempt-1)) plus a jitter seeded by (seed, update
-   id, attempt), so the retry schedule is a pure function of the policy
-   — replayable, yet updates don't thundering-herd *)
-let retry_delay pol ~id ~attempt =
-  Ksplice.Backoff.delay ~base:pol.backoff_base ~cap:pol.backoff_cap
-    (attempt - 1)
-  + Ksplice.Backoff.jitter ~seed:pol.seed ~id ~bound:pol.jitter attempt
-
 let submit_gen ~cumulative ~health ~inject t (update : Update.t) =
   let id = update.Update.update_id in
   if
@@ -248,9 +233,8 @@ let submit_cumulative ?(health = []) ?(inject = fun ~attempt:_ -> None) t
          update.Update.update_id);
   submit_gen ~cumulative:true ~health ~inject t update
 
-(* every apply and undo runs the §5.2 loop under the policy's step
-   deadline *)
-let watchdog t = Apply.stop_machine ~deadline:t.pol.deadline ()
+(* every apply and undo runs the §5.2 loop under the step deadline *)
+let watchdog = Apply.stop_machine ~deadline ()
 
 (* --- rollback auditing --- *)
 
@@ -338,7 +322,7 @@ let health_gate t e (a : Apply.applied) =
         emit t id Event.Health_failed ~attempt:e.e_attempts
           ~detail:(name ^ ": " ^ msg))
       evidence;
-    (match Apply.undo t.ap ~engage:(watchdog t) id with
+    (match Apply.undo t.ap ~engage:watchdog id with
      | Ok () ->
        audit_undo_bytes t id a.Apply.journal;
        emit t id Event.Reverted ~attempt:e.e_attempts;
@@ -364,7 +348,7 @@ let attempt t e =
      its journal without re-applying anything *)
   let apply_once =
     (if e.e_cumulative then Apply.apply_cumulative else Apply.apply)
-      ~engage:(watchdog t)
+      ~engage:watchdog
       ?inject:(e.e_inject ~attempt:e.e_attempts)
   in
   match apply_once t.ap e.e_update with
@@ -375,13 +359,18 @@ let attempt t e =
     (match err with
      | Apply.Not_quiescent nq | Apply.Deadline_exceeded { de_diag = nq; _ }
        ->
-       if e.e_attempts >= t.pol.retry_limit then
+       if e.e_attempts >= retry_limit then
          park t e (Exhausted_retries nq)
            ~detail:
-             (Printf.sprintf "retry limit (%d) exhausted: %s"
-                t.pol.retry_limit (err_str err))
+             (Printf.sprintf "retry limit (%d) exhausted: %s" retry_limit
+                (err_str err))
        else begin
-         let delay = retry_delay t.pol ~id ~attempt:e.e_attempts in
+         (* the jitter is seeded by (seed, update id, attempt): the
+            schedule replays, yet updates don't thundering-herd *)
+         let delay =
+           Ksplice.Backoff.retry_delay ~base:backoff_base ~cap:backoff_cap
+             ~bound:jitter ~seed:t.seed ~id ~attempt:e.e_attempts
+         in
          e.e_due <- t.clock + delay;
          emit t id Event.Retried ~attempt:e.e_attempts ~steps:delay
            ~detail:(Printf.sprintf "next attempt at t=%d" e.e_due)
@@ -481,9 +470,9 @@ let report t =
   J.Obj
     [
       ("schema", J.Str "ksplice-manager/1");
-      ("seed", num t.pol.seed);
-      ("deadline", num t.pol.deadline);
-      ("retry_limit", num t.pol.retry_limit);
+      ("seed", num t.seed);
+      ("deadline", num deadline);
+      ("retry_limit", num retry_limit);
       ("clock", num t.clock);
       ("violations", num t.violation_count);
       ( "updates",

@@ -9,16 +9,17 @@
     manager owns four mechanisms:
 
     + a {b watchdog} — every apply and auto-revert engages through
-      [Ksplice.Apply.stop_machine ~deadline:policy.deadline], a hard
+      [Ksplice.Apply.stop_machine ~deadline:12_000], a hard
       scheduler-step budget on the quiescence backoff; blowing it aborts
       with [Deadline_exceeded] and the usual byte-identical rollback;
     + a deterministic {b retry queue} — quiescence failures
-      ([Not_quiescent], [Deadline_exceeded]) are retried under bounded
-      exponential backoff with seeded jitter ({!Ksplice.Backoff}). No
+      ([Not_quiescent], [Deadline_exceeded]) are retried after
+      [min(2000, 300·2{^n-1})] steps plus a jitter below 100 seeded by
+      (seed, update id, attempt) ({!Ksplice.Backoff.retry_delay}). No
       wall clocks: time is the manager's own step counter, advanced
       only by the scheduler runs it performs, so a run is replayable
-      from its seed. After [retry_limit] attempts the update is parked
-      with its blocker diagnostics;
+      from its seed. After 4 attempts the update is parked with its
+      blocker diagnostics;
     + a {b health gate} — after a successful apply the manager runs
       {!Ksplice.Apply.verify} plus the caller's probes (exploit checks,
       stress smokes) {e inside a transaction}: if all pass, the probe
@@ -50,22 +51,10 @@ type health_check = {
   hc_probe : unit -> (unit, string) result;
 }
 
-type policy = {
-  deadline : int;
-      (** watchdog: scheduler-step budget per apply (and per undo) *)
-  retry_limit : int;  (** manager-level apply attempts per update *)
-  backoff_base : int;  (** steps before retry 2 (doubles per retry) *)
-  backoff_cap : int;  (** backoff ceiling, pre-jitter *)
-  jitter : int;  (** deterministic jitter bound added to each backoff *)
-  seed : int;  (** jitter seed; same seed => same schedule *)
-}
-
-val default_policy : policy
-
 type park_reason =
   | Exhausted_retries of Ksplice.Apply.not_quiescent
-      (** all [retry_limit] attempts failed to quiesce; the last
-          attempt's blocker diagnostics *)
+      (** all 4 attempts failed to quiesce; the last attempt's blocker
+          diagnostics *)
   | Rejected of string  (** a non-retryable apply error, rendered *)
 
 type status =
@@ -118,7 +107,9 @@ end
 
 type t
 
-val create : ?policy:policy -> Ksplice.Apply.t -> t
+(** [create ~seed ap] supervises updates on [ap]. [seed] seeds the retry
+    jitter: the same seed gives the same schedule. *)
+val create : seed:int -> Ksplice.Apply.t -> t
 val apply_state : t -> Ksplice.Apply.t
 
 (** [submit ?health ?inject t update] queues [update] for supervised
@@ -150,7 +141,7 @@ val submit_cumulative :
 
 (** Drive the queue until every entry is terminal (applied-healthy,
     parked, or quarantined). Termination is structural: attempts are
-    capped by [retry_limit] and each backoff is bounded, so [run] never
+    capped at 4 and each backoff is bounded, so [run] never
     wedges even when nothing ever quiesces. Idempotent: entries already
     terminal are untouched; newly submitted entries are processed. *)
 val run : t -> unit

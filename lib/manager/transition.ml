@@ -7,9 +7,8 @@ let src =
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type policy = { slice : int; budget : int }
-
-let default_policy = { slice = 400; budget = 40_000 }
+(* scheduler steps per migration round *)
+let slice = 400
 
 type sp_class = Scan | Syscall | Quantum | Forced
 
@@ -71,7 +70,7 @@ let pp_stats ppf s =
    migration, with the §5.2 loop ([Apply.stop_machine]) demoted to a
    fallback for stragglers. Plugged into [Apply.apply]/[Apply.undo] via
    [?engage]. *)
-let engage ?(policy = default_policy) ?on_stats () (e : Apply.engagement) =
+let engage ?(budget = 40_000) ?on_stats () (e : Apply.engagement) =
   let m = e.Apply.e_machine in
   let migrations = ref [] in
   let forced = ref 0 in
@@ -128,12 +127,12 @@ let engage ?(policy = default_policy) ?on_stats () (e : Apply.engagement) =
   let stalled = ref false in
   while
     (not (all_migrated ()))
-    && !sched_steps < policy.budget
+    && !sched_steps < budget
     && not !stalled
   do
     incr rounds;
     let ran = ref 0 in
-    e.e_sched (fun () -> ran := Machine.run m ~steps:policy.slice);
+    e.e_sched (fun () -> ran := Machine.run m ~steps:slice);
     sched_steps := !sched_steps + !ran;
     scan ();
     (* nothing ran: every unmigrated thread is permanently off-cpu, so

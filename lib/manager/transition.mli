@@ -28,13 +28,6 @@
     {e reverse transition} (original entry bytes first, unmigrated
     threads routed to the still-live new code). *)
 
-type policy = {
-  slice : int;  (** scheduler steps per migration round *)
-  budget : int;  (** total scheduler steps before the fallback *)
-}
-
-val default_policy : policy
-
 (** How a thread came to migrate: a stack-{b scan} pass, the
     {b syscall} gate, a scheduler-{b quantum} boundary, or {b forced}
     under the stop_machine fallback. *)
@@ -66,11 +59,14 @@ type stats = {
 
 val migrated_by_class : stats -> (sp_class * int) list
 
-(** [engage ?policy ?on_stats ()] builds the engagement, suitable for
-    [Apply.apply ~engage] and [Apply.undo ~engage]. [on_stats] receives
-    the migration record on success (including fallback successes). *)
+(** [engage ?budget ?on_stats ()] builds the engagement, suitable for
+    [Apply.apply ~engage] and [Apply.undo ~engage]. Migration rounds of
+    400 scheduler steps run until every thread has migrated or [budget]
+    steps (default 40 000) have run; then the fallback engages.
+    [on_stats] receives the migration record on success (including
+    fallback successes). *)
 val engage :
-  ?policy:policy ->
+  ?budget:int ->
   ?on_stats:(stats -> unit) ->
   unit ->
   Ksplice.Apply.engage_fn

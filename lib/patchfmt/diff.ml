@@ -59,8 +59,10 @@ let edit_script a b =
   in
   walk 0 0 kept
 
-(* hunks between two line lists (LCS-based, like diff -u) *)
-let diff_lines ?(context = 3) a b =
+(* hunks between two line lists (LCS-based, like diff -u: 3 lines of
+   context) *)
+let diff_lines a b =
+  let context = 3 in
   let script = Array.of_list (edit_script a b) in
   let n = Array.length script in
   let is_change = function Keep _ -> false | _ -> true in
@@ -128,7 +130,7 @@ let split_lines s =
   | "" :: rest -> List.rev rest
   | l -> List.rev l
 
-let diff_trees ?(context = 3) old_tree new_tree =
+let diff_trees old_tree new_tree =
   let paths =
     List.sort_uniq compare
       (Source_tree.files old_tree @ Source_tree.files new_tree)
@@ -142,15 +144,15 @@ let diff_trees ?(context = 3) old_tree new_tree =
         else
           Some
             { path; old_exists = true; new_exists = true;
-              hunks = diff_lines ~context (split_lines o) (split_lines n) }
+              hunks = diff_lines (split_lines o) (split_lines n) }
       | None, Some n ->
         Some
           { path; old_exists = false; new_exists = true;
-            hunks = diff_lines ~context [] (split_lines n) }
+            hunks = diff_lines [] (split_lines n) }
       | Some o, None ->
         Some
           { path; old_exists = true; new_exists = false;
-            hunks = diff_lines ~context (split_lines o) [] })
+            hunks = diff_lines (split_lines o) [] })
     paths
 
 let to_string (d : t) =

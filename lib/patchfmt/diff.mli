@@ -27,8 +27,9 @@ type file_diff = {
 type t = file_diff list
 
 (** [diff_trees old new_] produces a patch transforming [old] into
-    [new_], including file creations and deletions. *)
-val diff_trees : ?context:int -> Source_tree.t -> Source_tree.t -> t
+    [new_], including file creations and deletions, with 3 lines of
+    context per hunk. *)
+val diff_trees : Source_tree.t -> Source_tree.t -> t
 
 val to_string : t -> string
 

@@ -270,6 +270,10 @@ let record_json (r : record) =
       ("fields", J.Obj (List.map (fun (k, v) -> (k, value_json v)) r.fields));
     ]
 
+let counters_json () =
+  J.Obj
+    (List.map (fun (k, v) -> (k, J.Num (float_of_int v))) (counters ()))
+
 let export () =
   J.Obj
     [
@@ -277,6 +281,7 @@ let export () =
       ("capacity", J.Num (float_of_int (capacity ())));
       ("dropped", J.Num (float_of_int (dropped ())));
       ("records", J.Arr (List.map record_json (records ())));
+      ("counters", counters_json ());
     ]
 
 let metrics () =
@@ -304,9 +309,7 @@ let metrics () =
   J.Obj
     [
       ("schema", J.Str "ksplice-metrics/1");
-      ( "counters",
-        J.Obj (List.map (fun (k, v) -> (k, J.Num (float_of_int v)))
-                 (counters ())) );
+      ("counters", counters_json ());
       ( "histograms",
         J.Obj (List.map (fun (k, h) -> (k, hist_json h)) (histograms ())) );
     ]

@@ -139,7 +139,8 @@ val kind_name : kind -> string
 val record_json : record -> Report.Json.t
 
 (** The buffered trace as a [ksplice-trace/1] JSON document
-    ([schema], [dropped], [capacity], [records]). *)
+    ([schema], [capacity], [dropped], [records], and [counters] as in
+    {!metrics}), so an export alone recomputes per-op counts. *)
 val export : unit -> Report.Json.t
 
 (** Counters and histograms as a [ksplice-metrics/1] JSON document. *)

@@ -179,9 +179,7 @@ let test_fault_rolls_back_whole_collapse () =
   List.iteri
     (fun i step ->
       let snap = Machine.snapshot m in
-      let plan =
-        { Faultinj.step; kind = Faultinj.kind_for_step step; seed = 7 + i }
-      in
+      let plan = { Faultinj.step; seed = 7 + i } in
       let session = Faultinj.make m plan in
       let r = Apply.apply_cumulative mgr ~inject:session c in
       Faultinj.disarm session;

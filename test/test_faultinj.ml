@@ -174,9 +174,7 @@ let fault_case ~step ~expect_err () =
   let u = mk_update ~id:"fare" tree (patched_fare tree) in
   let mgr = Apply.init m in
   let snap = Machine.snapshot m in
-  let session =
-    Faultinj.make m { step; kind = Faultinj.kind_for_step step; seed = 42 }
-  in
+  let session = Faultinj.make m { step; seed = 42 } in
   (match Apply.apply mgr ~inject:session u with
    | Ok _ -> Alcotest.fail "expected the injected fault to abort apply"
    | Error e ->
@@ -224,10 +222,7 @@ ksplice_post_apply(fare_fixup);
   let u = mk_update ~id:"fare" tree tree' in
   let mgr = Apply.init m in
   let snap = Machine.snapshot m in
-  let session =
-    Faultinj.make m
-      { step = Txn.Commit; kind = Faultinj.Hook_fault; seed = 7 }
-  in
+  let session = Faultinj.make m { step = Txn.Commit; seed = 7 } in
   (match Apply.apply mgr ~inject:session u with
    | Ok _ -> Alcotest.fail "expected the post-apply hook fault to abort"
    | Error (Apply.Hook_fault _) -> ()
@@ -366,9 +361,7 @@ let prop_fault_rollback =
       let cve = Option.get (Corpus.Cve.find cve_id) in
       let update = update_of cve in
       let snap = Machine.snapshot m in
-      let session =
-        Faultinj.make m { step; kind = Faultinj.kind_for_step step; seed }
-      in
+      let session = Faultinj.make m { step; seed } in
       let result = Apply.apply mgr ~inject:session update in
       Faultinj.disarm session;
       let fired = Faultinj.fired session in

@@ -263,9 +263,7 @@ let test_resume_never_redownloads () =
 let test_degraded_serves_old_head () =
   let sub = sub_store () in
   let r =
-    Subscriber.sync
-      ~policy:{ Subscriber.default_policy with retries = 3 }
-      ~store:sub ~base:base_digest
+    Subscriber.sync ~retries:3 ~store:sub ~base:base_digest
       ~connect:(fun _ -> None)
       ()
   in
@@ -278,22 +276,25 @@ let test_degraded_serves_old_head () =
   | Error _ -> Alcotest.fail "degraded store not fsck-clean"
 
 let test_backoff_shape () =
-  let pol =
-    { Subscriber.retries = 6; backoff_base = 100; backoff_cap = 1600;
-      jitter = 50; seed = 3 }
+  (* the delays an unreachable server draws: one after each of the first
+     six of seven attempts *)
+  let delays id =
+    (Subscriber.sync ~retries:7 ~id ~store:(sub_store ()) ~base:base_digest
+       ~connect:(fun _ -> None) ())
+      .r_delays
   in
-  let d n = Subscriber.retry_delay pol ~id:"sub-1" ~attempt:n in
+  let d n = List.nth (delays "sub-1") (n - 1) in
   List.iter
     (fun n ->
       let expo = min 1600 (100 * (1 lsl (n - 1))) in
       let v = d n in
       Alcotest.(check bool)
-        (Printf.sprintf "attempt %d in [%d, %d)" n expo (expo + 50))
+        (Printf.sprintf "attempt %d in [%d, %d)" n expo (expo + 64))
         true
-        (v >= expo && v < expo + 50))
+        (v >= expo && v < expo + 64))
     [ 1; 2; 3; 4; 5; 6 ];
   Alcotest.(check int) "deterministic" (d 4) (d 4);
-  let other = Subscriber.retry_delay pol ~id:"sub-2" ~attempt:4 in
+  let other = List.nth (delays "sub-2") 3 in
   Alcotest.(check bool) "id-dependent jitter spread" true (other = d 4 || other <> d 4)
 
 let test_disk_resume_across_handles () =
@@ -314,9 +315,8 @@ let test_disk_resume_across_handles () =
       let s1 = Store.create ~name:"sub1" ~dir ~share:false () in
       let plan = { Transport.at = 8; kind = Transport.Disconnect; seed = 2 } in
       let r1 =
-        Subscriber.sync
-          ~policy:{ Subscriber.default_policy with retries = 1 }
-          ~store:s1 ~base:base_digest ~connect:(connect_sim ~plan repo) ()
+        Subscriber.sync ~retries:1 ~store:s1 ~base:base_digest
+          ~connect:(connect_sim ~plan repo) ()
       in
       Alcotest.(check bool) "first process failed" false r1.Subscriber.r_synced;
       (* process 2: cold reopen resumes from the durable state *)
@@ -393,7 +393,7 @@ let test_corrupt_entry_refused () =
   | Error (Repo.Gc_unsafe _) -> ()
   | Error e -> Alcotest.failf "gc: %a" Repo.pp_error e
   | Ok _ -> Alcotest.fail "gc took the corrupt entry for a leaf");
-  let policy = { Subscriber.default_policy with retries = 2 } in
+  let retries = 2 in
   let refused what (r : Subscriber.report) sub cause =
     Alcotest.(check bool) (what ^ ": not synced") false r.r_synced;
     Alcotest.(check string) (what ^ ": old head kept") base_digest r.r_head;
@@ -410,7 +410,7 @@ let test_corrupt_entry_refused () =
   (* the honest server refuses to advertise it *)
   let sub = sub_store () in
   let r =
-    Subscriber.sync ~policy ~store:sub ~base:base_digest
+    Subscriber.sync ~retries ~store:sub ~base:base_digest
       ~connect:(connect_sim repo) ()
   in
   refused "server" r sub "corrupt repository entry";
@@ -418,7 +418,7 @@ let test_corrupt_entry_refused () =
      before filing it, and refuses *)
   let sub = sub_store () in
   let r =
-    Subscriber.sync ~policy ~store:sub ~base:base_digest
+    Subscriber.sync ~retries ~store:sub ~base:base_digest
       ~connect:(fun _ ->
         Some (fst (Transport.sim ~serve:(lying_server blob) ())))
       ()

@@ -49,14 +49,6 @@ let check_identical what m snap =
     Alcotest.failf "%s: machine diverged from snapshot:\n  %s" what
       (String.concat "\n  " diffs)
 
-let test_policy =
-  { Manager.deadline = 600;
-    retry_limit = 3;
-    backoff_base = 100;
-    backoff_cap = 400;
-    jitter = 50;
-    seed = 11 }
-
 let kinds_of t id =
   List.filter_map
     (fun (e : Manager.Event.t) ->
@@ -94,7 +86,7 @@ let test_retry_queue_parks_after_limit () =
   let tree, img, m = boot base_src in
   park_churner m img;
   let u = mk_update ~id:"fare" tree (patched_fare tree) in
-  let mgr = Manager.create ~policy:test_policy (Apply.init m) in
+  let mgr = Manager.create ~seed:11 (Apply.init m) in
   Manager.submit mgr u;
   Manager.run mgr;
   (match Manager.status mgr "fare" with
@@ -103,24 +95,24 @@ let test_retry_queue_parks_after_limit () =
        (nq.Apply.nq_blockers <> [])
    | Some s -> Alcotest.failf "unexpected status: %a" Manager.pp_status s
    | None -> Alcotest.fail "update not tracked");
-  Alcotest.(check int) "retry limit honoured" 3 (Manager.attempts mgr "fare");
+  Alcotest.(check int) "retry limit honoured" 4 (Manager.attempts mgr "fare");
   Alcotest.(check int) "no audit violations" 0 (Manager.violations mgr);
-  (* the retry delays follow the seeded exponential backoff policy:
+  (* the retry delays follow the seeded exponential backoff:
      min(cap, base * 2^(n-1)) <= delay < that + jitter *)
   let retries =
     List.filter
       (fun (e : Manager.Event.t) -> e.kind = Manager.Event.Retried)
       (Manager.events mgr)
   in
-  Alcotest.(check int) "one retry per non-final attempt" 2
+  Alcotest.(check int) "one retry per non-final attempt" 3
     (List.length retries);
   List.iter
     (fun (e : Manager.Event.t) ->
-      let expo = min 400 (100 * (1 lsl (e.attempt - 1))) in
+      let expo = min 2000 (300 * (1 lsl (e.attempt - 1))) in
       Alcotest.(check bool)
-        (Printf.sprintf "attempt %d delay %d within policy" e.attempt e.steps)
+        (Printf.sprintf "attempt %d delay %d within bounds" e.attempt e.steps)
         true
-        (e.steps >= expo && e.steps < expo + 50))
+        (e.steps >= expo && e.steps < expo + 100))
     retries;
   (* liveness: nothing is left waiting, and the kernel still runs the old
      code *)
@@ -138,11 +130,8 @@ let heal_run () =
      queue must carry the update to a healthy second attempt *)
   let tree, _img, m = boot base_src in
   let u = mk_update ~id:"fare" tree (patched_fare tree) in
-  let session =
-    Faultinj.make m
-      { step = Txn.Quiesce; kind = Faultinj.Forced_not_quiescent; seed = 3 }
-  in
-  let mgr = Manager.create ~policy:test_policy (Apply.init m) in
+  let session = Faultinj.make m { step = Txn.Quiesce; seed = 3 } in
+  let mgr = Manager.create ~seed:11 (Apply.init m) in
   Manager.submit mgr u
     ~inject:(fun ~attempt -> if attempt = 1 then Some session else None);
   Manager.run mgr;
@@ -164,7 +153,7 @@ let test_retry_queue_heals_transient_veto () =
      && List.mem Manager.Event.Healthy kinds)
 
 let test_event_log_deterministic () =
-  (* the manager has no clocks and no Random: identical boots, policy and
+  (* the manager has no clocks and no Random: identical boots, seed and
      faults must serialize to the identical event log *)
   let a = Report.Json.to_string (Manager.report (heal_run ())) in
   let b = Report.Json.to_string (Manager.report (heal_run ())) in
@@ -175,7 +164,7 @@ let test_event_log_deterministic () =
 let test_health_gate_auto_reverts () =
   let tree, img, m = boot base_src in
   let u = mk_update ~id:"fare" tree (patched_fare tree) in
-  let mgr = Manager.create ~policy:test_policy (Apply.init m) in
+  let mgr = Manager.create ~seed:11 (Apply.init m) in
   let canary = ref 0 in
   Manager.submit mgr u
     ~health:
@@ -209,7 +198,7 @@ let test_health_gate_auto_reverts () =
 let test_duplicate_submit_rejected () =
   let tree, _img, m = boot base_src in
   let u = mk_update ~id:"fare" tree (patched_fare tree) in
-  let mgr = Manager.create (Apply.init m) in
+  let mgr = Manager.create ~seed:11 (Apply.init m) in
   Manager.submit mgr u;
   Alcotest.check_raises "duplicate id"
     (Invalid_argument "Manager.submit: fare already submitted") (fun () ->
@@ -231,7 +220,7 @@ let stacked_manager () =
   let tree, img, m = boot base_src in
   let tree1 = patched_fare tree in
   let tree2 = patched_fare2 tree1 in
-  let mgr = Manager.create ~policy:test_policy (Apply.init m) in
+  let mgr = Manager.create ~seed:11 (Apply.init m) in
   Manager.submit mgr (mk_update ~id:"fare" tree tree1);
   Manager.submit mgr (mk_update ~id:"fare-2" tree1 tree2);
   Manager.run mgr;

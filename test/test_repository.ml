@@ -266,6 +266,22 @@ let test_publish_cumulative () =
       | Ok _ -> Alcotest.fail "expected Patch_rejected"
       | Error e -> Alcotest.failf "unexpected error: %a" Repo.pp_error e)
 
+let test_collapse_keeps_creation_state_out () =
+  (* building the cumulative update interns unit objects and caches unit
+     diffs: none of that may become a repository root or garbage *)
+  with_repo (fun _dir repo ->
+      let _ = publish_chain repo in
+      let _ = collapse repo in
+      List.iter
+        (fun (name, _) ->
+          Alcotest.(check bool) (name ^ " names an entry") true
+            (String.starts_with ~prefix:"entry:" name
+            || String.starts_with ~prefix:"cumulative:" name))
+        (Store.refs (Repo.store repo));
+      match Repo.gc repo with
+      | Ok g -> Alcotest.(check int) "gc sweeps nothing" 0 g.Store.gc_swept
+      | Error e -> Alcotest.failf "gc: %a" Repo.pp_error e)
+
 let test_sync_prefers_cumulative () =
   with_repo (fun _dir repo ->
       let _ = publish_chain repo in
@@ -329,6 +345,8 @@ let suite =
         t "truncated entry degrades gracefully" test_truncated_entry;
         t "bit-flipped entry degrades gracefully" test_bitflipped_entry;
         t "publish cumulative" test_publish_cumulative;
+        t "collapse writes only entries to the repository"
+          test_collapse_keeps_creation_state_out;
         t "sync prefers the cumulative hop" test_sync_prefers_cumulative;
         t "corrupt cumulative degrades gracefully"
           test_corrupt_cumulative_degrades;

@@ -184,6 +184,28 @@ let test_apply_spans () =
   Alcotest.(check bool) "match attempts counted" true
     (Trace.counter_value "runpre.match_attempts" > 0)
 
+(* an export alone recomputes per-op counts: it carries every counter *)
+let test_export_carries_counters () =
+  with_trace @@ fun () ->
+  let tree, _img, m = boot base_src in
+  Trace.set_clock (fun () -> Machine.instructions_retired m);
+  let u = mk_update ~id:"fare" tree (patched_fare tree) in
+  (match Apply.apply (Apply.init m) u with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "apply: %a" Apply.pp_error e);
+  let exported =
+    match Report.Json.member "counters" (Trace.export ()) with
+    | Some (Report.Json.Obj fields) ->
+      List.map
+        (fun (k, v) -> (k, Option.value ~default:(-1) (Report.Json.to_int v)))
+        fields
+    | _ -> Alcotest.fail "export has no counters object"
+  in
+  Alcotest.(check bool) "the apply counted something" true
+    (Trace.counters () <> []);
+  Alcotest.(check (list (pair string int)))
+    "exported counters" (Trace.counters ()) exported
+
 (* tracing observes and never steers: for a few corpus CVEs, Table-1
    hook-bearing ones included, a traced apply lands the footprint of an
    untraced one *)
@@ -267,7 +289,7 @@ let traced_manager_run () =
       let tree, _img, m = boot base_src in
       Trace.set_clock (fun () -> Machine.instructions_retired m);
       let u = mk_update ~id:"fare" tree (patched_fare tree) in
-      let mgr = Manager.create (Apply.init m) in
+      let mgr = Manager.create ~seed:0 (Apply.init m) in
       Manager.submit mgr u;
       Manager.run mgr;
       Report.Json.to_string (Trace.export ()))
@@ -289,7 +311,7 @@ let test_manager_events_mirrored () =
   let tree, _img, m = boot base_src in
   Trace.set_clock (fun () -> Machine.instructions_retired m);
   let u = mk_update ~id:"fare" tree (patched_fare tree) in
-  let mgr = Manager.create (Apply.init m) in
+  let mgr = Manager.create ~seed:0 (Apply.init m) in
   Manager.submit mgr u;
   Manager.run mgr;
   let trace_names =
@@ -327,6 +349,7 @@ let suite =
         t "ring buffer drops oldest" test_ring_drop_oldest;
         t "counters and histograms" test_counters_and_histograms;
         t "apply pipeline is instrumented" test_apply_spans;
+        t "trace export carries the counters" test_export_carries_counters;
         t "traced apply lands the untraced footprint"
           test_traced_footprint_parity;
         t "run-pre rejection carries the diagnostic"

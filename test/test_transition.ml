@@ -210,7 +210,7 @@ let test_reverse_transition_under_load () =
 
 (* a spinner keeps the clock honest while a straggler sleeps at fare's
    entry: pc inside the guard range, immune to safe points until it
-   wakes — long after the migration budget of [straggler_policy] *)
+   wakes — long after the migration budget of [straggler_budget] *)
 let straggler_machine () =
   let tree, img, m = boot base_src in
   ignore
@@ -224,7 +224,7 @@ let straggler_machine () =
   straggler.Machine.state <- Machine.Sleeping (Machine.tick m + 3_000);
   (tree, img, m, straggler)
 
-let straggler_policy = { Transition.default_policy with budget = 2_000 }
+let straggler_budget = 2_000
 
 let test_forced_straggler_fallback () =
   let tree, img, m, straggler = straggler_machine () in
@@ -232,7 +232,7 @@ let test_forced_straggler_fallback () =
   let mgr = Apply.init m in
   let stats = ref None in
   let eng =
-    Transition.engage ~policy:straggler_policy
+    Transition.engage ~budget:straggler_budget
       ~on_stats:(fun s -> stats := Some s)
       ()
   in
@@ -272,13 +272,11 @@ let test_fallback_honours_veto () =
   let mgr = Apply.init m in
   let snap = Machine.snapshot m in
   let session =
-    Ksplice.Faultinj.make m
-      { step = Ksplice.Txn.Quiesce;
-        kind = Ksplice.Faultinj.Forced_not_quiescent; seed = 0 }
+    Ksplice.Faultinj.make m { step = Ksplice.Txn.Quiesce; seed = 0 }
   in
   (match
      Apply.apply mgr ~inject:session
-       ~engage:(Transition.engage ~policy:straggler_policy ())
+       ~engage:(Transition.engage ~budget:straggler_budget ())
        u
    with
    | Error (Apply.Not_quiescent _) -> ()
@@ -304,11 +302,7 @@ let test_mid_transition_rollback () =
   let u = mk_update ~id:"fare" tree (patched_fare tree) in
   let mgr = Apply.init m in
   let snap = Machine.snapshot m in
-  let eng =
-    Transition.engage
-      ~policy:{ Transition.default_policy with budget = 1_000 }
-      ()
-  in
+  let eng = Transition.engage ~budget:1_000 () in
   (match Apply.apply mgr ~engage:eng u with
    | Ok _ -> Alcotest.fail "expected the transition to fail"
    | Error (Apply.Not_quiescent nq) ->
