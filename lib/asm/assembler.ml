@@ -118,6 +118,8 @@ let parse_mem lineno s =
   in
   match String.lowercase_ascii base with
   | "r0" | "r1" | "r2" | "r3" | "r4" | "r5" | "r6" | "r7" | "sp" | "fp" ->
+    if off < -32768 || off > 32767 then
+      err lineno "memory offset %d does not fit in 16 bits" off;
     `Reg (parse_reg lineno base, off)
   | _ when is_ident base ->
     if off <> 0 then err lineno "symbol memory operand cannot carry offset"
@@ -224,8 +226,15 @@ let rec parse_line lineno line =
     match tokenize lineno line with
     | [ (".text" | ".data" | ".rodata" | ".bss") as s ] -> [ Sec s ]
     | [ ".global"; name ] -> [ Global name ]
-    | [ ".align"; n ] -> [ Align_d (parse_int lineno n) ]
-    | [ ".space"; n ] -> [ Space (parse_int lineno n) ]
+    | [ ".align"; n ] ->
+      let a = parse_int lineno n in
+      if a <= 0 || a land (a - 1) <> 0 then
+        err lineno ".align %d is not a power of two" a;
+      [ Align_d a ]
+    | [ ".space"; n ] ->
+      let size = parse_int lineno n in
+      if size < 0 then err lineno ".space %d is negative" size;
+      [ Space size ]
     | [ ".word"; v ] ->
       (match int_of_string_opt v with
        | Some i -> [ Word_d (Wint (Int32.of_int i)) ]
@@ -240,11 +249,13 @@ let rec parse_line lineno line =
           | None ->
             if is_ident v then [ Word_d (Wsym (v, 0l)) ]
             else err lineno "bad .word operand %S" v))
-    | ".asciz" :: _ ->
-      let q1 = String.index line '"' in
-      let q2 = String.rindex line '"' in
-      if q2 <= q1 then err lineno "bad .asciz";
-      [ Asciz (Scanf.unescaped (String.sub line (q1 + 1) (q2 - q1 - 1))) ]
+    | ".asciz" :: _ -> (
+      match String.index_opt line '"', String.rindex_opt line '"' with
+      | Some q1, Some q2 when q2 > q1 -> (
+        match Scanf.unescaped (String.sub line (q1 + 1) (q2 - q1 - 1)) with
+        | s -> [ Asciz s ]
+        | exception Scanf.Scan_failure _ -> err lineno "bad escape in .asciz")
+      | _ -> err lineno "bad .asciz")
     | tok :: _ -> err lineno "unknown directive %S" tok
     | [] -> []
   end
@@ -262,9 +273,15 @@ let rec parse_line lineno line =
       | mnem :: args ->
         [ Ins (parse_insn lineno (String.lowercase_ascii mnem) args) ])
 
+(* each statement with its source line *)
 let parse src =
   let lines = String.split_on_char '\n' src in
-  List.concat (List.mapi (fun i l -> parse_line (i + 1) l) lines)
+  List.concat
+    (List.mapi
+       (fun i l ->
+         let line = i + 1 in
+         List.map (fun st -> (line, st)) (parse_line line l))
+       lines)
 
 (* --- emission --- *)
 
@@ -275,16 +292,16 @@ let is_local_label n = String.length n >= 2 && n.[0] = '.' && n.[1] = 'L'
 type group = {
   g_secname : string;
   g_kind : Section.kind;
-  mutable g_stmts : stmt list; (* reversed *)
+  mutable g_stmts : (int * stmt) list; (* reversed; with source lines *)
 }
 
 let assemble ~unit_name ~function_sections src =
   let stmts = parse src in
   let globals =
-    List.filter_map (function Global n -> Some n | _ -> None) stmts
+    List.filter_map (function _, Global n -> Some n | _ -> None) stmts
   in
   let is_global n = List.mem n globals in
-  (* Collect label -> group assignment to decide local vs external jumps. *)
+  (* Split the statements into groups, one per output section. *)
   let groups = ref [] (* reversed *) in
   let cur = ref None in
   let base_name = ref ".text" in
@@ -301,7 +318,7 @@ let assemble ~unit_name ~function_sections src =
     match !cur with Some g when g.g_secname <> "" -> g | _ -> fresh_group !base_name
   in
   List.iter
-    (fun st ->
+    (fun ((_, st) as lst) ->
       match st with
       | Sec name ->
         base_name := name;
@@ -309,22 +326,12 @@ let assemble ~unit_name ~function_sections src =
       | Global _ -> ()
       | Label_d name when function_sections && not (is_local_label name) ->
         let g = fresh_group (!base_name ^ "." ^ name) in
-        g.g_stmts <- st :: g.g_stmts
-      | st ->
+        g.g_stmts <- lst :: g.g_stmts
+      | _ ->
         let g = current () in
-        g.g_stmts <- st :: g.g_stmts)
+        g.g_stmts <- lst :: g.g_stmts)
     stmts;
   let groups = List.rev !groups in
-  (* Map every non-local label to its group, for jump resolution. *)
-  let label_group = Hashtbl.create 16 in
-  List.iter
-    (fun g ->
-      List.iter
-        (function
-          | Label_d n -> Hashtbl.replace label_group n g.g_secname
-          | _ -> ())
-        (List.rev g.g_stmts))
-    groups;
   (* Merge consecutive groups with identical names (non-fsections mode
      re-entering .text). *)
   let merged = Hashtbl.create 8 in
@@ -344,18 +351,29 @@ let assemble ~unit_name ~function_sections src =
     (fun g ->
       let stmts = List.rev g.g_stmts in
       let is_text = g.g_kind = Section.Text in
+      (* the group's labels: a jump to one of them is resolved here, a
+         jump to any other becomes a relocation (an error for a local
+         label), and a duplicate is reported at its line *)
+      let defined = Hashtbl.create 16 in
+      List.iter
+        (function
+          | line, Label_d n ->
+            if Hashtbl.mem defined n then err line "duplicate label %s" n;
+            Hashtbl.replace defined n ()
+          | _ -> ())
+        stmts;
       let frag = Frag.create () in
       let bss_size = ref 0 in
       let bss_labels = ref [] in
       List.iter
-        (fun st ->
+        (fun (line, st) ->
           if g.g_kind = Section.Bss then begin
             match st with
             | Label_d n -> bss_labels := (n, !bss_size) :: !bss_labels
             | Space n -> bss_size := !bss_size + n
             | Align_d a ->
               bss_size := (!bss_size + a - 1) / a * a
-            | _ -> failwith "assembler: only labels/.space/.align in .bss"
+            | _ -> err line "only labels, .space and .align may appear in .bss"
           end
           else
             match st with
@@ -376,13 +394,9 @@ let assemble ~unit_name ~function_sections src =
             | Ins (Store_abs_sym (w, s, r)) ->
               Frag.insn_reloc frag (Isa.Store_abs (w, 0l, r)) Reloc.Abs32 s 0l
             | Ins (Jump_sym (cls, target)) ->
-              let local_here =
-                is_local_label target
-                || (match Hashtbl.find_opt label_group target with
-                    | Some sec -> String.equal sec g.g_secname
-                    | None -> false)
-              in
-              if local_here then Frag.jump frag cls target
+              if Hashtbl.mem defined target then Frag.jump frag cls target
+              else if is_local_label target then
+                err line "undefined jump target %s" target
               else Frag.jump_reloc frag cls target)
         stmts;
       if g.g_kind = Section.Bss then begin

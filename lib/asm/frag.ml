@@ -1,31 +1,73 @@
 module Isa = Vmisa.Isa
 module Reloc = Objfile.Reloc
 
-type item =
-  | I of Isa.insn
-  | I_reloc of Isa.insn * Reloc.kind * string * int32
+(* A fragment is a buffer of fixed bytes, each instruction and data item
+   encoded into it once, when it is emitted, plus the variable points
+   between them: the places where layout may insert bytes. *)
+type point =
   | Jump of Isa.jump_class * string
-  | Lbl of string
   | Align of int
-  | Raw of Bytes.t
-  | Word_reloc of string * int32
+  | Label of string
 
-type t = { mutable items : item list (* reversed *) }
+type t = {
+  mutable buf : Bytes.t;  (* the fixed bytes are [0, len) *)
+  mutable len : int;
+  mutable points : point array;  (* [0, npoints) in emission order *)
+  mutable at : int array;  (* the buffer position of each point *)
+  mutable npoints : int;
+  mutable relocs : Reloc.t list;  (* reversed; offsets into [buf] *)
+  labels : (string, int) Hashtbl.t;  (* label -> its point *)
+}
 
 exception Error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
-let create () = { items = [] }
-let add t i = t.items <- i :: t.items
-let insn t i = add t (I i)
+let create () =
+  { buf = Bytes.create 256; len = 0; points = [||]; at = [||]; npoints = 0;
+    relocs = []; labels = Hashtbl.create 8 }
+
+(* room for [n] more fixed bytes *)
+let reserve t n =
+  let need = t.len + n in
+  if need > Bytes.length t.buf then begin
+    let buf = Bytes.create (max need (2 * Bytes.length t.buf)) in
+    Bytes.blit t.buf 0 buf 0 t.len;
+    t.buf <- buf
+  end
+
+let add_point t p =
+  let k = t.npoints in
+  if k = Array.length t.points then begin
+    let cap = max 16 (2 * k) in
+    let points = Array.make cap p and at = Array.make cap 0 in
+    Array.blit t.points 0 points 0 k;
+    Array.blit t.at 0 at 0 k;
+    t.points <- points;
+    t.at <- at
+  end;
+  t.points.(k) <- p;
+  t.at.(k) <- t.len;
+  t.npoints <- k + 1
+
+let insn t i =
+  reserve t 6;
+  t.len <- t.len + Isa.encode t.buf t.len i
+
+let add_reloc t offset kind sym addend =
+  t.relocs <- { Reloc.offset; kind; sym; addend } :: t.relocs
 
 let insn_reloc t i kind sym addend =
-  (match Isa.imm_field i, Isa.pc_rel i with
-   | None, None ->
-     invalid_arg "Frag.insn_reloc: instruction has no relocatable field"
-   | _ -> ());
-  add t (I_reloc (i, kind, sym, addend))
+  let field =
+    match Isa.imm_field i, Isa.pc_rel i with
+    | Some (off, _), _ | None, Some (_, _, off, 4) -> off
+    | None, Some _ ->
+      invalid_arg "Frag.insn_reloc: relocation on short-form jump operand"
+    | None, None ->
+      invalid_arg "Frag.insn_reloc: instruction has no relocatable field"
+  in
+  add_reloc t (t.len + field) kind sym addend;
+  insn t i
 
 let long_jump_insn cls =
   match cls with
@@ -33,33 +75,42 @@ let long_jump_insn cls =
   | Isa.Cjcc c -> Isa.Jcc (c, 0l)
   | Isa.Ccall -> Isa.Call 0l
 
-let jump_reloc t cls sym =
-  add t (I_reloc (long_jump_insn cls, Reloc.Pc32, sym, -4l))
+let jump_reloc t cls sym = insn_reloc t (long_jump_insn cls) Reloc.Pc32 sym (-4l)
 
-let jump t cls label = add t (Jump (cls, label))
+let jump t cls label = add_point t (Jump (cls, label))
 
 let label t name =
-  let exists =
-    List.exists (function Lbl n -> String.equal n name | _ -> false) t.items
-  in
-  if exists then invalid_arg ("Frag.label: duplicate label " ^ name);
-  add t (Lbl name)
+  if Hashtbl.mem t.labels name then
+    invalid_arg ("Frag.label: duplicate label " ^ name);
+  Hashtbl.replace t.labels name t.npoints;
+  add_point t (Label name)
 
 let align t n =
   if n land (n - 1) <> 0 || n <= 0 then invalid_arg "Frag.align";
-  add t (Align n)
+  add_point t (Align n)
 
-let bytes t b = add t (Raw b)
-let string t s = add t (Raw (Bytes.of_string s))
+let string t s =
+  let n = String.length s in
+  reserve t n;
+  Bytes.blit_string s 0 t.buf t.len n;
+  t.len <- t.len + n
+
+(* [b] is copied at once, never kept *)
+let bytes t b = string t (Bytes.unsafe_to_string b)
 
 let word t v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 v;
-  add t (Raw b)
+  reserve t 4;
+  Bytes.set_int32_le t.buf t.len v;
+  t.len <- t.len + 4
 
-let word_reloc t sym addend = add t (Word_reloc (sym, addend))
+let word_reloc t sym addend =
+  add_reloc t t.len Reloc.Abs32 sym addend;
+  word t 0l
 
-let zeros t n = add t (Raw (Bytes.make n '\000'))
+let zeros t n =
+  reserve t n;
+  Bytes.fill t.buf t.len n '\000';
+  t.len <- t.len + n
 
 type image = {
   data : Bytes.t;
@@ -82,139 +133,125 @@ let pad_nops buf pos n =
   go pos n
 
 let assemble t ~text =
-  let items = Array.of_list (List.rev t.items) in
-  let n = Array.length items in
-  (* short.(i) is the current relaxation state of Jump items. *)
+  let n = t.npoints in
+  let points = t.points and at = t.at in
+  (* each jump's target label, as a point index, resolved once *)
+  let target = Array.make n 0 in
+  for k = 0 to n - 1 do
+    match points.(k) with
+    | Jump (_, name) -> (
+      match Hashtbl.find_opt t.labels name with
+      | Some j -> target.(k) <- j
+      | None -> err "undefined jump target %s" name)
+    | Align _ | Label _ -> ()
+  done;
+  (* short.(k) is the relaxation state of jump point k; off.(k) and
+     size.(k) are point k's offset and size in the image *)
   let short = Array.make n false in
-  let sizes = Array.make n 0 in
-  let offsets = Array.make n 0 in
-  let compute_layout () =
-    let pos = ref 0 in
-    for i = 0 to n - 1 do
-      offsets.(i) <- !pos;
+  let off = Array.make n 0 in
+  let size = Array.make n 0 in
+  (* lay out the points; returns the bytes they add *)
+  let layout () =
+    let added = ref 0 in
+    for k = 0 to n - 1 do
+      let o = at.(k) + !added in
+      off.(k) <- o;
       let sz =
-        match items.(i) with
-        | I insn -> Isa.length insn
-        | I_reloc (insn, _, _, _) -> Isa.length insn
+        match points.(k) with
         | Jump (Isa.Ccall, _) -> 5
-        | Jump (_, _) -> if short.(i) then 2 else 5
-        | Lbl _ -> 0
-        | Align a -> (a - (!pos mod a)) mod a
-        | Raw b -> Bytes.length b
-        | Word_reloc _ -> 4
+        | Jump _ -> if short.(k) then 2 else 5
+        | Label _ -> 0
+        | Align a -> (a - (o mod a)) mod a
       in
-      sizes.(i) <- sz;
-      pos := !pos + sz
+      size.(k) <- sz;
+      added := !added + sz
     done;
-    !pos
+    !added
   in
-  let label_offsets () =
-    let tbl = Hashtbl.create 16 in
-    Array.iteri
-      (fun i it ->
-        match it with Lbl name -> Hashtbl.replace tbl name offsets.(i) | _ -> ())
-      items;
-    tbl
-  in
-  (* Relaxation: start long, shrink while displacements fit. *)
-  let total = ref (compute_layout ()) in
+  let short_disp k = off.(target.(k)) - (off.(k) + 2) in
+  (* Relaxation: start long, shrink every jump that fits against the
+     pass's layout, repeat to a fixpoint. *)
+  let added = ref (layout ()) in
   let changed = ref true in
   let iters = ref 0 in
   while !changed && !iters < 100 do
     changed := false;
     incr iters;
-    let labels = label_offsets () in
-    Array.iteri
-      (fun i it ->
-        match it with
-        | Jump (Isa.Ccall, _) -> ()
-        | Jump (_, name) when not short.(i) ->
-          (match Hashtbl.find_opt labels name with
-           | None -> err "undefined jump target %s" name
-           | Some target ->
-             let disp = target - (offsets.(i) + 2) in
-             if fits_i8 disp then begin
-               short.(i) <- true;
-               changed := true
-             end)
-        | _ -> ())
-      items;
-    if !changed then total := compute_layout ()
+    for k = 0 to n - 1 do
+      match points.(k) with
+      | Jump ((Isa.Cjmp | Isa.Cjcc _), _)
+        when (not short.(k)) && fits_i8 (short_disp k) ->
+        short.(k) <- true;
+        changed := true
+      | Jump _ | Align _ | Label _ -> ()
+    done;
+    if !changed then added := layout ()
   done;
   (* Verify short choices against the final layout; re-expand if an
-     alignment interaction invalidated one (then re-verify once). *)
+     alignment interaction invalidated one (then re-verify). *)
   let verify () =
-    let labels = label_offsets () in
     let ok = ref true in
-    Array.iteri
-      (fun i it ->
-        match it with
-        | Jump (cls, name) when short.(i) && cls <> Isa.Ccall ->
-          let target = Hashtbl.find labels name in
-          let disp = target - (offsets.(i) + 2) in
-          if not (fits_i8 disp) then begin
-            short.(i) <- false;
-            ok := false
-          end
-        | _ -> ())
-      items;
+    for k = 0 to n - 1 do
+      if short.(k) && not (fits_i8 (short_disp k)) then begin
+        short.(k) <- false;
+        ok := false
+      end
+    done;
     !ok
   in
   while not (verify ()) do
-    total := compute_layout ()
+    added := layout ()
   done;
-  let labels = label_offsets () in
-  let buf = Bytes.make !total '\000' in
-  let relocs = ref [] in
-  Array.iteri
-    (fun i it ->
-      let pos = offsets.(i) in
-      match it with
-      | I insn -> ignore (Isa.encode buf pos insn : int)
-      | I_reloc (insn, kind, sym, addend) ->
-        ignore (Isa.encode buf pos insn : int);
-        let field_off =
-          match Isa.imm_field insn with
-          | Some (off, _) -> off
-          | None ->
-            (match Isa.pc_rel insn with
-             | Some (_, _, off, 4) -> off
-             | Some _ ->
-               err "relocation on short-form jump operand"
-             | None -> assert false)
-        in
-        relocs := { Reloc.offset = pos + field_off; kind; sym; addend }
-                  :: !relocs
-      | Jump (cls, name) ->
-        let target = Hashtbl.find labels name in
-        let insn =
-          if short.(i) then
-            let disp = target - (pos + 2) in
-            match cls with
-            | Isa.Cjmp -> Isa.Jmp_s disp
-            | Isa.Cjcc c -> Isa.Jcc_s (c, disp)
-            | Isa.Ccall -> assert false
-          else
-            let disp = target - (pos + 5) in
-            match cls with
-            | Isa.Cjmp -> Isa.Jmp (Int32.of_int disp)
-            | Isa.Cjcc c -> Isa.Jcc (c, Int32.of_int disp)
-            | Isa.Ccall -> Isa.Call (Int32.of_int disp)
-        in
-        ignore (Isa.encode buf pos insn : int)
-      | Lbl _ -> ()
-      | Align _ ->
-        if text then pad_nops buf pos sizes.(i)
-        (* data alignment is already zero-filled *)
-      | Raw b -> Bytes.blit b 0 buf pos (Bytes.length b)
-      | Word_reloc (sym, addend) ->
-        relocs := { Reloc.offset = pos; kind = Reloc.Abs32; sym; addend }
-                  :: !relocs)
-    items;
-  let label_list =
-    Array.to_list items
-    |> List.mapi (fun i it -> (i, it))
-    |> List.filter_map (fun (i, it) ->
-         match it with Lbl name -> Some (name, offsets.(i)) | _ -> None)
+  (* Blit the fixed chunks between points, encoding each point after the
+     chunk before it. *)
+  let data = Bytes.create (t.len + !added) in
+  let from = ref 0 in
+  for k = 0 to n - 1 do
+    let a = at.(k) and o = off.(k) in
+    Bytes.blit t.buf !from data (!from + o - a) (a - !from);
+    from := a;
+    match points.(k) with
+    | Jump (cls, _) ->
+      let dest = off.(target.(k)) in
+      let insn =
+        if short.(k) then
+          let disp = dest - (o + 2) in
+          match cls with
+          | Isa.Cjmp -> Isa.Jmp_s disp
+          | Isa.Cjcc c -> Isa.Jcc_s (c, disp)
+          | Isa.Ccall -> assert false
+        else
+          let disp = Int32.of_int (dest - (o + 5)) in
+          match cls with
+          | Isa.Cjmp -> Isa.Jmp disp
+          | Isa.Cjcc c -> Isa.Jcc (c, disp)
+          | Isa.Ccall -> Isa.Call disp
+      in
+      ignore (Isa.encode data o insn : int)
+    | Align _ ->
+      if text then pad_nops data o size.(k) else Bytes.fill data o size.(k) '\000'
+    | Label _ -> ()
+  done;
+  Bytes.blit t.buf !from data (!from + !added) (t.len - !from);
+  (* a fixed byte moves by the sizes of the points at or before it; the
+     relocations are listed last first, so [k] walks the points down *)
+  let k = ref n in
+  let relocs =
+    List.rev_map
+      (fun (r : Reloc.t) ->
+        while !k > 0 && at.(!k - 1) > r.offset do
+          decr k
+        done;
+        if !k = 0 then r
+        else
+          let j = !k - 1 in
+          { r with offset = r.offset + off.(j) + size.(j) - at.(j) })
+      t.relocs
   in
-  { data = buf; relocs = List.rev !relocs; labels = label_list }
+  let labels = ref [] in
+  for k = n - 1 downto 0 do
+    match points.(k) with
+    | Label name -> labels := (name, off.(k)) :: !labels
+    | Jump _ | Align _ -> ()
+  done;
+  { data; relocs; labels = !labels }

@@ -5,12 +5,24 @@
     bytes, relocations, and label offsets. Both the MiniC code generator
     and the textual assembler emit through this module.
 
+    As in gas, a fragment is a buffer of {e fixed} bytes plus the
+    {e variable points} between them. Each instruction and data item is
+    encoded into the buffer once, when it is emitted, and a relocation is
+    recorded at its offset there. A jump to a label, an alignment and a
+    label are variable points: they record only their position in the
+    buffer, and {!assemble} lays out the points alone.
+
     Jumps to labels within the same fragment are subject to {e relaxation}:
     they start as long (rel32) forms and are shrunk to short (rel8) forms
-    when the displacement fits, iterating to a fixpoint. This is the
-    mechanism that makes code layout sensitive to distance — the property
-    run-pre matching must absorb (paper §4.3). Alignment directives pad
-    with multi-byte no-op sequences in text fragments, as assemblers do. *)
+    when the displacement fits, iterating to a fixpoint; a final pass
+    re-expands any short jump an alignment pushed out of reach. A fixed
+    byte's position is its buffer offset plus the sizes of the points
+    before it, so laying out the points gives every jump the distance,
+    and every short/long choice, that laying out every item would. This
+    is the mechanism that makes code layout sensitive to distance — the
+    property run-pre matching must absorb (paper §4.3). Alignment
+    directives pad with multi-byte no-op sequences in text fragments, as
+    assemblers do. *)
 
 type t
 
@@ -23,7 +35,7 @@ val insn : t -> Vmisa.Isa.insn -> unit
     displacement field is a relocation site against [sym]. For [Pc32] on a
     jump/call operand the conventional addend is [-(field width)]; use
     {!jump_reloc} which computes it. @raise Invalid_argument if [i] has no
-    immediate or pc-relative field. *)
+    immediate or 32-bit pc-relative field. *)
 val insn_reloc :
   t -> Vmisa.Isa.insn -> Objfile.Reloc.kind -> string -> int32 -> unit
 
@@ -33,8 +45,8 @@ val insn_reloc :
 val jump_reloc : t -> Vmisa.Isa.jump_class -> string -> unit
 
 (** [jump t cls label] emits a jump/call of class [cls] to a label defined
-    in the same fragment; the encoding (short or long) is chosen by
-    relaxation. Calls have no short form. *)
+    in the same fragment, before or after the jump; the encoding (short
+    or long) is chosen by relaxation. Calls have no short form. *)
 val jump : t -> Vmisa.Isa.jump_class -> string -> unit
 
 (** Define a label at the current position.
@@ -69,6 +81,7 @@ type image = {
 exception Error of string
 
 (** [assemble t ~text] lays out the fragment. [text] selects no-op (true)
-    or zero (false) alignment padding. @raise Error on undefined jump
-    targets. *)
+    or zero (false) alignment padding. [t] is left as it was.
+    @raise Error when a jump or call targets a label the fragment does
+    not define. *)
 val assemble : t -> text:bool -> image

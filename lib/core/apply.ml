@@ -24,6 +24,9 @@ type applied = {
   replacements : replacement list;
   saved : (int * Bytes.t) list;
   module_ranges : (int * int) list;
+  (* the module cursor before and after the module's allocation: what
+     an undo may give back *)
+  module_span : int * int;
   module_image : (int * Bytes.t) list;
   added_symbols : Image.syminfo list;
   priv_ranges : (int * int) list;
@@ -328,9 +331,10 @@ let run_hooks t ~resolve (update : Update.t) kind =
    fault-injection session). Returns the [applied] record as a function
    of the journal, which exists only once the caller commits (for a
    cumulative apply, that journal also covers the unwinding of the
-   displaced stack). Raises [Fail]. *)
-let apply_pipeline ~txn ~enter ~tolerance ~inject ~engage ~displaced
-    ~displaced_shadows t (update : Update.t) =
+   displaced stack). Once the module is laid out, nothing else is
+   allocated below [revived_top]. Raises [Fail]. *)
+let apply_pipeline ~txn ~enter ~tolerance ~inject ~engage ?revived_top
+    ~displaced ~displaced_shadows t (update : Update.t) =
   begin
     if List.exists (fun a -> a.update.Update.update_id = update.update_id)
          t.stack
@@ -347,7 +351,10 @@ let apply_pipeline ~txn ~enter ~tolerance ~inject ~engage ~displaced
     (* === allocate: reserve module memory === *)
     enter Txn.Allocate;
     let alloc ~size ~align = Machine.alloc_module t.m ~size ~align in
+    let cursor = Machine.module_cursor t.m in
     let m0d = Modlink.layout ~alloc update.primary in
+    let module_span = (cursor, Machine.module_cursor t.m) in
+    Option.iter (Machine.reserve_module_upto t.m) revived_top;
     (* === link: run-pre matching, symbol resolution, relocation math === *)
     enter Txn.Link;
     let inference = Runpre.create_inference () in
@@ -547,7 +554,7 @@ let apply_pipeline ~txn ~enter ~tolerance ~inject ~engage ~displaced
     Trace.observe "apply.pause_ns" (float_of_int pause_ns);
     fun journal ->
       { update; replacements; saved = List.rev !saved; module_ranges;
-        module_image = writes; added_symbols; priv_ranges; journal;
+        module_span; module_image = writes; added_symbols; priv_ranges; journal;
         pause_ns; displaced; displaced_shadows }
   end
 
@@ -699,10 +706,11 @@ let unwind_top ~txn ~engage t =
           kallsyms and privilege ranges need republishing, and their
           shadow bindings — detached by the displaced updates' own
           destructors during the collapse — re-attached. The shadow
-          memory itself was never replayed away (module memory is leaked
-          on undo), so the revived bindings still hold the collapse-time
-          values; runtime value changes made while the cumulative
-          reigned are its constructors' business, not ours. *)
+          memory itself was never replayed away or given back (only a
+          module is, when nothing was allocated after it), so the
+          revived bindings still hold the collapse-time values; runtime
+          value changes made while the cumulative reigned are its
+          constructors' business, not ours. *)
        List.iter
          (fun d ->
            Machine.add_kallsyms t.m d.added_symbols;
@@ -712,6 +720,15 @@ let unwind_top ~txn ~engage t =
          (fun ((obj, key), addr) ->
            Machine.shadow_reattach t.m ~obj ~key ~addr)
          top.displaced_shadows;
+       (* the replay zeroed the module again, so an entry that displaced
+          nothing gives its memory back unless something (shadow memory,
+          say) was allocated after it. A cumulative entry keeps its
+          memory: see [apply_cumulative] *)
+       (match top.displaced with
+        | [] ->
+          let from, upto = top.module_span in
+          Machine.free_module_tail t.m ~from ~upto
+        | _ :: _ -> ());
        t.stack <- top.displaced @ rest
 
 let undo ?(engage = stop_machine ()) t update_id =
@@ -825,6 +842,12 @@ let apply_cumulative ?(tolerance = Runpre.full_tolerance) ?inject
      displaced updates' destructors, and undoing this cumulative must
      revive the bindings they detach *)
   let pre_shadows = Machine.shadow_bindings t.m in
+  (* the module cursor as the collapse finds it. The unwind below gives
+     the displaced modules' memory back, as undoing them one by one
+     would, so the cumulative module lands where its plain twin's does;
+     but undoing the cumulative revives those modules in place, so once
+     it is laid out nothing else may be allocated below this *)
+  let revived_top = Machine.module_cursor t.m in
   (* unwind the superseded segment, newest first; a displaced cumulative
      hands its own displaced stack back mid-loop, which — being
      superseded too (publishers flatten) — this loop then unwinds as
@@ -836,8 +859,8 @@ let apply_cumulative ?(tolerance = Runpre.full_tolerance) ?inject
      the cumulative update replays this whole journal, which revives
      exactly that state *)
   let mk =
-    apply_pipeline ~txn ~enter ~tolerance ~inject ~engage ~displaced:to_unwind
-      ~displaced_shadows:pre_shadows t update
+    apply_pipeline ~txn ~enter ~tolerance ~inject ~engage ~revived_top
+      ~displaced:to_unwind ~displaced_shadows:pre_shadows t update
   in
   fun journal ->
     let a = mk journal in

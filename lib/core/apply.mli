@@ -46,6 +46,9 @@ type applied = {
   replacements : replacement list;
   saved : (int * Bytes.t) list;  (** trampoline sites and original bytes *)
   module_ranges : (int * int) list;  (** placed primary sections *)
+  module_span : int * int;
+      (** the module cursor before and after the module's allocation:
+          what an undo may give back *)
   module_image : (int * Bytes.t) list;  (** relocated bytes as written *)
   added_symbols : Klink.Image.syminfo list;
   priv_ranges : (int * int) list;
@@ -227,7 +230,12 @@ val apply_cumulative :
     update remains applied. With a per-thread [engage], the reversal
     runs as a {e reverse transition}: the saved entry bytes come back
     first, then threads migrate to the old code at safe points while
-    stragglers on the replacement are routed through dispatch stubs. *)
+    stragglers on the replacement are routed through dispatch stubs.
+    An undo, like the unwind inside {!apply_cumulative}, gives the
+    module's memory back when the update displaced no stack and nothing
+    was allocated after the module. A cumulative update keeps its
+    memory, and while it is applied nothing else is allocated where the
+    modules it displaced were, so its undo revives them in place. *)
 val undo :
   ?engage:engage_fn ->
   t -> string ->

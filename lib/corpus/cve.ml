@@ -947,15 +947,16 @@ let replace_once ~what file old_s new_s content =
   ^ String.sub content (i + lo) (n - i - lo)
 
 (* The files the fix edits, each with its final contents (and with the
-   custom code appended to the CVE's file when [hot]). The edits run on
-   strings, so each edited file enters a tree once and is hashed once.
+   custom code appended to the CVE's file when [hot]), reading the files
+   before the fix through [find]. The edits run on strings, so each
+   edited file enters a tree once and is hashed once.
    @raise Failure when a file or snippet is missing *)
-let edited_files ~hot cve tree =
+let edited_files ~hot cve find =
   let contents files file =
     match List.assoc_opt file files with
     | Some content -> content
     | None -> (
-      match Patchfmt.Source_tree.find tree file with
+      match find file with
       | Some content -> content
       | None -> failwith (Printf.sprintf "%s: no file %s" cve.id file))
   in
@@ -974,23 +975,26 @@ let edited_files ~hot cve tree =
     set files cve.file (contents files cve.file ^ code)
   | _ -> files
 
-let with_edits ~hot cve base =
-  List.fold_left
-    (fun tree (file, content) -> Patchfmt.Source_tree.add tree file content)
-    base (edited_files ~hot cve base)
-
-let fixed_tree = with_edits ~hot:false
-let hot_tree = with_edits ~hot:true
-
-let fails_soft f = match f () with v -> Some v | exception Failure _ -> None
-let fixed_tree_opt cve tree = fails_soft (fun () -> fixed_tree cve tree)
-let hot_tree_opt cve tree = fails_soft (fun () -> hot_tree cve tree)
+let fix_edits_opt cve find =
+  match edited_files ~hot:false cve find with
+  | files -> Some files
+  | exception Failure _ -> None
 
 let applies_to cve tree =
-  Option.is_some (fails_soft (fun () -> edited_files ~hot:false cve tree))
+  Option.is_some (fix_edits_opt cve (Patchfmt.Source_tree.find tree))
 
-let mainline_patch cve base = Patchfmt.Diff.diff_trees base (fixed_tree cve base)
-let hot_patch cve base = Patchfmt.Diff.diff_trees base (hot_tree cve base)
+(* [Patchfmt.Diff.diff_trees base fixed], where [fixed] is [base] with
+   [edited_files]' files: only those can differ, so only they are
+   diffed, in path order *)
+let patch ~hot cve base =
+  let find = Patchfmt.Source_tree.find base in
+  List.sort (fun (a, _) (b, _) -> String.compare a b)
+    (edited_files ~hot cve find)
+  |> List.filter_map (fun (path, contents) ->
+         Patchfmt.Diff.diff_file path (Option.get (find path)) contents)
+
+let mainline_patch = patch ~hot:false
+let hot_patch = patch ~hot:true
 
 let custom_code_lines cve =
   match cve.custom with

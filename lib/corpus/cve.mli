@@ -62,27 +62,22 @@ val find : string -> t option
     patches"). *)
 val applies_to : t -> Patchfmt.Source_tree.t -> bool
 
-(** [fixed_tree_opt cve tree] is the source tree with the mainline fix
-    applied (no custom code), or [None] when the fix does not apply to
-    this source state. *)
-val fixed_tree_opt :
-  t -> Patchfmt.Source_tree.t -> Patchfmt.Source_tree.t option
-
-(** [hot_tree_opt cve tree] likewise, with custom code appended. *)
-val hot_tree_opt :
-  t -> Patchfmt.Source_tree.t -> Patchfmt.Source_tree.t option
-
-(** [hot_tree cve base] additionally appends the custom update code (for
-    the eight Table-1 entries); the mainline fix alone otherwise.
-    @raise Failure when a snippet is missing — corpus self-check. *)
-val hot_tree : t -> Patchfmt.Source_tree.t -> Patchfmt.Source_tree.t
+(** [fix_edits_opt cve find] lists the files the mainline fix (no
+    custom code) edits, each with its fixed contents, reading the files
+    it edits through [find]; [None] when the fix does not apply to those
+    files. *)
+val fix_edits_opt :
+  t -> (string -> string option) -> (string * string) list option
 
 (** [mainline_patch cve base] is the upstream patch — what Figure 3
-    counts. *)
+    counts.
+    @raise Failure when a snippet is missing — corpus self-check. *)
 val mainline_patch : t -> Patchfmt.Source_tree.t -> Patchfmt.Diff.t
 
-(** [hot_patch cve base] is the patch fed to ksplice-create (mainline
-    plus custom code where needed). *)
+(** [hot_patch cve base] is the patch fed to ksplice-create: the
+    mainline fix, with the custom update code appended for the eight
+    Table-1 entries.
+    @raise Failure when a snippet is missing. *)
 val hot_patch : t -> Patchfmt.Source_tree.t -> Patchfmt.Diff.t
 
 (** [custom_code_lines cve] counts the logical (semicolon-terminated)

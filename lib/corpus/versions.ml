@@ -16,16 +16,34 @@ let era (cve : Cve.t) =
 
 (* Fold the mainline fixes of all CVEs up to [upto] into the tree,
    skipping any whose context has drifted away (exactly what happens to
-   stable-branch backports). *)
-let incorporate ~upto tree =
-  List.fold_left
-    (fun (tree, done_ids) (cve : Cve.t) ->
-      if era cve <= upto then
-        match Cve.fixed_tree_opt cve tree with
-        | Some tree' -> (tree', cve.id :: done_ids)
-        | None -> (tree, done_ids)
-      else (tree, done_ids))
-    (tree, []) Cve.all
+   stable-branch backports). Each fix edits the files as the earlier
+   fixes left them; the tree is built once, from the last contents of
+   every edited file. *)
+let incorporate ~upto base =
+  let edits, done_ids =
+    List.fold_left
+      (fun ((edits, done_ids) as acc) (cve : Cve.t) ->
+        if era cve > upto then acc
+        else
+          let find path =
+            match List.assoc_opt path edits with
+            | Some _ as contents -> contents
+            | None -> Tree.find base path
+          in
+          match Cve.fix_edits_opt cve find with
+          | Some files ->
+            ( List.fold_left
+                (fun edits (path, contents) ->
+                  (path, contents) :: List.remove_assoc path edits)
+                edits files,
+              cve.id :: done_ids )
+          | None -> acc)
+      ([], []) Cve.all
+  in
+  ( List.fold_left
+      (fun tree (path, contents) -> Tree.add tree path contents)
+      base edits,
+    done_ids )
 
 let all () =
   let base = Base_kernel.tree () in
@@ -50,6 +68,6 @@ let applicable v =
     Cve.all
 
 let hot_patch cve v =
-  Option.map
-    (fun fixed -> Patchfmt.Diff.diff_trees v.tree fixed)
-    (Cve.hot_tree_opt cve v.tree)
+  match Cve.hot_patch cve v.tree with
+  | patch -> Some patch
+  | exception Failure _ -> None

@@ -513,6 +513,14 @@ let alloc_module t ~size ~align =
   t.module_cursor <- next;
   addr
 
+let module_cursor t = t.module_cursor
+
+let free_module_tail t ~from ~upto =
+  if t.module_cursor = upto then t.module_cursor <- from
+
+let reserve_module_upto t c =
+  if t.module_cursor < c then t.module_cursor <- c
+
 (* --- threads --- *)
 
 (* registers hold 32-bit values sign-extended into an int; [wrap] brings

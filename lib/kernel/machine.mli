@@ -116,6 +116,21 @@ val write_bytes : t -> int -> Bytes.t -> unit
     programs. *)
 val alloc_module : t -> size:int -> align:int -> int
 
+(** [module_cursor t] is where the module area's next allocation search
+    starts: every {!alloc_module} so far lies below it. *)
+val module_cursor : t -> int
+
+(** [free_module_tail t ~from ~upto] gives back the allocations made
+    between two {!module_cursor} readings [from] and [upto], but only if
+    nothing was allocated after them (the cursor still stands at
+    [upto]); otherwise it does nothing. The caller must have zeroed that
+    memory again, as allocations are zero-filled. *)
+val free_module_tail : t -> from:int -> upto:int -> unit
+
+(** [reserve_module_upto t c] keeps every address below [c], a value
+    {!module_cursor} returned, out of later allocations. *)
+val reserve_module_upto : t -> int -> unit
+
 (** [spawn t ~name ~uid ~entry ~args] creates a thread with a fresh
     stack; [args] are pushed as if by a caller, and a return into a
     clean-exit gadget is arranged, so [entry] can simply return. *)

@@ -83,10 +83,34 @@ let parse_type st =
 
 (* --- expressions --- *)
 
+(* Binary operators: each punctuator's operator and precedence level,
+   from [||] (1) to the multiplicative operators (10). Every level is
+   left-associative. *)
+let binop = function
+  | Lor -> Some (Blor, 1)
+  | Land -> Some (Bland, 2)
+  | Bar -> Some (Bor, 3)
+  | Caret -> Some (Bxor, 4)
+  | Amp -> Some (Band, 5)
+  | Eq -> Some (Beq, 6)
+  | Ne -> Some (Bne, 6)
+  | Lt -> Some (Blt, 7)
+  | Le -> Some (Ble, 7)
+  | Gt -> Some (Bgt, 7)
+  | Ge -> Some (Bge, 7)
+  | Shl -> Some (Bshl, 8)
+  | Shr -> Some (Bshr, 8)
+  | Plus -> Some (Badd, 9)
+  | Minus -> Some (Bsub, 9)
+  | Star -> Some (Bmul, 10)
+  | Slash -> Some (Bdiv, 10)
+  | Percent -> Some (Bmod, 10)
+  | _ -> None
+
 let rec parse_expr st = parse_assign st
 
 and parse_assign st =
-  let lhs = parse_lor st in
+  let lhs = parse_binary st 1 in
   if accept_punct st Assign then
     let rhs = parse_assign st in
     Eassign (lhs, rhs)
@@ -112,38 +136,24 @@ and parse_assign st =
       let rhs = parse_assign st in
       Ecompound (op, lhs, rhs)
 
-and parse_binlevel st ops next =
-  let lhs = ref (next st) in
+(* Precedence climbing: [parse_binary st min] parses a chain of unary
+   operands joined by operators of level [min] or above; an operator's
+   right operand binds only the levels above its own. *)
+and parse_binary st min =
+  let lhs = ref (parse_unary st) in
   let continue = ref true in
   while !continue do
     match peek st with
-    | PUNCT p when List.mem_assq p ops ->
-      advance st;
-      let rhs = next st in
-      lhs := Ebin (List.assq p ops, !lhs, rhs)
+    | PUNCT p -> (
+      match binop p with
+      | Some (op, level) when level >= min ->
+        advance st;
+        let rhs = parse_binary st (level + 1) in
+        lhs := Ebin (op, !lhs, rhs)
+      | _ -> continue := false)
     | _ -> continue := false
   done;
   !lhs
-
-and parse_lor st = parse_binlevel st [ (Lor, Blor) ] parse_land
-and parse_land st = parse_binlevel st [ (Land, Bland) ] parse_bitor
-and parse_bitor st = parse_binlevel st [ (Bar, Bor) ] parse_bitxor
-and parse_bitxor st = parse_binlevel st [ (Caret, Bxor) ] parse_bitand
-and parse_bitand st = parse_binlevel st [ (Amp, Band) ] parse_equality
-
-and parse_equality st =
-  parse_binlevel st [ (Eq, Beq); (Ne, Bne) ] parse_relational
-
-and parse_relational st =
-  parse_binlevel st
-    [ (Lt, Blt); (Le, Ble); (Gt, Bgt); (Ge, Bge) ]
-    parse_shift
-
-and parse_shift st = parse_binlevel st [ (Shl, Bshl); (Shr, Bshr) ] parse_add
-and parse_add st = parse_binlevel st [ (Plus, Badd); (Minus, Bsub) ] parse_mul
-
-and parse_mul st =
-  parse_binlevel st [ (Star, Bmul); (Slash, Bdiv); (Percent, Bmod) ] parse_unary
 
 and parse_unary st =
   match peek st with

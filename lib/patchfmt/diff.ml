@@ -130,6 +130,13 @@ let split_lines s =
   | "" :: rest -> List.rev rest
   | l -> List.rev l
 
+let diff_file path o n =
+  if String.equal o n then None
+  else
+    Some
+      { path; old_exists = true; new_exists = true;
+        hunks = diff_lines (split_lines o) (split_lines n) }
+
 let diff_trees old_tree new_tree =
   let paths =
     List.sort_uniq compare
@@ -139,12 +146,7 @@ let diff_trees old_tree new_tree =
     (fun path ->
       match Source_tree.find old_tree path, Source_tree.find new_tree path with
       | None, None -> None
-      | Some o, Some n ->
-        if String.equal o n then None
-        else
-          Some
-            { path; old_exists = true; new_exists = true;
-              hunks = diff_lines (split_lines o) (split_lines n) }
+      | Some o, Some n -> diff_file path o n
       | None, Some n ->
         Some
           { path; old_exists = false; new_exists = true;

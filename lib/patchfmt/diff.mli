@@ -31,6 +31,11 @@ type t = file_diff list
     context per hunk. *)
 val diff_trees : Source_tree.t -> Source_tree.t -> t
 
+(** [diff_file path old_ new_] is {!diff_trees}' entry for a file at
+    [path] on both sides, with contents [old_] and [new_]; [None] when
+    they are equal. *)
+val diff_file : string -> string -> string -> file_diff option
+
 val to_string : t -> string
 
 (** [parse s] parses a unified diff. *)

@@ -240,6 +240,48 @@ let test_verify_empty_manager () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "verify empty: %a" Apply.pp_error e
 
+(* a one-byte module allocation: where the module area's cursor stands *)
+let probe m = Machine.alloc_module m ~size:1 ~align:1
+
+let test_undo_returns_module_memory () =
+  (* a long-lived kernel that applies and undoes one update over and
+     over must not run its module area dry: the undo gives the module's
+     memory back *)
+  let cve = Option.get (Corpus.Cve.find "CVE-2007-4573") in
+  let base = Corpus.Base_kernel.tree () in
+  let c =
+    ok "create" Create.pp_error
+      (Create.create
+         { source = base; patch = Corpus.Cve.hot_patch cve base;
+           update_id = cve.id; description = cve.desc })
+  in
+  let m = (Corpus.Boot.boot ()).machine in
+  let mgr = Apply.init m in
+  let before = probe m in
+  for _ = 1 to 1000 do
+    ignore (ok "apply" Apply.pp_error (Apply.apply mgr c.update));
+    ok "undo" Apply.pp_error (Apply.undo mgr cve.id)
+  done;
+  Alcotest.(check int) "the cursor moved by the first probe only" 1
+    (probe m - before)
+
+let test_undo_keeps_later_allocations () =
+  (* memory allocated after the module (shadow memory, say) pins it: the
+     undo gives nothing back *)
+  let tree, _, m = boot base_src in
+  let tree' =
+    Tree.add tree "k/t.c"
+      (replace "acc = acc + ticket_base;" "acc = acc + ticket_base + 1;"
+         (Option.get (Tree.find tree "k/t.c")))
+  in
+  let u = mk_update ~id:"u" tree tree' in
+  let mgr = Apply.init m in
+  ignore (ok "apply" Apply.pp_error (Apply.apply mgr u));
+  let shadow = Machine.alloc_module m ~size:16 ~align:4 in
+  ok "undo" Apply.pp_error (Apply.undo mgr "u");
+  Alcotest.(check int) "the next allocation follows the shadow" (shadow + 16)
+    (probe m)
+
 let suite =
   [
     ( "apply-edge",
@@ -250,5 +292,8 @@ let suite =
         t "verify on a 32-deep stack" test_verify_deep_stack;
         t "hook fault aborts" test_hook_fault_aborts;
         t "verify empty manager" test_verify_empty_manager;
+        t "undo returns module memory" test_undo_returns_module_memory;
+        t "undo keeps memory allocated after the module"
+          test_undo_keeps_later_allocations;
       ] );
   ]

@@ -65,12 +65,14 @@ let test_all_fixed_trees_compile () =
   let b = base () in
   List.iter
     (fun (cve : Corpus.Cve.t) ->
-      let tree = Corpus.Cve.hot_tree cve b in
-      match Kbuild.build_tree ~options:Minic.Driver.pre_build tree with
-      | Ok _ -> ()
-      | Error e ->
-        Alcotest.failf "%s: fixed tree does not build: %a" cve.id
-          Kbuild.pp_error e)
+      match Diff.apply (Corpus.Cve.hot_patch cve b) b with
+      | Error e -> Alcotest.failf "%s: hot patch does not apply: %s" cve.id e
+      | Ok tree -> (
+        match Kbuild.build_tree ~options:Minic.Driver.pre_build tree with
+        | Ok _ -> ()
+        | Error e ->
+          Alcotest.failf "%s: fixed tree does not build: %a" cve.id
+            Kbuild.pp_error e))
     Corpus.Cve.all
 
 let test_all_patches_create () =

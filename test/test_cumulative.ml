@@ -140,6 +140,36 @@ let test_undo_restacks () =
   Alcotest.(check (list string)) "empty stack" [] (stack_ids mgr);
   Alcotest.(check int32) "base behaviour restored" 4l (call ())
 
+let test_undo_keeps_revived_modules () =
+  (* undoing the cumulative revives the displaced modules where they
+     were, so nothing allocated while it is applied (shadow memory, a
+     user program) or after its undo may lie there *)
+  let mgr, _ = boot_base () in
+  let m = Apply.machine mgr in
+  stack_two mgr;
+  let top =
+    List.fold_left
+      (fun top (a : Apply.applied) ->
+        List.fold_left (fun top (_, hi) -> max top hi) top a.module_ranges)
+      0 (Apply.applied mgr)
+  in
+  (match Apply.apply_cumulative mgr (cum ()) with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "atomic replace: %a" Apply.pp_error e);
+  let marker = Machine.alloc_module m ~size:16 ~align:4 in
+  for i = 0 to 3 do
+    Machine.write_i32 m (marker + (4 * i)) 0x5a5a5a5al
+  done;
+  undo_ok mgr "cum";
+  Alcotest.(check (list string)) "chain re-stacked" [ "hop-1"; "hop-2" ]
+    (stack_ids mgr);
+  for i = 0 to 3 do
+    Alcotest.(check int32) "the marker survives the undo" 0x5a5a5a5al
+      (Machine.read_i32 m (marker + (4 * i)))
+  done;
+  Alcotest.(check bool) "the next allocation clears the revived modules" true
+    (Machine.alloc_module m ~size:1 ~align:1 >= top)
+
 let test_fresh_machine_collapses_trivially () =
   let mgr, call = boot_base () in
   (match Apply.apply_cumulative mgr (cum ()) with
@@ -239,6 +269,8 @@ let suite =
         t "atomic replace collapses the stack" test_collapse;
         t "footprint matches the plain twin" test_footprint_matches_plain_twin;
         t "undo re-stacks the superseded chain" test_undo_restacks;
+        t "undo keeps the revived modules' memory"
+          test_undo_keeps_revived_modules;
         t "fresh machine collapses trivially"
           test_fresh_machine_collapses_trivially;
         t "integrity checks refuse bad stacks" test_integrity_checks;

@@ -130,6 +130,132 @@ let test_build_error_names_unit () =
       (String.length reason >= 6 && String.sub reason 0 6 = "broken")
   | Error e -> Alcotest.failf "unexpected error: %a" Kbuild.pp_error e
 
+(* The MD5 of every object of the base kernel's pre and run builds. A
+   change to the front end, the code generator or the assembler that
+   moves one byte of the toolchain's output fails here, naming the
+   unit. *)
+let golden_pre =
+  [
+    ("kernel/audit.c", "378e122cae631b2e57734a8abd9ed3b9");
+    ("kernel/banner.c", "d1137fde795a2588799b80172baff1c7");
+    ("kernel/counters.c", "332474b613b1ea46b29d8a65c1db0bd9");
+    ("kernel/creds.c", "29c50c54fe7dd1438af3afffd78a4b67");
+    ("kernel/dst.c", "7983bd0da46e8c838135919fca1a75f5");
+    ("kernel/dst_ca.c", "4f693d00aaa370c1a8fdba7244430f46");
+    ("kernel/entry.s", "b5c354aba70b40a4be188efccc08aa95");
+    ("kernel/fs.c", "a1207861e1b08230a8348fab39570cb6");
+    ("kernel/init.c", "d795332c37e8a107fd13c56731c64a9e");
+    ("kernel/ipc.c", "80e7e21bd0dfebc19a4784cd0d91df23");
+    ("kernel/keyring.c", "3d4334c752ce5bff8bfc03fb24aebde3");
+    ("kernel/log.c", "c466eb7866c50c2a61c7ffb2f2d2bd49");
+    ("kernel/misc.c", "1bfe2d27ebc6d30b5deaf02f79897ea6");
+    ("kernel/mm.c", "ad9913e9c7e4d4e902c52b20f1ca75a2");
+    ("kernel/net.c", "d1fb38cf1062efbecde0ea45ec6a49b8");
+    ("kernel/pipe.c", "1b2b9e3257ccd08d446615ba5b36e467");
+    ("kernel/proc.c", "405152896ec575fa1a7231bcf5619386");
+    ("kernel/quota.c", "ec21ea5cdd154b73931caa8da2f0e738");
+    ("kernel/random.c", "b86010ac1831389cdb6b6c9eb1d44387");
+    ("kernel/sched.c", "770726396a887ae94151319f3b8e6c01");
+    ("kernel/signal.c", "cb9d9f732b99c5d013ebd62b6337ba74");
+    ("kernel/sock.c", "a3b4d2b0e4fc83ef77f74e9eb7bece92");
+    ("kernel/time.c", "81aaa43ebb4336dbba3d53b54ad74580");
+    ("kernel/tty.c", "6c103e0b1d5a5a0e6ca5883e5ad38c41");
+    ("kernel/usb.c", "fb6b463f66b5ed3e9e10819454f6585a");
+    ("kernel/video.c", "f29154112dea750f5c3789f5be2e9ccb");
+    ("kernel/xattr.c", "ae9c54f74792bd20501f181a9c14aca5");
+  ]
+
+let golden_run =
+  [
+    ("kernel/audit.c", "6f65d7f52ff43619607b5ec6e063dd41");
+    ("kernel/banner.c", "ff507a77c9d01d21b335ac834e0f51dc");
+    ("kernel/counters.c", "252461896e4bd24214e8b1ff1857666c");
+    ("kernel/creds.c", "8c3a402231abb7d4bc02d6dad32b43fd");
+    ("kernel/dst.c", "f1c66ecca6c43694128bbe8cd664b35c");
+    ("kernel/dst_ca.c", "5b36753a23e393b4a99a92bc260772ab");
+    ("kernel/entry.s", "36ac214ece598fd52e6c223597d1fbd4");
+    ("kernel/fs.c", "7e3afc91544e609332858d49c57cdcbc");
+    ("kernel/init.c", "d7743f19924d14f91b561570d7fe2a5b");
+    ("kernel/ipc.c", "acf39deb34fd88898d60d0bd95174a3a");
+    ("kernel/keyring.c", "360fb3af237bcff23eb254daa831cc53");
+    ("kernel/log.c", "2597423692838e4507609c62e936da46");
+    ("kernel/misc.c", "72c8cd95e79bc69516077b7224f34771");
+    ("kernel/mm.c", "6091185efcaa66ca193d1d9db20e2e02");
+    ("kernel/net.c", "fafed57cb22e1dcd0318c93f67c3cc70");
+    ("kernel/pipe.c", "fecc40567fb99e3b0797b69f3e309067");
+    ("kernel/proc.c", "7aea8e1d296cdda554e719c46c33e4bd");
+    ("kernel/quota.c", "f748c1090ffc48c134af59012df64271");
+    ("kernel/random.c", "702e9a11d628310afeb6570fa78d53ca");
+    ("kernel/sched.c", "52afe69facee5572fe95752da789c18c");
+    ("kernel/signal.c", "2fac0f266783974d973530d63796b023");
+    ("kernel/sock.c", "4ada686fa36734de0775fd1abe0f2850");
+    ("kernel/time.c", "e9b735a8c18070f6ad7fdffa8813a7bc");
+    ("kernel/tty.c", "dfa672aa40a13f07ede760a059733ddc");
+    ("kernel/usb.c", "8ae687eb4876fb6d672c85d6ac7e7e86");
+    ("kernel/video.c", "cc50a99d9b9426472d88ac68b2b7375e");
+    ("kernel/xattr.c", "1b5aa0fdf75aeadf3c8a5f7bcc95b469");
+  ]
+
+let test_golden_base_objects () =
+  let digests options =
+    List.map
+      (fun (u : Kbuild.unit_build) ->
+        (u.source_name, Digest.to_hex (Digest.bytes (Objfile.to_bytes u.obj))))
+      (Fixture.build ~options (Corpus.Base_kernel.tree ())).units
+  in
+  let pairs = Alcotest.(list (pair string string)) in
+  check pairs "pre build" golden_pre (digests Minic.Driver.pre_build);
+  check pairs "run build" golden_run (digests Minic.Driver.run_build)
+
+(* bad assembly input: each is a typed error at the offending line under
+   both build options, never an exception out of the build *)
+let bad_assembly =
+  [
+    ( "jump to an undefined label",
+      ".text\nf:\n  jmp .Lnowhere\n  ret\n",
+      3, "undefined jump target .Lnowhere" );
+    ( "call to an undefined label",
+      ".text\nf:\n  call .Lnowhere\n  ret\n",
+      3, "undefined jump target .Lnowhere" );
+    ( "duplicate label",
+      ".text\nf:\n.L1:\n  ret\n.L1:\n  ret\n",
+      5, "duplicate label .L1" );
+    ( "instruction in .bss",
+      ".bss\nx:\n  ret\n",
+      3, "only labels, .space and .align may appear in .bss" );
+    ( "alignment not a power of two",
+      ".text\nf:\n  .align 3\n  ret\n",
+      3, ".align 3 is not a power of two" );
+    ( "zero alignment in .bss",
+      ".bss\n  .align 0\nx:\n  .space 4\n",
+      2, ".align 0 is not a power of two" );
+    ( "negative .space",
+      ".data\nx:\n  .space -1\n",
+      3, ".space -1 is negative" );
+    ( ".asciz without quotes",
+      ".data\nx:\n  .asciz hi\n",
+      3, "bad .asciz" );
+    ( ".asciz with a bad escape",
+      ".data\nx:\n  .asciz \"a\\q\"\n",
+      3, "bad escape in .asciz" );
+    ( "memory offset beyond 16 bits",
+      ".text\nf:\n  loadw r0, [r1+100000]\n  ret\n",
+      3, "memory offset 100000 does not fit in 16 bits" );
+  ]
+
+let test_bad_assembly (src, line, reason) () =
+  let tree = Tree.of_list [ ("k/bad.s", src) ] in
+  List.iter
+    (fun options ->
+      match Kbuild.build_tree ~options tree with
+      | Error (Kbuild.Unit_assemble_failed e) ->
+        check Alcotest.string "unit" "k/bad.s" e.unit_name;
+        check Alcotest.int "line" line e.line;
+        check Alcotest.string "reason" reason e.reason
+      | Error e -> Alcotest.failf "unexpected error: %a" Kbuild.pp_error e
+      | Ok _ -> Alcotest.fail "expected a typed assembly error")
+    [ Minic.Driver.run_build; Minic.Driver.pre_build ]
+
 let suite =
   [
     ( "kbuild",
@@ -141,5 +267,10 @@ let suite =
         t "options invalidate cache" test_options_invalidate_cache;
         t "inline metadata" test_inline_metadata;
         t "build error names unit" test_build_error_names_unit;
-      ] );
+        t "base kernel objects are pinned" test_golden_base_objects;
+      ]
+      @ List.map
+          (fun (name, src, line, reason) ->
+            t ("assembly error: " ^ name) (test_bad_assembly (src, line, reason)))
+          bad_assembly );
   ]
