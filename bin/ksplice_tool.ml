@@ -408,67 +408,6 @@ let cmd_metrics cve_id sabotage out =
   in
   write_json_or_die ~what:"metrics" out doc
 
-let cmd_store_stats cve_id out =
-  match Corpus.Cve.find cve_id with
-  | None ->
-    Printf.eprintf "error: unknown CVE %s (try list-cves)\n" cve_id;
-    exit 1
-  | Some cve ->
-    let base = Corpus.Base_kernel.tree () in
-    let store = Store.create ~name:"cli" ~capacity:8192 () in
-    let req =
-      { Ksplice.Create.source = base; patch = Corpus.Cve.hot_patch cve base;
-        update_id = cve.id; description = cve.desc }
-    in
-    Kbuild.reset_cache ();
-    Ksplice.Create.reset_creation_stats ();
-    let create () =
-      match Ksplice.Create.create ~store req with
-      | Ok c -> c
-      | Error e ->
-        Format.eprintf "error: create %s: %a@." cve.id
-          Ksplice.Create.pp_error e;
-        exit 1
-    in
-    (* cold then warm, so the export shows both sides of the cache *)
-    ignore (create ());
-    ignore (create ());
-    let module J = Report.Json in
-    let num n = J.Num (float_of_int n) in
-    let store_obj name (s : Store.stats) =
-      ( name,
-        J.Obj
-          [
-            ("hits", num s.hits);
-            ("misses", num s.misses);
-            ("evictions", num s.evictions);
-            ("entries", num s.entries);
-            ("capacity", num s.capacity);
-            ("puts", num s.puts);
-            ("dedup_hits", num s.dedup_hits);
-            ("bytes_put", num s.bytes_put);
-            ("bytes_deduped", num s.bytes_deduped);
-            ("disk_reads", num s.disk_reads);
-            ("disk_writes", num s.disk_writes);
-            ("corrupt", num s.corrupt);
-            ("gc_runs", num s.gc_runs);
-            ("gc_collected", num s.gc_collected);
-            ("gc_reclaimed_bytes", num s.gc_reclaimed_bytes);
-          ] )
-    in
-    let doc =
-      J.Obj
-        [
-          ("schema", J.Str "ksplice-store/1");
-          ("cve", J.Str cve.id);
-          store_obj "create_store" (Store.stats store);
-          store_obj "kbuild_store" (Store.stats (Kbuild.store ()));
-          ("skipped_units", num (Ksplice.Create.skipped_units ()));
-          ("fingerprint", J.Str (Store.fingerprint store));
-        ]
-    in
-    write_json_or_die ~what:"store-stats" out doc
-
 (* --- corpus sweeps and their reports: sweep / report --- *)
 
 (* Run one sweep — on the rows named by [ids] (resolved by the sweep
@@ -939,17 +878,6 @@ let metrics_cmd =
       const (fun v c s o -> setup_logs v; cmd_metrics c s o)
       $ verbose_t $ trace_cve_t $ trace_sabotage_t $ trace_out_t)
 
-let store_stats_cmd =
-  Cmd.v
-    (Cmd.info "store-stats"
-       ~doc:
-         "Create one corpus CVE twice (cold, then warm) through a fresh \
-          artifact store and export the store's hit/dedup counters and \
-          the incremental-creation skip count (ksplice-store/1 JSON)")
-    Term.(
-      const (fun v c o -> setup_logs v; cmd_store_stats c o)
-      $ verbose_t $ trace_cve_t $ trace_out_t)
-
 let repo_dir_t =
   Arg.(
     required
@@ -1078,5 +1006,4 @@ let () =
        (Cmd.group info
           [ create_cmd; inspect_cmd; objdump_cmd; export_cmd; list_cves_cmd;
             demo_cmd; sweep_cmd; report_cmd; collapse_cmd; serve_cmd;
-            sync_cmd; fsck_cmd; gc_cmd; trace_cmd; metrics_cmd;
-            store_stats_cmd ]))
+            sync_cmd; fsck_cmd; gc_cmd; trace_cmd; metrics_cmd ]))

@@ -199,7 +199,11 @@ let parse_insn lineno mnem args =
   | "sext16" -> unary (fun r -> Isa.Sext16 r)
   | "zext8" -> unary (fun r -> Isa.Zext8 r)
   | "zext16" -> unary (fun r -> Isa.Zext16 r)
-  | "int" -> need 1; Plain (Isa.Int (parse_int lineno (List.nth args 0)))
+  | "int" ->
+    need 1;
+    let n = parse_int lineno (List.nth args 0) in
+    if n < 0 || n > 255 then err lineno "int %d is not in 0..255" n;
+    Plain (Isa.Int n)
   | "jmp" -> need 1; Jump_sym (Isa.Cjmp, List.nth args 0)
   | "call" -> need 1; Jump_sym (Isa.Ccall, List.nth args 0)
   | _ ->
@@ -297,6 +301,16 @@ type group = {
 
 let assemble ~unit_name ~function_sections src =
   let stmts = parse src in
+  (* a label names one place in the unit, whatever section holds it: a
+     second definition is reported at its line *)
+  let labels = Hashtbl.create 16 in
+  List.iter
+    (function
+      | line, Label_d n ->
+        if Hashtbl.mem labels n then err line "duplicate label %s" n;
+        Hashtbl.replace labels n ()
+      | _ -> ())
+    stmts;
   let globals =
     List.filter_map (function _, Global n -> Some n | _ -> None) stmts
   in
@@ -353,14 +367,10 @@ let assemble ~unit_name ~function_sections src =
       let is_text = g.g_kind = Section.Text in
       (* the group's labels: a jump to one of them is resolved here, a
          jump to any other becomes a relocation (an error for a local
-         label), and a duplicate is reported at its line *)
+         label) *)
       let defined = Hashtbl.create 16 in
       List.iter
-        (function
-          | line, Label_d n ->
-            if Hashtbl.mem defined n then err line "duplicate label %s" n;
-            Hashtbl.replace defined n ()
-          | _ -> ())
+        (function _, Label_d n -> Hashtbl.replace defined n () | _ -> ())
         stmts;
       let frag = Frag.create () in
       let bss_size = ref 0 in
@@ -402,21 +412,15 @@ let assemble ~unit_name ~function_sections src =
       if g.g_kind = Section.Bss then begin
         sections :=
           Section.make_bss ~name:g.g_secname ~align:4 !bss_size :: !sections;
-        let labels = List.rev !bss_labels in
-        List.iteri
-          (fun i (n, off) ->
-            let next =
-              match List.nth_opt labels (i + 1) with
-              | Some (_, o) -> o
-              | None -> !bss_size
-            in
+        List.iter
+          (fun (n, off, size) ->
             symbols :=
               Symbol.make
                 ~binding:(if is_global n then Symbol.Global else Symbol.Local)
-                ~size:(next - off) ~kind:`Object ~name:n
+                ~size ~kind:`Object ~name:n
                 (Some { Symbol.section = g.g_secname; value = off })
               :: !symbols)
-          labels
+          (Frag.extents (List.rev !bss_labels) ~upto:!bss_size)
       end
       else begin
         let img = Frag.assemble frag ~text:is_text in
@@ -427,22 +431,17 @@ let assemble ~unit_name ~function_sections src =
         let named =
           List.filter (fun (n, _) -> not (is_local_label n)) img.labels
         in
-        List.iteri
-          (fun i (n, off) ->
-            let next =
-              match List.nth_opt named (i + 1) with
-              | Some (_, o) -> o
-              | None -> Bytes.length img.data
-            in
+        List.iter
+          (fun (n, off, size) ->
             symbols :=
               Symbol.make
                 ~binding:(if is_global n then Symbol.Global else Symbol.Local)
-                ~size:(next - off)
+                ~size
                 ~kind:(if is_text then `Func else `Object)
                 ~name:n
                 (Some { Symbol.section = g.g_secname; value = off })
               :: !symbols)
-          named
+          (Frag.extents named ~upto:(Bytes.length img.data))
       end)
     groups;
   (* Undefined references become undefined global symbols. *)

@@ -255,3 +255,11 @@ let assemble t ~text =
     | Jump _ | Align _ -> ()
   done;
   { data; relocs; labels = !labels }
+
+let extents labels ~upto =
+  let rec go = function
+    | [] -> []
+    | [ (l, off) ] -> [ (l, off, upto - off) ]
+    | (l, off) :: ((_, next) :: _ as rest) -> (l, off, next - off) :: go rest
+  in
+  go labels

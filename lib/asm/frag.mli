@@ -85,3 +85,10 @@ exception Error of string
     @raise Error when a jump or call targets a label the fragment does
     not define. *)
 val assemble : t -> text:bool -> image
+
+(** [extents labels ~upto] sizes each label of [labels], given in
+    offset order, as the distance to the next one, and the last as the
+    distance to [upto]: [(label, offset, size)] in the same order. This
+    is the size of a function or datum symbol that runs to the next
+    label. *)
+val extents : ('a * int) list -> upto:int -> ('a * int * int) list

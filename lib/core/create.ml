@@ -51,52 +51,6 @@ let is_source path =
 
 let empty_obj unit_name = Objfile.make ~unit_name ~sections:[] ~symbols:[]
 
-(* --- incremental differencing through the artifact store ---
-
-   Pre and post unit objects are interned by digest; a unit whose pre and
-   post objects are byte-identical needs no differencing at all, and a
-   (pre, post) pair already differenced in this store resolves from the
-   cached diff. Either way the expensive four-pass comparison is skipped
-   — counted below and mirrored as the [store.create.skipped_units]
-   trace counter. *)
-
-let skipped = Atomic.make 0
-let skipped_units () = Atomic.get skipped
-let reset_creation_stats () = Atomic.set skipped 0
-
-(* The per-symbol unit-diff codec. The format (and its typed, total
-   decoder) lives in {!Prepost}; a blob that fails to decode is a plain
-   cache miss, never an error. *)
-module Diff_codec = Store.Typed (struct
-  type v = Prepost.unit_diff
-
-  let codec_id = "unit-diff/3"
-  let encode = Prepost.encode
-  let decode = Prepost.decode
-end)
-
-let diff_unit_incremental store ~unit_name ~(pre : Objfile.t)
-    ~(post : Objfile.t) =
-  let pre_d = Store.put store (Bytes.to_string (Objfile.to_bytes pre)) in
-  let post_d = Store.put store (Bytes.to_string (Objfile.to_bytes post)) in
-  if String.equal pre_d post_d then begin
-    Atomic.incr skipped;
-    Trace.count "store.create.skipped_units" 1;
-    Prepost.empty unit_name
-  end
-  else begin
-    let key = "unitdiff:" ^ pre_d ^ ":" ^ post_d in
-    match Diff_codec.lookup store key with
-    | Some d ->
-      Atomic.incr skipped;
-      Trace.count "store.create.skipped_units" 1;
-      d
-    | None ->
-      let d = Prepost.diff_unit ~pre ~post in
-      ignore (Diff_codec.remember store ~key d : Store.digest);
-      d
-  end
-
 (* --- carving: which post sections and symbols ship ---
 
    Minimal mode ships exactly the diff's inclusion set: whole sections
@@ -268,8 +222,8 @@ let minimal_helper ~multi_defined (pre : Objfile.t) ~replaced_raw
   done;
   { pre with sections = List.filter is_kept pre.sections }
 
-let create ?(minimal = true) ?store ?(supersedes = []) req =
-  let store = match store with Some s -> s | None -> Store.default () in
+let create ?(minimal = true) ?store:(_ : Store.t option) ?(supersedes = [])
+    req =
   Trace.with_span "create"
     ~fields:[ ("update", Trace.Str req.update_id) ]
   @@ fun () ->
@@ -307,7 +261,7 @@ let create ?(minimal = true) ?store ?(supersedes = []) req =
               | Some u -> u.obj
               | None -> empty_obj unit_name
             in
-            diff_unit_incremental store ~unit_name ~pre ~post)
+            Prepost.diff_unit ~pre ~post)
           patched_units
       in
       if List.for_all Prepost.is_empty diffs then Error No_object_changes

@@ -71,14 +71,9 @@ val shipped_symbols : created -> (string * (string * Prepost.reason)) list
     changed functions are still {e replaced} (redirecting unchanged ones
     would invite needless §5.2 quiescence aborts).
 
-    Creation is {e incremental} through [store] (default
-    {!Store.default}): pre and post unit objects are interned by digest,
-    a unit whose pre and post objects are byte-identical skips
-    differencing entirely, and a (pre, post) digest pair already
-    differenced in this store reuses the cached result (codec
-    ["unit-diff/3"]; a blob its typed decoder refuses counts as a plain
-    miss). Incremental and from-scratch
-    creation produce byte-identical updates.
+    [store] is unused: creation keeps nothing between runs besides
+    kbuild's compile cache. It stays only for callers that still pass
+    one (the benchmark's workloads) and goes once they stop.
 
     [supersedes] (default [[]]) makes the result a {e cumulative} update:
     the listed update ids, oldest first, are atomically replaced when it
@@ -92,10 +87,3 @@ val create :
   ?supersedes:string list ->
   request ->
   (created, error) result
-
-(** Units whose differencing was skipped (equal pre/post digests or a
-    cached diff) since the last {!reset_creation_stats} — mirrored as the
-    [store.create.skipped_units] trace counter. *)
-val skipped_units : unit -> int
-
-val reset_creation_stats : unit -> unit

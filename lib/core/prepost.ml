@@ -3,7 +3,7 @@
    across the pre/post builds, detect genuinely changed functions
    per-symbol with benign rebuild noise canonicalised away, close the
    dependency set of what must ship, and classify data changes
-   per-symbol. The UDF3 codec for unit diffs follows the passes. *)
+   per-symbol. *)
 
 module Reloc = Objfile.Reloc
 module Symbol = Objfile.Symbol
@@ -357,85 +357,3 @@ let pp_unit_diff ppf d =
     d.removed_functions pl d.changed_data pl d.changed_rodata pl d.new_data
     (Format.pp_print_list ~pp_sep:Format.pp_print_space pr)
     d.inclusion
-
-let empty unit_name =
-  { unit_name; changed_functions = []; new_functions = [];
-    removed_functions = []; changed_data = []; changed_rodata = [];
-    new_data = []; renames = []; inclusion = [] }
-
-(* --- the unit-diff codec: magic UDF3 on {!Codec}; reasons are one tag
-   byte plus, for the two that name a symbol, its name --- *)
-
-let magic = "UDF3"
-
-let put_reason b = function
-  | Changed -> Codec.put_u8 b 0
-  | New -> Codec.put_u8 b 1
-  | Closure_of s ->
-    Codec.put_u8 b 2;
-    Codec.put_str b s
-  | Data_referent s ->
-    Codec.put_u8 b 3;
-    Codec.put_str b s
-
-let encode (d : unit_diff) =
-  let open Codec in
-  let strs = put_list put_str in
-  let b = Buffer.create 256 in
-  Buffer.add_string b magic;
-  put_str b d.unit_name;
-  strs b d.changed_functions;
-  strs b d.new_functions;
-  strs b d.removed_functions;
-  strs b d.changed_data;
-  strs b d.changed_rodata;
-  strs b d.new_data;
-  put_list
-    (fun b (post, pre) ->
-      put_str b post;
-      put_str b pre)
-    b d.renames;
-  put_list
-    (fun b (sym, r) ->
-      put_str b sym;
-      put_reason b r)
-    b d.inclusion;
-  Buffer.contents b
-
-let get_reason r =
-  match Codec.get_u8 r with
-  | 0 -> Changed
-  | 1 -> New
-  | 2 -> Closure_of (Codec.get_str r)
-  | 3 -> Data_referent (Codec.get_str r)
-  | _ -> Codec.fail r "unknown inclusion reason"
-
-let decode =
-  Codec.decode ~magic (fun r ->
-      let open Codec in
-      let strs = get_list get_str in
-      let unit_name = get_str r in
-      let changed_functions = strs r in
-      let new_functions = strs r in
-      let removed_functions = strs r in
-      let changed_data = strs r in
-      let changed_rodata = strs r in
-      let new_data = strs r in
-      let renames =
-        get_list
-          (fun r ->
-            let post = get_str r in
-            let pre = get_str r in
-            (post, pre))
-          r
-      in
-      let inclusion =
-        get_list
-          (fun r ->
-            let sym = get_str r in
-            let reason = get_reason r in
-            (sym, reason))
-          r
-      in
-      { unit_name; changed_functions; new_functions; removed_functions;
-        changed_data; changed_rodata; new_data; renames; inclusion })

@@ -96,16 +96,3 @@ val slice_relocs : slice -> Objfile.Reloc.t list
 (** [diff_unit ~pre ~post] runs all four passes over one unit (both
     objects built with function sections). *)
 val diff_unit : pre:Objfile.t -> post:Objfile.t -> unit_diff
-
-(** The all-empty diff for [unit_name]. *)
-val empty : string -> unit_diff
-
-(** {2 The unit-diff codec}
-
-    Magic [UDF3] on {!Codec}. Used by {!Create}'s store-backed
-    incremental differencing. [decode] is total: any input — including
-    truncations and bitflips of encoded diffs — yields a typed error,
-    never an exception. *)
-
-val encode : unit_diff -> string
-val decode : string -> (unit_diff, Codec.error) result

@@ -244,12 +244,8 @@ let publish_cumulative t ~source ~update_id ~description =
               e.update.Update.supersedes @ [ e.update.Update.update_id ])
             chain
         in
-        (* creation interns unit objects and caches unit diffs under
-           refs: a fresh store keeps that scratch state out of the
-           repository, which holds only entries and their objects *)
         match
-          Create.create ~store:(Store.create ~name:"cumulative-create" ())
-            ~supersedes
+          Create.create ~supersedes
             { Create.source; patch; update_id; description }
         with
         | Error ce ->

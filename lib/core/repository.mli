@@ -83,9 +83,7 @@ val publish :
 (** [publish_cumulative repo ~source ~update_id ~description] collapses
     the pending chain starting at [source] into one cumulative entry:
     the chain's patches compose into a single patch from [source] to the
-    chain head, a fresh update is built from it ({!Create.create}, through
-    a fresh memory store, so creation's interned unit objects and cached
-    unit diffs never enter the repository) whose
+    chain head, a fresh update is built from it ({!Create.create}) whose
     [supersedes] lists every chain update id oldest first (flattened
     through any cumulative chain entries), and the entry is published
     under the ref ["cumulative:<digest>"], one hop from [source] straight

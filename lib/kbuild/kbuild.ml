@@ -20,15 +20,14 @@ let pp_error ppf = function
   | Unit_assemble_failed { unit_name; line; reason } ->
     Format.fprintf ppf "%s:%d: %s" unit_name line reason
 
-(* Content-addressed compile cache: (digest(source), options fingerprint)
-   -> compiled unit, backed by the shared artifact store ({!Store}). The
-   store supplies the mutex-guarded LRU discipline and the hit/miss/
-   eviction accounting (mirrored as [store.kbuild.*] trace counters);
-   this module contributes only the cache key and the unit codec.
-   Compilation happens outside the store's lock; when two concurrent
-   builds race to compile the same key, both intern byte-identical
-   encodings (builds are deterministic), so the blob dedups and every
-   caller shares one physical artifact. *)
+(* Compile cache: (digest(source), path, options fingerprint) ->
+   compiled unit, a table of values under one mutex, shared by every
+   build in the process (concurrent builds included). Compilation
+   happens outside the lock; when two builds race to compile one key,
+   the first unit inserted is the one both keep, so callers share one
+   physical artifact. A full table is emptied before the next insert:
+   the bound is a guard on memory that no corpus build reaches, and a
+   dropped unit only costs a recompile. *)
 
 type cache_stats = {
   hits : int;
@@ -38,67 +37,64 @@ type cache_stats = {
   capacity : int;
 }
 
-let the_store = Store.create ~name:"kbuild" ~capacity:1024 ()
-let store () = the_store
-
-let set_cache_capacity n = Store.set_capacity the_store n
+let capacity = 1024
+let cache : (string, unit_build) Hashtbl.t = Hashtbl.create 256
+let cache_m = Mutex.create ()
+let hits = ref 0
+let misses = ref 0
+let evictions = ref 0
 
 let cache_stats () =
-  let s = Store.stats the_store in
-  {
-    hits = s.Store.hits;
-    misses = s.Store.misses;
-    evictions = s.Store.evictions;
-    entries = s.Store.entries;
-    capacity = s.Store.capacity;
-  }
+  Mutex.protect cache_m (fun () ->
+      {
+        hits = !hits;
+        misses = !misses;
+        evictions = !evictions;
+        entries = Hashtbl.length cache;
+        capacity;
+      })
 
-let reset_cache () = Store.reset the_store
+let reset_cache () = Mutex.protect cache_m (fun () -> Hashtbl.reset cache)
 
 let options_fingerprint (o : Minic.Driver.options) =
   Printf.sprintf "fs=%b;al=%b" o.codegen.function_sections
     o.codegen.align_loops
 
-(* the unit codec on {!Codec}, led by its codec id; a blob that fails to
-   decode is a cache miss *)
-module Unit_codec = Store.Typed (struct
-  type v = unit_build
+(* counts one hit or miss *)
+let lookup key =
+  let found =
+    Mutex.protect cache_m (fun () ->
+        let found = Hashtbl.find_opt cache key in
+        incr (if Option.is_some found then hits else misses);
+        found)
+  in
+  Trace.count
+    (if Option.is_some found then "kbuild.cache_hits" else "kbuild.cache_misses")
+    1;
+  found
 
-  let codec_id = "kbuild-unit/2"
-
-  let put_decision b (d : Minic.Inline.decision) =
-    Codec.put_str b d.caller;
-    Codec.put_str b d.callee
-
-  let encode u =
-    let b = Buffer.create 1024 in
-    Buffer.add_string b codec_id;
-    Codec.put_str b u.source_name;
-    Codec.put_str b (Bytes.to_string (Objfile.to_bytes u.obj));
-    Codec.put_list put_decision b u.inline_decisions;
-    Buffer.contents b
-
-  let get_decision r : Minic.Inline.decision =
-    let caller = Codec.get_str r in
-    let callee = Codec.get_str r in
-    { caller; callee }
-
-  let decode =
-    Codec.decode ~magic:codec_id (fun r ->
-        let source_name = Codec.get_str r in
-        let obj =
-          match Objfile.of_bytes (Bytes.of_string (Codec.get_str r)) with
-          | Ok o -> o
-          | Error e ->
-            Codec.fail r (Format.asprintf "bad object: %a" Codec.pp_error e)
-        in
-        let inline_decisions = Codec.get_list get_decision r in
-        { source_name; obj; inline_decisions })
-end)
+(* -> the unit the table keeps for [key]: [u], or the equal unit a
+   racing build inserted first *)
+let insert key u =
+  let kept, evicted =
+    Mutex.protect cache_m (fun () ->
+        match Hashtbl.find_opt cache key with
+        | Some first -> (first, 0)
+        | None ->
+          let evicted =
+            if Hashtbl.length cache < capacity then 0 else Hashtbl.length cache
+          in
+          if evicted > 0 then Hashtbl.reset cache;
+          evictions := !evictions + evicted;
+          Hashtbl.add cache key u;
+          (u, evicted))
+  in
+  if evicted > 0 then Trace.count "kbuild.cache_evictions" evicted;
+  kept
 
 let compile_one ~options ~fingerprint path contents digest =
   let key = String.concat "|" [ Digest.to_hex digest; path; fingerprint ] in
-  match Unit_codec.lookup the_store key with
+  match lookup key with
   | Some u -> Ok u
   | None ->
     let compiled =
@@ -120,10 +116,7 @@ let compile_one ~options ~fingerprint path contents digest =
           Error (Unit_assemble_failed { unit_name = path; line; reason = msg })
       end
     in
-    Result.iter
-      (fun u -> ignore (Unit_codec.remember the_store ~key u : Store.digest))
-      compiled;
-    compiled
+    Result.map (insert key) compiled
 
 let is_source path =
   String.ends_with ~suffix:".c" path || String.ends_with ~suffix:".s" path

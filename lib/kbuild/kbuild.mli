@@ -8,9 +8,8 @@
     the post build recompile only units the patch touched, like kbuild.
 
     Units compile one after another, in path order. The cache is
-    mutex-guarded, shared across builds in one process (concurrent
-    builds included), and bounded by an LRU policy (see
-    {!set_cache_capacity}). *)
+    mutex-guarded and shared across builds in one process (concurrent
+    builds included). *)
 
 type unit_build = {
   source_name : string;  (** e.g. ["kernel/sched.c"] *)
@@ -52,32 +51,25 @@ val inlined_callees : build -> (string * string * string) list
 
 (** {2 Compile cache}
 
-    The cache is a handle on a content-addressed {!Store.t} named
-    ["kbuild"]: compiled units are interned as digest-keyed blobs through
-    a versioned codec, the cache key (source digest + path + options
-    fingerprint) is a store ref, and the store supplies the mutex-guarded
-    LRU bound and the statistics below (also mirrored as
-    [store.kbuild.*] {!Trace} counters). The source digest is the one
-    the tree took when the file entered it ({!Patchfmt.Source_tree.fold}),
-    so a warm build hashes no source. *)
-
-(** The artifact store backing the compile cache. *)
-val store : unit -> Store.t
+    The cache is a mutex-guarded table of compiled units keyed by the
+    source digest, the path and the options fingerprint. The source
+    digest is the one the tree took when the file entered it
+    ({!Patchfmt.Source_tree.fold}), so a warm build hashes no source. A
+    hit returns the unit compiled first, physically shared. The table
+    holds at most 1024 units; a full table is emptied before the next
+    insert. Hits, misses and evictions are also [kbuild.cache_hits],
+    [kbuild.cache_misses] and [kbuild.cache_evictions] {!Trace}
+    counters. *)
 
 type cache_stats = {
   hits : int;  (** lookups served from the cache (cumulative) *)
   misses : int;  (** lookups that had to compile (cumulative) *)
-  evictions : int;  (** entries dropped by the LRU bound (cumulative) *)
+  evictions : int;  (** entries dropped by emptying a full table (cumulative) *)
   entries : int;  (** entries resident now *)
-  capacity : int;  (** maximum resident entries *)
+  capacity : int;  (** maximum resident entries (1024) *)
 }
 
 val cache_stats : unit -> cache_stats
-
-(** [set_cache_capacity n] bounds the cache to [max 1 n] entries,
-    evicting least-recently-used entries immediately if over. The default
-    capacity is 1024. *)
-val set_cache_capacity : int -> unit
 
 (** [reset_cache ()] drops every cached unit (counters are kept — they
     are cumulative process-level statistics). Used to benchmark cold

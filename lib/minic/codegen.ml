@@ -380,24 +380,22 @@ let finish_text_section u name frag named_funcs =
     Section.make ~name ~kind:Section.Text ~align:4 img.data img.relocs
     :: u.sections;
   (* function symbols with sizes from label positions *)
+  let static_of = Hashtbl.of_seq (List.to_seq named_funcs) in
   let fn_labels =
-    List.filter (fun (n, _) -> List.mem_assoc n named_funcs) img.labels
+    List.filter_map
+      (fun (n, off) ->
+        Option.map (fun st -> ((n, st), off)) (Hashtbl.find_opt static_of n))
+      img.labels
   in
-  List.iteri
-    (fun i (fname, off) ->
-      let next =
-        match List.nth_opt fn_labels (i + 1) with
-        | Some (_, o) -> o
-        | None -> Bytes.length img.data
-      in
-      let static : bool = List.assoc fname named_funcs in
+  List.iter
+    (fun ((fname, static), off, size) ->
       u.symbols <-
         Symbol.make
           ~binding:(if static then Symbol.Local else Symbol.Global)
-          ~size:(next - off) ~kind:`Func ~name:fname
+          ~size ~kind:`Func ~name:fname
           (Some { Symbol.section = name; value = off })
         :: u.symbols)
-    fn_labels
+    (Frag.extents fn_labels ~upto:(Bytes.length img.data))
 
 let compile_unit ~options (tu : tunit) : Objfile.t =
   let u =

@@ -2,15 +2,9 @@ type digest = string
 
 let digest_of_string s = Digest.to_hex (Digest.string s)
 
-(* decoded-value memo for the Typed functor: each functor application
-   adds its own constructor, so one resident blob can cache at most one
-   decoding per value type that actually touches it *)
-type packed = ..
-
 type centry = {
   data : string;
   mutable last_used : int;
-  mutable cached : packed option;
 }
 
 type stats = {
@@ -71,7 +65,7 @@ type t = {
   mutable txns : int;
   mutable last_recovery : recovery_report option;
   mutable clock : int;
-  mutable cap : int;
+  cap : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -85,7 +79,7 @@ type t = {
   mutable gc_runs : int;
   mutable gc_collected : int;
   mutable gc_reclaimed_bytes : int;
-  (* precomputed trace-counter names: emitters are on cache hot paths *)
+  (* precomputed trace-counter names: emitters are on hot paths *)
   tc_hits : string;
   tc_misses : string;
   tc_evictions : string;
@@ -117,9 +111,8 @@ let refs_dir dir = Filename.concat dir "refs"
 let blob_path dir d = Filename.concat (blobs_dir dir) d
 let journal_path dir = Filename.concat dir "journal"
 
-(* ref names are arbitrary strings (compile-cache keys contain paths and
-   option fingerprints), so the file is named by the digest of the name
-   and carries the name inside *)
+(* ref names are arbitrary strings, so the file is named by the digest
+   of the name and carries the name inside *)
 let ref_path dir rname = Filename.concat (refs_dir dir) (digest_of_string rname)
 
 (* Durable atomic replace: write the bytes to a temporary, fsync them,
@@ -370,22 +363,6 @@ let create ?(name = "store") ?(capacity = max_int) ?dir ?(vfs = Vfs.real)
 
 let recovery t = t.last_recovery
 
-let default_store = ref None
-let default_m = Mutex.create ()
-
-let default () =
-  Mutex.lock default_m;
-  let t =
-    match !default_store with
-    | Some t -> t
-    | None ->
-      let t = create ~name:"artifacts" ~capacity:8192 () in
-      default_store := Some t;
-      t
-  in
-  Mutex.unlock default_m;
-  t
-
 let locked t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
@@ -449,7 +426,7 @@ let put t blob =
         | None -> t.bytes_put <- t.bytes_put + String.length blob);
         t.clock <- t.clock + 1;
         Hashtbl.replace t.blobs d
-          { data = blob; last_used = t.clock; cached = None };
+          { data = blob; last_used = t.clock };
         evict_locked t);
   d
 
@@ -490,7 +467,7 @@ let find_entry_locked t d =
           end
           else begin
             t.clock <- t.clock + 1;
-            let e = { data = raw; last_used = t.clock; cached = None } in
+            let e = { data = raw; last_used = t.clock } in
             Hashtbl.replace t.blobs d e;
             evict_locked t;
             t.hits <- t.hits + 1;
@@ -621,22 +598,6 @@ let refs t =
       Hashtbl.iter (Hashtbl.replace acc) t.mrefs;
       Hashtbl.fold (fun k v l -> (k, v) :: l) acc []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b))
-
-(* --- cache-style combined ops --- *)
-
-let lookup t key =
-  match find_ref t key with
-  | Some d -> get t d
-  | None ->
-    locked t (fun () ->
-        t.misses <- t.misses + 1;
-        Trace.count t.tc_misses 1);
-    None
-
-let remember t ~key blob =
-  let d = put t blob in
-  set_ref t key d;
-  d
 
 (* --- fsck --- *)
 
@@ -822,20 +783,7 @@ let gc ?(expand = fun _ _ -> Ok []) t =
             gc_pinned = List.length pins;
           })
 
-(* --- capacity / lifecycle / stats --- *)
-
-let set_capacity t n =
-  locked t (fun () ->
-      t.cap <- max 1 n;
-      evict_locked t)
-
-let capacity t = locked t (fun () -> t.cap)
-
-let reset t =
-  locked t (fun () ->
-      Hashtbl.reset t.blobs;
-      Hashtbl.reset t.mrefs;
-      Hashtbl.reset t.pinned)
+(* --- stats --- *)
 
 let stats t =
   locked t (fun () ->
@@ -889,64 +837,3 @@ let fingerprint t =
           Buffer.add_char b '\n')
         refl;
       digest_of_string (Buffer.contents b))
-
-(* --- typed codecs --- *)
-
-module type VALUE = sig
-  type v
-
-  val codec_id : string
-  val encode : v -> string
-  val decode : string -> (v, Codec.error) result
-end
-
-module Typed (V : VALUE) = struct
-  type packed += P of V.v
-
-  let put t v = put t (V.encode v)
-
-  let get t d =
-    let fast =
-      locked t (fun () ->
-          match find_entry_locked t d with
-          | Ok { cached = Some (P v); _ } -> `Cached v
-          | Ok e -> `Raw e.data
-          | Error err -> `Err err)
-    in
-    match fast with
-    | `Err err ->
-      Error
-        (err :> [ `Missing | `Corrupt of string | `Decode of Codec.error ])
-    | `Cached v -> Ok v
-    | `Raw data -> (
-      (* resident but not yet decoded for this type: decode outside the
-         lock, then memoise (last writer wins; values are equal) *)
-      match V.decode data with
-      | Error e ->
-        Error (`Decode { e with reason = V.codec_id ^ ": " ^ e.reason })
-      | Ok v ->
-        locked t (fun () ->
-            match Hashtbl.find_opt t.blobs d with
-            | Some e -> e.cached <- Some (P v)
-            | None -> ());
-        Ok v)
-
-  let lookup t key =
-    match find_ref t key with
-    | Some d -> ( match get t d with Ok v -> Some v | Error _ -> None)
-    | None ->
-      locked t (fun () ->
-          t.misses <- t.misses + 1;
-          Trace.count t.tc_misses 1);
-      None
-
-  let remember t ~key v =
-    let d = remember t ~key (V.encode v) in
-    (* the encoder round-trips; memoise the original value so hits share
-       one physical artifact *)
-    locked t (fun () ->
-        match Hashtbl.find_opt t.blobs d with
-        | Some e -> e.cached <- Some (P v)
-        | None -> ());
-    d
-end

@@ -1,6 +1,6 @@
 (** Content-addressed artifact store: the one digest-keyed substrate
-    under kbuild's compile cache, incremental update creation, update
-    serialisation, and the distribution repository.
+    under store-backed update serialisation, the distribution
+    repository and the fleet mirrors.
 
     The whole Ksplice pipeline is digest-shaped — deterministic builds
     (§4.3), pre-post differencing over object code (§3), linear update
@@ -10,20 +10,16 @@
     - {b blobs}: immutable byte strings keyed by their own digest.
       [put] interns (a repeat is a {e dedup hit}, counted, with the
       duplicate bytes counted as saved); [get]/[load] retrieve.
-    - {b refs}: mutable names pointing at blob digests (a compile-cache
-      key, a repository chain head) — the only mutable state.
-    - {b typed codecs}: {!Typed} wraps a blob in an encode/decode pair
-      and memoises the decoded value on the in-memory entry, so a cache
-      hit costs no re-decode.
+    - {b refs}: mutable names pointing at blob digests (a repository
+      chain head, a mirror's head) — the only mutable state.
 
-    {b Tiers.} The in-memory tier is mutex-guarded and LRU-bounded with
-    eviction statistics, exactly the discipline of the old kbuild
-    compile cache. An optional on-disk tier ([?dir]) makes blobs and
-    refs durable, and every disk read re-digests the bytes — a truncated
-    or bit-flipped blob is reported as [`Corrupt], never returned. With
-    a disk tier, memory eviction never loses data (the next [get]
-    re-reads and re-verifies from disk); without one, the store is a
-    bounded cache and callers must treat a miss as "recompute".
+    {b Tiers.} The in-memory tier is mutex-guarded and optionally
+    LRU-bounded with eviction statistics. An optional on-disk tier
+    ([?dir]) makes blobs and refs durable, and every disk read
+    re-digests the bytes — a truncated or bit-flipped blob is reported
+    as [`Corrupt], never returned. With a disk tier, memory eviction
+    never loses data (the next [get] re-reads and re-verifies from
+    disk).
 
     {b Crash safety.} All disk I/O goes through an injectable {!Vfs.t},
     so the fault sweeps can kill a simulated process at any I/O
@@ -60,9 +56,11 @@ val digest_of_string : string -> digest
     bounds the in-memory tier (clamped to at least 1). Without
     [capacity] the memory tier never evicts, so a memory-only store
     keeps every blob and ref: a repository or fleet mirror held in
-    memory loses nothing (caches pass their bound). [dir] roots the persistent tier (created if missing, with [blobs/],
-    [refs/] and a [journal] underneath). [vfs] (default {!Vfs.real})
-    carries all disk I/O — inject a fault plan to simulate crashes.
+    memory loses nothing. A bounded memory-only store drops the refs an
+    eviction leaves dangling. [dir] roots the persistent tier (created
+    if missing, with [blobs/], [refs/] and a [journal] underneath).
+    [vfs] (default {!Vfs.real}) carries all disk I/O — inject a fault
+    plan to simulate crashes.
     Unless [recover] is [false] (read-only inspection, e.g. fsck),
     opening a disk store replays the journal and sweeps orphan temp
     files; the result is available from {!recovery}.
@@ -90,10 +88,6 @@ val create :
   t
 
 val name : t -> string
-
-(** The process-wide artifact store shared by update creation and the
-    corpus sweeps (memory-only, capacity 8192). *)
-val default : unit -> t
 
 (** {2 Blobs} *)
 
@@ -201,29 +195,6 @@ val gc :
   ?expand:(digest -> string -> (digest list, string) result) -> t ->
   (gc_report, string) result
 
-(** {2 Cache-style combined operations} *)
-
-(** [lookup t key] resolves ref [key] and loads its blob, counting one
-    hit (both succeed) or one miss. *)
-val lookup : t -> string -> string option
-
-(** [remember t ~key blob] interns [blob] and points ref [key] at it. *)
-val remember : t -> key:string -> string -> digest
-
-(** {2 Capacity and lifecycle} *)
-
-(** Bounds the in-memory tier to [max 1 n] entries, evicting
-    least-recently-used entries immediately if over. In a memory-only
-    store, refs left dangling by an eviction are dropped with it. *)
-val set_capacity : t -> int -> unit
-
-val capacity : t -> int
-
-(** Drops every in-memory blob, ref and transaction pin. Counters are
-    kept (cumulative process-level statistics); the disk tier is
-    untouched. *)
-val reset : t -> unit
-
 (** {2 Statistics} *)
 
 type stats = {
@@ -251,33 +222,3 @@ val stats : t -> stats
     performed the same puts and ref writes — in any order — fingerprint
     identically. *)
 val fingerprint : t -> digest
-
-(** {2 Typed codecs} *)
-
-module type VALUE = sig
-  type v
-
-  (** Versioned codec label, e.g. ["kbuild-unit/2"], prefixed to the
-      reason of a decode error. *)
-  val codec_id : string
-
-  val encode : v -> string
-  val decode : string -> (v, Codec.error) result
-end
-
-(** Blob access through a codec, with the decoded value memoised on the
-    in-memory entry (a second [get]/[lookup] of the same resident blob
-    re-decodes nothing). Apply the functor once per value type. *)
-module Typed (V : VALUE) : sig
-  val put : t -> V.v -> digest
-
-  val get :
-    t -> digest ->
-    (V.v, [ `Missing | `Corrupt of string | `Decode of Codec.error ]) result
-
-  (** [lookup t key] is ref-resolve + typed load, counting one hit or
-      miss; a decode failure yields [None]. *)
-  val lookup : t -> string -> V.v option
-
-  val remember : t -> key:string -> V.v -> digest
-end

@@ -1,8 +1,8 @@
 (* The shared binary codec: the reader's edge cases, the checksummed
-   frame, and every-prefix / byte-flip totality for the three formats
-   that had no totality test of their own — compile-cache units,
-   repository entries and store journal records — plus the old UDF2,
-   kbuild-unit/1 and J1 bytes, which must now decode to typed errors. *)
+   frame, and every-prefix / byte-flip totality for the two formats
+   that have no totality test of their own — repository entries and
+   store journal records — plus the old J1 bytes, which must now decode
+   to a typed error. *)
 
 module Tree = Patchfmt.Source_tree
 module Diff = Patchfmt.Diff
@@ -119,57 +119,6 @@ let damaged good =
 
 let is_prefix = function Fixture.Prefix _ -> true | Flip _ -> false
 
-(* compile-cache units: a damaged blob is a cache miss — the build
-   recompiles and points the key back at the good blob — never an
-   exception *)
-let unit_tree = Tree.of_list [ ("u.c", "int g(int v) { return v + 1; }\n") ]
-
-let build () =
-  Fixture.build ~options:Minic.Driver.run_build unit_tree
-
-let unit_object b =
-  Bytes.to_string (Objfile.to_bytes (List.hd (Kbuild.objects b)))
-
-let cache_entry () =
-  Kbuild.reset_cache ();
-  ignore (build () : Kbuild.build);
-  match Store.refs (Kbuild.store ()) with
-  | [ (key, d) ] -> (key, d, Option.get (Store.get (Kbuild.store ()) d))
-  | l -> Alcotest.failf "expected one cache entry, found %d" (List.length l)
-
-let test_kbuild_unit_damage_is_a_miss () =
-  let store = Kbuild.store () in
-  let key, good_d, good = cache_entry () in
-  let want = unit_object (build ()) in
-  List.iter
-    (fun (kind, blob) ->
-      Store.set_ref store key (Store.put store blob);
-      let b =
-        match build () with
-        | b -> b
-        | exception e ->
-          Alcotest.failf "damaged unit blob raised %s" (Printexc.to_string e)
-      in
-      if is_prefix kind then begin
-        Alcotest.(check (option string)) "recompiled into the good blob"
-          (Some good_d) (Store.find_ref store key);
-        Alcotest.(check string) "same object" want (unit_object b)
-      end)
-    (damaged good);
-  Kbuild.reset_cache ()
-
-let test_old_kbuild_unit_is_a_miss () =
-  (* a kbuild-unit/1 blob: decimal netstrings, no magic *)
-  let store = Kbuild.store () in
-  let key, good_d, _ = cache_entry () in
-  let ns s = string_of_int (String.length s) ^ ":" ^ s in
-  let old = ns "u.c" ^ ns (unit_object (build ())) ^ ns "0" in
-  Store.set_ref store key (Store.put store old);
-  ignore (build () : Kbuild.build);
-  Alcotest.(check (option string)) "recompiled" (Some good_d)
-    (Store.find_ref store key);
-  Kbuild.reset_cache ()
-
 (* repository entries: links decodes or refuses every damaged entry *)
 let entry_blob () =
   let src body = "int level = 1;\nint f() { return " ^ body ^ "; }\n" in
@@ -276,16 +225,6 @@ let test_old_journal_record_is_torn () =
       Alcotest.(check (option string)) "ref not moved" None
         (Store.find_ref s "r1"))
 
-let test_old_unit_diff_is_an_error () =
-  (* a well-formed UDF2 blob: netstrings behind the old magic *)
-  let ns s = string_of_int (String.length s) ^ ":" ^ s in
-  let counts = String.concat "" (List.init 8 (fun _ -> ns "0")) in
-  let old = "UDF2" ^ ns "u.c" ^ counts in
-  match Ksplice.Prepost.decode old with
-  | Error { reason = "bad magic"; off = 0 } -> ()
-  | Error e -> Alcotest.failf "unexpected error: %a" Codec.pp_error e
-  | Ok _ -> Alcotest.fail "a UDF2 blob decoded"
-
 let suite =
   [
     ( "codec",
@@ -299,12 +238,8 @@ let suite =
         t "frame roundtrip" test_frame_roundtrip;
         t "every frame prefix is Incomplete" test_frame_prefixes_incomplete;
         t "no bit flip unframes" test_frame_bit_flips_never_ok;
-        t "damaged kbuild unit is a cache miss"
-          test_kbuild_unit_damage_is_a_miss;
-        t "kbuild-unit/1 blob is a cache miss" test_old_kbuild_unit_is_a_miss;
         t "damaged repository entry is typed" test_entry_damage_total;
         t "damaged journal never half-moves a ref" test_journal_damage_total;
         t "J1 journal record is a torn tail" test_old_journal_record_is_torn;
-        t "UDF2 unit diff is a typed error" test_old_unit_diff_is_an_error;
       ] );
   ]

@@ -1,9 +1,8 @@
 (* The minimal-differencing engine (Prepost/Create): benign
    rebuild noise must produce empty diffs, genuinely changed functions
    ship alone, data referents and closure inclusions are detected, every
-   shipped symbol carries a reason, and the unit-diff store codec is
-   total. The codec tests keep the names they had under unit-diff/2
-   (magic UDF2); the codec is now UDF3. *)
+   shipped symbol carries a reason, and every corpus update's bytes are
+   pinned. *)
 
 module Tree = Patchfmt.Source_tree
 module Diff = Patchfmt.Diff
@@ -258,66 +257,48 @@ let test_every_shipped_symbol_has_reason () =
             (List.mem_assoc sym.name reasons))
       c.update.primary.symbols
 
-(* --- unit-diff codec totality --- *)
+(* --- create's output, pinned ---
 
-let sample_diff () =
-  diff
-    {|
-int cfg = 1;
-char *tag() { return "v1"; }
-int get() { return cfg + tag()[0]; }
-|}
-    {|
-int cfg = 1;
-int extra = 9;
-char *tag() { return "v2 longer"; }
-int get() { return cfg + tag()[0] + extra; }
-|}
+   One MD5 over the bytes of every update of the corpus's base-tree
+   rows (the 64 CVEs, then the shadow and differencing extras), each
+   created minimal and then whole-unit, followed by every (release,
+   applicable CVE) pair. Like the object digests of [test kbuild], a
+   change that should not move a byte of any update keeps it. *)
 
-let test_codec_roundtrip () =
-  let d = sample_diff () in
-  match Prepost.decode (Prepost.encode d) with
-  | Ok d' ->
-    Alcotest.(check bool) "roundtrip" true (d = d')
-  | Error e -> Alcotest.failf "decode: %a" Codec.pp_error e
+let corpus_updates_md5 = "0f31ad1cfff4f28fadc548fbeaef117d"
 
-let test_codec_rejects_v1_blob () =
-  (* the retired unit-diff/1 codec led with a decimal length, never a
-     UDF magic: any such blob must be a typed error (a cache miss at
-     the store layer), not an exception *)
+let test_corpus_updates_pinned () =
+  let base = Corpus.Base_kernel.tree () in
+  let bytes = Buffer.create (1 lsl 20) in
+  let n = ref 0 in
+  let add ?minimal ~source patch (cve : Corpus.Cve.t) =
+    match
+      Create.create ?minimal
+        { source; patch; update_id = cve.id; description = cve.desc }
+    with
+    | Ok c ->
+      incr n;
+      Buffer.add_bytes bytes (Update.to_bytes c.update)
+    | Error e -> Alcotest.failf "create %s: %a" cve.id Create.pp_error e
+  in
   List.iter
-    (fun blob ->
-      match Prepost.decode blob with
-      | Ok _ -> Alcotest.failf "v1-style blob %S parsed" blob
-      | Error _ -> ())
-    [ ""; "3:u.c"; "1|get|"; "UDF1"; "UDF2"; "UDF2trailing" ]
-
-let decode_total s =
-  match Prepost.decode s with
-  | Ok _ -> true
-  | Error _ -> true
-  | exception _ -> false
-
-let test_codec_every_prefix_rejected () =
-  let good = Prepost.encode (sample_diff ()) in
+    (fun cve ->
+      let patch = Corpus.Cve.hot_patch cve base in
+      add ~source:base patch cve;
+      add ~minimal:false ~source:base patch cve)
+    Corpus.Cve.(all @ shadow_extras @ diff_extras);
   List.iter
-    (fun d ->
-      match Prepost.decode (Fixture.damage good d) with
-      | Ok _ -> Alcotest.failf "%s parsed" (Fixture.describe d)
-      | Error _ -> ()
-      | exception e ->
-        Alcotest.failf "%s raised %s" (Fixture.describe d)
-          (Printexc.to_string e))
-    (Fixture.damages good)
-
-let prop_codec_byte_flip_total =
-  let open QCheck2.Gen in
-  QCheck2.Test.make ~name:"unit-diff/2 decode is total under byte flips"
-    ~count:500
-    (tup2 (int_range 0 100_000) (int_range 1 255))
-    (fun (pos, flip) ->
-      let good = Prepost.encode (sample_diff ()) in
-      decode_total (Fixture.damage good (Flip { pos; mask = flip })))
+    (fun (v : Corpus.Versions.t) ->
+      List.iter
+        (fun cve ->
+          Option.iter
+            (fun patch -> add ~source:v.tree patch cve)
+            (Corpus.Versions.hot_patch cve v))
+        (Corpus.Versions.applicable v))
+    (Corpus.Versions.all ());
+  Alcotest.(check int) "updates" 278 !n;
+  Alcotest.(check string) "MD5 of every update's bytes" corpus_updates_md5
+    (Digest.to_hex (Digest.string (Buffer.contents bytes)))
 
 let suite =
   [
@@ -338,10 +319,6 @@ let suite =
           test_minimal_smaller_than_whole;
         t "every shipped symbol explained"
           test_every_shipped_symbol_has_reason;
-        t "unit-diff/2 roundtrip" test_codec_roundtrip;
-        t "unit-diff/1 blobs are misses" test_codec_rejects_v1_blob;
-        t "every truncated prefix rejected"
-          test_codec_every_prefix_rejected;
-        QCheck_alcotest.to_alcotest prop_codec_byte_flip_total;
+        t "corpus updates are pinned" test_corpus_updates_pinned;
       ] );
   ]

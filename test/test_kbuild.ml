@@ -57,12 +57,6 @@ let test_cache_follows_contents () =
     List.for_all2 ( == ) b1.Kbuild.units b2.Kbuild.units
   in
   let b1 = build tree1 in
-  let key =
-    Digest.to_hex (Digest.string (Option.get (Tree.find tree1 "a.c")))
-    ^ "|a.c|fs=false;al=true"
-  in
-  check Alcotest.bool "key: source digest, path, options" true
-    (List.mem_assoc key (Store.refs (Kbuild.store ())));
   let m0 = misses () in
   let edited =
     Tree.add tree1 "a.c" "int x = 1;\nint get_x() { return x + 25; }\n"
@@ -220,6 +214,18 @@ let bad_assembly =
     ( "duplicate label",
       ".text\nf:\n.L1:\n  ret\n.L1:\n  ret\n",
       5, "duplicate label .L1" );
+    ( "label defined in two sections",
+      ".text\nx:\n  ret\n.data\nx:\n  .word 1\n",
+      5, "duplicate label x" );
+    ( "global defined in two sections",
+      ".global f\n.text\nf:\n  ret\n.data\nf:\n  .word 1\n",
+      6, "duplicate label f" );
+    ( "int above 255",
+      ".text\nf:\n  int 300\n  ret\n",
+      3, "int 300 is not in 0..255" );
+    ( "negative int",
+      ".text\nf:\n  int -1\n  ret\n",
+      3, "int -1 is not in 0..255" );
     ( "instruction in .bss",
       ".bss\nx:\n  ret\n",
       3, "only labels, .space and .align may appear in .bss" );
@@ -256,6 +262,24 @@ let test_bad_assembly (src, line, reason) () =
       | Ok _ -> Alcotest.fail "expected a typed assembly error")
     [ Minic.Driver.run_build; Minic.Driver.pre_build ]
 
+(* [int] takes an unsigned byte: both ends of the range assemble to
+   their own byte under both build options *)
+let test_int_range () =
+  let tree =
+    Tree.of_list [ ("k/int.s", ".text\nf:\n  int 0\n  int 255\n  ret\n") ]
+  in
+  List.iter
+    (fun options ->
+      let b = Fixture.build ~options tree in
+      let text =
+        List.find
+          (fun (s : Objfile.Section.t) -> s.kind = Objfile.Section.Text)
+          (List.hd (Kbuild.objects b)).sections
+      in
+      check Alcotest.string "int 0; int 255" "\x60\x00\x60\xff"
+        (Bytes.sub_string text.data 0 4))
+    [ Minic.Driver.run_build; Minic.Driver.pre_build ]
+
 let suite =
   [
     ( "kbuild",
@@ -268,6 +292,7 @@ let suite =
         t "inline metadata" test_inline_metadata;
         t "build error names unit" test_build_error_names_unit;
         t "base kernel objects are pinned" test_golden_base_objects;
+        t "int takes 0 to 255" test_int_range;
       ]
       @ List.map
           (fun (name, src, line, reason) ->

@@ -94,26 +94,36 @@ let test_parallel_build_identical () =
     "byte-identical objects and inline decisions" true
     (List.for_all (( = ) seq) par)
 
-let test_cache_lru_bound () =
-  let saved = (Kbuild.cache_stats ()).capacity in
+(* a full compile cache is emptied before the next insert: 1025 units
+   leave at most 1024 resident, the dropped ones count as evictions, and
+   a dropped unit compiled again gives the same object *)
+let test_cache_bound () =
+  let unit_tree i =
+    Tree.of_list
+      [ (Printf.sprintf "c%04d.c" i, Printf.sprintf "int g%d = %d;\n" i i) ]
+  in
+  let object_bytes i =
+    let b = Fixture.build ~options:Minic.Driver.run_build (unit_tree i) in
+    Bytes.to_string (Objfile.to_bytes (List.hd (Kbuild.objects b)))
+  in
   Kbuild.reset_cache ();
-  Kbuild.set_cache_capacity 8;
-  for i = 0 to 19 do
-    let tree =
-      Tree.of_list
-        [
-          ( Printf.sprintf "c%02d.c" i,
-            Printf.sprintf "int g%d = %d;\nint h%d() { return g%d; }\n" i i i i
-          );
-        ]
-    in
-    ignore (Fixture.build ~options:Minic.Driver.run_build tree : Kbuild.build)
+  let before = Kbuild.cache_stats () in
+  let first = object_bytes 0 in
+  let most = ref 1 in
+  for i = 1 to 1024 do
+    ignore (object_bytes i : string);
+    most := max !most (Kbuild.cache_stats ()).entries
   done;
   let s = Kbuild.cache_stats () in
-  Kbuild.set_cache_capacity saved;
+  Alcotest.(check int) "capacity" 1024 s.capacity;
+  Alcotest.(check bool) "entries never above capacity" true (!most <= 1024);
+  Alcotest.(check int) "the full table dropped, counted" 1024
+    (s.evictions - before.evictions);
+  let again = object_bytes 0 in
   Kbuild.reset_cache ();
-  Alcotest.(check bool) "entries bounded by capacity" true (s.entries <= 8);
-  Alcotest.(check bool) "evictions counted" true (s.evictions > 0)
+  Alcotest.(check int) "the dropped unit recompiles" (s.misses + 1)
+    (Kbuild.cache_stats ()).misses;
+  Alcotest.(check string) "into the same object" first again
 
 (* --- kallsyms name index --- *)
 
@@ -167,7 +177,7 @@ let suite =
         t "error at smallest index" test_error_smallest_index;
         t "nested map" test_nested_map;
         t "parallel build identical to sequential" test_parallel_build_identical;
-        t "compile cache LRU bound" test_cache_lru_bound;
+        t "compile cache bound" test_cache_bound;
         q prop_index_agrees;
       ] );
   ]

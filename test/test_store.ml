@@ -1,11 +1,10 @@
 (* Tests for the content-addressed artifact store (lib/store): blob
    round-trips, LRU bounds, the on-disk tier's re-digest corruption
-   check, dedup accounting, fingerprint determinism, typed codecs, and
-   the incremental-vs-from-scratch byte-identity of Create.create. *)
+   check, dedup accounting, and fingerprint determinism, down to the
+   contents a repository publish leaves. *)
 
-module Tree = Patchfmt.Source_tree
 module Create = Ksplice.Create
-module Update = Ksplice.Update
+module Repo = Ksplice.Repository
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -89,9 +88,10 @@ let test_dedup_accounting () =
 
 let test_lookup_counts () =
   let s = Store.create ~name:"counts" () in
-  Alcotest.(check (option string)) "miss" None (Store.lookup s "k");
-  let _ = Store.remember s ~key:"k" "v" in
-  Alcotest.(check (option string)) "hit" (Some "v") (Store.lookup s "k");
+  let d = Store.digest_of_string "v" in
+  Alcotest.(check bool) "miss" true (Store.load s d = Error `Missing);
+  ignore (Store.put s "v" : Store.digest);
+  Alcotest.(check bool) "hit" true (Store.load s d = Ok "v");
   let st = Store.stats s in
   Alcotest.(check int) "one hit" 1 st.Store.hits;
   Alcotest.(check int) "one miss" 1 st.Store.misses
@@ -99,7 +99,7 @@ let test_lookup_counts () =
 let test_memory_lru_bound () =
   let s = Store.create ~name:"lru" ~capacity:4 () in
   for i = 1 to 20 do
-    ignore (Store.remember s ~key:(string_of_int i) (String.make i 'a'))
+    Store.set_ref s (string_of_int i) (Store.put s (String.make i 'a'))
   done;
   let st = Store.stats s in
   Alcotest.(check bool) "bounded" true (st.Store.entries <= 4);
@@ -125,91 +125,26 @@ let test_fingerprint_order_independent () =
     "different contents -> different fingerprint" false
     (String.equal (Store.fingerprint s1) (Store.fingerprint s2))
 
-module Pair_codec = Store.Typed (struct
-  type v = string * string
-
-  let codec_id = "test-pair/1"
-  let encode (a, b) = string_of_int (String.length a) ^ ":" ^ a ^ b
-
-  let decode s =
-    match String.index_opt s ':' with
-    | None -> Error { Codec.off = 0; reason = "no separator" }
-    | Some i -> (
-      match int_of_string_opt (String.sub s 0 i) with
-      | Some n when n >= 0 && i + 1 + n <= String.length s ->
-        Ok
-          ( String.sub s (i + 1) n,
-            String.sub s (i + 1 + n) (String.length s - i - 1 - n) )
-      | _ -> Error { Codec.off = 0; reason = "bad length" })
-end)
-
-let test_typed_codec () =
-  let s = Store.create ~name:"typed" () in
-  let v = ("alpha", "beta") in
-  let d = Pair_codec.put s v in
-  (match Pair_codec.get s d with
-  | Ok v' -> Alcotest.(check bool) "roundtrip" true (v = v')
-  | Error _ -> Alcotest.fail "typed get failed");
-  (* a blob that is not a valid encoding must yield `Decode, not crash *)
-  let bad = Store.put s "not a pair" in
-  (match Pair_codec.get s bad with
-  | Error (`Decode _) -> ()
-  | Ok _ | Error _ -> Alcotest.fail "expected `Decode");
-  let _ = Pair_codec.remember s ~key:"p" v in
-  Alcotest.(check bool)
-    "typed lookup" true
-    (Pair_codec.lookup s "p" = Some v)
-
-(* incremental-vs-from-scratch byte-identity of Create.create over
-   corpus CVEs, plus the skipped-units counter that proves the warm
-   path really skipped differencing *)
-let test_incremental_create_identity () =
-  let base = Corpus.Base_kernel.tree () in
-  let cves =
-    List.filteri (fun i _ -> i < 4) Corpus.Cve.all
-  in
-  List.iter
-    (fun (cve : Corpus.Cve.t) ->
-      let req =
-        { Create.source = base; patch = Corpus.Cve.hot_patch cve base;
-          update_id = cve.id; description = cve.desc }
-      in
-      let created store =
-        match Create.create ~store req with
-        | Ok c -> c.Create.update
-        | Error e -> Alcotest.failf "create %s: %a" cve.id Create.pp_error e
-      in
-      let cold = created (Store.create ~name:"cold" ()) in
-      let shared = Store.create ~name:"warm" () in
-      let first = created shared in
-      Create.reset_creation_stats ();
-      let warm = created shared in
-      Alcotest.(check bool)
-        (cve.id ^ " warm run skipped differencing")
-        true
-        (Create.skipped_units () > 0);
-      Alcotest.(check bool)
-        (cve.id ^ " cold = first") true
-        (Bytes.equal (Update.to_bytes cold) (Update.to_bytes first));
-      Alcotest.(check bool)
-        (cve.id ^ " incremental = from-scratch")
-        true
-        (Bytes.equal (Update.to_bytes cold) (Update.to_bytes warm)))
-    cves
-
-(* two identical runs produce byte-identical store contents *)
+(* the same update published into two fresh memory repositories leaves
+   byte-identical store contents *)
 let test_store_contents_deterministic () =
   let base = Corpus.Base_kernel.tree () in
   let cve = List.hd Corpus.Cve.all in
-  let req =
-    { Create.source = base; patch = Corpus.Cve.hot_patch cve base;
-      update_id = cve.id; description = cve.desc }
+  let patch = Corpus.Cve.hot_patch cve base in
+  let update =
+    match
+      Create.create
+        { Create.source = base; patch; update_id = cve.id;
+          description = cve.desc }
+    with
+    | Ok c -> c.Create.update
+    | Error e -> Alcotest.failf "create: %a" Create.pp_error e
   in
   let run () =
     let s = Store.create ~name:"det" () in
-    (match Create.create ~store:s req with
+    (match Repo.publish (Repo.of_store s) ~source:base ~patch ~update with
     | Ok _ -> ()
-    | Error e -> Alcotest.failf "create: %a" Create.pp_error e);
+    | Error e -> Alcotest.failf "publish: %a" Repo.pp_error e);
     Store.fingerprint s
   in
   Alcotest.(check string) "identical runs, identical contents" (run ()) (run ())
@@ -253,8 +188,6 @@ let suite =
         t "lookup counts hits and misses" test_lookup_counts;
         t "memory LRU bound" test_memory_lru_bound;
         t "fingerprint is order-independent" test_fingerprint_order_independent;
-        t "typed codec" test_typed_codec;
-        t "incremental create is byte-identical" test_incremental_create_identity;
         t "store contents deterministic" test_store_contents_deterministic;
       ] );
   ]
