@@ -1,17 +1,13 @@
 module Tree = Patchfmt.Source_tree
 module Diff = Patchfmt.Diff
 
-type t = {
-  dir : string;
-  store : Store.t;
-}
+(* a repository is its store handle: open_dir roots one in a directory,
+   of_store views an existing one (e.g. a fleet subscriber's mirror,
+   which may be memory-only) *)
+type t = Store.t
 
-let store t = t.store
-
-(* a repository view over an existing store handle (e.g. a fleet
-   subscriber's mirror, which may be memory-only): the dir is only used
-   to label errors *)
-let of_store store = { dir = "<store:" ^ Store.name store ^ ">"; store }
+let store t = t
+let of_store store = store
 
 type entry = {
   base_digest : string;
@@ -56,19 +52,16 @@ let pp_error ppf = function
   | Gc_unsafe m ->
     Format.fprintf ppf "garbage collection refused: %s" m
 
-let open_dir ?vfs ?(recover = true) ?share dir =
-  if Sys.file_exists dir && not (Sys.is_directory dir) then
+let open_dir ?(vfs = Vfs.real) ?(recover = true) dir =
+  if vfs.Vfs.exists dir && not (vfs.Vfs.is_directory dir) then
     Error (Not_a_directory dir)
   else
-    match
-      Store.create ~name:"repo" ~capacity:256 ~dir ?vfs ~recover ?share ()
-    with
-    | s -> Ok { dir; store = s }
-    | exception Invalid_argument _ -> Error (Not_a_directory dir)
+    match Store.create ~name:"repo" ~dir ~vfs ~recover () with
+    | s -> Ok s
     | exception Vfs.Io_error { op; path; reason } ->
       Error (Io_failure { path; reason = op ^ ": " ^ reason })
 
-let recovery t = Store.recovery t.store
+let recovery = Store.recovery
 
 (* Entries live in the content-addressed store: the blob below is keyed
    by its own digest and the mutable ref ["entry:<base_digest>"] points
@@ -143,17 +136,17 @@ let links ~digest raw =
     Ok { l_base; l_next; l_ref; l_objects }
 
 let read_ref_entry t ~ref_name ~digest =
-  match Store.find_ref t.store ref_name with
+  match Store.find_ref t ref_name with
   | None -> Ok None
   | Some blob_digest -> (
-    match Store.load t.store blob_digest with
+    match Store.load t blob_digest with
     | Error `Missing ->
       Error
         (Corrupt_entry
            { digest; reason = "entry blob " ^ blob_digest ^ " is missing" })
     | Error (`Corrupt reason) -> Error (Corrupt_entry { digest; reason })
     | Ok raw ->
-      decode_entry t.store ~digest raw |> Result.map Option.some)
+      decode_entry t ~digest raw |> Result.map Option.some)
 
 let read_entry t digest = read_ref_entry t ~ref_name:(entry_ref digest) ~digest
 
@@ -166,9 +159,9 @@ let read_cumulative t digest =
    publish atomically present or atomically absent *)
 let commit_entry t ~ref_name e =
   match
-    Store.with_txn t.store (fun () ->
-        let d = Store.put t.store (encode_entry t.store e) in
-        Store.commit_refs t.store [ (ref_name, d) ])
+    Store.with_txn t (fun () ->
+        let d = Store.put t (encode_entry t e) in
+        Store.commit_refs t [ (ref_name, d) ])
   with
   | () -> Ok e
   | exception Vfs.Io_error { op; path; reason } ->
@@ -176,7 +169,7 @@ let commit_entry t ~ref_name e =
 
 let publish t ~source ~patch ~update =
   let base_digest = Tree.digest source in
-  if Store.find_ref t.store (entry_ref base_digest) <> None then
+  if Store.find_ref t (entry_ref base_digest) <> None then
     Error (Already_published base_digest)
   else
     match Diff.apply patch source with
@@ -222,7 +215,7 @@ let advance_source source chain =
 
 let publish_cumulative t ~source ~update_id ~description =
   let base_digest = Tree.digest source in
-  if Store.find_ref t.store (cumulative_ref base_digest) <> None then
+  if Store.find_ref t (cumulative_ref base_digest) <> None then
     Error (Already_published base_digest)
   else
     match pending t ~digest:base_digest with
@@ -322,7 +315,7 @@ type fsck_report = {
 }
 
 let fsck t =
-  let store_res = Store.fsck t.store in
+  let store_res = Store.fsck t in
   let store_report = match store_res with Ok r | Error r -> r in
   let entries = ref 0 in
   let corrupt = ref [] in
@@ -345,7 +338,7 @@ let fsck t =
     (fun (rname, _) ->
       check "entry:" read_entry rname;
       check "cumulative:" read_cumulative rname)
-    (Store.refs t.store);
+    (Store.refs t);
   let report =
     {
       store_report;
@@ -367,13 +360,13 @@ let expand_blob digest raw =
     | Error (Corrupt_entry { reason; _ }) -> Error reason
     | Error e -> Error (Format.asprintf "%a" pp_error e)
   else if String.starts_with ~prefix:Update.magic raw then
-    match Update.store_digests (Bytes.of_string raw) with
-    | Ok ds -> Ok ds
+    match Update.references (Bytes.of_string raw) with
+    | Ok (ds, _) -> Ok ds
     | Error e -> Error (Format.asprintf "%a" Update.pp_decode_error e)
   else Ok []
 
 let gc t =
-  match Store.gc ~expand:expand_blob t.store with
+  match Store.gc ~expand:expand_blob t with
   | Ok r -> Ok r
   | Error m -> Error (Gc_unsafe m)
 
@@ -389,7 +382,7 @@ type manifest_entry = {
 
 let manifest t ~digest =
   let load ~owner d =
-    match Store.load t.store d with
+    match Store.load t d with
     | Ok raw -> Ok raw
     | Error `Missing ->
       Error
@@ -411,9 +404,9 @@ let manifest t ~digest =
          then advertises one hop (one entry blob + its objects) instead
          of the whole per-update chain — the fleet's delta sync *)
       let hop_blob =
-        match Store.find_ref t.store (cumulative_ref digest) with
+        match Store.find_ref t (cumulative_ref digest) with
         | Some d -> Some d
-        | None -> Store.find_ref t.store (entry_ref digest)
+        | None -> Store.find_ref t (entry_ref digest)
       in
       match hop_blob with
       | None -> Ok (List.rev acc)

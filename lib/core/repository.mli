@@ -62,14 +62,14 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 
 (** [open_dir dir] opens (creating if needed) a repository directory.
-    All disk I/O goes through [vfs] (default {!Vfs.real}; inject a fault
-    plan to simulate crashes). Unless [recover] is [false] (read-only
-    inspection), opening replays the store's write-ahead journal and
-    sweeps orphan temp files — see {!recovery}. Plain handles on the
-    same directory share one in-process store (see {!Store.create});
-    pass [share:false] for a private handle that reads the disk cold. *)
-val open_dir :
-  ?vfs:Vfs.t -> ?recover:bool -> ?share:bool -> string -> (t, error) result
+    All disk I/O, the check that [dir] is a directory included, goes
+    through [vfs] (default {!Vfs.real}; inject a fault plan to simulate
+    crashes). Opening replays the store's write-ahead journal and sweeps
+    orphan temp files — see {!recovery}. With [recover:false]
+    (read-only inspection) it creates, replays and sweeps nothing, and a
+    path that holds no store is [Io_failure]. Every open is a private
+    handle that reads the disk, like a process after a reboot. *)
+val open_dir : ?vfs:Vfs.t -> ?recover:bool -> string -> (t, error) result
 
 (** What recovery-on-open did, if anything. *)
 val recovery : t -> Store.recovery_report option

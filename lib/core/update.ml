@@ -191,6 +191,3 @@ let of_bytes_store store buf =
 let references buf =
   let* h = decode_header buf in
   Ok ((if h.objects = [] then h.digests else []), h.supersedes)
-
-let store_digests buf = Result.map fst (references buf)
-let supersedes_of_bytes buf = Result.map snd (references buf)

@@ -102,18 +102,13 @@ val to_bytes_store : Store.t -> t -> Bytes.t
     [store]. *)
 val of_bytes_store : Store.t -> Bytes.t -> (t, decode_error) result
 
-(** The store digests a store-backed file references (primary first,
-    then helpers), without fetching them: the GC's reachability edge from
-    an update blob to the object blobs it shares with other updates. A
-    self-contained file references nothing ([Ok []]). *)
-val store_digests : Bytes.t -> (Store.digest list, decode_error) result
-
-(** The update ids a serialised update supersedes, from the bytes alone
-    (no store): how a subscriber recognises a cumulative entry in what it
-    actually received. *)
-val supersedes_of_bytes : Bytes.t -> (string list, decode_error) result
-
-(** {!store_digests} and {!supersedes_of_bytes} from one read of the
-    header. *)
+(** [references b] reads the header alone (no store) and returns two
+    lists. The first is the store digests a store-backed file references
+    (primary first, then helpers), without fetching them: the GC's
+    reachability edge from an update blob to the object blobs it shares
+    with other updates. A self-contained file references nothing
+    ([[]]). The second is the update ids the update supersedes: how a
+    subscriber recognises a cumulative entry in what it actually
+    received. *)
 val references :
   Bytes.t -> (Store.digest list * string list, decode_error) result

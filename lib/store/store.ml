@@ -2,27 +2,14 @@ type digest = string
 
 let digest_of_string s = Digest.to_hex (Digest.string s)
 
-type centry = {
-  data : string;
-  mutable last_used : int;
-}
-
 type stats = {
   hits : int;
   misses : int;
-  evictions : int;
-  entries : int;
-  capacity : int;
   puts : int;
   dedup_hits : int;
   bytes_put : int;
   bytes_deduped : int;
-  disk_reads : int;
-  disk_writes : int;
   corrupt : int;
-  gc_runs : int;
-  gc_collected : int;
-  gc_reclaimed_bytes : int;
 }
 
 type recovery_report = {
@@ -57,38 +44,27 @@ type t = {
   dir : string option;
   vfs : Vfs.t;
   m : Mutex.t;
-  blobs : (digest, centry) Hashtbl.t;
+  blobs : (digest, string) Hashtbl.t;
   mrefs : (string, digest) Hashtbl.t;
   (* digests interned by transactions still in flight: GC roots until the
      outermost with_txn exits (its refs are committed by then) *)
   pinned : (digest, unit) Hashtbl.t;
   mutable txns : int;
   mutable last_recovery : recovery_report option;
-  mutable clock : int;
-  cap : int;
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int;
   mutable puts : int;
   mutable dedup_hits : int;
   mutable bytes_put : int;
   mutable bytes_deduped : int;
-  mutable disk_reads : int;
-  mutable disk_writes : int;
   mutable corrupt : int;
-  mutable gc_runs : int;
-  mutable gc_collected : int;
-  mutable gc_reclaimed_bytes : int;
   (* precomputed trace-counter names: emitters are on hot paths *)
   tc_hits : string;
   tc_misses : string;
-  tc_evictions : string;
   tc_dedup : string;
 }
 
-let name t = t.sname
-
-(* --- disk tier layout --- *)
+(* --- on-disk layout --- *)
 
 let mkdir_p vfs dir =
   let rec ensure d =
@@ -266,7 +242,7 @@ let recover_dir ~vfs ~mrefs dir =
     tmp_removed;
   }
 
-let build ~name ~capacity ~dir ~vfs ~recover =
+let create ?(name = "store") ?dir ?(vfs = Vfs.real) ?(recover = true) () =
   let t =
     {
       sname = name;
@@ -278,88 +254,35 @@ let build ~name ~capacity ~dir ~vfs ~recover =
       pinned = Hashtbl.create 16;
       txns = 0;
       last_recovery = None;
-      clock = 0;
-      cap = max 1 capacity;
       hits = 0;
       misses = 0;
-      evictions = 0;
       puts = 0;
       dedup_hits = 0;
       bytes_put = 0;
       bytes_deduped = 0;
-      disk_reads = 0;
-      disk_writes = 0;
       corrupt = 0;
-      gc_runs = 0;
-      gc_collected = 0;
-      gc_reclaimed_bytes = 0;
       tc_hits = "store." ^ name ^ ".hits";
       tc_misses = "store." ^ name ^ ".misses";
-      tc_evictions = "store." ^ name ^ ".evictions";
       tc_dedup = "store." ^ name ^ ".dedup_hits";
     }
   in
   (match dir with
-  | Some d when recover ->
-    t.last_recovery <- Some (recover_dir ~vfs ~mrefs:t.mrefs d)
-  | _ -> ());
-  t
-
-(* --- shared in-process registry --- *)
-
-(* Handles opened on the same directory share one memory tier (and one
-   mutex, journal state, and recovery), so a daemon's many readers and a
-   publisher in the same process see each other's writes without disk
-   round-trips. Keyed by canonical path plus (device, inode): the inode
-   pair keeps two spellings of one directory together, and the path
-   keeps a recycled inode number (temp dirs churn fast) from aliasing an
-   unrelated directory. Entries are weak, so an abandoned handle is
-   collected rather than pinned forever. Only plain handles are shared:
-   an injected [vfs] is a private fault simulation, and [recover:false]
-   is read-only inspection that must see the disk as it is, not a warm
-   cache. Simulating a separate process rebooting into a directory this
-   process already has open wants [share:false]. *)
-let registry : (string * int * int, t Weak.t) Hashtbl.t = Hashtbl.create 8
-let registry_m = Mutex.create ()
-
-let dir_identity d =
-  match
-    let rp = try Unix.realpath d with Unix.Unix_error _ -> d in
-    (rp, Unix.stat d)
-  with
-  | rp, st -> Some (rp, st.Unix.st_dev, st.Unix.st_ino)
-  | exception Unix.Unix_error _ -> None
-
-(* without a bound the memory tier never evicts: a memory-only store
-   created that way is a repository or a fleet mirror, whose refs an
-   eviction would drop *)
-let create ?(name = "store") ?(capacity = max_int) ?dir ?(vfs = Vfs.real)
-    ?(recover = true) ?(share = true) () =
-  (match dir with
   | None -> ()
-  | Some d ->
+  | Some d when recover ->
     mkdir_p vfs d;
     mkdir_p vfs (blobs_dir d);
-    mkdir_p vfs (refs_dir d));
-  let sharable = share && vfs == Vfs.real && recover in
-  match dir with
-  | Some d when sharable -> (
-    match dir_identity d with
-    | None -> build ~name ~capacity ~dir ~vfs ~recover
-    | Some key ->
-      Mutex.lock registry_m;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock registry_m)
-        (fun () ->
-          match Hashtbl.find_opt registry key with
-          | Some w when Weak.get w 0 <> None -> Option.get (Weak.get w 0)
-          | _ ->
-            let t = build ~name ~capacity ~dir ~vfs ~recover in
-            let w = Weak.create 1 in
-            Weak.set w 0 (Some t);
-            Hashtbl.replace registry key w;
-            t))
-  | _ -> build ~name ~capacity ~dir ~vfs ~recover
+    mkdir_p vfs (refs_dir d);
+    t.last_recovery <- Some (recover_dir ~vfs ~mrefs:t.mrefs d)
+  | Some d ->
+    (* a read-only open (e.g. fsck) creates nothing, so it refuses a
+       directory that does not already hold a store *)
+    let present sub = vfs.Vfs.is_directory (sub d) in
+    if not (present blobs_dir && present refs_dir) then
+      raise
+        (Vfs.Io_error
+           { op = "open"; path = d;
+             reason = "no store here (blobs/ or refs/ is missing)" }));
+  t
 
 let recovery t = t.last_recovery
 
@@ -367,119 +290,72 @@ let locked t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
-let touch t e =
-  t.clock <- t.clock + 1;
-  e.last_used <- t.clock
-
-(* assumes the lock is held *)
-let evict_locked t =
-  while Hashtbl.length t.blobs > t.cap do
-    let victim =
-      Hashtbl.fold
-        (fun k e acc ->
-          match acc with
-          | Some (_, stamp) when stamp <= e.last_used -> acc
-          | _ -> Some (k, e.last_used))
-        t.blobs None
-    in
-    match victim with
-    | None -> ()
-    | Some (k, _) ->
-      Hashtbl.remove t.blobs k;
-      t.evictions <- t.evictions + 1;
-      Trace.count t.tc_evictions 1;
-      (* a memory-only store is a cache: refs left dangling by the
-         eviction are dropped with it, bounding the ref table too. With
-         a disk tier the blob is still durable, so refs stay valid. *)
-      if t.dir = None then begin
-        let dangling =
-          Hashtbl.fold
-            (fun rname d acc -> if String.equal d k then rname :: acc else acc)
-            t.mrefs []
-        in
-        List.iter (Hashtbl.remove t.mrefs) dangling
-      end
-  done
-
 let put t blob =
   let d = digest_of_string blob in
+  let n = String.length blob in
   locked t (fun () ->
       t.puts <- t.puts + 1;
       if t.txns > 0 then Hashtbl.replace t.pinned d ();
-      match Hashtbl.find_opt t.blobs d with
-      | Some e ->
-        touch t e;
+      let dedup () =
         t.dedup_hits <- t.dedup_hits + 1;
-        t.bytes_deduped <- t.bytes_deduped + String.length blob;
+        t.bytes_deduped <- t.bytes_deduped + n;
         Trace.count t.tc_dedup 1
-      | None ->
+      in
+      if Hashtbl.mem t.blobs d then dedup ()
+      else begin
         (match t.dir with
         | Some dir when t.vfs.Vfs.exists (blob_path dir d) ->
           (* already durable from an earlier run: a dedup against disk *)
-          t.dedup_hits <- t.dedup_hits + 1;
-          t.bytes_deduped <- t.bytes_deduped + String.length blob;
-          Trace.count t.tc_dedup 1
+          dedup ()
         | Some dir ->
           write_atomic t.vfs (blob_path dir d) blob;
-          t.disk_writes <- t.disk_writes + 1;
-          t.bytes_put <- t.bytes_put + String.length blob
-        | None -> t.bytes_put <- t.bytes_put + String.length blob);
-        t.clock <- t.clock + 1;
-        Hashtbl.replace t.blobs d
-          { data = blob; last_used = t.clock };
-        evict_locked t);
+          t.bytes_put <- t.bytes_put + n
+        | None -> t.bytes_put <- t.bytes_put + n);
+        Hashtbl.replace t.blobs d blob
+      end);
   d
 
-(* assumes the lock is held; counts one hit or miss *)
-let find_entry_locked t d =
-  match Hashtbl.find_opt t.blobs d with
-  | Some e ->
-    touch t e;
-    t.hits <- t.hits + 1;
-    Trace.count t.tc_hits 1;
-    Ok e
-  | None -> (
-    let miss err =
-      t.misses <- t.misses + 1;
-      Trace.count t.tc_misses 1;
-      Error err
-    in
-    match t.dir with
-    | None -> miss `Missing
-    | Some dir -> (
-      let path = blob_path dir d in
-      if not (t.vfs.Vfs.exists path) then miss `Missing
-      else
-        match t.vfs.Vfs.read_file path with
-        | exception Vfs.Io_error { reason; _ } ->
-          miss (`Corrupt ("unreadable blob: " ^ reason))
-        | raw ->
-          t.disk_reads <- t.disk_reads + 1;
-          let actual = digest_of_string raw in
-          if not (String.equal actual d) then begin
-            t.corrupt <- t.corrupt + 1;
-            miss
-              (`Corrupt
-                (Printf.sprintf
-                   "blob %s fails the re-digest check (stored bytes hash to \
-                    %s)"
-                   d actual))
-          end
-          else begin
-            t.clock <- t.clock + 1;
-            let e = { data = raw; last_used = t.clock } in
-            Hashtbl.replace t.blobs d e;
-            evict_locked t;
-            t.hits <- t.hits + 1;
-            Trace.count t.tc_hits 1;
-            Ok e
-          end))
-
+(* counts one hit or miss; a blob the table lacks is read from disk and
+   re-digested before it is kept *)
 let load t d =
   locked t (fun () ->
-      match find_entry_locked t d with
-      | Ok e -> Ok e.data
-      | Error e -> Error e)
+      let hit data =
+        t.hits <- t.hits + 1;
+        Trace.count t.tc_hits 1;
+        Ok data
+      in
+      let miss err =
+        t.misses <- t.misses + 1;
+        Trace.count t.tc_misses 1;
+        Error err
+      in
+      match Hashtbl.find_opt t.blobs d with
+      | Some data -> hit data
+      | None -> (
+        match t.dir with
+        | None -> miss `Missing
+        | Some dir -> (
+          let path = blob_path dir d in
+          if not (t.vfs.Vfs.exists path) then miss `Missing
+          else
+            match t.vfs.Vfs.read_file path with
+            | exception Vfs.Io_error { reason; _ } ->
+              miss (`Corrupt ("unreadable blob: " ^ reason))
+            | raw ->
+              let actual = digest_of_string raw in
+              if not (String.equal actual d) then begin
+                t.corrupt <- t.corrupt + 1;
+                miss
+                  (`Corrupt
+                    (Printf.sprintf
+                       "blob %s fails the re-digest check (stored bytes hash \
+                        to %s)"
+                       d actual))
+              end
+              else begin
+                Hashtbl.replace t.blobs d raw;
+                hit raw
+              end)))
 
 let get t d = match load t d with Ok b -> Some b | Error _ -> None
 
@@ -684,7 +560,6 @@ let fsck t =
 (* --- mark-and-sweep GC --- *)
 
 let gc ?(expand = fun _ _ -> Ok []) t =
-  t.gc_runs <- t.gc_runs + 1;
   (* mark: roots are every ref (memory + disk) and every pinned digest
      of an in-flight transaction; [expand] closes over blob-to-blob
      references the store itself cannot see *)
@@ -749,12 +624,12 @@ let gc ?(expand = fun _ _ -> Ok []) t =
         | None ->
           let dead =
             Hashtbl.fold
-              (fun d e acc -> if live d then acc else (d, e) :: acc)
+              (fun d data acc -> if live d then acc else (d, data) :: acc)
               t.blobs []
           in
           List.iter
-            (fun (d, e) ->
-              bytes := !bytes + String.length e.data;
+            (fun (d, data) ->
+              bytes := !bytes + String.length data;
               Hashtbl.remove t.blobs d;
               incr swept)
             dead
@@ -771,8 +646,6 @@ let gc ?(expand = fun _ _ -> Ok []) t =
                 incr swept
               end)
             (t.vfs.Vfs.readdir (blobs_dir dir)));
-        t.gc_collected <- t.gc_collected + !swept;
-        t.gc_reclaimed_bytes <- t.gc_reclaimed_bytes + !bytes;
         Trace.count ("store." ^ t.sname ^ ".gc_collected") !swept;
         Trace.count ("store." ^ t.sname ^ ".gc_reclaimed_bytes") !bytes;
         Ok
@@ -790,19 +663,11 @@ let stats t =
       {
         hits = t.hits;
         misses = t.misses;
-        evictions = t.evictions;
-        entries = Hashtbl.length t.blobs;
-        capacity = t.cap;
         puts = t.puts;
         dedup_hits = t.dedup_hits;
         bytes_put = t.bytes_put;
         bytes_deduped = t.bytes_deduped;
-        disk_reads = t.disk_reads;
-        disk_writes = t.disk_writes;
         corrupt = t.corrupt;
-        gc_runs = t.gc_runs;
-        gc_collected = t.gc_collected;
-        gc_reclaimed_bytes = t.gc_reclaimed_bytes;
       })
 
 let fingerprint t =

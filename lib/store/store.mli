@@ -13,13 +13,13 @@
     - {b refs}: mutable names pointing at blob digests (a repository
       chain head, a mirror's head) — the only mutable state.
 
-    {b Tiers.} The in-memory tier is mutex-guarded and optionally
-    LRU-bounded with eviction statistics. An optional on-disk tier
-    ([?dir]) makes blobs and refs durable, and every disk read
-    re-digests the bytes — a truncated or bit-flipped blob is reported
-    as [`Corrupt], never returned. With a disk tier, memory eviction
-    never loses data (the next [get] re-reads and re-verifies from
-    disk).
+    {b One table.} A handle holds one mutex-guarded blob table and one
+    ref table. With a directory ([?dir]) every blob and ref is written
+    through to disk, and a blob the table lacks is read from disk with
+    its bytes re-digested — a truncated or bit-flipped blob is reported
+    as [`Corrupt], never returned. Every handle is private: a second
+    handle on the same directory starts empty and reads the disk, as a
+    process does after a reboot.
 
     {b Crash safety.} All disk I/O goes through an injectable {!Vfs.t},
     so the fault sweeps can kill a simulated process at any I/O
@@ -40,7 +40,7 @@
     tests can assert it.
 
     Counters are mirrored as {!Trace} counters
-    ([store.<name>.hits/misses/evictions/dedup_hits] and
+    ([store.<name>.hits/misses/dedup_hits] and
     [store.<name>.gc_collected/gc_reclaimed_bytes]) when tracing is
     enabled. *)
 
@@ -51,53 +51,33 @@ type digest = string
 
 val digest_of_string : string -> digest
 
-(** [create ?name ?capacity ?dir ?vfs ?recover ()] makes a store.
-    [name] labels the trace counters (default ["store"]); [capacity]
-    bounds the in-memory tier (clamped to at least 1). Without
-    [capacity] the memory tier never evicts, so a memory-only store
-    keeps every blob and ref: a repository or fleet mirror held in
-    memory loses nothing. A bounded memory-only store drops the refs an
-    eviction leaves dangling. [dir] roots the persistent tier (created
-    if missing, with [blobs/], [refs/] and a [journal] underneath).
+(** [create ?name ?dir ?vfs ?recover ()] makes a store. [name] labels
+    the trace counters (default ["store"]). Without [dir] the store lives
+    in memory and keeps every blob and ref it is given. [dir] roots the
+    on-disk copy, with [blobs/], [refs/] and a [journal] underneath.
     [vfs] (default {!Vfs.real}) carries all disk I/O — inject a fault
     plan to simulate crashes.
-    Unless [recover] is [false] (read-only inspection, e.g. fsck),
-    opening a disk store replays the journal and sweeps orphan temp
-    files; the result is available from {!recovery}.
+    Opening a directory creates it if missing, replays the journal and
+    sweeps orphan temp files; the result is available from {!recovery}.
+    With [recover:false] (read-only inspection, e.g. fsck) the open
+    creates, replays and sweeps nothing, so [dir] must already hold
+    [blobs/] and [refs/].
 
-    Two handles opened on the same directory (identified by device and
-    inode, so a deleted-and-recreated path never aliases) share one
-    in-process handle — one memory tier, one mutex, one journal state —
-    so a distribution daemon's many concurrent readers and a publisher
-    see each other's writes without disk round-trips. Sharing applies
-    only to plain handles ([vfs] = {!Vfs.real} and [recover] true); pass
-    [share:false] to force a private handle, e.g. to simulate a separate
-    process rebooting into the directory cold. A shared hit keeps the
-    first creator's [name] and [capacity].
-
-    Raises {!Vfs.Io_error} when the disk tier cannot be initialised
-    (e.g. [dir] exists but is not a directory, or mkdir fails). *)
+    Raises {!Vfs.Io_error} when the directory cannot be opened: it
+    exists but is not a directory, a mkdir fails, or a read-only open
+    finds no store there. *)
 val create :
-  ?name:string ->
-  ?capacity:int ->
-  ?dir:string ->
-  ?vfs:Vfs.t ->
-  ?recover:bool ->
-  ?share:bool ->
-  unit ->
-  t
-
-val name : t -> string
+  ?name:string -> ?dir:string -> ?vfs:Vfs.t -> ?recover:bool -> unit -> t
 
 (** {2 Blobs} *)
 
 (** [put t blob] interns [blob] and returns its digest. Re-interning
-    counts a dedup hit and the duplicate bytes as saved. With a disk
-    tier the blob is also written durably (once). *)
+    counts a dedup hit and the duplicate bytes as saved. With a
+    directory the blob is also written durably (once). *)
 val put : t -> string -> digest
 
-(** [load t d] retrieves the blob named by [d]: from memory, else from
-    disk with the bytes re-digested — a mismatch is [`Corrupt] (counted),
+(** [load t d] retrieves the blob named by [d]: from the table, else
+    from disk with the bytes re-digested — a mismatch is [`Corrupt] (counted),
     never silently returned. Counts one hit or miss. *)
 val load : t -> digest -> (string, [ `Missing | `Corrupt of string ]) result
 
@@ -109,7 +89,7 @@ val mem : t -> digest -> bool
 (** {2 Refs} *)
 
 (** [set_ref t name d] points [name] at blob [d] (persisted atomically
-    when the store has a disk tier; a single-ref flip needs no journal
+    when the store has a directory; a single-ref flip needs no journal
     record). *)
 val set_ref : t -> string -> digest -> unit
 
@@ -149,7 +129,7 @@ type recovery_report = {
   tmp_removed : int;  (** orphan [.tmp] files swept *)
 }
 
-(** What recovery-on-open did, if this store has a disk tier and was
+(** What recovery-on-open did, if this store has a directory and was
     opened with [~recover:true]. *)
 val recovery : t -> recovery_report option
 
@@ -200,19 +180,11 @@ val gc :
 type stats = {
   hits : int;  (** lookups served (memory or verified disk) *)
   misses : int;  (** lookups that found nothing *)
-  evictions : int;  (** memory entries dropped by the LRU bound *)
-  entries : int;  (** memory entries resident now *)
-  capacity : int;  (** memory-tier bound *)
   puts : int;  (** blob interns requested *)
   dedup_hits : int;  (** interns that found the blob already present *)
   bytes_put : int;  (** bytes of distinct blobs accepted *)
   bytes_deduped : int;  (** duplicate bytes never stored again *)
-  disk_reads : int;
-  disk_writes : int;
   corrupt : int;  (** disk blobs rejected by the re-digest check *)
-  gc_runs : int;  (** garbage collections attempted *)
-  gc_collected : int;  (** unreachable blobs deleted, cumulative *)
-  gc_reclaimed_bytes : int;  (** bytes reclaimed, cumulative *)
 }
 
 val stats : t -> stats

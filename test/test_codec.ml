@@ -174,7 +174,7 @@ let clear_refs dir =
   Array.iter (fun e -> Sys.remove (Filename.concat refs e)) (Sys.readdir refs)
 
 let reopen_moves_together dir ~what d1 d2 =
-  match Store.create ~name:"reboot" ~dir ~share:false () with
+  match Store.create ~name:"reboot" ~dir () with
   | exception e ->
     Alcotest.failf "%s: reopen raised %s" what (Printexc.to_string e)
   | s -> (
@@ -186,7 +186,7 @@ let reopen_moves_together dir ~what d1 d2 =
 let test_journal_damage_total () =
   with_dir (fun dir ->
       let d1, d2, good =
-        let s = Store.create ~name:"w" ~dir ~share:false () in
+        let s = Store.create ~name:"w" ~dir () in
         let d1 = Store.put s "blob one" and d2 = Store.put s "blob two" in
         Store.append_journal s [ ("r1", None, d1); ("r2", None, d2) ];
         let raw =
@@ -210,14 +210,14 @@ let test_old_journal_record_is_torn () =
   (* a well-formed J1 record: netstrings and a hex checksum *)
   with_dir (fun dir ->
       let d =
-        let s = Store.create ~name:"w" ~dir ~share:false () in
+        let s = Store.create ~name:"w" ~dir () in
         Store.put s "blob one"
       in
       let ns s = string_of_int (String.length s) ^ ":" ^ s in
       let payload = ns "1" ^ ns "r1" ^ ns "" ^ ns d in
       write_journal dir
         ("J1 " ^ ns payload ^ Digest.to_hex (Digest.string payload) ^ "\n");
-      let s = Store.create ~name:"reboot" ~dir ~share:false () in
+      let s = Store.create ~name:"reboot" ~dir () in
       (match Store.recovery s with
       | Some r ->
         Alcotest.(check int) "discarded as torn" 1 r.Store.torn_discarded

@@ -140,7 +140,7 @@ let test_stray_tmp_swept_on_open () =
       (* a writer that died before its rename *)
       let stray = Filename.concat (Filename.concat dir "blobs") "dead.tmp" in
       Out_channel.with_open_bin stray (fun oc -> output_string oc "half");
-      let s = Store.create ~name:"reboot" ~dir ~share:false () in
+      let s = Store.create ~name:"reboot" ~dir () in
       (match Store.recovery s with
        | Some r -> Alcotest.(check int) "one tmp swept" 1 r.Store.tmp_removed
        | None -> Alcotest.fail "expected a recovery report");
@@ -187,7 +187,7 @@ let test_commit_refs_all_or_nothing () =
         (try scenario vfs dir with Vfs.Crashed -> ());
         Alcotest.(check bool) "fault fired" true (Vfs.fired inj);
         if Sys.file_exists dir then begin
-          let s = Store.create ~name:"reboot" ~dir ~share:false () in
+          let s = Store.create ~name:"reboot" ~dir () in
           (match Store.fsck s with
            | Ok _ -> ()
            | Error r ->
@@ -221,7 +221,7 @@ let test_torn_journal_tail_discarded () =
       in
       output_string oc "J1 999:this record was torn";
       close_out oc;
-      let s = Store.create ~name:"reboot" ~dir ~share:false () in
+      let s = Store.create ~name:"reboot" ~dir () in
       (match Store.recovery s with
        | Some r ->
          Alcotest.(check int) "torn tail discarded" 1 r.Store.torn_discarded
@@ -239,7 +239,7 @@ let test_journal_rolls_back_unverifiable () =
       let missing = Store.digest_of_string "never interned" in
       (let s = Store.create ~name:"w" ~dir () in
        Store.append_journal s [ ("head", None, missing) ]);
-      let s = Store.create ~name:"reboot" ~dir ~share:false () in
+      let s = Store.create ~name:"reboot" ~dir () in
       (match Store.recovery s with
        | Some r ->
          Alcotest.(check int) "rolled back" 1 r.Store.rolled_back;
@@ -261,7 +261,7 @@ let test_journal_rolls_forward_committed () =
         Store.append_journal s [ ("head", None, d) ];
         d
       in
-      let s = Store.create ~name:"reboot" ~dir ~share:false () in
+      let s = Store.create ~name:"reboot" ~dir () in
       (match Store.recovery s with
        | Some r ->
          Alcotest.(check int) "rolled forward" 1 r.Store.rolled_forward
@@ -397,7 +397,7 @@ let test_fsck_detects_corrupt_blob () =
       let raw = In_channel.with_open_bin path In_channel.input_all in
       Out_channel.with_open_bin path (fun oc ->
           output_string oc ("X" ^ String.sub raw 1 (String.length raw - 1)));
-      let s = Store.create ~name:"check" ~dir ~share:false () in
+      let s = Store.create ~name:"check" ~dir () in
       match Store.fsck s with
       | Ok _ -> Alcotest.fail "fsck missed a corrupt blob"
       | Error r ->

@@ -318,7 +318,7 @@ let test_disk_resume_across_handles () =
     (fun () ->
       let repo = server_repo () in
       (* process 1: sync dies mid-stream (disconnect, no retries) *)
-      let s1 = Store.create ~name:"sub1" ~dir ~share:false () in
+      let s1 = Store.create ~name:"sub1" ~dir () in
       let plan = { Transport.at = 8; kind = Transport.Disconnect; seed = 2 } in
       let r1 =
         Subscriber.sync ~retries:1 ~store:s1 ~base:base_digest
@@ -326,7 +326,7 @@ let test_disk_resume_across_handles () =
       in
       Alcotest.(check bool) "first process failed" false r1.Subscriber.r_synced;
       (* process 2: cold reopen resumes from the durable state *)
-      let s2 = Store.create ~name:"sub2" ~dir ~share:false () in
+      let s2 = Store.create ~name:"sub2" ~dir () in
       (match Store.fsck s2 with
       | Ok _ -> ()
       | Error _ -> Alcotest.fail "interrupted mirror not fsck-clean");

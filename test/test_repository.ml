@@ -165,11 +165,25 @@ let test_subscriber_sync () =
       | Ok _ -> Alcotest.fail "expected no pending updates"
       | Error e -> Alcotest.failf "sync: %a" Repo.pp_error e)
 
+(* fsck's open: read-only inspection of a path that holds no repository
+   is an error, and leaves the path as it found it *)
+let test_read_only_open_creates_nothing () =
+  let dir = Filename.temp_file "ksplrepo" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+    (fun () ->
+      (match Repo.open_dir ~recover:false dir with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a read-only open of a missing path succeeded");
+      Alcotest.(check bool) "the path is still absent" false
+        (Sys.file_exists dir))
+
 let test_entry_roundtrip_on_disk () =
   with_repo (fun dir repo ->
       let e1, _ = publish_chain repo in
       (* a fresh handle must read back the same chain from disk alone *)
-      let repo2 = ok "reopen" (Repo.open_dir ~share:false dir) in
+      let repo2 = ok "reopen" (Repo.open_dir dir) in
       let chain = pending repo2 ~digest:e1.base_digest in
       Alcotest.(check int) "read back" 2 (List.length chain);
       let e = List.hd chain in
@@ -195,10 +209,9 @@ let spit path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
 let check_degrades_gracefully dir ~base_digest =
-  (* a fresh handle (empty memory tier) must see the damage;
-     [share:false] opts out of the in-process registry so the reopen
-     reads the damaged disk cold, like a separate process would *)
-  let repo2 = ok "reopen" (Repo.open_dir ~share:false dir) in
+  (* a fresh handle starts with empty tables, so it reads the damaged
+     disk, like a separate process would *)
+  let repo2 = ok "reopen" (Repo.open_dir dir) in
   (match Repo.pending repo2 ~digest:base_digest with
   | Error (Repo.Corrupt_entry { digest; _ }) ->
     Alcotest.(check string) "corruption names the entry" base_digest digest
@@ -316,7 +329,7 @@ let test_corrupt_cumulative_degrades () =
       let path = Filename.concat (Filename.concat dir "blobs") blob in
       let raw = slurp path in
       spit path (String.sub raw 0 (String.length raw / 2));
-      let repo2 = ok "reopen" (Repo.open_dir ~share:false dir) in
+      let repo2 = ok "reopen" (Repo.open_dir dir) in
       (* the damage surfaces as a typed error, and the machine under a
          syncing manager is never touched *)
       let mgr, call = boot_base () in
@@ -342,6 +355,8 @@ let suite =
         t "duplicate publish rejected" test_duplicate_publish_rejected;
         t "subscriber sync" test_subscriber_sync;
         t "entry roundtrip" test_entry_roundtrip_on_disk;
+        t "read-only open of a missing path creates nothing"
+          test_read_only_open_creates_nothing;
         t "truncated entry degrades gracefully" test_truncated_entry;
         t "bit-flipped entry degrades gracefully" test_bitflipped_entry;
         t "publish cumulative" test_publish_cumulative;

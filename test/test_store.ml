@@ -1,7 +1,8 @@
 (* Tests for the content-addressed artifact store (lib/store): blob
-   round-trips, LRU bounds, the on-disk tier's re-digest corruption
-   check, dedup accounting, and fingerprint determinism, down to the
-   contents a repository publish leaves. *)
+   round-trips in memory and through a directory reopened cold, the
+   on-disk copy's re-digest corruption check, private handles, dedup
+   accounting, and fingerprint determinism, down to the contents a
+   repository publish leaves. *)
 
 module Create = Ksplice.Create
 module Repo = Ksplice.Repository
@@ -25,24 +26,17 @@ let with_dir f =
 let gen_blobs =
   QCheck2.Gen.(list_size (int_range 1 30) (string_size (int_range 0 200)))
 
-(* get (put b) = b over arbitrary bytes *)
+(* get (put b) = b over arbitrary bytes, in memory and through a
+   directory: a handle reopened on it finds every blob on disk alone *)
 let prop_put_get =
   QCheck2.Test.make ~name:"get (put b) = b" ~count:100 gen_blobs (fun blobs ->
-      let s = Store.create ~name:"prop" ~capacity:64 () in
-      let digests = List.map (fun b -> (Store.put s b, b)) blobs in
-      List.for_all (fun (d, b) -> Store.get s d = Some b) digests)
-
-(* with a disk tier, eviction never changes lookup results: memory
-   entries dropped by the LRU bound re-read (and re-verify) from disk *)
-let prop_eviction_is_invisible =
-  QCheck2.Test.make ~name:"disk-backed eviction never loses blobs" ~count:30
-    gen_blobs (fun blobs ->
-      with_dir (fun dir ->
-          let s = Store.create ~name:"prop" ~capacity:2 ~dir () in
-          let digests = List.map (fun b -> (Store.put s b, b)) blobs in
-          let st = Store.stats s in
-          st.Store.entries <= 2
-          && List.for_all (fun (d, b) -> Store.get s d = Some b) digests))
+      let put_all s = List.map (fun b -> (Store.put s b, b)) blobs in
+      let all_get s = List.for_all (fun (d, b) -> Store.get s d = Some b) in
+      let mem = Store.create ~name:"prop" () in
+      all_get mem (put_all mem)
+      && with_dir (fun dir ->
+             let digests = put_all (Store.create ~name:"prop" ~dir ()) in
+             all_get (Store.create ~name:"prop-cold" ~dir ()) digests))
 
 (* the on-disk tier round-trips across handles and rejects tampering *)
 let prop_disk_roundtrip_and_tamper =
@@ -56,7 +50,7 @@ let prop_disk_roundtrip_and_tamper =
             Store.put s blob
           in
           (* fresh handle: the blob must come back from disk verbatim *)
-          let s2 = Store.create ~name:"r" ~dir ~share:false () in
+          let s2 = Store.create ~name:"r" ~dir () in
           let roundtrips = Store.get s2 d = Some blob in
           (* flip one byte on disk; a third handle must refuse the blob *)
           let path = Filename.concat (Filename.concat dir "blobs") d in
@@ -65,7 +59,7 @@ let prop_disk_roundtrip_and_tamper =
           Bytes.set raw i (Char.chr (Char.code (Bytes.get raw i) lxor 1));
           Out_channel.with_open_bin path (fun oc ->
               Out_channel.output_bytes oc raw);
-          let s3 = Store.create ~name:"r2" ~dir ~share:false () in
+          let s3 = Store.create ~name:"r2" ~dir () in
           let rejected =
             match Store.load s3 d with
             | Error (`Corrupt _) -> true
@@ -95,19 +89,6 @@ let test_lookup_counts () =
   let st = Store.stats s in
   Alcotest.(check int) "one hit" 1 st.Store.hits;
   Alcotest.(check int) "one miss" 1 st.Store.misses
-
-let test_memory_lru_bound () =
-  let s = Store.create ~name:"lru" ~capacity:4 () in
-  for i = 1 to 20 do
-    Store.set_ref s (string_of_int i) (Store.put s (String.make i 'a'))
-  done;
-  let st = Store.stats s in
-  Alcotest.(check bool) "bounded" true (st.Store.entries <= 4);
-  Alcotest.(check bool) "evicted" true (st.Store.evictions > 0);
-  (* memory-only: refs left dangling by eviction are dropped with it *)
-  Alcotest.(check bool)
-    "refs bounded" true
-    (List.length (Store.refs s) <= 4)
 
 let test_fingerprint_order_independent () =
   let blobs = List.init 10 (fun i -> String.make (i + 1) (Char.chr (65 + i))) in
@@ -149,44 +130,36 @@ let test_store_contents_deterministic () =
   in
   Alcotest.(check string) "identical runs, identical contents" (run ()) (run ())
 
-(* two handles on one directory share one in-process memory tier; a
-   private handle, a different directory, or an injected vfs do not *)
-let test_shared_registry () =
+(* a reopen reads the disk: with the first handle still live, a second
+   one on the same directory sees damage done to a blob's file, rather
+   than the good bytes the first handle holds in its table *)
+let test_reopen_reads_disk () =
   with_dir (fun dir ->
-      let a = Store.create ~name:"first" ~dir () in
-      let b = Store.create ~name:"second" ~dir () in
-      Alcotest.(check bool) "same handle" true (a == b);
-      Alcotest.(check string) "first creator's name wins" "first"
-        (Store.name b);
-      let d = Store.put a "shared bytes" in
+      let a = Store.create ~name:"a" ~dir () in
+      let d = Store.put a "good bytes" in
+      Store.set_ref a "head" d;
+      let path = Filename.concat (Filename.concat dir "blobs") d in
+      Out_channel.with_open_bin path (fun oc -> output_string oc "bad bytes");
+      let b = Store.create ~name:"b" ~dir () in
+      Alcotest.(check (option string)) "the ref is on disk" (Some d)
+        (Store.find_ref b "head");
+      (match Store.load b d with
+      | Error (`Corrupt _) -> ()
+      | Ok _ -> Alcotest.fail "the reopen served bytes the disk does not hold"
+      | Error `Missing -> Alcotest.fail "the reopen lost the blob");
       Alcotest.(check (option string))
-        "write visible through the other handle, no disk round-trip"
-        (Some "shared bytes") (Store.get b d);
-      let cold = Store.create ~name:"cold" ~dir ~share:false () in
-      Alcotest.(check bool) "share:false is private" true (cold != a);
-      let vfs, _ =
-        Vfs.inject { Vfs.at = max_int; kind = Vfs.Crash; seed = 0 } Vfs.real
-      in
-      let sim = Store.create ~name:"sim" ~dir ~vfs () in
-      Alcotest.(check bool) "injected vfs is never shared" true (sim != a);
-      let ro = Store.create ~name:"ro" ~dir ~recover:false () in
-      Alcotest.(check bool) "recover:false is never shared" true (ro != a);
-      with_dir (fun other ->
-          let c = Store.create ~name:"other" ~dir:other () in
-          Alcotest.(check bool) "different directory" true (c != a)))
+        "the first handle still holds its own table" (Some "good bytes")
+        (Store.get a d))
 
 let suite =
   [
     ( "store",
       [
         QCheck_alcotest.to_alcotest prop_put_get;
-        t "same-directory handles share one memory tier"
-          test_shared_registry;
-        QCheck_alcotest.to_alcotest prop_eviction_is_invisible;
+        t "a reopen reads the disk" test_reopen_reads_disk;
         QCheck_alcotest.to_alcotest prop_disk_roundtrip_and_tamper;
         t "dedup accounting" test_dedup_accounting;
         t "lookup counts hits and misses" test_lookup_counts;
-        t "memory LRU bound" test_memory_lru_bound;
         t "fingerprint is order-independent" test_fingerprint_order_independent;
         t "store contents deterministic" test_store_contents_deterministic;
       ] );

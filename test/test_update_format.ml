@@ -114,7 +114,7 @@ let test_store_reader_reads_embedded () =
    | Ok u' -> same_objects "embedded" u u'
    | Error e -> Alcotest.failf "embedded: %a" Update.pp_decode_error e);
   Alcotest.(check (list string)) "no store digests" []
-    (Fixture.ok "store_digests" Update.pp_decode_error (Update.store_digests b))
+    (fst (Fixture.ok "references" Update.pp_decode_error (Update.references b)))
 
 let test_plain_reader_refuses_store_backed () =
   let store = Store.create ~name:"upd-refuse" () in
@@ -128,8 +128,9 @@ let test_plain_reader_refuses_store_backed () =
   Alcotest.(check int) "primary and helpers referenced"
     (1 + List.length u.helpers)
     (List.length
-       (Fixture.ok "store_digests" Update.pp_decode_error
-          (Update.store_digests b)));
+       (fst
+          (Fixture.ok "references" Update.pp_decode_error
+             (Update.references b))));
   (* a store-backed file against a store missing its blobs fails cleanly *)
   let empty = Store.create ~name:"upd-empty" () in
   match Update.of_bytes_store empty b with
@@ -149,8 +150,8 @@ let cumulative_of (u : Update.t) =
 let check_cumulative_roundtrip what store (u : Update.t) b =
   Alcotest.(check (list string)) (what ^ ": supersedes from bytes alone")
     u.supersedes
-    (Fixture.ok "supersedes_of_bytes" Update.pp_decode_error
-       (Update.supersedes_of_bytes b));
+    (snd
+       (Fixture.ok "references" Update.pp_decode_error (Update.references b)));
   match Update.of_bytes_store store b with
   | Error e -> Alcotest.failf "%s: %a" what Update.pp_decode_error e
   | Ok u' ->
@@ -206,10 +207,8 @@ let test_old_formats_rejected () =
             (bad_magic (Update.of_bytes b));
           Alcotest.(check bool) (label ^ ": of_bytes_store") true
             (bad_magic (Update.of_bytes_store store b));
-          Alcotest.(check bool) (label ^ ": store_digests") true
-            (Result.is_error (Update.store_digests b));
-          Alcotest.(check bool) (label ^ ": supersedes") true
-            (bad_magic (Update.supersedes_of_bytes b)))
+          Alcotest.(check bool) (label ^ ": references") true
+            (bad_magic (Update.references b)))
         [ "KSPL1"; "KSPL2"; "KSPL3" ])
     (Lazy.force blobs)
 
@@ -221,8 +220,8 @@ let test_trailing_bytes_rejected () =
         (Result.is_error (Update.of_bytes_store store b));
       Alcotest.(check bool) (what ^ ": of_bytes") true
         (Result.is_error (Update.of_bytes b));
-      Alcotest.(check bool) (what ^ ": store_digests") true
-        (Result.is_error (Update.store_digests b)))
+      Alcotest.(check bool) (what ^ ": references") true
+        (Result.is_error (Update.references b)))
     (Lazy.force blobs)
 
 let test_tampered_object_rejected () =
@@ -243,7 +242,7 @@ let test_tampered_object_rejected () =
       | Ok _ -> Alcotest.failf "%s: tampered object accepted" what)
     [ ("of_bytes", Update.of_bytes b);
       ("of_bytes_store", Update.of_bytes_store store b);
-      ("store_digests", Result.map (fun _ -> u) (Update.store_digests b)) ]
+      ("references", Result.map (fun _ -> u) (Update.references b)) ]
 
 (* --- decoder totality: no exception reachable from arbitrary bytes ---
 
@@ -256,7 +255,7 @@ let readers store =
   [ ("of_bytes", fun b -> Result.map ignore (Update.of_bytes b));
     ( "of_bytes_store",
       fun b -> Result.map ignore (Update.of_bytes_store store b) );
-    ("store_digests", fun b -> Result.map ignore (Update.store_digests b)) ]
+    ("references", fun b -> Result.map ignore (Update.references b)) ]
 
 let decode_total read (b : Bytes.t) =
   match read b with
@@ -281,11 +280,7 @@ let test_every_prefix_rejected () =
               | `Raised e ->
                 Alcotest.failf "%s %s: %s raised %s" fmt reader
                   (Fixture.describe d) (Printexc.to_string e))
-            (readers store);
-          (* supersedes_of_bytes shares the totality guarantee *)
-          ignore
-            (Update.supersedes_of_bytes p
-              : (string list, Update.decode_error) result))
+            (readers store))
         (Fixture.damages good))
     (Lazy.force blobs)
 
@@ -305,11 +300,7 @@ let prop_byte_flip_total =
           match decode_total read b with
           | `Raised _ -> false
           | `Ok | `Error -> true)
-        (readers store)
-      &&
-      match Update.supersedes_of_bytes b with
-      | (_ : (string list, Update.decode_error) result) -> true
-      | exception _ -> false)
+        (readers store))
 
 let suite =
   [
