@@ -662,7 +662,7 @@ let crash_sweep ?rows () =
   run_sweep "Crash-recovery sweep: publish killed at every mutating I/O op"
     ?rows Corpus.Sweep.crash;
   (* clock one recovery: crash a publish partway through its blob puts,
-     then time the reopen that replays the journal and sweeps the debris *)
+     then time the reopen that sweeps the debris and reads the ref table *)
   let cve = List.hd Corpus.Cve.all in
   let dir = Filename.temp_file "kspl-bench-crash" "" in
   Sys.remove dir;

@@ -490,12 +490,20 @@ let cmd_report path section =
 
 module Repo = Ksplice.Repository
 
+let cannot_open dir e =
+  Format.eprintf "error: cannot open %s: %a@." dir Repo.pp_error e;
+  exit 2
+
+(* gc, serve and collapse work on a repository that is already there: a
+   read-only probe, which creates nothing, refuses a path that holds no
+   store before the recovering open *)
+let open_existing dir =
+  Result.bind (Repo.open_dir ~recover:false dir) (fun _ -> Repo.open_dir dir)
+
 let cmd_fsck dir =
   (* read-only: open without recovery so damage is reported, not repaired *)
   match Repo.open_dir ~recover:false dir with
-  | Error e ->
-    Format.eprintf "error: cannot open %s: %a@." dir Repo.pp_error e;
-    exit 2
+  | Error e -> cannot_open dir e
   | Ok repo -> (
     match Repo.fsck repo with
     | Ok r ->
@@ -516,19 +524,13 @@ let cmd_fsck dir =
       exit 1)
 
 let cmd_gc dir =
-  match Repo.open_dir dir with
-  | Error e ->
-    Format.eprintf "error: cannot open %s: %a@." dir Repo.pp_error e;
-    exit 2
+  match open_existing dir with
+  | Error e -> cannot_open dir e
   | Ok repo ->
     (match Repo.recovery repo with
-     | None | Some { Store.rolled_forward = 0; rolled_back = 0;
-                     torn_discarded = 0; tmp_removed = 0 } -> ()
-     | Some r ->
-       Printf.printf
-         "recovery: %d rolled forward, %d rolled back, %d torn record(s) \
-          discarded, %d temp file(s) removed\n"
-         r.rolled_forward r.rolled_back r.torn_discarded r.tmp_removed);
+     | Some { Store.tmp_removed = n } when n > 0 ->
+       Printf.printf "recovery: %d temp file(s) removed\n" n
+     | _ -> ());
     (match Repo.gc repo with
      | Error e ->
        Format.eprintf "error: %a@." Repo.pp_error e;
@@ -542,10 +544,8 @@ let cmd_gc dir =
 (* --- fleet: serve / sync --- *)
 
 let cmd_serve dir socket max_sessions =
-  match Repo.open_dir dir with
-  | Error e ->
-    Format.eprintf "error: cannot open %s: %a@." dir Repo.pp_error e;
-    exit 2
+  match open_existing dir with
+  | Error e -> cannot_open dir e
   | Ok repo -> (
     Printf.printf "serving %s on %s%s\n%!" dir socket
       (match max_sessions with
@@ -558,10 +558,9 @@ let cmd_serve dir socket max_sessions =
       exit 1)
 
 let cmd_sync socket dir base =
+  (* a mirror is created on first use *)
   match Repo.open_dir dir with
-  | Error e ->
-    Format.eprintf "error: cannot open %s: %a@." dir Repo.pp_error e;
-    exit 2
+  | Error e -> cannot_open dir e
   | Ok mirror ->
     let connect _attempt =
       match Fleet.Transport.connect_unix socket with
@@ -596,10 +595,8 @@ let cmd_sync socket dir base =
 (* --- cumulative updates: collapse --- *)
 
 let cmd_collapse dir source id desc =
-  match Repo.open_dir dir with
-  | Error e ->
-    Format.eprintf "error: cannot open %s: %a@." dir Repo.pp_error e;
-    exit 2
+  match open_existing dir with
+  | Error e -> cannot_open dir e
   | Ok repo -> (
     let tree = read_tree source in
     match
@@ -888,17 +885,17 @@ let fsck_cmd =
   Cmd.v
     (Cmd.info "fsck"
        ~doc:
-         "Check an on-disk repository read-only (blob digests, ref \
-          targets, chain entries, pending journal); nonzero exit on \
-          damage")
+         "Check an on-disk repository read-only (the ref table, blob \
+          digests, ref targets, chain entries); nonzero exit on damage")
     Term.(const cmd_fsck $ repo_dir_t)
 
 let gc_cmd =
   Cmd.v
     (Cmd.info "gc"
        ~doc:
-         "Recover an on-disk repository if needed, then sweep every blob \
-          unreachable from its refs and chain entries")
+         "Open an existing on-disk repository (sweeping orphan temp \
+          files), then sweep every blob unreachable from its refs and \
+          chain entries")
     Term.(const cmd_gc $ repo_dir_t)
 
 let serve_cmd =

@@ -1,6 +1,6 @@
 (** The one binary codec behind all five binary formats: objects
     ([SELF1]), updates ([KSPL4]), repository entries ([KSPLREPO2]),
-    journal records ([J2]) and wire frames ([KFR1]).
+    the store's ref table ([REFS1]) and wire frames ([KFR1]).
 
     Integers are little-endian, a string is a u32 length then its bytes,
     a list a u32 count then its elements. Decoding is {e total} — any

@@ -154,8 +154,8 @@ let read_cumulative t digest =
   read_ref_entry t ~ref_name:(cumulative_ref digest) ~digest
 
 (* all blob puts (entry + interned objects) happen inside the
-   transaction, pinning them against a racing GC; the ref flip goes
-   through the write-ahead journal, so a crash anywhere leaves the
+   transaction, pinning them against a racing GC; the ref flip is one
+   atomic replace of the ref table, so a crash anywhere leaves the
    publish atomically present or atomically absent *)
 let commit_entry t ~ref_name e =
   match

@@ -64,14 +64,18 @@ val pp_error : Format.formatter -> error -> unit
 (** [open_dir dir] opens (creating if needed) a repository directory.
     All disk I/O, the check that [dir] is a directory included, goes
     through [vfs] (default {!Vfs.real}; inject a fault plan to simulate
-    crashes). Opening replays the store's write-ahead journal and sweeps
-    orphan temp files — see {!recovery}. With [recover:false]
-    (read-only inspection) it creates, replays and sweeps nothing, and a
-    path that holds no store is [Io_failure]. Every open is a private
-    handle that reads the disk, like a process after a reboot. *)
+    crashes). Opening sweeps orphan temp files (see {!recovery}) and
+    reads the store's ref table; a table that does not decode is
+    [Io_failure]. With [recover:false] (read-only inspection) it
+    creates and sweeps nothing, a path that holds no store is
+    [Io_failure], and a damaged table is left for {!fsck} to report.
+    The old store layout (a [refs/] directory) is [Io_failure] either
+    way. Every open is a handle that reads the disk, like a process
+    after a reboot, and its ref reads see what any other handle on the
+    directory has committed since. *)
 val open_dir : ?vfs:Vfs.t -> ?recover:bool -> string -> (t, error) result
 
-(** What recovery-on-open did, if anything. *)
+(** How many orphan temp files the open swept (a recovering open). *)
 val recovery : t -> Store.recovery_report option
 
 (** [publish repo ~source ~patch ~update] records [update] as the next
@@ -131,9 +135,9 @@ type fsck_report = {
       (** (base digest, reason) for entries that failed to decode *)
 }
 
-(** Read-only integrity check: the store-level invariants (blobs
-    re-digest clean, refs resolve, no orphan temp files, no unreplayed
-    journal) plus a full decode of every published entry — the same
+(** Read-only integrity check: the store-level invariants (the ref
+    table decodes, blobs re-digest clean, refs resolve, no orphan temp
+    files) plus a full decode of every published entry — the same
     checks [ksplice-tool fsck] runs. Never modifies the repository. *)
 val fsck : t -> (fsck_report, fsck_report) result
 

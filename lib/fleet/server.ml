@@ -44,18 +44,6 @@ let err s code fmt =
       [ Wire.Err { code; msg } ])
     fmt
 
-let manifest_items entries =
-  List.map
-    (fun (e : Repo.manifest_entry) ->
-      {
-        Wire.mi_base = e.me_base;
-        mi_next = e.me_next;
-        mi_blob = e.me_blob;
-        mi_size = e.me_size;
-        mi_objects = e.me_objects;
-      })
-    entries
-
 let step s frame =
   s.st.frames_in <- s.st.frames_in + 1;
   match (s.state, frame) with
@@ -83,7 +71,7 @@ let step s frame =
         | last :: _ -> last.me_next
       in
       s.state <- Expect_want { allowed; head };
-      [ Wire.Manifest (manifest_items entries) ])
+      [ Wire.Manifest entries ])
   | Expect_want { allowed; head }, Wire.Want digests -> (
     let rec serve acc = function
       | [] -> Ok (List.rev acc)

@@ -32,35 +32,35 @@ type totals = {
   mutable dups : int;
 }
 
-let check_linkage head0 (items : Wire.manifest_item list) =
+let check_linkage head0 (items : Repo.manifest_entry list) =
   let rec go expect = function
     | [] -> Ok ()
-    | (i : Wire.manifest_item) :: rest ->
-      if not (String.equal i.mi_base expect) then
+    | (i : Repo.manifest_entry) :: rest ->
+      if not (String.equal i.me_base expect) then
         Error
           (Protocol
              (Printf.sprintf "manifest chain broken: expected base %s, got %s"
-                expect i.mi_base))
-      else if String.equal i.mi_next i.mi_base then
+                expect i.me_base))
+      else if String.equal i.me_next i.me_base then
         Error (Protocol "manifest entry maps a source state to itself")
-      else go i.mi_next rest
+      else go i.me_next rest
   in
   go head0 items
 
 (* commit every leading manifest entry whose blob and re-derived object
    closure are all locally present: the ref flip (entry + head) is one
-   journal record, so a kill between blobs leaves the chain at the last
+   ref table write, so a kill between blobs leaves the chain at the last
    whole entry. An entry blob that does not decode is refused and
    nothing past it is committed. *)
-let commit_ready store (items : Wire.manifest_item array) committed totals =
+let commit_ready store (items : Repo.manifest_entry array) committed totals =
   let rec go () =
     if !committed >= Array.length items then Ok ()
     else
       let i = items.(!committed) in
-      match Store.get store i.mi_blob with
+      match Store.get store i.me_blob with
       | None -> Ok ()
       | Some raw -> (
-        match Repo.links ~digest:i.mi_base raw with
+        match Repo.links ~digest:i.me_base raw with
         | Error e -> Error (Bad_entry e)
         | Ok l ->
           if not (List.for_all (Store.mem store) l.l_objects) then Ok ()
@@ -69,9 +69,9 @@ let commit_ready store (items : Wire.manifest_item array) committed totals =
                manifest: a cumulative entry lands under its cumulative
                ref so a later local sync takes the one-hop route *)
             Store.with_txn store (fun () ->
-                let hd = Store.put store i.mi_next in
+                let hd = Store.put store i.me_next in
                 Store.commit_refs store
-                  [ (l.l_ref, i.mi_blob); (head_ref, hd) ]);
+                  [ (l.l_ref, i.me_blob); (head_ref, hd) ]);
             incr committed;
             totals.committed <- totals.committed + 1;
             go ()
@@ -105,7 +105,7 @@ let sync_once ~id ~store ~base totals (tr : Transport.t) =
   in
   let* () = check_linkage head0 items in
   let server_head =
-    match List.rev items with [] -> head0 | last :: _ -> last.Wire.mi_next
+    match List.rev items with [] -> head0 | last :: _ -> last.Repo.me_next
   in
   (* delta sync: want only what the store lacks, oldest entry first;
      account the bytes the CAS already holds as saved *)
@@ -124,9 +124,9 @@ let sync_once ~id ~store ~base totals (tr : Transport.t) =
       end
   in
   List.iter
-    (fun (i : Wire.manifest_item) ->
-      consider i.mi_blob i.mi_size;
-      List.iter (fun (d, sz) -> consider d sz) i.mi_objects)
+    (fun (i : Repo.manifest_entry) ->
+      consider i.me_blob i.me_size;
+      List.iter (fun (d, sz) -> consider d sz) i.me_objects)
     items;
   let wants = List.rev !wants in
   let items = Array.of_list items in

@@ -1,19 +1,13 @@
 let version = 1
 let magic = "KFR1"
 
-type manifest_item = {
-  mi_base : string;
-  mi_next : string;
-  mi_blob : string;
-  mi_size : int;
-  mi_objects : (string * int) list;
-}
+module Repo = Ksplice.Repository
 
 type frame =
   | Hello of { version : int; peer : string }
   | Hello_ack of { version : int; peer : string }
   | Head of { digest : string }
-  | Manifest of manifest_item list
+  | Manifest of Repo.manifest_entry list
   | Want of string list
   | Blob of { digest : string; bytes : string }
   | Done of { head : string }
@@ -43,17 +37,17 @@ let tag_of = function
   | Done _ -> 7
   | Err _ -> 8
 
-let put_item b i =
+let put_item b (e : Repo.manifest_entry) =
   let open Codec in
-  put_str b i.mi_base;
-  put_str b i.mi_next;
-  put_str b i.mi_blob;
-  put_u32 b i.mi_size;
+  put_str b e.me_base;
+  put_str b e.me_next;
+  put_str b e.me_blob;
+  put_u32 b e.me_size;
   put_list
     (fun b (d, sz) ->
       put_str b d;
       put_u32 b sz)
-    b i.mi_objects
+    b e.me_objects
 
 let encode f =
   let open Codec in
@@ -77,11 +71,11 @@ let encode f =
 
 let get_item r =
   let open Codec in
-  let mi_base = get_str r in
-  let mi_next = get_str r in
-  let mi_blob = get_str r in
-  let mi_size = get_u32 r in
-  let mi_objects =
+  let me_base = get_str r in
+  let me_next = get_str r in
+  let me_blob = get_str r in
+  let me_size = get_u32 r in
+  let me_objects =
     get_list
       (fun r ->
         let d = get_str r in
@@ -89,7 +83,7 @@ let get_item r =
         (d, sz))
       r
   in
-  { mi_base; mi_next; mi_blob; mi_size; mi_objects }
+  { Repo.me_base; me_next; me_blob; me_size; me_objects }
 
 let get_frame r =
   let open Codec in

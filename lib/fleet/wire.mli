@@ -19,21 +19,14 @@
 (** Protocol version spoken by this implementation. *)
 val version : int
 
-(** One chain hop, as digests plus sizes (sizes let a subscriber
-    account bytes saved by delta sync without fetching anything). *)
-type manifest_item = {
-  mi_base : string;
-  mi_next : string;
-  mi_blob : string;
-  mi_size : int;
-  mi_objects : (string * int) list;
-}
-
 type frame =
   | Hello of { version : int; peer : string }
   | Hello_ack of { version : int; peer : string }
   | Head of { digest : string }
-  | Manifest of manifest_item list
+  | Manifest of Ksplice.Repository.manifest_entry list
+      (** the pending chain, one hop per entry, as digests plus sizes
+          (sizes let a subscriber account bytes saved by delta sync
+          without fetching anything) *)
   | Want of string list
   | Blob of { digest : string; bytes : string }
   | Done of { head : string }

@@ -194,8 +194,7 @@ let rec extract ctx depth (e : expr) (prelude : stmt list ref) : expr =
     match
       if depth >= max_depth then None else Hashtbl.find_opt ctx.inlinable fname
     with
-    | None -> Ecall (fname, args)
-    | Some callee ->
+    | Some callee when List.compare_lengths callee.f_params args = 0 ->
       let n = ctx.fresh in
       ctx.fresh <- n + 1;
       ctx.decisions <-
@@ -233,7 +232,11 @@ let rec extract ctx depth (e : expr) (prelude : stmt list ref) : expr =
       (* recursively inline within the spliced body *)
       let body = List.concat_map (transform_stmt ctx (depth + 1)) body in
       prelude := List.rev_append body !prelude;
-      replacement)
+      replacement
+    | _ ->
+      (* not inlinable here; a call of the wrong arity stays a call, for
+         the typecheck to report *)
+      Ecall (fname, args))
   | Eicall (c, args) -> Eicall (recur c, List.map recur args)
   | Ebin ((Bland | Blor), a, b) ->
     (* the right operand is conditionally evaluated: no extraction there *)

@@ -12,19 +12,13 @@ type stats = {
   corrupt : int;
 }
 
-type recovery_report = {
-  rolled_forward : int;
-  rolled_back : int;
-  torn_discarded : int;
-  tmp_removed : int;
-}
+type recovery_report = { tmp_removed : int }
 
 type fsck_issue =
   | Orphan_tmp of string
   | Corrupt_blob of { digest : digest; reason : string }
   | Dangling_ref of { name : string; digest : digest }
-  | Unreadable_ref of { path : string; reason : string }
-  | Pending_journal of int
+  | Damaged_refs of string
 
 type fsck_report = {
   f_blobs : int;
@@ -39,13 +33,18 @@ type gc_report = {
   gc_pinned : int;
 }
 
+module Names = Map.Make (String)
+
 type t = {
   sname : string;
   dir : string option;
   vfs : Vfs.t;
   m : Mutex.t;
   blobs : (digest, string) Hashtbl.t;
-  mrefs : (string, digest) Hashtbl.t;
+  (* the ref table; with a directory, the last one <dir>/refs held that
+     decoded, and the bytes it came from ([None]: the file was absent) *)
+  mutable refs : digest Names.t;
+  mutable refs_raw : string option;
   (* digests interned by transactions still in flight: GC roots until the
      outermost with_txn exits (its refs are committed by then) *)
   pinned : (digest, unit) Hashtbl.t;
@@ -83,19 +82,14 @@ let mkdir_p vfs dir =
          { op = "mkdir"; path = dir; reason = "exists but is not a directory" })
 
 let blobs_dir dir = Filename.concat dir "blobs"
-let refs_dir dir = Filename.concat dir "refs"
 let blob_path dir d = Filename.concat (blobs_dir dir) d
-let journal_path dir = Filename.concat dir "journal"
-
-(* ref names are arbitrary strings, so the file is named by the digest
-   of the name and carries the name inside *)
-let ref_path dir rname = Filename.concat (refs_dir dir) (digest_of_string rname)
+let refs_path dir = Filename.concat dir "refs"
 
 (* Durable atomic replace: write the bytes to a temporary, fsync them,
    rename into place, then fsync the directory so the rename itself is
    on stable storage. A failure anywhere unlinks the temporary — the
    caller sees the exception, never a stray [.tmp] (a simulated process
-   death can still strand one; recovery-on-open sweeps those). *)
+   death can still strand one; the next open sweeps those). *)
 let write_atomic vfs path contents =
   let tmp = path ^ ".tmp" in
   match
@@ -109,138 +103,103 @@ let write_atomic vfs path contents =
     (try vfs.Vfs.unlink tmp with _ -> ());
     raise e
 
-(* --- write-ahead ref journal ---
+(* --- the ref table ---
 
-   A multi-ref commit appends one checksummed {!Codec} frame (magic
-   "J2") to <dir>/journal and fsyncs it *before* touching any ref file.
-   The payload is a list of (name, old, new) triples, old = "" when the
-   ref did not exist.
+   Every ref lives in one file, <dir>/refs: a checksummed {!Codec} frame
+   (magic "REFS1") holding the (name, digest) pairs sorted by name. A
+   commit rewrites the whole file with [write_atomic], whose rename is
+   the commit point: a crash leaves the old table or the new one, so
+   there is nothing to roll forward or back. *)
 
-   Recovery re-reads the journal: a record whose checksum verifies and
-   whose new blobs are all present and re-digest clean is rolled forward
-   (the commit happened); any other complete record is rolled back to
-   the recorded old values; a torn tail is discarded (the commit never
-   reached its fsync, so no ref file was written). *)
+let refs_magic = "REFS1"
 
-let journal_magic = "J2"
-
-let journal_record updates =
+let encode_refs refs =
   let b = Buffer.create 256 in
   Codec.put_list
-    (fun b (rname, old_d, new_d) ->
-      Codec.put_str b rname;
-      Codec.put_str b old_d;
-      Codec.put_str b new_d)
-    b updates;
-  Codec.frame ~magic:journal_magic (Buffer.contents b)
+    (fun b (name, d) ->
+      Codec.put_str b name;
+      Codec.put_str b d)
+    b (Names.bindings refs);
+  Codec.frame ~magic:refs_magic (Buffer.contents b)
 
-let read_triple r =
-  let rname = Codec.get_str r in
-  let old_d = Codec.get_str r in
-  let new_d = Codec.get_str r in
-  (rname, old_d, new_d)
-
-(* -> (complete records, torn-tail count: 0 or 1) *)
-let parse_journal raw =
-  let rec go pos records =
-    if pos >= String.length raw then (List.rev records, 0)
-    else
-      match Codec.unframe ~magic:journal_magic raw ~pos with
-      | Error (`Incomplete | `Fail _) -> (List.rev records, 1)
-      | Ok (payload, next) -> (
-        match Codec.decode ~magic:"" (Codec.get_list read_triple) payload with
-        | Ok refs -> go next (refs :: records)
-        | Error _ -> (List.rev records, 1))
+let decode_refs raw =
+  let pair r =
+    let name = Codec.get_str r in
+    (name, Codec.get_str r)
   in
-  go 0 []
+  let codec_error e = Error (Format.asprintf "%a" Codec.pp_error e) in
+  match Codec.unframe ~magic:refs_magic raw ~pos:0 with
+  | Error `Incomplete -> Error "truncated"
+  | Error (`Fail e) -> codec_error e
+  | Ok (_, next) when next <> String.length raw ->
+    Error (Printf.sprintf "trailing bytes at byte %d" next)
+  | Ok (payload, _) -> (
+    match Codec.decode ~magic:"" (Codec.get_list pair) payload with
+    | Ok pairs -> Ok (Names.of_list pairs)
+    | Error e -> codec_error e)
 
-let ref_file_contents rname d = rname ^ "\n" ^ d ^ "\n"
+(* The table <dir>/refs holds now; absent means no ref yet. The file,
+   not the handle, is the source of truth, so every handle on a
+   directory sees the commits of every other. A read whose bytes are
+   the ones last decoded skips the decode. A table that does not decode
+   leaves [t.refs] as it was. Assumes the lock is held. *)
+let read_table t =
+  match t.dir with
+  | None -> Ok t.refs
+  | Some dir -> (
+    let path = refs_path dir in
+    match
+      if t.vfs.Vfs.exists path then Some (t.vfs.Vfs.read_file path) else None
+    with
+    | exception Vfs.Io_error { reason; _ } -> Error ("unreadable: " ^ reason)
+    | raw when Option.equal String.equal raw t.refs_raw -> Ok t.refs
+    | raw ->
+      Option.fold ~none:(Ok Names.empty) ~some:decode_refs raw
+      |> Result.map (fun refs ->
+             t.refs <- refs;
+             t.refs_raw <- raw;
+             refs))
 
-let parse_ref_file raw =
-  match String.index_opt raw '\n' with
-  | None -> None
-  | Some i ->
-    let rname = String.sub raw 0 i in
-    let rest = String.sub raw (i + 1) (String.length raw - i - 1) in
-    let d = String.trim rest in
-    if d = "" then None else Some (rname, d)
+(* what the ref reads serve: the table on disk, or the last one that
+   decoded while it is damaged (commit, fsck and gc report the damage) *)
+let current_refs t = Result.value (read_table t) ~default:t.refs
 
-(* --- recovery-on-open --- *)
+(* --- open --- *)
 
-let sweep_tmps vfs dir =
-  let removed = ref 0 in
-  List.iter
-    (fun sub ->
-      Array.iter
-        (fun e ->
-          if Filename.check_suffix e ".tmp" then begin
-            (try vfs.Vfs.unlink (Filename.concat sub e)
-             with Vfs.Io_error _ -> ());
-            incr removed
-          end)
-        (vfs.Vfs.readdir sub))
-    [ blobs_dir dir; refs_dir dir ];
-  !removed
+(* temporaries a dead writer left: blob files and the table's *)
+let tmp_paths vfs dir =
+  let refs_tmp = refs_path dir ^ ".tmp" in
+  Array.fold_left
+    (fun acc e ->
+      if Filename.check_suffix e ".tmp" then
+        Filename.concat (blobs_dir dir) e :: acc
+      else acc)
+    (if vfs.Vfs.exists refs_tmp then [ refs_tmp ] else [])
+    (vfs.Vfs.readdir (blobs_dir dir))
 
-let blob_verifies vfs dir d =
-  let p = blob_path dir d in
-  vfs.Vfs.exists p
-  &&
-  match vfs.Vfs.read_file p with
-  | raw -> String.equal (digest_of_string raw) d
-  | exception Vfs.Io_error _ -> false
+let refuse op path reason = raise (Vfs.Io_error { op; path; reason })
 
-let recover_dir ~vfs ~mrefs dir =
-  let tmp_removed = sweep_tmps vfs dir in
-  let jp = journal_path dir in
-  let rolled_forward = ref 0 in
-  let rolled_back = ref 0 in
-  let torn = ref 0 in
-  (if vfs.Vfs.exists jp then
-     match vfs.Vfs.read_file jp with
-     | "" -> ()
-     | raw ->
-       let records, torn_n = parse_journal raw in
-       torn := torn_n;
-       List.iter
-         (fun refs ->
-           let committed =
-             List.for_all (fun (_, _, new_d) -> blob_verifies vfs dir new_d) refs
-           in
-           if committed then begin
-             incr rolled_forward;
-             List.iter
-               (fun (rname, _, new_d) ->
-                 write_atomic vfs (ref_path dir rname)
-                   (ref_file_contents rname new_d);
-                 Hashtbl.replace mrefs rname new_d)
-               refs
-           end
-           else begin
-             incr rolled_back;
-             List.iter
-               (fun (rname, old_d, _) ->
-                 let p = ref_path dir rname in
-                 if String.equal old_d "" then begin
-                   if vfs.Vfs.exists p then vfs.Vfs.unlink p;
-                   Hashtbl.remove mrefs rname
-                 end
-                 else begin
-                   write_atomic vfs p (ref_file_contents rname old_d);
-                   Hashtbl.replace mrefs rname old_d
-                 end)
-               refs
-           end)
-         records;
-       (* checkpoint: everything above is now durable *)
-       vfs.Vfs.write_file jp "";
-       vfs.Vfs.fsync jp);
-  {
-    rolled_forward = !rolled_forward;
-    rolled_back = !rolled_back;
-    torn_discarded = !torn;
-    tmp_removed;
-  }
+let damaged_table op path reason =
+  refuse op path ("damaged ref table: " ^ reason)
+
+(* A recovering open creates the store if missing, sweeps orphan temps
+   and refuses a table that does not decode, because it is about to
+   write. A read-only open creates nothing and leaves the damage for
+   fsck to report. Either refuses the old layout, whose refs lived in a
+   refs/ directory: reading it as an empty table would lose them. *)
+let open_dir t ~recover dir =
+  let vfs = t.vfs in
+  if vfs.Vfs.is_directory (refs_path dir) then
+    refuse "open" dir "old store layout (refs/ is a directory of ref files)";
+  if recover then begin
+    Result.iter_error (damaged_table "open" (refs_path dir)) (read_table t);
+    mkdir_p vfs (blobs_dir dir);
+    let tmps = tmp_paths vfs dir in
+    List.iter (fun p -> try vfs.Vfs.unlink p with Vfs.Io_error _ -> ()) tmps;
+    t.last_recovery <- Some { tmp_removed = List.length tmps }
+  end
+  else if not (vfs.Vfs.is_directory (blobs_dir dir)) then
+    refuse "open" dir "no store here (blobs/ is missing)"
 
 let create ?(name = "store") ?dir ?(vfs = Vfs.real) ?(recover = true) () =
   let t =
@@ -250,7 +209,8 @@ let create ?(name = "store") ?dir ?(vfs = Vfs.real) ?(recover = true) () =
       vfs;
       m = Mutex.create ();
       blobs = Hashtbl.create 256;
-      mrefs = Hashtbl.create 64;
+      refs = Names.empty;
+      refs_raw = None;
       pinned = Hashtbl.create 16;
       txns = 0;
       last_recovery = None;
@@ -266,22 +226,7 @@ let create ?(name = "store") ?dir ?(vfs = Vfs.real) ?(recover = true) () =
       tc_dedup = "store." ^ name ^ ".dedup_hits";
     }
   in
-  (match dir with
-  | None -> ()
-  | Some d when recover ->
-    mkdir_p vfs d;
-    mkdir_p vfs (blobs_dir d);
-    mkdir_p vfs (refs_dir d);
-    t.last_recovery <- Some (recover_dir ~vfs ~mrefs:t.mrefs d)
-  | Some d ->
-    (* a read-only open (e.g. fsck) creates nothing, so it refuses a
-       directory that does not already hold a store *)
-    let present sub = vfs.Vfs.is_directory (sub d) in
-    if not (present blobs_dir && present refs_dir) then
-      raise
-        (Vfs.Io_error
-           { op = "open"; path = d;
-             reason = "no store here (blobs/ or refs/ is missing)" }));
+  Option.iter (open_dir t ~recover) dir;
   t
 
 let recovery t = t.last_recovery
@@ -368,83 +313,38 @@ let mem t d =
 
 (* --- refs --- *)
 
-let set_ref t rname d =
-  locked t (fun () ->
-      Hashtbl.replace t.mrefs rname d;
-      match t.dir with
-      | None -> ()
-      | Some dir ->
-        write_atomic t.vfs (ref_path dir rname) (ref_file_contents rname d))
+let find_ref t name = locked t (fun () -> Names.find_opt name (current_refs t))
 
-(* assumes the lock is held *)
-let disk_ref_locked t dir rname =
-  let path = ref_path dir rname in
-  if not (t.vfs.Vfs.exists path) then None
-  else
-    match parse_ref_file (t.vfs.Vfs.read_file path) with
-    | Some (stored, d) when String.equal stored rname -> Some d
-    | Some _ | None -> None
-    | exception Vfs.Io_error _ -> None
+let refs t = locked t (fun () -> Names.bindings (current_refs t))
 
-let find_ref t rname =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.mrefs rname with
-      | Some d -> Some d
-      | None -> (
-        match t.dir with
-        | None -> None
-        | Some dir -> (
-          match disk_ref_locked t dir rname with
-          | Some d ->
-            Hashtbl.replace t.mrefs rname d;
-            Some d
-          | None -> None)))
-
+(* the updates go onto the table the disk holds now, so a commit keeps
+   every ref another handle committed since this one last read it *)
 let commit_refs t updates =
+  let apply base =
+    List.fold_left (fun m (n, d) -> Names.add n d m) base updates
+  in
   locked t (fun () ->
       match t.dir with
-      | None ->
-        List.iter (fun (rname, d) -> Hashtbl.replace t.mrefs rname d) updates
-      | Some dir ->
-        let with_old (rname, new_d) =
-          let old_d =
-            match Hashtbl.find_opt t.mrefs rname with
-            | Some o -> o
-            | None -> Option.value (disk_ref_locked t dir rname) ~default:""
-          in
-          (rname, old_d, new_d)
+      | None -> t.refs <- apply t.refs
+      | Some dir -> (
+        let path = refs_path dir in
+        let base =
+          match read_table t with
+          | Ok base -> base
+          | Error reason -> damaged_table "commit" path reason
         in
-        let record = List.map with_old updates in
-        let jp = journal_path dir in
-        (* the commit point: once this record is on stable storage the
-           transaction roll-forwards; before it, nothing was written *)
-        t.vfs.Vfs.append_file jp (journal_record record);
-        t.vfs.Vfs.fsync jp;
-        List.iter
-          (fun (rname, d) ->
-            write_atomic t.vfs (ref_path dir rname)
-              (ref_file_contents rname d);
-            Hashtbl.replace t.mrefs rname d)
-          updates;
-        (* checkpoint: the refs are durable, the record is obsolete *)
-        t.vfs.Vfs.write_file jp "";
-        t.vfs.Vfs.fsync jp)
-
-(* test/tooling hook: append a journal record without touching the refs,
-   simulating a writer that died right after its commit-point fsync *)
-let append_journal t updates =
-  match t.dir with
-  | None -> invalid_arg "Store.append_journal: memory-only store"
-  | Some dir ->
-    locked t (fun () ->
-        let jp = journal_path dir in
-        t.vfs.Vfs.append_file jp
-          (journal_record
-             (List.map
-                (fun (rname, old_d, new_d) ->
-                  (rname, Option.value old_d ~default:"", new_d))
-                updates));
-        t.vfs.Vfs.fsync jp)
+        let next = apply base in
+        let raw = encode_refs next in
+        match write_atomic t.vfs path raw with
+        | () ->
+          t.refs <- next;
+          t.refs_raw <- Some raw
+        | exception (Vfs.Io_error _ as e) ->
+          (* the failure may follow the rename (the directory fsync):
+             put the old table back on disk too *)
+          (try write_atomic t.vfs path (encode_refs base)
+           with Vfs.Io_error _ -> ());
+          raise e))
 
 let with_txn t f =
   locked t (fun () -> t.txns <- t.txns + 1);
@@ -452,28 +352,6 @@ let with_txn t f =
       locked t (fun () ->
           t.txns <- t.txns - 1;
           if t.txns = 0 then Hashtbl.reset t.pinned))
-
-let refs t =
-  locked t (fun () ->
-      let acc = Hashtbl.create 64 in
-      (match t.dir with
-      | None -> ()
-      | Some dir ->
-        Array.iter
-          (fun entry ->
-            let path = Filename.concat (refs_dir dir) entry in
-            if
-              (not (Filename.check_suffix entry ".tmp"))
-              && not (t.vfs.Vfs.is_directory path)
-            then
-              match parse_ref_file (t.vfs.Vfs.read_file path) with
-              | Some (rname, d) -> Hashtbl.replace acc rname d
-              | None -> ())
-          (t.vfs.Vfs.readdir (refs_dir dir)));
-      (* memory wins: it holds any not-yet-flushed or most recent value *)
-      Hashtbl.iter (Hashtbl.replace acc) t.mrefs;
-      Hashtbl.fold (fun k v l -> (k, v) :: l) acc []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
 (* --- fsck --- *)
 
@@ -483,17 +361,13 @@ let pp_fsck_issue ppf = function
     Format.fprintf ppf "corrupt blob %s: %s" digest reason
   | Dangling_ref { name; digest } ->
     Format.fprintf ppf "ref %S points at missing blob %s" name digest
-  | Unreadable_ref { path; reason } ->
-    Format.fprintf ppf "unreadable ref file %s: %s" path reason
-  | Pending_journal n ->
-    Format.fprintf ppf "journal holds %d unreplayed record(s)" n
+  | Damaged_refs reason -> Format.fprintf ppf "damaged ref table: %s" reason
 
 let fsck t =
   locked t (fun () ->
       let issues = ref [] in
       let add i = issues := i :: !issues in
       let blobs = ref 0 in
-      let refsn = ref 0 in
       let blob_present d =
         Hashtbl.mem t.blobs d
         ||
@@ -501,91 +375,48 @@ let fsck t =
         | None -> false
         | Some dir -> t.vfs.Vfs.exists (blob_path dir d)
       in
+      let table = read_table t in
+      Result.iter_error (fun r -> add (Damaged_refs r)) table;
+      let refs = Result.value table ~default:t.refs in
       (match t.dir with
       | None -> blobs := Hashtbl.length t.blobs
       | Some dir ->
+        List.iter (fun p -> add (Orphan_tmp p)) (tmp_paths t.vfs dir);
         Array.iter
           (fun e ->
-            let path = Filename.concat (blobs_dir dir) e in
-            if Filename.check_suffix e ".tmp" then add (Orphan_tmp path)
-            else begin
+            if not (Filename.check_suffix e ".tmp") then begin
               incr blobs;
-              match t.vfs.Vfs.read_file path with
+              match t.vfs.Vfs.read_file (blob_path dir e) with
               | exception Vfs.Io_error { reason; _ } ->
                 add (Corrupt_blob { digest = e; reason = "unreadable: " ^ reason })
               | raw ->
                 if not (String.equal (digest_of_string raw) e) then
                   add (Corrupt_blob { digest = e; reason = "re-digest mismatch" })
             end)
-          (t.vfs.Vfs.readdir (blobs_dir dir));
-        Array.iter
-          (fun e ->
-            let path = Filename.concat (refs_dir dir) e in
-            if Filename.check_suffix e ".tmp" then add (Orphan_tmp path)
-            else begin
-              incr refsn;
-              match t.vfs.Vfs.read_file path with
-              | exception Vfs.Io_error { reason; _ } ->
-                add (Unreadable_ref { path; reason })
-              | raw -> (
-                match parse_ref_file raw with
-                | None -> add (Unreadable_ref { path; reason = "does not parse" })
-                | Some (rname, d) ->
-                  if not (blob_present d) then
-                    add (Dangling_ref { name = rname; digest = d }))
-            end)
-          (t.vfs.Vfs.readdir (refs_dir dir));
-        let jp = journal_path dir in
-        if t.vfs.Vfs.exists jp then begin
-          match t.vfs.Vfs.read_file jp with
-          | exception Vfs.Io_error { reason; _ } ->
-            add (Unreadable_ref { path = jp; reason })
-          | "" -> ()
-          | raw ->
-            let records, torn = parse_journal raw in
-            add (Pending_journal (List.length records + torn))
-        end);
-      (* memory refs must resolve too (memory-only stores have no files) *)
-      Hashtbl.iter
-        (fun rname d ->
-          if t.dir = None then incr refsn;
-          if not (blob_present d) then
-            add (Dangling_ref { name = rname; digest = d }))
-        t.mrefs;
+          (t.vfs.Vfs.readdir (blobs_dir dir)));
+      Names.iter
+        (fun name d ->
+          if not (blob_present d) then add (Dangling_ref { name; digest = d }))
+        refs;
       let report =
-        { f_blobs = !blobs; f_refs = !refsn; f_issues = List.rev !issues }
+        {
+          f_blobs = !blobs;
+          f_refs = Names.cardinal refs;
+          f_issues = List.rev !issues;
+        }
       in
       if report.f_issues = [] then Ok report else Error report)
 
 (* --- mark-and-sweep GC --- *)
 
 let gc ?(expand = fun _ _ -> Ok []) t =
-  (* mark: roots are every ref (memory + disk) and every pinned digest
-     of an in-flight transaction; [expand] closes over blob-to-blob
-     references the store itself cannot see *)
-  let roots =
+  (* mark: roots are every ref the table on disk holds and every pinned
+     digest of an in-flight transaction; [expand] closes over
+     blob-to-blob references the store itself cannot see *)
+  let table, pins =
     locked t (fun () ->
-        let acc = Hashtbl.fold (fun _ d l -> d :: l) t.mrefs [] in
-        let acc =
-          match t.dir with
-          | None -> acc
-          | Some dir ->
-            Array.fold_left
-              (fun l e ->
-                if Filename.check_suffix e ".tmp" then l
-                else
-                  let path = Filename.concat (refs_dir dir) e in
-                  match parse_ref_file (t.vfs.Vfs.read_file path) with
-                  | Some (_, d) -> d :: l
-                  | None -> l
-                  | exception Vfs.Io_error _ -> l)
-              acc
-              (t.vfs.Vfs.readdir (refs_dir dir))
-        in
-        let pins = Hashtbl.fold (fun d () l -> d :: l) t.pinned [] in
-        (acc, pins))
+        (read_table t, Hashtbl.fold (fun d () l -> d :: l) t.pinned []))
   in
-  let ref_roots, pins = roots in
   let marked = Hashtbl.create 256 in
   let broken = ref [] in
   let rec mark d =
@@ -600,23 +431,26 @@ let gc ?(expand = fun _ _ -> Ok []) t =
       | Error (`Corrupt m) -> broken := (d, m) :: !broken
     end
   in
-  List.iter mark ref_roots;
+  Result.iter
+    (fun refs -> List.iter mark (Names.fold (fun _ d l -> d :: l) refs []))
+    table;
   List.iter mark pins;
-  match !broken with
-  | (d, m) :: _ ->
+  match (table, !broken) with
+  | Error reason, _ ->
+    (* a damaged table names no ref roots *)
+    Error (Printf.sprintf "the ref table is damaged (%s); run fsck" reason)
+  | Ok _, (d, m) :: _ ->
     (* the live set cannot be trusted; collecting anything now could
        orphan data a repaired blob would resurrect *)
     Error (Printf.sprintf "live blob %s is damaged (%s); run fsck" d m)
-  | [] ->
+  | Ok _, [] ->
     locked t (fun () ->
+        (* re-read the refs: a commit that landed after the mark phase,
+           through this handle or another, keeps the blobs it names *)
+        let current = current_refs t in
         let live d =
           Hashtbl.mem marked d || Hashtbl.mem t.pinned d
-          (* re-check current refs: a commit that raced the mark phase
-             can only reference marked or pinned blobs, but the sweep
-             must never rely on that *)
-          || Hashtbl.fold
-               (fun _ rd acc -> acc || String.equal rd d)
-               t.mrefs false
+          || Names.exists (fun _ rd -> String.equal rd d) current
         in
         let swept = ref 0 in
         let bytes = ref 0 in

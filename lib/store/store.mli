@@ -14,30 +14,33 @@
       chain head, a mirror's head) — the only mutable state.
 
     {b One table.} A handle holds one mutex-guarded blob table and one
-    ref table. With a directory ([?dir]) every blob and ref is written
-    through to disk, and a blob the table lacks is read from disk with
-    its bytes re-digested — a truncated or bit-flipped blob is reported
-    as [`Corrupt], never returned. Every handle is private: a second
-    handle on the same directory starts empty and reads the disk, as a
-    process does after a reboot.
+    ref table. With a directory ([?dir]) every blob is written through
+    to [blobs/], and a blob the table lacks is read from disk with its
+    bytes re-digested — a truncated or bit-flipped blob is reported as
+    [`Corrupt], never returned. Every ref lives in one file, [refs],
+    and that file is the source of truth: each ref read and each commit
+    reads it again (a read that finds the bytes it last decoded skips
+    the decode), so every handle on a directory, in this process or
+    another, sees every other's commits, and a commit keeps the refs
+    others made. A handle's blob table is private: a second handle
+    reads a blob from disk, as a process does after a reboot.
 
     {b Crash safety.} All disk I/O goes through an injectable {!Vfs.t},
     so the fault sweeps can kill a simulated process at any I/O
     operation. Every file lands via write-temp, fsync, rename, fsync-dir
-    (a failure unlinks the temp); multi-ref transactions
-    ({!commit_refs}) first append-and-fsync a checksummed record to a
-    write-ahead journal, so {e recovery-on-open} can roll a committed
-    transaction forward or a torn one back — refs never point at missing
+    (a failure unlinks the temp); {!commit_refs} lands the whole ref
+    table that way, so its rename is the commit point and a crash
+    leaves the old table or the new one — refs never point at missing
     blobs. {!fsck} re-checks every invariant read-only; {!gc}
     mark-and-sweeps unreachable blobs from the ref roots, with in-flight
     transactions ({!with_txn}) pinned so a publish racing the sweep is
     never collected.
 
-    {b Determinism.} Contents are a pure function of the [put]/[set_ref]
-    history: no wall clocks, no randomness, no process identifiers leak
-    into blobs or refs. Two identical runs produce byte-identical store
-    contents — {!fingerprint} digests the canonical (sorted) contents so
-    tests can assert it.
+    {b Determinism.} Contents are a pure function of the
+    [put]/[commit_refs] history: no wall clocks, no randomness, no
+    process identifiers leak into blobs or refs. Two identical runs
+    produce byte-identical store contents — {!fingerprint} digests the
+    canonical (sorted) contents so tests can assert it.
 
     Counters are mirrored as {!Trace} counters
     ([store.<name>.hits/misses/dedup_hits] and
@@ -54,18 +57,20 @@ val digest_of_string : string -> digest
 (** [create ?name ?dir ?vfs ?recover ()] makes a store. [name] labels
     the trace counters (default ["store"]). Without [dir] the store lives
     in memory and keeps every blob and ref it is given. [dir] roots the
-    on-disk copy, with [blobs/], [refs/] and a [journal] underneath.
-    [vfs] (default {!Vfs.real}) carries all disk I/O — inject a fault
-    plan to simulate crashes.
-    Opening a directory creates it if missing, replays the journal and
-    sweeps orphan temp files; the result is available from {!recovery}.
+    on-disk copy: a [blobs/] directory and the ref table file [refs]
+    (absent until the first commit). [vfs] (default {!Vfs.real})
+    carries all disk I/O — inject a fault plan to simulate crashes.
+    Opening a directory creates it if missing, sweeps orphan temp files
+    (see {!recovery}) and checks that the ref table decodes.
     With [recover:false] (read-only inspection, e.g. fsck) the open
-    creates, replays and sweeps nothing, so [dir] must already hold
-    [blobs/] and [refs/].
+    creates and sweeps nothing, so [dir] must already hold [blobs/], and
+    a ref table that does not decode is left for {!fsck} to report.
 
     Raises {!Vfs.Io_error} when the directory cannot be opened: it
-    exists but is not a directory, a mkdir fails, or a read-only open
-    finds no store there. *)
+    exists but is not a directory, a mkdir fails, a read-only open finds
+    no store there, a recovering open finds a ref table that does not
+    decode, or the directory holds the old layout (a [refs/] directory
+    of per-ref files), which is never read as an empty table. *)
 val create :
   ?name:string -> ?dir:string -> ?vfs:Vfs.t -> ?recover:bool -> unit -> t
 
@@ -86,26 +91,30 @@ val get : t -> digest -> string option
 
 val mem : t -> digest -> bool
 
-(** {2 Refs} *)
+(** {2 Refs and transactions} *)
 
-(** [set_ref t name d] points [name] at blob [d] (persisted atomically
-    when the store has a directory; a single-ref flip needs no journal
-    record). *)
-val set_ref : t -> string -> digest -> unit
-
+(** [find_ref] and {!refs} read the ref table the directory holds now.
+    While that table does not decode they serve the last one this
+    handle read or wrote ({!commit_refs}, {!fsck} and {!gc} report the
+    damage instead). *)
 val find_ref : t -> string -> digest option
 
 (** All refs, sorted by name. *)
 val refs : t -> (string * digest) list
 
-(** {2 Transactions} *)
-
-(** [commit_refs t updates] flips every [(name, digest)] in [updates]
-    atomically with respect to crashes: an append-then-fsync journal
-    record is the commit point, after which recovery rolls the whole set
-    forward; a crash before it rolls the whole set back. Call with the
-    target blobs already {!put} (recovery only rolls forward when every
-    new blob verifies on disk). *)
+(** [commit_refs t updates] points every [(name, digest)] in [updates]
+    at its blob, atomically with respect to crashes. With a directory
+    it applies [updates] to the table the disk holds now, writes the
+    result to a temp file and renames it into place: the rename is the
+    commit point, so a crash before it leaves the old refs and a crash
+    after it the new ones. Call with the target blobs already {!put}.
+    On {!Vfs.Io_error} the disk keeps its old refs (the old table is
+    written back in case the failure followed the rename), and the
+    error is re-raised. A table that does not decode is refused with
+    {!Vfs.Io_error} rather than replaced. A handle serialises its own
+    commits; two handles that commit at the same moment (two processes,
+    say) are not serialised: the later rename wins, and the other
+    commit can be lost. *)
 val commit_refs : t -> (string * digest) list -> unit
 
 (** [with_txn t f] runs [f] with every blob it [put]s pinned as a GC
@@ -114,18 +123,9 @@ val commit_refs : t -> (string * digest) list -> unit
     (collectable). Nestable; exceptions unpin. *)
 val with_txn : t -> (unit -> 'a) -> 'a
 
-(** Test/tooling hook: append a journal record as {!commit_refs} would,
-    {e without} applying the ref writes — the on-disk state of a writer
-    that died right after its commit point. [None] old values mean the
-    ref did not exist. *)
-val append_journal : t -> (string * digest option * digest) list -> unit
-
 (** {2 Recovery, fsck, GC} *)
 
 type recovery_report = {
-  rolled_forward : int;  (** journal records whose commit completed *)
-  rolled_back : int;  (** journal records undone to their old values *)
-  torn_discarded : int;  (** half-written journal tails dropped *)
   tmp_removed : int;  (** orphan [.tmp] files swept *)
 }
 
@@ -137,8 +137,7 @@ type fsck_issue =
   | Orphan_tmp of string
   | Corrupt_blob of { digest : digest; reason : string }
   | Dangling_ref of { name : string; digest : digest }
-  | Unreadable_ref of { path : string; reason : string }
-  | Pending_journal of int
+  | Damaged_refs of string  (** the ref table does not decode *)
 
 val pp_fsck_issue : Format.formatter -> fsck_issue -> unit
 
@@ -148,10 +147,10 @@ type fsck_report = {
   f_issues : fsck_issue list;
 }
 
-(** Read-only integrity check: every blob re-digests clean, every ref
-    parses and resolves to a present blob, no orphan temp files, no
-    unreplayed journal. [Ok] when no issues were found. Never modifies
-    the store. *)
+(** Read-only integrity check: the ref table decodes, every blob
+    re-digests clean, every ref resolves to a present blob, no orphan
+    temp files. [Ok] when no issues were found. Never modifies the
+    store. *)
 val fsck : t -> (fsck_report, fsck_report) result
 
 type gc_report = {
@@ -162,15 +161,15 @@ type gc_report = {
 }
 
 (** [gc ?expand t] mark-and-sweeps unreachable blobs. Roots are every
-    ref (memory and disk) plus the pins of in-flight {!with_txn}
+    ref plus the pins of in-flight {!with_txn}
     transactions; [expand digest bytes] returns the digests a live blob
     references, closing the reachability relation over encodings the
     store cannot parse itself (default: none), or why the blob does not
-    decode. Deleting only unreachable blobs is crash-safe without
-    journalling — a crash mid-sweep merely leaves some garbage for the
-    next run. Returns [Error] without collecting anything if a blob on a
-    live path is missing, corrupt or undecodable (the live set cannot be
-    trusted; run {!fsck}). *)
+    decode. Deleting only unreachable blobs is crash-safe as it stands —
+    a crash mid-sweep merely leaves some garbage for the next run.
+    Returns [Error] without collecting anything if the ref table did not
+    decode, or a blob on a live path is missing, corrupt or undecodable
+    (the live set cannot be trusted; run {!fsck}). *)
 val gc :
   ?expand:(digest -> string -> (digest list, string) result) -> t ->
   (gc_report, string) result

@@ -17,8 +17,8 @@
       raises {!Io_error}; the process survives and later operations
       succeed (one-shot).
     - {!Torn}: a lying disk. The operation lands a prefix but reports
-      success; nothing raises. Only the store's own re-digest and
-      journal checksums can catch this later.
+      success; nothing raises. Only the store's own re-digest and the
+      ref table's checksum can catch this later.
 
     Faults are a pure function of [(plan, operation index)]: no
     randomness, no clocks. The same plan against the same operation

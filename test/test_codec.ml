@@ -1,8 +1,8 @@
 (* The shared binary codec: the reader's edge cases, the checksummed
    frame, and every-prefix / byte-flip totality for the two formats
    that have no totality test of their own — repository entries and
-   store journal records — plus the old J1 bytes, which must now decode
-   to a typed error. *)
+   the store's ref table — plus the old per-ref file layout, which an
+   open must refuse rather than read as no refs. *)
 
 module Tree = Patchfmt.Source_tree
 module Diff = Patchfmt.Diff
@@ -160,70 +160,68 @@ let test_entry_damage_total () =
         Alcotest.failf "damaged entry raised %s" (Printexc.to_string e))
     (damaged good)
 
-(* journal records: whatever a reboot finds in the journal, reopening
-   never raises, and the two refs of the one record move together *)
+(* the ref table: whatever a reboot finds in <dir>/refs, a recovering
+   open reads both refs whole or refuses with a typed error, never
+   serving one of them moved *)
 let with_dir = Test_crash.with_dir
-let journal_path dir = Filename.concat dir "journal"
+let refs_path dir = Filename.concat dir "refs"
 
-let write_journal dir raw =
-  Out_channel.with_open_bin (journal_path dir) (fun oc ->
-      Out_channel.output_string oc raw)
-
-let clear_refs dir =
-  let refs = Filename.concat dir "refs" in
-  Array.iter (fun e -> Sys.remove (Filename.concat refs e)) (Sys.readdir refs)
-
-let reopen_moves_together dir ~what d1 d2 =
-  match Store.create ~name:"reboot" ~dir () with
-  | exception e ->
-    Alcotest.failf "%s: reopen raised %s" what (Printexc.to_string e)
-  | s -> (
-    match (Store.find_ref s "r1", Store.find_ref s "r2") with
-    | None, None -> `Absent
-    | Some a, Some b when a = d1 && b = d2 -> `Whole
-    | _ -> Alcotest.failf "%s: a ref was left half-moved" what)
-
-let test_journal_damage_total () =
+let test_ref_table_damage_total () =
   with_dir (fun dir ->
       let d1, d2, good =
         let s = Store.create ~name:"w" ~dir () in
         let d1 = Store.put s "blob one" and d2 = Store.put s "blob two" in
-        Store.append_journal s [ ("r1", None, d1); ("r2", None, d2) ];
-        let raw =
-          In_channel.with_open_bin (journal_path dir) In_channel.input_all
-        in
-        (d1, d2, raw)
+        Store.commit_refs s [ ("r1", d1); ("r2", d2) ];
+        (d1, d2, In_channel.with_open_bin (refs_path dir) In_channel.input_all)
       in
-      Alcotest.(check bool) "the whole record rolls forward" true
-        (reopen_moves_together dir ~what:"whole" d1 d2 = `Whole);
-      List.iteri
-        (fun i (kind, raw) ->
-          clear_refs dir;
-          write_journal dir raw;
-          let what = Printf.sprintf "damaged journal %d" i in
-          if reopen_moves_together dir ~what d1 d2 = `Whole then
-            Alcotest.failf "%s (%s): a damaged record rolled forward" what
-              (Fixture.describe kind))
-        (damaged good))
+      let reopen () = Store.create ~name:"reboot" ~dir () in
+      (let s = reopen () in
+       match (Store.find_ref s "r1", Store.find_ref s "r2") with
+       | Some a, Some b when a = d1 && b = d2 -> ()
+       | _ -> Alcotest.fail "the good table did not read back whole");
+      List.iter
+        (fun d ->
+          Out_channel.with_open_bin (refs_path dir) (fun oc ->
+              output_string oc (Fixture.damage good d));
+          match reopen () with
+          | exception Vfs.Io_error _ -> ()
+          | exception e ->
+            Alcotest.failf "%s: reopen raised %s" (Fixture.describe d)
+              (Printexc.to_string e)
+          | _ ->
+            Alcotest.failf "%s: a damaged table was read"
+              (Fixture.describe d))
+        (Fixture.damages ~masks:Fixture.every_bit good))
 
-let test_old_journal_record_is_torn () =
-  (* a well-formed J1 record: netstrings and a hex checksum *)
+let test_old_layout_refused () =
+  (* the old layout: refs/<md5 of name> files holding "name\ndigest\n",
+     beside a journal *)
   with_dir (fun dir ->
       let d =
         let s = Store.create ~name:"w" ~dir () in
         Store.put s "blob one"
       in
-      let ns s = string_of_int (String.length s) ^ ":" ^ s in
-      let payload = ns "1" ^ ns "r1" ^ ns "" ^ ns d in
-      write_journal dir
-        ("J1 " ^ ns payload ^ Digest.to_hex (Digest.string payload) ^ "\n");
-      let s = Store.create ~name:"reboot" ~dir () in
-      (match Store.recovery s with
-      | Some r ->
-        Alcotest.(check int) "discarded as torn" 1 r.Store.torn_discarded
-      | None -> Alcotest.fail "expected a recovery report");
-      Alcotest.(check (option string)) "ref not moved" None
-        (Store.find_ref s "r1"))
+      let refs = Filename.concat dir "refs" in
+      Sys.mkdir refs 0o755;
+      let ref_file = Filename.concat refs (Store.digest_of_string "r1") in
+      Out_channel.with_open_bin ref_file (fun oc ->
+          output_string oc ("r1\n" ^ d ^ "\n"));
+      Out_channel.with_open_bin (Filename.concat dir "journal") ignore;
+      List.iter
+        (fun recover ->
+          match Store.create ~name:"reboot" ~dir ~recover () with
+          | exception Vfs.Io_error _ -> ()
+          | _ ->
+            Alcotest.failf "an open (recover %b) read refs/ as no refs"
+              recover)
+        [ true; false ];
+      (match Repo.open_dir dir with
+       | Error (Repo.Io_failure _) -> ()
+       | Error e -> Alcotest.failf "unexpected error: %a" Repo.pp_error e
+       | Ok _ -> Alcotest.fail "open_dir accepted the old layout");
+      Alcotest.(check (list string)) "refs/ is left as it was"
+        [ Store.digest_of_string "r1" ]
+        (Array.to_list (Sys.readdir refs)))
 
 let suite =
   [
@@ -239,7 +237,8 @@ let suite =
         t "every frame prefix is Incomplete" test_frame_prefixes_incomplete;
         t "no bit flip unframes" test_frame_bit_flips_never_ok;
         t "damaged repository entry is typed" test_entry_damage_total;
-        t "damaged journal never half-moves a ref" test_journal_damage_total;
-        t "J1 journal record is a torn tail" test_old_journal_record_is_torn;
+        t "damaged ref table never half-moves a ref"
+          test_ref_table_damage_total;
+        t "an old refs/ directory is refused" test_old_layout_refused;
       ] );
   ]

@@ -1,8 +1,8 @@
-(* Crash-safety tests: the injectable VFS fault driver, the write-ahead
-   ref journal and recovery-on-open, fsck, and mark-and-sweep GC. The
-   sweeping tests enumerate every mutating I/O op of a scenario with a
-   fault-free counting probe, then kill or fail the run at each one and
-   assert the recovered store is fsck-clean and all-or-nothing. *)
+(* Crash-safety tests: the injectable VFS fault driver, the one-file ref
+   table and the open that sweeps temp debris, fsck, and mark-and-sweep
+   GC. The sweeping tests enumerate every mutating I/O op of a scenario
+   with a fault-free counting probe, then kill or fail the run at each
+   one and assert the reopened store is fsck-clean and all-or-nothing. *)
 
 module Tree = Patchfmt.Source_tree
 module Diff = Patchfmt.Diff
@@ -30,7 +30,8 @@ let is_prefix_of whole part =
   String.length part <= String.length whole
   && String.equal part (String.sub whole 0 (String.length part))
 
-(* every *.tmp file under the store's blobs/ and refs/ directories *)
+(* every *.tmp file in the store's root (where refs.tmp lands) and
+   under blobs/ *)
 let tmp_files dir =
   List.concat_map
     (fun sub ->
@@ -40,7 +41,7 @@ let tmp_files dir =
         |> List.filter (fun e -> Filename.check_suffix e ".tmp")
         |> List.map (Filename.concat sub)
       else [])
-    [ "blobs"; "refs" ]
+    [ Filename.current_dir_name; "blobs" ]
 
 (* --- the fault driver itself --- *)
 
@@ -164,110 +165,142 @@ let test_mkdir_failure_is_typed () =
       | Error e -> Alcotest.failf "unexpected error: %a" Repo.pp_error e
       | Ok _ -> Alcotest.fail "expected Io_failure from open_dir")
 
-(* --- the write-ahead ref journal --- *)
+(* --- the ref table --- *)
 
+let refs_of s = (Store.find_ref s "r1", Store.find_ref s "r2")
+
+(* A store holding r1 -> "blob zero" takes a commit that moves r1 and
+   adds r2. Killed at any op of it, a reopen finds the old refs or the
+   new ones; failed by ENOSPC at any op, the handle keeps the old refs
+   and a reopen reads them too. A lying disk (a torn write reported as
+   done) may cost the commit or damage the table, but the handle and a
+   reopen agree on the old refs or the new ones, or a reopen refuses the
+   table and fsck names it: never a half-moved table, never an empty
+   one. *)
 let test_commit_refs_all_or_nothing () =
-  let scenario vfs dir =
-    let s = Store.create ~name:"txn" ~dir ~vfs () in
+  let old = (Some (Store.digest_of_string "blob zero"), None)
+  and moved =
+    ( Some (Store.digest_of_string "blob one"),
+      Some (Store.digest_of_string "blob two") )
+  in
+  let setup dir =
+    let s = Store.create ~name:"w" ~dir () in
+    Store.commit_refs s [ ("r1", Store.put s "blob zero") ]
+  in
+  let step s =
     let d1 = Store.put s "blob one" in
     let d2 = Store.put s "blob two" in
     Store.commit_refs s [ ("r1", d1); ("r2", d2) ]
   in
+  let reopen dir ~what =
+    let s = Store.create ~name:"reboot" ~dir () in
+    (match Store.fsck s with
+     | Ok _ -> ()
+     | Error r ->
+       Alcotest.failf "fsck dirty after %s: %a" what Store.pp_fsck_issue
+         (List.hd r.Store.f_issues));
+    refs_of s
+  in
   let count =
     with_dir (fun dir ->
+        setup dir;
         let vfs, ops = Vfs.counting Vfs.real in
-        scenario vfs dir;
+        step (Store.create ~name:"txn" ~dir ~vfs ());
         ops ())
   in
-  for i = 1 to count do
+  Alcotest.(check int) "two blob puts and one table write" 12 count;
+  (* the step with [kind] at op [i], then [check dir handle outcome] *)
+  let faulted kind i check =
     with_dir (fun dir ->
+        setup dir;
         let vfs, inj =
-          Vfs.inject { Vfs.at = i; kind = Vfs.Crash; seed = 17 * i } Vfs.real
+          Vfs.inject { Vfs.at = i; kind; seed = 17 * i } Vfs.real
         in
-        (try scenario vfs dir with Vfs.Crashed -> ());
+        let s = Store.create ~name:"txn" ~dir ~vfs () in
+        let outcome = match step s with () -> None | exception e -> Some e in
         Alcotest.(check bool) "fault fired" true (Vfs.fired inj);
-        if Sys.file_exists dir then begin
-          let s = Store.create ~name:"reboot" ~dir () in
-          (match Store.fsck s with
-           | Ok _ -> ()
-           | Error r ->
-             Alcotest.failf "fsck dirty after crash at op %d: %a" i
-               Store.pp_fsck_issue (List.hd r.Store.f_issues));
-          match (Store.find_ref s "r1", Store.find_ref s "r2") with
-          | None, None -> ()
-          | Some a, Some b ->
-            Alcotest.(check (option string))
-              "r1 resolves" (Some "blob one") (Store.get s a);
-            Alcotest.(check (option string))
-              "r2 resolves" (Some "blob two") (Store.get s b)
-          | _ -> Alcotest.failf "torn ref flip survived a crash at op %d" i
-        end)
+        check dir s outcome)
+  in
+  for i = 1 to count do
+    let what = Printf.sprintf "a crash at op %d" i in
+    faulted Vfs.Crash i (fun dir _ outcome ->
+        if outcome <> Some Vfs.Crashed then
+          Alcotest.failf "%s did not kill the run" what;
+        let r = reopen dir ~what in
+        if r <> old && r <> moved then
+          Alcotest.failf "torn ref flip survived %s" what);
+    let what = Printf.sprintf "ENOSPC at op %d" i in
+    faulted Vfs.Enospc i (fun dir s outcome ->
+        (match outcome with
+         | Some (Vfs.Io_error _) -> ()
+         | _ -> Alcotest.failf "%s was not reported as Io_error" what);
+        Alcotest.(check (list string))
+          (what ^ ": no tmp debris") [] (tmp_files dir);
+        if refs_of s <> old then
+          Alcotest.failf "the handle moved a ref after %s" what;
+        if reopen dir ~what <> old then
+          Alcotest.failf "a reopen read moved refs after %s" what);
+    let what = Printf.sprintf "a torn op %d" i in
+    faulted Vfs.Torn i (fun dir s outcome ->
+        if outcome <> None then Alcotest.failf "%s was reported" what;
+        match Store.create ~name:"reboot" ~dir () with
+        | exception Vfs.Io_error { path; _ } -> (
+          Alcotest.(check string) (what ^ ": names the table")
+            (Filename.concat dir "refs") path;
+          let check = Store.create ~name:"check" ~dir ~recover:false () in
+          match Store.fsck check with
+          | Error r
+            when List.exists
+                   (function Store.Damaged_refs _ -> true | _ -> false)
+                   r.Store.f_issues -> ()
+          | _ -> Alcotest.failf "fsck missed the table damaged by %s" what)
+        | r ->
+          let r = refs_of r in
+          if r <> old && r <> moved then
+            Alcotest.failf "torn ref flip survived %s" what;
+          if refs_of s <> r then
+            Alcotest.failf "the handle and a reopen disagree after %s" what)
   done
 
-let test_torn_journal_tail_discarded () =
+(* a ref table one byte short: a recovering open refuses it; a
+   read-only open reports it, and neither writes over it nor collects
+   without its roots *)
+let test_damaged_table_refused () =
   with_dir (fun dir ->
       let d =
         let s = Store.create ~name:"w" ~dir () in
-        let d = Store.put s "stable blob" in
+        let d = Store.put s "a blob" in
         Store.commit_refs s [ ("head", d) ];
         d
       in
-      (* a writer died mid-append: garbage half-record in the journal *)
-      let oc =
-        open_out_gen
-          [ Open_append; Open_creat; Open_binary ]
-          0o644
-          (Filename.concat dir "journal")
-      in
-      output_string oc "J1 999:this record was torn";
-      close_out oc;
-      let s = Store.create ~name:"reboot" ~dir () in
-      (match Store.recovery s with
-       | Some r ->
-         Alcotest.(check int) "torn tail discarded" 1 r.Store.torn_discarded
-       | None -> Alcotest.fail "expected a recovery report");
-      Alcotest.(check (option string))
-        "committed ref untouched" (Some d) (Store.find_ref s "head");
-      match Store.fsck s with
-      | Ok _ -> ()
-      | Error _ -> Alcotest.fail "fsck dirty after torn-journal recovery")
-
-let test_journal_rolls_back_unverifiable () =
-  with_dir (fun dir ->
-      (* a commit point whose new blob never reached the disk: recovery
-         must undo it, not install a dangling ref *)
-      let missing = Store.digest_of_string "never interned" in
-      (let s = Store.create ~name:"w" ~dir () in
-       Store.append_journal s [ ("head", None, missing) ]);
-      let s = Store.create ~name:"reboot" ~dir () in
-      (match Store.recovery s with
-       | Some r ->
-         Alcotest.(check int) "rolled back" 1 r.Store.rolled_back;
-         Alcotest.(check int) "not forward" 0 r.Store.rolled_forward
-       | None -> Alcotest.fail "expected a recovery report");
-      Alcotest.(check (option string))
-        "ref absent" None (Store.find_ref s "head");
-      match Store.fsck s with
-      | Ok _ -> ()
-      | Error _ -> Alcotest.fail "fsck dirty after rollback")
-
-let test_journal_rolls_forward_committed () =
-  with_dir (fun dir ->
-      (* a writer that died right after its commit point: the record is
-         durable and the blob verifies, so recovery completes the flip *)
-      let d =
-        let s = Store.create ~name:"w" ~dir () in
-        let d = Store.put s "durable blob" in
-        Store.append_journal s [ ("head", None, d) ];
-        d
-      in
-      let s = Store.create ~name:"reboot" ~dir () in
-      (match Store.recovery s with
-       | Some r ->
-         Alcotest.(check int) "rolled forward" 1 r.Store.rolled_forward
-       | None -> Alcotest.fail "expected a recovery report");
-      Alcotest.(check (option string))
-        "ref installed" (Some d) (Store.find_ref s "head"))
+      let path = Filename.concat dir "refs" in
+      let read () = In_channel.with_open_bin path In_channel.input_all in
+      let good = read () in
+      let damaged = String.sub good 0 (String.length good - 1) in
+      Out_channel.with_open_bin path (fun oc -> output_string oc damaged);
+      (match Store.create ~name:"reboot" ~dir () with
+       | exception Vfs.Io_error { path = p; _ } ->
+         Alcotest.(check string) "names the table" path p
+       | _ -> Alcotest.fail "a recovering open accepted a damaged table");
+      (match Repo.open_dir dir with
+       | Error (Repo.Io_failure _) -> ()
+       | Error e -> Alcotest.failf "unexpected error: %a" Repo.pp_error e
+       | Ok _ -> Alcotest.fail "open_dir accepted a damaged table");
+      let s = Store.create ~name:"check" ~dir ~recover:false () in
+      (match Store.fsck s with
+       | Error { Store.f_issues = [ Store.Damaged_refs _ ]; _ } -> ()
+       | Error r ->
+         Alcotest.failf "fsck reported %a" Store.pp_fsck_issue
+           (List.hd r.Store.f_issues)
+       | Ok _ -> Alcotest.fail "fsck passed a damaged table");
+      (match Store.commit_refs s [ ("head", d) ] with
+       | exception Vfs.Io_error _ -> ()
+       | () -> Alcotest.fail "a commit replaced a damaged table");
+      (match Store.gc s with
+       | Error _ -> ()
+       | Ok _ -> Alcotest.fail "gc collected without its ref roots");
+      Alcotest.(check string) "the damaged bytes are untouched" damaged
+        (read ()))
 
 (* --- repository-level scenarios --- *)
 
@@ -324,8 +357,8 @@ let chain_ids repo =
 
 let test_enospc_mid_publish () =
   with_dir (fun dir ->
-      (* op 8 lands inside the entry's blob puts: after the three mkdirs
-         and the first four-op atomic write, before any commit record *)
+      (* op 8 lands inside the entry's blob puts: after the two mkdirs
+         and the first four-op atomic write, before the ref table write *)
       let vfs, inj =
         Vfs.inject { Vfs.at = 8; kind = Vfs.Enospc; seed = 3 } Vfs.real
       in
@@ -459,9 +492,7 @@ let suite =
         t "stray tmp swept on open" test_stray_tmp_swept_on_open;
         t "mkdir failure is typed" test_mkdir_failure_is_typed;
         t "commit_refs is all-or-nothing" test_commit_refs_all_or_nothing;
-        t "torn journal tail discarded" test_torn_journal_tail_discarded;
-        t "journal rolls back unverifiable" test_journal_rolls_back_unverifiable;
-        t "journal rolls forward committed" test_journal_rolls_forward_committed;
+        t "damaged ref table refused" test_damaged_table_refused;
         t "ENOSPC mid-publish" test_enospc_mid_publish;
         t "gc reclaims only unreachable" test_gc_reclaims_only_unreachable;
         t "txn pins survive gc" test_txn_pins_survive_gc;

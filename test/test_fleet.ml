@@ -105,12 +105,12 @@ let frame_gen =
   let str = small_string ?gen:None in
   let few g = list_size (int_bound 3) g in
   let item =
-    digest_gen >>= fun mi_base ->
-    digest_gen >>= fun mi_next ->
-    digest_gen >>= fun mi_blob ->
-    small_nat >>= fun mi_size ->
-    few (pair digest_gen small_nat) >>= fun mi_objects ->
-    return { Wire.mi_base; mi_next; mi_blob; mi_size; mi_objects }
+    digest_gen >>= fun me_base ->
+    digest_gen >>= fun me_next ->
+    digest_gen >>= fun me_blob ->
+    small_nat >>= fun me_size ->
+    few (pair digest_gen small_nat) >>= fun me_objects ->
+    return { Repo.me_base; me_next; me_blob; me_size; me_objects }
   in
   oneof
     [
@@ -367,8 +367,8 @@ let lying_server blob =
         [ Wire.Hello_ack { version = Wire.version; peer = "liar" } ]
       | Ok (Wire.Head _, _) ->
         [ Wire.Manifest
-            [ { mi_base = base_digest; mi_next = next; mi_blob = digest;
-                mi_size = String.length blob; mi_objects = [] } ] ]
+            [ { me_base = base_digest; me_next = next; me_blob = digest;
+                me_size = String.length blob; me_objects = [] } ] ]
       | Ok (Wire.Want _, _) ->
         [ Wire.Blob { digest; bytes = blob }; Wire.Done { head = next } ]
       | _ -> [])
@@ -384,7 +384,8 @@ let test_corrupt_entry_refused () =
   let repo = server_repo () in
   let server = Repo.store repo in
   let blob = garbage_entry () in
-  Store.set_ref server (Repo.entry_ref base_digest) (Store.put server blob);
+  Store.commit_refs server
+    [ (Repo.entry_ref base_digest, Store.put server blob) ];
   (match Repo.pending repo ~digest:base_digest with
   | Error (Repo.Corrupt_entry _) -> ()
   | Error e -> Alcotest.failf "pending: %a" Repo.pp_error e

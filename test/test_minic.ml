@@ -358,6 +358,19 @@ int probe() { return get(); }
     "out-of-line copy emitted" true
     (Option.is_some (Objfile.find_symbol obj "get"))
 
+let test_inline_wrong_arity () =
+  (* f is small enough to inline, but the call passes two arguments: the
+     typecheck reports it, as it does when f is too large to inline *)
+  let src =
+    "int f(int x) { return x + 1; }\nint g(int y) { return f(y, 2); }\n"
+  in
+  match Driver.compile ~options:Driver.run_build ~unit_name:"t.c" src with
+  | Error (Driver.Type_error { msg; _ }) ->
+    Alcotest.(check string) "typed" "f expects 1 arguments, got 2" msg
+  | Error e -> Alcotest.failf "unexpected error: %a" Driver.pp_error e
+  | Ok _ -> Alcotest.fail "a wrong-arity call compiled"
+  | exception e -> Alcotest.failf "compile raised %s" (Printexc.to_string e)
+
 let test_ambiguous_statics_link () =
   (* two units with identically-named static symbols — both data and
      function — must link and behave independently (the CVE-2005-4639
@@ -748,6 +761,7 @@ let suite =
         t "inlining semantics" test_inlining_semantics;
         t "inline keyword" test_inlining_no_keyword;
         t "out-of-line copy" test_inline_out_of_line_copy;
+        t "wrong-arity call to an inlinable function" test_inline_wrong_arity;
         t "ambiguous statics" test_ambiguous_statics_link;
         t "cross-unit calls" test_cross_unit_calls;
         t "sizeof" test_sizeof;

@@ -94,10 +94,10 @@ let test_fingerprint_order_independent () =
   let blobs = List.init 10 (fun i -> String.make (i + 1) (Char.chr (65 + i))) in
   let s1 = Store.create ~name:"f1" () in
   List.iter (fun b -> ignore (Store.put s1 b)) blobs;
-  Store.set_ref s1 "head" (Store.digest_of_string (List.hd blobs));
+  Store.commit_refs s1 [ ("head", Store.digest_of_string (List.hd blobs)) ];
   let s2 = Store.create ~name:"f2" () in
   List.iter (fun b -> ignore (Store.put s2 b)) (List.rev blobs);
-  Store.set_ref s2 "head" (Store.digest_of_string (List.hd blobs));
+  Store.commit_refs s2 [ ("head", Store.digest_of_string (List.hd blobs)) ];
   Alcotest.(check string)
     "same contents, any order -> same fingerprint" (Store.fingerprint s1)
     (Store.fingerprint s2);
@@ -106,26 +106,32 @@ let test_fingerprint_order_independent () =
     "different contents -> different fingerprint" false
     (String.equal (Store.fingerprint s1) (Store.fingerprint s2))
 
+(* the first corpus CVE's update against the base kernel *)
+let first_update =
+  lazy
+    (let base = Corpus.Base_kernel.tree () in
+     let cve = List.hd Corpus.Cve.all in
+     let patch = Corpus.Cve.hot_patch cve base in
+     match
+       Create.create
+         { Create.source = base; patch; update_id = cve.id;
+           description = cve.desc }
+     with
+     | Ok c -> (base, patch, c.Create.update)
+     | Error e -> Alcotest.failf "create: %a" Create.pp_error e)
+
+let publish_first repo =
+  let source, patch, update = Lazy.force first_update in
+  match Repo.publish repo ~source ~patch ~update with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "publish: %a" Repo.pp_error e
+
 (* the same update published into two fresh memory repositories leaves
    byte-identical store contents *)
 let test_store_contents_deterministic () =
-  let base = Corpus.Base_kernel.tree () in
-  let cve = List.hd Corpus.Cve.all in
-  let patch = Corpus.Cve.hot_patch cve base in
-  let update =
-    match
-      Create.create
-        { Create.source = base; patch; update_id = cve.id;
-          description = cve.desc }
-    with
-    | Ok c -> c.Create.update
-    | Error e -> Alcotest.failf "create: %a" Create.pp_error e
-  in
   let run () =
     let s = Store.create ~name:"det" () in
-    (match Repo.publish (Repo.of_store s) ~source:base ~patch ~update with
-    | Ok _ -> ()
-    | Error e -> Alcotest.failf "publish: %a" Repo.pp_error e);
+    publish_first (Repo.of_store s);
     Store.fingerprint s
   in
   Alcotest.(check string) "identical runs, identical contents" (run ()) (run ())
@@ -137,7 +143,7 @@ let test_reopen_reads_disk () =
   with_dir (fun dir ->
       let a = Store.create ~name:"a" ~dir () in
       let d = Store.put a "good bytes" in
-      Store.set_ref a "head" d;
+      Store.commit_refs a [ ("head", d) ];
       let path = Filename.concat (Filename.concat dir "blobs") d in
       Out_channel.with_open_bin path (fun oc -> output_string oc "bad bytes");
       let b = Store.create ~name:"b" ~dir () in
@@ -151,12 +157,73 @@ let test_reopen_reads_disk () =
         "the first handle still holds its own table" (Some "good bytes")
         (Store.get a d))
 
+(* the ref table on disk is the one source of truth: handles opened on
+   one directory, before or after each other's commits, see every
+   commit, keep each other's refs when they commit, and a gc through
+   any of them marks from all of them *)
+let test_handles_share_refs () =
+  with_dir (fun dir ->
+      let refs = Alcotest.(list (pair string string)) in
+      let g = Store.create ~name:"g" ~dir () in
+      let a = Store.create ~name:"a" ~dir () in
+      let b = Store.create ~name:"b" ~dir () in
+      let x = Store.put b "x" in
+      Store.commit_refs b [ ("x", x) ];
+      Alcotest.(check (option string)) "a sees b's commit" (Some x)
+        (Store.find_ref a "x");
+      let y = Store.put a "y" in
+      Store.commit_refs a [ ("y", y) ];
+      Alcotest.check refs "a's commit keeps b's ref" [ ("x", x); ("y", y) ]
+        (Store.refs b);
+      let x' = Store.put b "x moved" in
+      Store.commit_refs b [ ("x", x') ];
+      Alcotest.(check (option string)) "a sees b move a ref it had read"
+        (Some x') (Store.find_ref a "x");
+      (match Store.gc g with
+       | Ok r ->
+         Alcotest.(check int) "only the old x is swept" 1 r.Store.gc_swept
+       | Error m -> Alcotest.failf "gc: %s" m);
+      let c = Store.create ~name:"c" ~dir () in
+      Alcotest.check refs "a reopen reads every commit" [ ("x", x'); ("y", y) ]
+        (Store.refs c);
+      match Store.fsck c with
+      | Ok _ -> ()
+      | Error r ->
+        Alcotest.failf "fsck dirty: %a" Store.pp_fsck_issue
+          (List.hd r.Store.f_issues))
+
+(* what a running server relies on: a repository handle opened before
+   another handle publishes advertises the new entry in its next
+   manifest *)
+let test_publish_reaches_open_handle () =
+  with_dir (fun dir ->
+      let open_repo () =
+        match Repo.open_dir dir with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "open_dir: %a" Repo.pp_error e
+      in
+      let server = open_repo () in
+      let base, _, _ = Lazy.force first_update in
+      let digest = Patchfmt.Source_tree.digest base in
+      let entries () =
+        match Repo.manifest server ~digest with
+        | Ok m -> List.length m
+        | Error e -> Alcotest.failf "manifest: %a" Repo.pp_error e
+      in
+      Alcotest.(check int) "nothing published yet" 0 (entries ());
+      publish_first (open_repo ());
+      Alcotest.(check int) "the other handle's entry is advertised" 1
+        (entries ()))
+
 let suite =
   [
     ( "store",
       [
         QCheck_alcotest.to_alcotest prop_put_get;
         t "a reopen reads the disk" test_reopen_reads_disk;
+        t "handles on one directory share its refs" test_handles_share_refs;
+        t "a publish reaches a handle opened before it"
+          test_publish_reaches_open_handle;
         QCheck_alcotest.to_alcotest prop_disk_roundtrip_and_tamper;
         t "dedup accounting" test_dedup_accounting;
         t "lookup counts hits and misses" test_lookup_counts;
