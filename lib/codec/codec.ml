@@ -23,13 +23,14 @@ let put_list f b l =
 
 (* --- reader --- *)
 
-type reader = { buf : string; mutable pos : int }
+(* a cursor over [buf] that reads nothing at or past [stop] *)
+type reader = { buf : string; mutable pos : int; stop : int }
 
-(* private: raised by [fail], caught only by [decode] *)
+(* private: raised by [fail], caught only by [run] *)
 exception Fail of error
 
 let fail r reason = raise_notrace (Fail { off = r.pos; reason })
-let need r n = if n > String.length r.buf - r.pos then fail r "truncated input"
+let need r n = if n > r.stop - r.pos then fail r "truncated input"
 
 (* consume the next [n] bytes, returning where they start *)
 let take r n =
@@ -59,17 +60,22 @@ let get_list f r =
   need r n;
   List.init n (fun _ -> f r)
 
-let decode ~magic f s =
-  let r = { buf = s; pos = 0 } in
+(* The one decode: read [buf] from [pos] to [stop] with [f], rejecting
+   bytes it leaves; error offsets count from [origin]. *)
+let run f buf ~pos ~stop ~origin =
+  let r = { buf; pos; stop } in
   match
-    if not (String.starts_with ~prefix:magic s) then fail r "bad magic";
-    r.pos <- String.length magic;
     let v = f r in
-    if r.pos <> String.length s then fail r "trailing bytes";
+    if r.pos <> stop then fail r "trailing bytes";
     v
   with
   | v -> Ok v
-  | exception Fail e -> Error e
+  | exception Fail e -> Error { e with off = e.off - origin }
+
+let decode ~magic f s =
+  if not (String.starts_with ~prefix:magic s) then
+    Error { off = 0; reason = "bad magic" }
+  else run f s ~pos:(String.length magic) ~stop:(String.length s) ~origin:0
 
 (* --- checksummed frames --- *)
 
@@ -77,19 +83,21 @@ let decode ~magic f s =
 let max_payload = 16 * 1024 * 1024
 
 let frame ~magic payload =
-  let b = Buffer.create (String.length magic + String.length payload + 20) in
-  Buffer.add_string b magic;
-  put_u32 b (String.length payload);
-  Buffer.add_string b payload;
-  Buffer.add_string b (Digest.string payload);
-  Buffer.contents b
+  let m = String.length magic and n = String.length payload in
+  let b = Bytes.create (m + 4 + n + 16) in
+  Bytes.blit_string magic 0 b 0 m;
+  Bytes.set_uint16_le b m (n land 0xffff);
+  Bytes.set_uint16_le b (m + 2) ((n lsr 16) land 0xffff);
+  Bytes.blit_string payload 0 b (m + 4) n;
+  Bytes.blit_string (Digest.string payload) 0 b (m + 4 + n) 16;
+  Bytes.unsafe_to_string b
 
 (* do the [n] bytes of [a] at [i] equal the first [n] of [b]? *)
 let equal_at a i b n =
   let rec go k = k >= n || (a.[i + k] = b.[k] && go (k + 1)) in
   go 0
 
-let unframe ~magic buf ~pos =
+let unframe ~magic f buf ~pos =
   let have = String.length buf - pos in
   let mlen = String.length magic in
   let fail off reason = Error (`Fail { off; reason }) in
@@ -104,8 +112,10 @@ let unframe ~magic buf ~pos =
     if len > max_payload then
       fail (pos + mlen) (Printf.sprintf "bad frame length %d" len)
     else if have < mlen + 4 + len + 16 then Error `Incomplete
+    else if not (equal_at buf (at + len) (Digest.substring buf at len) 16) then
+      fail (at + len) "checksum mismatch"
     else
-      let payload = String.sub buf at len in
-      if not (equal_at buf (at + len) (Digest.string payload) 16) then
-        fail (at + len) "checksum mismatch"
-      else Ok (payload, at + len + 16)
+      (* the payload is read where it lies, and no further *)
+      match run f buf ~pos:at ~stop:(at + len) ~origin:at with
+      | Ok v -> Ok (v, at + len + 16)
+      | Error e -> Error (`Fail e)

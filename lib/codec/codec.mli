@@ -27,6 +27,9 @@ val put_list : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a list -> unit
 
 (** {2 Reader} *)
 
+(** A cursor over a string that reads nothing past its end bound: the
+    end of a blob for {!decode}, the end of the payload for
+    {!unframe}. *)
 type reader
 
 val get_u8 : reader -> int
@@ -42,7 +45,7 @@ val get_str : reader -> string
 val get_list : (reader -> 'a) -> reader -> 'a list
 
 (** [fail r reason] abandons the decode in progress at [r]'s position.
-    Only valid inside the function given to {!decode}. *)
+    Only valid inside the function given to {!decode} or {!unframe}. *)
 val fail : reader -> string -> 'a
 
 (** [decode ~magic f s] checks that [s] starts with [magic], reads the
@@ -55,14 +58,20 @@ val decode : magic:string -> (reader -> 'a) -> string -> ('a, error) result
     frames stream or append back to back, and the checksum is checked
     before any payload field is believed. *)
 
+(** The frame around a payload, built in one allocation. *)
 val frame : magic:string -> string -> string
 
-(** [unframe ~magic buf ~pos] is the payload of the frame at [pos] and
-    the position just past it. [`Incomplete]: the bytes are a strict
-    prefix of a frame (wait for more, or a torn tail); a wrong magic
-    fails as soon as the prefix diverges, and a length above 16 MiB
-    fails at once, so a flipped length cannot make a receiver buffer
-    gigabytes. *)
+(** [unframe ~magic f buf ~pos] checks the frame at [pos] and decodes
+    its payload with [f] where it lies in [buf]: no copy of the payload
+    is made, and [f] reads nothing past the payload's end, so a short
+    payload fails as truncated rather than reading the checksum or the
+    next frame. [f] must consume the payload whole. [Ok (v, next)]: the
+    value and the position just past the frame. [`Incomplete]: the
+    bytes are a strict prefix of a frame (wait for more, or a torn
+    tail); a wrong magic fails as soon as the prefix diverges, and a
+    length above 16 MiB fails at once, so a flipped length cannot make a
+    receiver buffer gigabytes. A payload that does not decode is a
+    [`Fail] whose offset counts from the payload's first byte. *)
 val unframe :
-  magic:string -> string -> pos:int ->
-  (string * int, [ `Incomplete | `Fail of error ]) result
+  magic:string -> (reader -> 'a) -> string -> pos:int ->
+  ('a * int, [ `Incomplete | `Fail of error ]) result

@@ -99,7 +99,10 @@ let step s frame =
 let handle s bytes =
   if s.state = Dead then []
   else begin
-    s.buf <- String.sub s.buf s.pos (String.length s.buf - s.pos) ^ bytes;
+    (* with no partial frame pending the input is the buffer *)
+    s.buf <-
+      (if s.pos = String.length s.buf then bytes
+       else String.sub s.buf s.pos (String.length s.buf - s.pos) ^ bytes);
     s.pos <- 0;
     let out = ref [] in
     let rec drain () =

@@ -47,37 +47,57 @@ let check_linkage head0 (items : Repo.manifest_entry list) =
   in
   go head0 items
 
+(* an attempt's place in the manifest: the index of the leading
+   uncommitted entry, and that entry's links, decoded once when its
+   blob is present and dropped when it commits *)
+type progress = {
+  items : Repo.manifest_entry array;
+  mutable next : int;
+  mutable lead : Repo.links option;
+}
+
+(* the leading entry's links, decoding its blob the first time it is
+   present; [None] while the blob is absent *)
+let lead_links store p =
+  match p.lead with
+  | Some _ as l -> Ok l
+  | None -> (
+    let i = p.items.(p.next) in
+    match Store.get store i.me_blob with
+    | None -> Ok None
+    | Some raw -> (
+      match Repo.links ~digest:i.me_base raw with
+      | Error e -> Error (Bad_entry e)
+      | Ok l ->
+        p.lead <- Some l;
+        Ok p.lead))
+
 (* commit every leading manifest entry whose blob and re-derived object
    closure are all locally present: the ref flip (entry + head) is one
    ref table write, so a kill between blobs leaves the chain at the last
    whole entry. An entry blob that does not decode is refused and
    nothing past it is committed. *)
-let commit_ready store (items : Repo.manifest_entry array) committed totals =
-  let rec go () =
-    if !committed >= Array.length items then Ok ()
-    else
-      let i = items.(!committed) in
-      match Store.get store i.me_blob with
-      | None -> Ok ()
-      | Some raw -> (
-        match Repo.links ~digest:i.me_base raw with
-        | Error e -> Error (Bad_entry e)
-        | Ok l ->
-          if not (List.for_all (Store.mem store) l.l_objects) then Ok ()
-          else begin
-            (* the ref name comes from the verified bytes, not the
-               manifest: a cumulative entry lands under its cumulative
-               ref so a later local sync takes the one-hop route *)
-            Store.with_txn store (fun () ->
-                let hd = Store.put store i.me_next in
-                Store.commit_refs store
-                  [ (l.l_ref, i.me_blob); (head_ref, hd) ]);
-            incr committed;
-            totals.committed <- totals.committed + 1;
-            go ()
-          end)
-  in
-  go ()
+let rec commit_ready store p totals =
+  if p.next >= Array.length p.items then Ok ()
+  else
+    match lead_links store p with
+    | Error e -> Error e
+    | Ok None -> Ok ()
+    | Ok (Some l) ->
+      if not (List.for_all (Store.mem store) l.l_objects) then Ok ()
+      else begin
+        let i = p.items.(p.next) in
+        (* the ref name comes from the verified bytes, not the
+           manifest: a cumulative entry lands under its cumulative ref
+           so a later local sync takes the one-hop route *)
+        Store.with_txn store (fun () ->
+            let hd = Store.put store i.me_next in
+            Store.commit_refs store [ (l.l_ref, i.me_blob); (head_ref, hd) ]);
+        p.next <- p.next + 1;
+        p.lead <- None;
+        totals.committed <- totals.committed + 1;
+        commit_ready store p totals
+      end
 
 let sync_once ~id ~store ~base totals (tr : Transport.t) =
   let r = Transport.reader tr in
@@ -129,9 +149,8 @@ let sync_once ~id ~store ~base totals (tr : Transport.t) =
       List.iter (fun (d, sz) -> consider d sz) i.me_objects)
     items;
   let wants = List.rev !wants in
-  let items = Array.of_list items in
-  let committed = ref 0 in
-  let* () = commit_ready store items committed totals in
+  let p = { items = Array.of_list items; next = 0; lead = None } in
+  let* () = commit_ready store p totals in
   let* () = send (Wire.Want wants) in
   let outstanding = Hashtbl.copy wanted in
   let rec stream () =
@@ -144,16 +163,15 @@ let sync_once ~id ~store ~base totals (tr : Transport.t) =
         totals.dups <- totals.dups + 1;
         stream ()
       end
-      else if not (String.equal (Store.digest_of_string bytes) digest) then
+      else if not (Store.put_as store digest bytes) then
         Error (Digest_mismatch { digest })
       else begin
         if Hashtbl.mem present digest then
           totals.redundant <- totals.redundant + 1;
-        let (_ : string) = Store.put store bytes in
         Hashtbl.remove outstanding digest;
         totals.blobs_fetched <- totals.blobs_fetched + 1;
         totals.bytes_fetched <- totals.bytes_fetched + String.length bytes;
-        let* () = commit_ready store items committed totals in
+        let* () = commit_ready store p totals in
         stream ()
       end
     | Wire.Done { head = h } ->
@@ -167,13 +185,13 @@ let sync_once ~id ~store ~base totals (tr : Transport.t) =
           (Protocol
              (Printf.sprintf "done with %d blobs still outstanding"
                 (Hashtbl.length outstanding)))
-      else if !committed < Array.length items then
+      else if p.next < Array.length p.items then
         Error
           (Protocol
              (Printf.sprintf
                 "done with entry %d uncommitted: manifest object set was \
                  incomplete"
-                !committed))
+                p.next))
       else Ok server_head
     | Wire.Err { code; msg } -> Error (Server { code; msg })
     | f ->

@@ -4,13 +4,18 @@
 
     Robustness invariants:
     - {b re-digest on receive}: every blob is digested before it is
-      believed; a corrupted frame or lying server yields a typed error
-      and a retry, never a poisoned store.
+      believed, by the store's checked put ({!Store.put_as}), which
+      files the bytes under the wanted digest only if they hash to it;
+      a corrupted frame or lying server yields a typed error and a
+      retry, never a poisoned store.
     - {b all-or-nothing per entry}: a chain entry becomes visible only
       via {!Store.with_txn}/{!Store.commit_refs}, and only once the
       entry blob {e and} its re-derived object closure are all present —
-      a killed sync never exposes a partial chain. An entry blob that
-      does not decode is refused ([Bad_entry]), never filed.
+      a killed sync never exposes a partial chain. The leading entry's
+      links are decoded from its received bytes once, when its blob is
+      present, and dropped when it commits, so blobs may arrive in any
+      order. An entry blob that does not decode is refused
+      ([Bad_entry]), never filed.
     - {b resume, never re-download}: wants are computed by set
       difference against the local store, so blobs verified in an
       earlier attempt (even an aborted one) are never transferred again.

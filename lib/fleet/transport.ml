@@ -94,6 +94,9 @@ let rec write_all fd bytes pos len =
   end
 
 let of_fd ?(recv_timeout = 30.) fd =
+  (* a write to a socket whose peer hung up must fail with EPIPE, which
+     [send] turns into [Closed], not kill the process with SIGPIPE *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let closed = ref false in
   let send frame =
     if !closed then raise Closed;
@@ -174,7 +177,11 @@ let rec recv_frame r =
   | Error `Incomplete -> (
     match r.tr.recv () with
     | chunk ->
-      r.buf <- String.sub r.buf r.pos (String.length r.buf - r.pos) ^ chunk;
+      (* with no partial frame pending the chunk is the buffer: frames
+         decode where they arrived *)
+      r.buf <-
+        (if r.pos = String.length r.buf then chunk
+         else String.sub r.buf r.pos (String.length r.buf - r.pos) ^ chunk);
       r.pos <- 0;
       recv_frame r
     | exception Closed -> Error Disconnected

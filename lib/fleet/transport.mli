@@ -62,7 +62,11 @@ val sim : ?plan:plan -> serve:(string -> string list) -> unit -> t * sim_stats
 
 (** [of_fd fd] wraps a connected stream socket. [recv] waits up to
     [recv_timeout] seconds (default 30) and raises {!Stalled} on expiry
-    — a stalled peer cannot wedge a subscriber. *)
+    — a stalled peer cannot wedge a subscriber. A peer that hangs up is
+    {!Closed} on either call: every socket transport is built here, so
+    [of_fd] sets SIGPIPE to be ignored for the whole process, and a
+    write to a closed socket fails with [EPIPE] instead of killing the
+    server or subscriber that made it. *)
 val of_fd : ?recv_timeout:float -> Unix.file_descr -> t
 
 (** Connect to a Unix-domain socket path. Raises [Unix.Unix_error]. *)

@@ -110,10 +110,4 @@ let get_frame r =
     Err { code; msg }
   | t -> fail r (Printf.sprintf "unknown frame tag %d" t)
 
-let decode buf ~pos =
-  match Codec.unframe ~magic buf ~pos with
-  | Error e -> Error e
-  | Ok (payload, next) -> (
-    match Codec.decode ~magic:"" get_frame payload with
-    | Ok f -> Ok (f, next)
-    | Error e -> Error (`Fail e))
+let decode buf ~pos = Codec.unframe ~magic get_frame buf ~pos

@@ -37,9 +37,11 @@ val pp_frame : Format.formatter -> frame -> unit
 
 val encode : frame -> string
 
-(** [decode buf ~pos] parses one frame starting at [pos]. [Ok (f, p)]
-    is the frame and the position just past it. Total: never raises.
-    Payload errors are offsets into the payload. *)
+(** [decode buf ~pos] parses one frame starting at [pos], where it lies
+    in [buf] ({!Codec.unframe}): the payload is not copied, and only
+    the frame's fields are, a [Blob]'s bytes once. [Ok (f, p)] is the
+    frame and the position just past it. Total: never raises. Payload
+    errors are offsets into the payload. *)
 val decode :
   string -> pos:int ->
   (frame * int, [ `Incomplete | `Fail of Codec.error ]) result

@@ -128,15 +128,12 @@ let decode_refs raw =
     (name, Codec.get_str r)
   in
   let codec_error e = Error (Format.asprintf "%a" Codec.pp_error e) in
-  match Codec.unframe ~magic:refs_magic raw ~pos:0 with
+  match Codec.unframe ~magic:refs_magic (Codec.get_list pair) raw ~pos:0 with
   | Error `Incomplete -> Error "truncated"
   | Error (`Fail e) -> codec_error e
   | Ok (_, next) when next <> String.length raw ->
     Error (Printf.sprintf "trailing bytes at byte %d" next)
-  | Ok (payload, _) -> (
-    match Codec.decode ~magic:"" (Codec.get_list pair) payload with
-    | Ok pairs -> Ok (Names.of_list pairs)
-    | Error e -> codec_error e)
+  | Ok (pairs, _) -> Ok (Names.of_list pairs)
 
 (* The table <dir>/refs holds now; absent means no ref yet. The file,
    not the handle, is the source of truth, so every handle on a
@@ -235,8 +232,9 @@ let locked t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
-let put t blob =
-  let d = digest_of_string blob in
+(* the one interning path: file [blob] under [d], the digest its bytes
+   were just found to have *)
+let intern t d blob =
   let n = String.length blob in
   locked t (fun () ->
       t.puts <- t.puts + 1;
@@ -257,8 +255,15 @@ let put t blob =
           t.bytes_put <- t.bytes_put + n
         | None -> t.bytes_put <- t.bytes_put + n);
         Hashtbl.replace t.blobs d blob
-      end);
+      end)
+
+let put t blob =
+  let d = digest_of_string blob in
+  intern t d blob;
   d
+
+let put_as t d blob =
+  String.equal (digest_of_string blob) d && (intern t d blob; true)
 
 (* counts one hit or miss; a blob the table lacks is read from disk and
    re-digested before it is kept *)

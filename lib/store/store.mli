@@ -81,6 +81,14 @@ val create :
     directory the blob is also written durably (once). *)
 val put : t -> string -> digest
 
+(** [put_as t d blob] interns [blob] under [d] if its bytes digest to
+    [d], as {!put} would, and is [false] otherwise, filing and counting
+    nothing. It hashes the bytes once, where checking them with
+    {!digest_of_string} and then calling {!put} hashes them twice: the
+    put for bytes fetched from a peer under the digest they were wanted
+    as. *)
+val put_as : t -> digest -> string -> bool
+
 (** [load t d] retrieves the blob named by [d]: from the table, else
     from disk with the bytes re-digested — a mismatch is [`Corrupt] (counted),
     never silently returned. Counts one hit or miss. *)

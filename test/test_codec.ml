@@ -80,10 +80,17 @@ let test_short_magic () =
 
 (* --- the frame --- *)
 
-let sample_frame = Codec.frame ~magic:"FRM1" "a payload of some length"
+let sample_payload =
+  let b = Buffer.create 32 in
+  Codec.put_str b "a payload of some length";
+  Buffer.contents b
+
+let sample_frame = Codec.frame ~magic:"FRM1" sample_payload
 
 let test_frame_roundtrip () =
-  match Codec.unframe ~magic:"FRM1" (sample_frame ^ "next") ~pos:0 with
+  match
+    Codec.unframe ~magic:"FRM1" Codec.get_str (sample_frame ^ "next") ~pos:0
+  with
   | Ok (p, next) ->
     Alcotest.(check string) "payload" "a payload of some length" p;
     Alcotest.(check int) "position past the frame"
@@ -93,7 +100,9 @@ let test_frame_roundtrip () =
 let test_frame_prefixes_incomplete () =
   List.iter
     (fun d ->
-      match Codec.unframe ~magic:"FRM1" (Fixture.damage sample_frame d) ~pos:0
+      match
+        Codec.unframe ~magic:"FRM1" Codec.get_str
+          (Fixture.damage sample_frame d) ~pos:0
       with
       | Error `Incomplete -> ()
       | Error (`Fail e) ->
@@ -105,7 +114,7 @@ let test_frame_bit_flips_never_ok () =
   List.iter
     (fun d ->
       let b = Fixture.damage sample_frame d in
-      match Codec.unframe ~magic:"FRM1" b ~pos:0 with
+      match Codec.unframe ~magic:"FRM1" Codec.get_str b ~pos:0 with
       | Ok _ -> Alcotest.failf "%s unframed" (Fixture.describe d)
       | Error (`Incomplete | `Fail _) -> ())
     (Fixture.damages ~prefixes:false ~masks:Fixture.every_bit sample_frame)

@@ -159,6 +159,40 @@ let prop_bitflip_total =
           | exception _ -> false)
         (Fixture.damages ~prefixes:false ~masks:Fixture.every_bit full))
 
+(* frames decode where they lie in a larger buffer, and never past
+   their own end *)
+let prop_frame_in_a_stream =
+  QCheck.Test.make
+    ~name:"wire: a frame amid other bytes decodes to itself and ends where \
+           its encoding ends"
+    ~count:200
+    (QCheck.triple QCheck.string arb_frame QCheck.string)
+    (fun (before, f, after) ->
+      let enc = Wire.encode f in
+      let pos = String.length before in
+      match Wire.decode (before ^ enc ^ after) ~pos with
+      | Ok (f', next) -> f' = f && next = pos + String.length enc
+      | Error _ -> false)
+
+(* a payload cut short but framed with a good checksum must fail as the
+   truncated payload it is: the reader stops at the payload's end and
+   never reads the checksum or the frame after it *)
+let prop_short_payload_stays_in_frame =
+  QCheck.Test.make
+    ~name:"wire: a re-framed strict payload prefix fails inside its frame"
+    ~count:200
+    (QCheck.triple arb_frame arb_frame QCheck.small_nat)
+    (fun (f, g, k) ->
+      let enc = Wire.encode f in
+      (* magic and length before the payload, its MD5 after *)
+      let payload = String.sub enc 8 (String.length enc - 24) in
+      let k = k mod String.length payload in
+      let short = Codec.frame ~magic:"KFR1" (String.sub payload 0 k) in
+      match Wire.decode (short ^ Wire.encode g) ~pos:0 with
+      | Error (`Fail e) ->
+        e.Codec.off <= k && Wire.decode short ~pos:0 = Error (`Fail e)
+      | Ok _ | Error `Incomplete -> false)
+
 (* --- end-to-end sync over the simulated transport --- *)
 
 let test_sync_clean () =
@@ -432,6 +466,124 @@ let test_corrupt_entry_refused () =
   in
   refused "lying server" r sub "entry refused"
 
+(* --- a blob whose bytes lie about their digest --- *)
+
+(* the honest server, except that the first blob of its Want reply
+   carries other bytes under the same digest, well framed; [lies]
+   collects the bytes sent *)
+let mismatching_server repo lies =
+  let session = Server.session repo in
+  fun bytes ->
+    let first = ref true in
+    List.map
+      (fun enc ->
+        match Wire.decode enc ~pos:0 with
+        | Ok (Wire.Blob { digest; bytes }, _) when !first ->
+          first := false;
+          let lie = bytes ^ "!" in
+          lies := lie :: !lies;
+          Wire.encode (Wire.Blob { digest; bytes = lie })
+        | _ -> enc)
+      (Server.handle session bytes)
+
+let test_mismatched_blob_never_filed () =
+  let repo = server_repo () in
+  let sub = sub_store () in
+  let lies = ref [] in
+  let r =
+    Subscriber.sync ~retries:2 ~store:sub ~base:base_digest
+      ~connect:(fun _ ->
+        Some (fst (Transport.sim ~serve:(mismatching_server repo lies) ())))
+      ()
+  in
+  let wanted =
+    match Repo.manifest repo ~digest:base_digest with
+    | Ok (e :: _) -> e.me_blob
+    | Ok [] -> Alcotest.fail "empty manifest"
+    | Error e -> Alcotest.failf "manifest: %a" Repo.pp_error e
+  in
+  Alcotest.(check bool) "not synced" false r.Subscriber.r_synced;
+  Alcotest.(check int) "every attempt lied to" 2 (List.length !lies);
+  Alcotest.(check bool) "mismatch logged" true
+    (List.exists (mentions ("do not digest to " ^ wanted)) r.r_log);
+  Alcotest.(check bool) "nothing filed under the wanted digest" false
+    (Store.mem sub wanted);
+  List.iter
+    (fun lie ->
+      Alcotest.(check bool) "the lying bytes are not filed" false
+        (Store.mem sub (Store.digest_of_string lie)))
+    !lies;
+  Alcotest.(check (option string)) "no entry ref filed" None
+    (Store.find_ref sub (Repo.entry_ref base_digest));
+  Alcotest.(check string) "old head kept" base_digest r.r_head;
+  Alcotest.(check string) "durable head" base_digest
+    (Subscriber.head sub ~base:base_digest);
+  match Repo.fsck (Repo.of_store sub) with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "mirror fsck reports damage"
+
+(* --- blobs in any order --- *)
+
+(* the honest server, with the Blob frames of its Want reply reversed:
+   every entry's objects arrive before its blob, and the first entry's
+   blob arrives last *)
+let reversing_server repo =
+  let session = Server.session repo in
+  fun bytes ->
+    let blobs, rest =
+      List.partition
+        (fun enc ->
+          match Wire.decode enc ~pos:0 with
+          | Ok (Wire.Blob _, _) -> true
+          | _ -> false)
+        (Server.handle session bytes)
+    in
+    List.rev blobs @ rest
+
+let test_blobs_in_any_order () =
+  let repo = Repo.of_store (Store.create ~name:"fleet-reversed-server" ()) in
+  let kernel = Corpus.Base_kernel.tree () in
+  let depth =
+    List.length
+      (Fixture.ok "publish chain" Format.pp_print_string
+         (Corpus.Sweep.publish_chain repo kernel ~depth:4))
+  in
+  Alcotest.(check bool) "at least three entries" true (depth >= 3);
+  let base = Tree.digest kernel in
+  let manifest =
+    Fixture.ok "manifest" Repo.pp_error (Repo.manifest repo ~digest:base)
+  in
+  Alcotest.(check bool) "entries carry objects" true
+    (List.for_all
+       (fun (e : Repo.manifest_entry) -> e.me_objects <> [])
+       manifest);
+  let sub = sub_store () in
+  let r =
+    Subscriber.sync ~store:sub ~base
+      ~connect:(fun _ ->
+        Some (fst (Transport.sim ~serve:(reversing_server repo) ())))
+      ()
+  in
+  Alcotest.(check bool) "synced" true r.Subscriber.r_synced;
+  Alcotest.(check int) "one attempt" 1 r.r_attempts;
+  Alcotest.(check int) "every entry committed" depth r.r_committed;
+  let entry_refs store =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"entry:" name)
+      (Store.refs store)
+  in
+  Alcotest.(check (list (pair string string)))
+    "mirrored entry refs" (entry_refs (Repo.store repo)) (entry_refs sub);
+  let ids repo =
+    List.map
+      (fun (e : Repo.entry) -> e.update.Ksplice.Update.update_id)
+      (Fixture.ok "pending" Repo.pp_error (Repo.pending repo ~digest:base))
+  in
+  Alcotest.(check int) "mirror walks the whole chain" depth
+    (List.length (ids (Repo.of_store sub)));
+  Alcotest.(check (list string)) "mirror chain ids" (ids repo)
+    (ids (Repo.of_store sub))
+
 (* --- the listener's stale-socket liveness probe --- *)
 
 let tmp_socket_path () =
@@ -508,6 +660,35 @@ let test_socketpair_roundtrip () =
   Alcotest.(check bool) "server sent blobs" true (st.Server.blobs_sent > 0);
   check_mirror repo sub
 
+(* a subscriber that asks for everything and hangs up before reading a
+   byte: the server's replies meet a closed socket, which must end the
+   session with its stats, not kill the process with SIGPIPE *)
+let test_hangup_ends_the_session () =
+  let repo = server_repo () in
+  let client_end, server_end = Transport.pair ~recv_timeout:10. () in
+  let wants =
+    List.concat_map
+      (fun (e : Repo.manifest_entry) -> e.me_blob :: List.map fst e.me_objects)
+      (Fixture.ok "manifest" Repo.pp_error
+         (Repo.manifest repo ~digest:base_digest))
+  in
+  List.iter
+    (fun f ->
+      match Transport.send_frame client_end f with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "client send: %a" Transport.pp_recv_error e)
+    [ Wire.Hello { version = Wire.version; peer = "hang-up" };
+      Wire.Head { digest = base_digest };
+      Wire.Want wants ];
+  client_end.close ();
+  let st =
+    Domain.join
+      (Domain.spawn (fun () -> Server.serve_connection repo server_end))
+  in
+  Alcotest.(check bool) "the server read the client's frames" true
+    (st.Server.frames_in > 0);
+  Alcotest.(check int) "and refused none" 0 st.errors
+
 (* --- concurrent subscribers on one server --- *)
 
 (* subscribers on pool domains share one server repository's store: each
@@ -579,6 +760,8 @@ let suite =
         qt prop_roundtrip;
         qt prop_truncation_total;
         qt prop_bitflip_total;
+        qt prop_frame_in_a_stream;
+        qt prop_short_payload_stays_in_frame;
         t "clean sync mirrors the chain" test_sync_clean;
         t "every fault kind recovers" test_sync_every_fault_kind;
         t "resume never re-downloads verified blobs"
@@ -591,8 +774,13 @@ let suite =
         t "listen replaces a dead socket file" test_listen_replaces_dead_socket;
         t "listen refuses a live socket" test_listen_refuses_live_socket;
         t "real socketpair round trip" test_socketpair_roundtrip;
+        t "a subscriber hang-up ends the session, not the server"
+          test_hangup_ends_the_session;
         t "a corrupt entry never reaches a subscriber"
           test_corrupt_entry_refused;
+        t "a blob that does not hash to its digest is never filed"
+          test_mismatched_blob_never_filed;
+        t "blobs may arrive in any order" test_blobs_in_any_order;
         t "concurrent subscribers share one server"
           test_concurrent_subscribers;
       ] );

@@ -78,7 +78,22 @@ let test_dedup_accounting () =
   Alcotest.(check int) "puts" 2 st.Store.puts;
   Alcotest.(check int) "dedup hits" 1 st.Store.dedup_hits;
   Alcotest.(check int) "bytes put once" 1000 st.Store.bytes_put;
-  Alcotest.(check int) "bytes saved" 1000 st.Store.bytes_deduped
+  Alcotest.(check int) "bytes saved" 1000 st.Store.bytes_deduped;
+  (* the checked put counts like put, and a mismatch files and counts
+     nothing *)
+  let lie = blob ^ "y" in
+  Alcotest.(check bool) "checked put of the bytes" true
+    (Store.put_as s d1 blob);
+  Alcotest.(check bool) "checked put of other bytes" false
+    (Store.put_as s d1 lie);
+  Alcotest.(check bool) "other bytes not filed" false
+    (Store.mem s (Store.digest_of_string lie));
+  Alcotest.(check (option string)) "digest keeps its bytes" (Some blob)
+    (Store.get s d1);
+  let st = Store.stats s in
+  Alcotest.(check int) "puts" 3 st.Store.puts;
+  Alcotest.(check int) "dedup hits" 2 st.Store.dedup_hits;
+  Alcotest.(check int) "bytes still put once" 1000 st.Store.bytes_put
 
 let test_lookup_counts () =
   let s = Store.create ~name:"counts" () in
