@@ -16,8 +16,31 @@ type state =
   | Finished
   | Dead
 
+(* The encoded Blob frames of one repository, by digest. A frame is a
+   function of its content-addressed digest, so every session of that
+   repository can send the bytes the first one built. *)
+type frames = { owner : Store.t; table : (string, string) Hashtbl.t }
+
+(* [frames_m] guards [served] and every table: the sessions of one
+   repository run on several domains *)
+let frames_m = Mutex.create ()
+
+(* the table of the repository served last; serving another drops it *)
+let served = ref None
+
+let frames_of repo =
+  let owner = Repo.store repo in
+  Mutex.protect frames_m (fun () ->
+      match !served with
+      | Some f when f.owner == owner -> f
+      | _ ->
+        let f = { owner; table = Hashtbl.create 64 } in
+        served := Some f;
+        f)
+
 type session = {
   repo : Repo.t;
+  frames : frames;
   st : stats;
   mutable state : state;
   mutable buf : string;
@@ -27,6 +50,7 @@ type session = {
 let session repo =
   {
     repo;
+    frames = frames_of repo;
     st = { frames_in = 0; blobs_sent = 0; bytes_sent = 0; errors = 0 };
     state = Expect_hello;
     buf = "";
@@ -41,8 +65,21 @@ let err s code fmt =
     (fun msg ->
       s.state <- Dead;
       s.st.errors <- s.st.errors + 1;
-      [ Wire.Err { code; msg } ])
+      [ Wire.encode (Wire.Err { code; msg }) ])
     fmt
+
+(* [bytes] were loaded under [d]: their frame is the table's, or built
+   here. Two sessions racing on one blob both build it; the bytes are
+   equal, so the first insert stays. *)
+let blob_frame s d bytes =
+  let t = s.frames.table in
+  match Mutex.protect frames_m (fun () -> Hashtbl.find_opt t d) with
+  | Some enc -> enc
+  | None ->
+    let enc = Wire.encode (Wire.Blob { digest = d; bytes }) in
+    Mutex.protect frames_m (fun () ->
+        if not (Hashtbl.mem t d) then Hashtbl.add t d enc);
+    enc
 
 let step s frame =
   s.st.frames_in <- s.st.frames_in + 1;
@@ -53,7 +90,8 @@ let step s frame =
         version
     else begin
       s.state <- Expect_head;
-      [ Wire.Hello_ack { version = Wire.version; peer = "fleet-server" } ]
+      [ Wire.encode
+          (Wire.Hello_ack { version = Wire.version; peer = "fleet-server" }) ]
     end
   | Expect_head, Wire.Head { digest } -> (
     match Repo.manifest s.repo ~digest with
@@ -71,7 +109,7 @@ let step s frame =
         | last :: _ -> last.me_next
       in
       s.state <- Expect_want { allowed; head };
-      [ Wire.Manifest entries ])
+      [ Wire.encode (Wire.Manifest entries) ])
   | Expect_want { allowed; head }, Wire.Want digests -> (
     let rec serve acc = function
       | [] -> Ok (List.rev acc)
@@ -83,7 +121,7 @@ let step s frame =
           | Ok bytes ->
             s.st.blobs_sent <- s.st.blobs_sent + 1;
             s.st.bytes_sent <- s.st.bytes_sent + String.length bytes;
-            serve (Wire.Blob { digest = d; bytes } :: acc) rest
+            serve (blob_frame s d bytes :: acc) rest
           | Error `Missing -> Error (d, "missing")
           | Error (`Corrupt m) -> Error (d, m))
     in
@@ -91,7 +129,7 @@ let step s frame =
     | Error (d, why) -> err s "blob" "cannot serve %s: %s" d why
     | Ok blobs ->
       s.state <- Finished;
-      blobs @ [ Wire.Done { head } ])
+      blobs @ [ Wire.encode (Wire.Done { head }) ])
   | Dead, _ -> []
   | (Expect_hello | Expect_head | Expect_want _ | Finished), f ->
     err s "protocol" "unexpected frame: %a" Wire.pp_frame f
@@ -116,7 +154,7 @@ let handle s bytes =
         out := !out @ err s "frame" "%a" Codec.pp_error e
     in
     drain ();
-    List.map Wire.encode !out
+    !out
   end
 
 let serve_connection repo (tr : Transport.t) =

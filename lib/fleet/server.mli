@@ -21,7 +21,17 @@ type stats = {
 type session
 
 (** [session repo] starts a session serving [repo]'s chains; the server
-    names itself ["fleet-server"] in [Hello_ack]. *)
+    names itself ["fleet-server"] in [Hello_ack].
+
+    The sessions of one repository (one {!Ksplice.Repository.store},
+    physically) share its encoded [Blob] frames, keyed by digest: a blob
+    is framed by the first session that sends it, and later sessions
+    send the same bytes. Starting a session on another repository drops
+    them. A served blob is therefore held twice, in the store and as a
+    frame, while its repository is the one being served. The frames
+    replace only the encoding: every wanted digest is still checked
+    against this session's manifest and loaded from the store first.
+    Sessions may run on several domains. *)
 val session : Ksplice.Repository.t -> session
 
 (** [handle s bytes] feeds received bytes (any chunking — partial frames

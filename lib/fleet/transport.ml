@@ -87,10 +87,10 @@ let sim ?plan ~serve () =
 
 (* --- real sockets --- *)
 
-let rec write_all fd bytes pos len =
+let rec write_all fd s pos len =
   if len > 0 then begin
-    let n = Unix.write fd bytes pos len in
-    write_all fd bytes (pos + n) (len - n)
+    let n = Unix.write_substring fd s pos len in
+    write_all fd s (pos + n) (len - n)
   end
 
 let of_fd ?(recv_timeout = 30.) fd =
@@ -100,8 +100,7 @@ let of_fd ?(recv_timeout = 30.) fd =
   let closed = ref false in
   let send frame =
     if !closed then raise Closed;
-    let b = Bytes.of_string frame in
-    match write_all fd b 0 (Bytes.length b) with
+    match write_all fd frame 0 (String.length frame) with
     | () -> ()
     | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
       closed := true;

@@ -72,6 +72,12 @@ let connect_sim ?plan repo attempt =
 
 let sub_store () = Store.create ~name:"fleet-sub" ()
 
+(* every digest a manifest advertises: each entry blob and its objects *)
+let wanted entries =
+  List.concat_map
+    (fun (e : Repo.manifest_entry) -> e.me_blob :: List.map fst e.me_objects)
+    entries
+
 let check_mirror repo sub =
   (* byte-identical chain: every entry ref resolves to the same blob
      digest on both sides, and the mirror decodes end to end *)
@@ -249,11 +255,7 @@ let test_resume_never_redownloads () =
   let plan = { Transport.at = 7; kind = Transport.Disconnect; seed = 1 } in
   let all_digests =
     match Repo.manifest repo ~digest:base_digest with
-    | Ok entries ->
-      List.concat_map
-        (fun (e : Repo.manifest_entry) ->
-          e.me_blob :: List.map fst e.me_objects)
-        entries
+    | Ok entries -> wanted entries
     | Error e -> Alcotest.failf "manifest: %a" Repo.pp_error e
   in
   (* wants as the server sees them, and what the mirror already held
@@ -584,6 +586,162 @@ let test_blobs_in_any_order () =
   Alcotest.(check (list string)) "mirror chain ids" (ids repo)
     (ids (Repo.of_store sub))
 
+(* --- what a session may serve --- *)
+
+(* the frames of a server reply, each decoding whole *)
+let decoded encs =
+  List.map
+    (fun enc ->
+      match Wire.decode enc ~pos:0 with
+      | Ok (f, p) when p = String.length enc -> f
+      | Ok _ -> Alcotest.fail "a reply frame has trailing bytes"
+      | Error _ -> Alcotest.fail "a reply frame does not decode")
+    encs
+
+let send s f = Server.handle s (Wire.encode f)
+let hello s = send s (Wire.Hello { version = Wire.version; peer = "probe" })
+
+(* Hello and Head from [pos]: the advertised entries *)
+let advertised s pos =
+  ignore (hello s : string list);
+  match decoded (send s (Wire.Head { digest = pos })) with
+  | [ Wire.Manifest entries ] -> entries
+  | fs ->
+    Alcotest.failf "head: %s"
+      (String.concat "; " (List.map (Format.asprintf "%a" Wire.pp_frame) fs))
+
+(* a reply that is one Err naming [cause], and no Blob *)
+let refused what ~cause replies =
+  match decoded replies with
+  | [ Wire.Err { msg; _ } ] ->
+    Alcotest.(check bool) (what ^ ": " ^ msg) true (mentions cause msg)
+  | fs ->
+    Alcotest.failf "%s: expected one Err, got %s" what
+      (String.concat "; " (List.map (Format.asprintf "%a" Wire.pp_frame) fs))
+
+let test_want_only_advertised_and_held () =
+  let repo = server_repo () in
+  let server = Repo.store repo in
+  (* a first session from the base puts every blob's frame in the table *)
+  let first = Server.session repo in
+  let all = advertised first base_digest in
+  let hop1 = (List.hd all).me_blob in
+  Alcotest.(check int) "the first session is served every blob"
+    (List.length (wanted all))
+    (List.length
+       (List.filter
+          (function Wire.Blob _ -> true | _ -> false)
+          (decoded (send first (Wire.Want (wanted all))))));
+  (* before Head nothing is advertised *)
+  let s = Server.session repo in
+  ignore (hello s : string list);
+  refused "want before head" ~cause:"unexpected frame"
+    (send s (Wire.Want [ hop1 ]));
+  Alcotest.(check (list string)) "a dead session says nothing more" []
+    (send s (Wire.Want [ hop1 ]));
+  (* from tree1 only hop-2 is pending: hop-1's entry is held and framed,
+     but this session did not advertise it *)
+  let s = Server.session repo in
+  let from1 = advertised s (Tree.digest tree1) in
+  Alcotest.(check bool) "hop-1 is not advertised from tree1" false
+    (List.mem hop1 (wanted from1));
+  refused "want outside the manifest" ~cause:"not in the advertised manifest"
+    (send s (Wire.Want (wanted from1 @ [ hop1 ])));
+  (* advertised, then collected: the frame is in the table, the blob is
+     not in the store *)
+  let s = Server.session repo in
+  let from0 = advertised s base_digest in
+  Alcotest.(check bool) "hop-1 is advertised from the base" true
+    (List.mem hop1 (wanted from0));
+  let hop2 = (List.nth all 1).me_blob in
+  Store.commit_refs server [ (Repo.entry_ref base_digest, hop2) ];
+  ignore (Fixture.ok "gc" Repo.pp_error (Repo.gc repo) : Store.gc_report);
+  Alcotest.(check bool) "gc swept hop-1's entry" false (Store.mem server hop1);
+  refused "want for a swept blob"
+    ~cause:(Printf.sprintf "cannot serve %s: missing" hop1)
+    (send s (Wire.Want [ hop1 ]))
+
+(* --- the sessions of one repository share its Blob frames --- *)
+
+(* one whole session from [pos] that wants everything it is advertised:
+   every frame the server sends *)
+let full_session repo pos =
+  let s = Server.session repo in
+  let greeting = hello s in
+  let head = send s (Wire.Head { digest = pos }) in
+  let entries =
+    match decoded head with
+    | [ Wire.Manifest entries ] -> entries
+    | _ -> Alcotest.fail "no manifest"
+  in
+  let blobs = send s (Wire.Want (wanted entries)) in
+  Alcotest.(check bool) "the session finished" true (Server.finished s);
+  greeting @ head @ blobs
+
+let blob_frames replies =
+  List.filter
+    (fun enc ->
+      match Wire.decode enc ~pos:0 with
+      | Ok (Wire.Blob _, _) -> true
+      | _ -> false)
+    replies
+
+let test_shared_frames_are_the_sent_frames () =
+  let kernel = Corpus.Base_kernel.tree () in
+  let chain name =
+    let repo = Repo.of_store (Store.create ~name ()) in
+    let depth =
+      List.length
+        (Fixture.ok "publish chain" Format.pp_print_string
+           (Corpus.Sweep.publish_chain repo kernel ~depth:4))
+    in
+    Alcotest.(check int) (name ^ ": chain depth") 4 depth;
+    repo
+  in
+  let repo = chain "fleet-frames-a" and twin = chain "fleet-frames-b" in
+  Alcotest.(check (list (pair string string)))
+    "both repositories hold the same chain"
+    (Store.refs (Repo.store repo)) (Store.refs (Repo.store twin));
+  let base = Tree.digest kernel in
+  let manifest =
+    Fixture.ok "manifest" Repo.pp_error (Repo.manifest repo ~digest:base)
+  in
+  let positions =
+    base :: List.map (fun (e : Repo.manifest_entry) -> e.me_next) manifest
+  in
+  let first = List.map (full_session repo) positions in
+  let again = List.map (full_session repo) positions in
+  let other = List.map (full_session twin) positions in
+  List.iteri
+    (fun k ((r1, r2), r3) ->
+      let what = Printf.sprintf "position %d: " k in
+      Alcotest.(check (list string)) (what ^ "second session") r1 r2;
+      Alcotest.(check (list string)) (what ^ "second repository") r1 r3;
+      (* the table hands out the first session's frames themselves; the
+         second repository's session built its own *)
+      Alcotest.(check bool) (what ^ "frames shared") true
+        (List.for_all2 ( == ) (blob_frames r1) (blob_frames r2));
+      Alcotest.(check bool) (what ^ "frames not shared across repositories")
+        true
+        (List.for_all2 ( != ) (blob_frames r1) (blob_frames r3));
+      List.iter
+        (fun (repo, replies) ->
+          List.iter
+            (fun enc ->
+              match Wire.decode enc ~pos:0 with
+              | Ok (Wire.Blob { digest; _ }, _) ->
+                let bytes = Option.get (Store.get (Repo.store repo) digest) in
+                Alcotest.(check string)
+                  (what ^ "the frame of " ^ digest)
+                  (Wire.encode (Wire.Blob { digest; bytes })) enc
+              | _ -> ())
+            replies)
+        [ (repo, r2); (twin, r3) ])
+    (List.combine (List.combine first again) other);
+  Alcotest.(check int) "the base session is sent every blob"
+    (List.length (wanted manifest))
+    (List.length (blob_frames (List.hd first)))
+
 (* --- the listener's stale-socket liveness probe --- *)
 
 let tmp_socket_path () =
@@ -660,6 +818,38 @@ let test_socketpair_roundtrip () =
   Alcotest.(check bool) "server sent blobs" true (st.Server.blobs_sent > 0);
   check_mirror repo sub
 
+(* a frame larger than one receive (the socket reader takes at most
+   64 KiB) arrives in pieces and is reassembled whole, and the frame
+   behind it still decodes *)
+let test_large_frame_over_a_socket () =
+  let a, b = Transport.pair ~recv_timeout:10. () in
+  let big = String.init (1 lsl 20) (fun i -> Char.chr (i * 131 mod 251)) in
+  let frames =
+    [ Wire.Blob { digest = Store.digest_of_string big; bytes = big };
+      Wire.Done { head = head_digest } ]
+  in
+  let sender =
+    Domain.spawn (fun () -> List.map (Transport.send_frame a) frames)
+  in
+  let r = Transport.reader b in
+  let received = List.map (fun _ -> Transport.recv_frame r) frames in
+  List.iter
+    (function
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "send: %a" Transport.pp_recv_error e)
+    (Domain.join sender);
+  a.close ();
+  b.close ();
+  List.iter2
+    (fun sent got ->
+      match got with
+      | Ok f ->
+        Alcotest.(check bool)
+          (Format.asprintf "%a arrives whole" Wire.pp_frame sent)
+          true (f = sent)
+      | Error e -> Alcotest.failf "recv: %a" Transport.pp_recv_error e)
+    frames received
+
 (* a subscriber that asks for everything and hangs up before reading a
    byte: the server's replies meet a closed socket, which must end the
    session with its stats, not kill the process with SIGPIPE *)
@@ -667,8 +857,7 @@ let test_hangup_ends_the_session () =
   let repo = server_repo () in
   let client_end, server_end = Transport.pair ~recv_timeout:10. () in
   let wants =
-    List.concat_map
-      (fun (e : Repo.manifest_entry) -> e.me_blob :: List.map fst e.me_objects)
+    wanted
       (Fixture.ok "manifest" Repo.pp_error
          (Repo.manifest repo ~digest:base_digest))
   in
@@ -776,11 +965,17 @@ let suite =
         t "real socketpair round trip" test_socketpair_roundtrip;
         t "a subscriber hang-up ends the session, not the server"
           test_hangup_ends_the_session;
+        t "a frame bigger than one receive crosses a socket whole"
+          test_large_frame_over_a_socket;
         t "a corrupt entry never reaches a subscriber"
           test_corrupt_entry_refused;
         t "a blob that does not hash to its digest is never filed"
           test_mismatched_blob_never_filed;
         t "blobs may arrive in any order" test_blobs_in_any_order;
+        t "a want may name only what was advertised and is held"
+          test_want_only_advertised_and_held;
+        t "shared frames are the frames a fresh session sends"
+          test_shared_frames_are_the_sent_frames;
         t "concurrent subscribers share one server"
           test_concurrent_subscribers;
       ] );
