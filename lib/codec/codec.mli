@@ -1,6 +1,8 @@
 (** The one binary codec behind all five binary formats: objects
     ([SELF1]), updates ([KSPL4]), repository entries ([KSPLREPO2]),
-    the store's ref table ([REFS1]) and wire frames ([KFR1]).
+    the store's ref table ([REFS1]) and wire frames ([KFR1]; a fleet
+    [Blob] frame is followed by its raw body, which the blob's digest
+    checks instead of the frame checksum: see [Fleet.Wire]).
 
     Integers are little-endian, a string is a u32 length then its bytes,
     a list a u32 count then its elements. Decoding is {e total} — any
@@ -58,6 +60,10 @@ val decode : magic:string -> (reader -> 'a) -> string -> ('a, error) result
     frames stream or append back to back, and the checksum is checked
     before any payload field is believed. *)
 
+(** The largest payload {!unframe} accepts, 16 MiB: room for any update
+    blob the corpus produces. A length above it fails at once. *)
+val max_payload : int
+
 (** The frame around a payload, built in one allocation. *)
 val frame : magic:string -> string -> string
 
@@ -69,8 +75,8 @@ val frame : magic:string -> string -> string
     value and the position just past the frame. [`Incomplete]: the
     bytes are a strict prefix of a frame (wait for more, or a torn
     tail); a wrong magic fails as soon as the prefix diverges, and a
-    length above 16 MiB fails at once, so a flipped length cannot make a
-    receiver buffer gigabytes. A payload that does not decode is a
+    length above {!max_payload} fails at once, so a flipped length cannot
+    make a receiver buffer gigabytes. A payload that does not decode is a
     [`Fail] whose offset counts from the payload's first byte. *)
 val unframe :
   magic:string -> (reader -> 'a) -> string -> pos:int ->

@@ -5,9 +5,12 @@
     Robustness invariants:
     - {b re-digest on receive}: every blob is digested before it is
       believed, by the store's checked put ({!Store.put_as}), which
-      files the bytes under the wanted digest only if they hash to it;
-      a corrupted frame or lying server yields a typed error and a
-      retry, never a poisoned store.
+      files the bytes under the wanted digest only if they hash to it.
+      That is the only check on a blob's body ({!Wire}: the frame
+      checksum covers its header), so each fetched byte is hashed once.
+      A corrupted frame or lying server yields a typed error and a
+      retry, never a poisoned store; a body that is unsolicited or
+      already verified in this attempt is dropped unread.
     - {b all-or-nothing per entry}: a chain entry becomes visible only
       via {!Store.with_txn}/{!Store.commit_refs}, and only once the
       entry blob {e and} its re-derived object closure are all present —

@@ -30,7 +30,8 @@ type fault_kind =
   | Torn  (** a seed-chosen prefix of the frame arrives, then the
               connection dies — the wire analogue of a torn write *)
   | Corrupt  (** one seed-chosen bit of the frame flips; delivery
-                 continues (the frame checksum must catch it) *)
+                 continues (the frame checksum must catch it or, in a
+                 [Blob] body, the digest check) *)
   | Stall  (** the frame never arrives and the peer hangs; the receiver
                hits its budget and {!Stalled} fires *)
   | Duplicate  (** the frame is delivered twice *)

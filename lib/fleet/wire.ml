@@ -1,4 +1,4 @@
-let version = 1
+let version = 2
 let magic = "KFR1"
 
 module Repo = Ksplice.Repository
@@ -25,7 +25,8 @@ let pp_frame ppf = function
   | Done { head } -> Format.fprintf ppf "done, head %s" head
   | Err { code; msg } -> Format.fprintf ppf "error [%s] %s" code msg
 
-(* --- payload: a tag byte, then the frame's fields on {!Codec} --- *)
+(* --- payload: a tag byte, then the frame's fields on {!Codec}; a Blob's
+   payload is its header, and its body follows the frame raw --- *)
 
 let tag_of = function
   | Hello _ -> 1
@@ -62,12 +63,13 @@ let encode f =
   | Want ds -> put_list put_str b ds
   | Blob { digest; bytes } ->
     put_str b digest;
-    put_str b bytes
+    put_u32 b (String.length bytes)
   | Done { head } -> put_str b head
   | Err { code; msg } ->
     put_str b code;
     put_str b msg);
-  frame ~magic (Buffer.contents b)
+  let header = frame ~magic (Buffer.contents b) in
+  match f with Blob { bytes; _ } -> header ^ bytes | _ -> header
 
 let get_item r =
   let open Codec in
@@ -85,29 +87,45 @@ let get_item r =
   in
   { Repo.me_base; me_next; me_blob; me_size; me_objects }
 
-let get_frame r =
+(* what a payload decodes to: a whole frame, or a Blob's header *)
+type payload = Frame of frame | Blob_header of { digest : string; size : int }
+
+let get_payload r =
   let open Codec in
   match get_u8 r with
   | 1 ->
     let version = get_u32 r in
     let peer = get_str r in
-    Hello { version; peer }
+    Frame (Hello { version; peer })
   | 2 ->
     let version = get_u32 r in
     let peer = get_str r in
-    Hello_ack { version; peer }
-  | 3 -> Head { digest = get_str r }
-  | 4 -> Manifest (get_list get_item r)
-  | 5 -> Want (get_list get_str r)
+    Frame (Hello_ack { version; peer })
+  | 3 -> Frame (Head { digest = get_str r })
+  | 4 -> Frame (Manifest (get_list get_item r))
+  | 5 -> Frame (Want (get_list get_str r))
   | 6 ->
     let digest = get_str r in
-    let bytes = get_str r in
-    Blob { digest; bytes }
-  | 7 -> Done { head = get_str r }
+    let size = get_u32 r in
+    (* a lying size must not make a receiver wait for, and buffer, more
+       than one frame may hold *)
+    if size > Codec.max_payload then
+      fail r (Printf.sprintf "bad body length %d" size);
+    Blob_header { digest; size }
+  | 7 -> Frame (Done { head = get_str r })
   | 8 ->
     let code = get_str r in
     let msg = get_str r in
-    Err { code; msg }
+    Frame (Err { code; msg })
   | t -> fail r (Printf.sprintf "unknown frame tag %d" t)
 
-let decode buf ~pos = Codec.unframe ~magic get_frame buf ~pos
+(* A Blob's body is taken as it is: the receiver checks it against the
+   header's digest when it files it, so hashing it here too would hash
+   every fetched byte twice. *)
+let decode buf ~pos =
+  match Codec.unframe ~magic get_payload buf ~pos with
+  | Ok (Frame f, next) -> Ok (f, next)
+  | Ok (Blob_header { digest; size }, body) ->
+    if String.length buf - body < size then Error `Incomplete
+    else Ok (Blob { digest; bytes = String.sub buf body size }, body + size)
+  | Error e -> Error e

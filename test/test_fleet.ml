@@ -152,17 +152,38 @@ let prop_truncation_total =
           | exception _ -> false)
         (Fixture.damages full))
 
+(* A Blob frame is its checksummed header frame, then its body raw: a
+   flip in the body decodes to the same digest over the flipped bytes,
+   which only the receiver's digest check refuses (test "a bit flip in
+   a blob body is refused by its digest"). Every other flip is an
+   error. *)
 let prop_bitflip_total =
   QCheck.Test.make
-    ~name:"wire: every bit-flipped frame is a typed error, never Ok"
+    ~name:"wire: every bit-flipped frame is a typed error, except in a blob \
+           body"
     ~count:60 arb_frame (fun f ->
       let full = Wire.encode f in
+      (* where a Blob's body starts; the other frames have none *)
+      let body =
+        match f with
+        | Wire.Blob { bytes; _ } -> String.length full - String.length bytes
+        | _ -> String.length full
+      in
       List.for_all
         (fun d ->
-          match Wire.decode (Fixture.damage full d) ~pos:0 with
-          | Ok _ -> false
-          | Error (`Incomplete | `Fail _) -> true
-          | exception _ -> false)
+          let damaged = Fixture.damage full d in
+          match (Wire.decode damaged ~pos:0, d, f) with
+          | exception _ -> false
+          | Ok (g, p), Fixture.Flip { pos; _ }, Wire.Blob { digest; _ }
+            when pos >= body ->
+            p = String.length full
+            && g
+               = Wire.Blob
+                   { digest; bytes = String.sub damaged body (p - body) }
+          | Ok _, _, _ -> false
+          | Error (`Incomplete | `Fail _), Fixture.Flip { pos; _ }, _ ->
+            pos < body
+          | Error _, Fixture.Prefix _, _ -> false)
         (Fixture.damages ~prefixes:false ~masks:Fixture.every_bit full))
 
 (* frames decode where they lie in a larger buffer, and never past
@@ -190,8 +211,10 @@ let prop_short_payload_stays_in_frame =
     (QCheck.triple arb_frame arb_frame QCheck.small_nat)
     (fun (f, g, k) ->
       let enc = Wire.encode f in
-      (* magic and length before the payload, its MD5 after *)
-      let payload = String.sub enc 8 (String.length enc - 24) in
+      (* the payload its length field covers, after magic and length: a
+         Blob's is its header's, and its body follows the checksum *)
+      let len = Int32.to_int (String.get_int32_le enc 4) in
+      let payload = String.sub enc 8 len in
       let k = k mod String.length payload in
       let short = Codec.frame ~magic:"KFR1" (String.sub payload 0 k) in
       match Wire.decode (short ^ Wire.encode g) ~pos:0 with
@@ -524,6 +547,79 @@ let test_mismatched_blob_never_filed () =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "mirror fsck reports damage"
 
+(* --- a flipped blob body is refused by its digest --- *)
+
+(* The frame checksum covers a Blob's header, not its body: the check
+   that refuses a body flipped in transit is the subscriber's digest
+   check when it files the body. Each bit of the smallest body the chain
+   serves is flipped in turn, in the first attempt of a real session;
+   the retry is honest. *)
+let test_body_flip_refused_by_digest () =
+  let repo = server_repo () in
+  let d, size =
+    match
+      List.concat_map
+        (fun (e : Repo.manifest_entry) ->
+          (e.me_blob, e.me_size) :: e.me_objects)
+        (Fixture.ok "manifest" Repo.pp_error
+           (Repo.manifest repo ~digest:base_digest))
+    with
+    | [] -> Alcotest.fail "empty manifest"
+    | first :: rest ->
+      List.fold_left (fun a b -> if snd b < snd a then b else a) first rest
+  in
+  let body = Option.get (Store.get (Repo.store repo) d) in
+  (* [s], which ends in [d]'s body, with bit [bit] of the body flipped *)
+  let flip s bit =
+    Fixture.damage s
+      (Fixture.Flip
+         { pos = String.length s - size + (bit / 8); mask = 1 lsl (bit mod 8) })
+  in
+  (* the honest server, with bit [bit] of [d]'s body flipped *)
+  let flipping bit =
+    let session = Server.session repo in
+    fun input ->
+      List.map
+        (fun enc ->
+          match Wire.decode enc ~pos:0 with
+          | Ok (Wire.Blob { digest; _ }, _) when digest = d -> flip enc bit
+          | _ -> enc)
+        (Server.handle session input)
+  in
+  let mismatch =
+    Format.asprintf "attempt 1: %a" Subscriber.pp_error
+      (Subscriber.Digest_mismatch { digest = d })
+  in
+  for bit = 0 to (8 * size) - 1 do
+    let what = Printf.sprintf "bit %d of %s" bit d in
+    let flipped = Store.digest_of_string (flip body bit) in
+    let sub = sub_store () in
+    (* the mirror as the refused attempt left it *)
+    let after = ref None in
+    let connect attempt =
+      if attempt = 1 then Some (fst (Transport.sim ~serve:(flipping bit) ()))
+      else begin
+        if attempt = 2 then
+          after :=
+            Some
+              ( Store.mem sub d,
+                Store.mem sub flipped,
+                Result.is_ok (Repo.fsck (Repo.of_store sub)) );
+        connect_sim repo attempt
+      end
+    in
+    let r = Subscriber.sync ~store:sub ~base:base_digest ~connect () in
+    Alcotest.(check (list string)) (what ^ ": refused by its digest")
+      [ mismatch ] r.Subscriber.r_log;
+    Alcotest.(check (option (triple bool bool bool)))
+      (what ^ ": nothing filed under it, the flipped bytes not filed, \
+               mirror fsck clean")
+      (Some (false, false, true)) !after;
+    Alcotest.(check bool) (what ^ ": the retry converges") true r.r_synced;
+    Alcotest.(check string) (what ^ ": head") head_digest r.r_head;
+    Alcotest.(check int) (what ^ ": redundant") 0 r.r_redundant
+  done
+
 (* --- blobs in any order --- *)
 
 (* the honest server, with the Blob frames of its Want reply reversed:
@@ -660,6 +756,91 @@ let test_want_only_advertised_and_held () =
   refused "want for a swept blob"
     ~cause:(Printf.sprintf "cannot serve %s: missing" hop1)
     (send s (Wire.Want [ hop1 ]))
+
+(* --- the version gate --- *)
+
+(* a v1 peer would misread a v2 Blob, so neither side talks past the
+   Hello exchange with one *)
+let test_v1_subscriber_refused () =
+  let s = Server.session (Repo.of_store (sub_store ())) in
+  (match decoded (send s (Wire.Hello { version = 1; peer = "old" })) with
+  | [ Wire.Err { code; msg } ] ->
+    Alcotest.(check string) "error code" "version" code;
+    Alcotest.(check bool) ("names both versions: " ^ msg) true
+      (mentions (Printf.sprintf "server speaks v%d" Wire.version) msg
+      && mentions "subscriber sent v1" msg)
+  | fs ->
+    Alcotest.failf "hello v1: expected one Err, got %s"
+      (String.concat "; " (List.map (Format.asprintf "%a" Wire.pp_frame) fs)));
+  Alcotest.(check (list string)) "the session is dead" []
+    (send s (Wire.Head { digest = base_digest }))
+
+let test_v1_server_refused () =
+  let repo = server_repo () in
+  (* the honest server, except that its Hello_ack says v1; [heard] is
+     every frame it is sent *)
+  let heard = ref [] in
+  let v1_server () =
+    let session = Server.session repo in
+    fun input ->
+      (match Wire.decode input ~pos:0 with
+      | Ok (f, _) -> heard := f :: !heard
+      | Error _ -> Alcotest.fail "the subscriber sent a bad frame");
+      List.map
+        (fun enc ->
+          match Wire.decode enc ~pos:0 with
+          | Ok (Wire.Hello_ack { peer; _ }, _) ->
+            Wire.encode (Wire.Hello_ack { version = 1; peer })
+          | _ -> enc)
+        (Server.handle session input)
+  in
+  let sub = sub_store () in
+  let r =
+    Subscriber.sync ~retries:2 ~store:sub ~base:base_digest
+      ~connect:(fun _ -> Some (fst (Transport.sim ~serve:(v1_server ()) ())))
+      ()
+  in
+  Alcotest.(check (list string)) "each attempt fails at the hello"
+    [ "attempt 1: protocol violation: server speaks v1";
+      "attempt 2: protocol violation: server speaks v1" ]
+    r.Subscriber.r_log;
+  Alcotest.(check (list string)) "the server heard only hellos"
+    [ "hello"; "hello" ]
+    (List.map
+       (function
+         | Wire.Hello _ -> "hello"
+         | f -> Format.asprintf "%a" Wire.pp_frame f)
+       !heard);
+  Alcotest.(check string) "old head kept" base_digest r.r_head;
+  Alcotest.(check (list (pair string string))) "nothing committed" []
+    (Store.refs sub)
+
+(* --- a Blob header's body bound --- *)
+
+(* the header frame of a Blob whose body is [size] bytes *)
+let blob_header size =
+  let b = Buffer.create 64 in
+  Codec.put_u8 b 6;
+  Codec.put_str b head_digest;
+  Codec.put_u32 b size;
+  Codec.frame ~magic:"KFR1" (Buffer.contents b)
+
+(* a lying header cannot make a receiver wait for, and buffer, more than
+   one frame may hold *)
+let test_body_bound () =
+  (match Wire.decode (blob_header (Codec.max_payload + 1)) ~pos:0 with
+  | Error (`Fail e) ->
+    Alcotest.(check string) "typed at once, without the body"
+      (Printf.sprintf "bad body length %d" (Codec.max_payload + 1))
+      e.Codec.reason
+  | Error `Incomplete -> Alcotest.fail "an oversized body is awaited"
+  | Ok _ -> Alcotest.fail "an oversized body decodes");
+  Alcotest.(check bool) "a body at the bound is awaited" true
+    (Wire.decode (blob_header Codec.max_payload) ~pos:0 = Error `Incomplete);
+  Alcotest.(check bool) "a header and its body are a Blob" true
+    (Wire.decode (blob_header 3 ^ "abc") ~pos:0
+    = Ok (Wire.Blob { digest = head_digest; bytes = "abc" },
+          String.length (blob_header 3) + 3))
 
 (* --- the sessions of one repository share its Blob frames --- *)
 
@@ -971,9 +1152,17 @@ let suite =
           test_corrupt_entry_refused;
         t "a blob that does not hash to its digest is never filed"
           test_mismatched_blob_never_filed;
+        t "a bit flip in a blob body is refused by its digest"
+          test_body_flip_refused_by_digest;
         t "blobs may arrive in any order" test_blobs_in_any_order;
         t "a want may name only what was advertised and is held"
           test_want_only_advertised_and_held;
+        t "a v1 subscriber gets the version error"
+          test_v1_subscriber_refused;
+        t "a v1 server fails the subscriber before any want"
+          test_v1_server_refused;
+        t "a blob header naming a body above the bound fails at once"
+          test_body_bound;
         t "shared frames are the frames a fresh session sends"
           test_shared_frames_are_the_sent_frames;
         t "concurrent subscribers share one server"
